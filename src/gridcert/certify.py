@@ -10,7 +10,9 @@ negative verdict is "inconclusive", never "unstable".
 Two variants exist: the original-coordinates matrix (diagonal
 ``lambda_min(Q_i)``, off-diagonal ``-2 lambda_max(P_i) ||A_ij||``) and the
 relaxed transformed variant in modal coordinates (diagonal ``sigma_M_i``,
-off-diagonal ``-||At_ij||``).
+off-diagonal ``-||At_ij||``).  :func:`agent_row` evaluates one agent's
+row of a designed grid; the centralized :func:`assess_grid` and the
+protocol agents both go through it.
 """
 
 from __future__ import annotations
@@ -48,36 +50,13 @@ class LyapunovCertificate:
 
 
 @dataclass
-class TransformedCertificate:
-    """The ratio-maximizing certificate in modal coordinates.
-
-    With ``P = theta*I`` the Lyapunov equation forces
-    ``Q = -theta*(Lam + Lam^T)``, which is diagonal and SPD for Hurwitz
-    ``Lam``; the certified decay ratio ``lambda_min(Q)/lambda_max(P)``
-    equals ``2*sigma_M`` and no other SPD pair does better.
-    """
-
-    theta: float
-    P: np.ndarray
-    Q: np.ndarray
-    ratio: float
-
-    @classmethod
-    def from_modal(cls, mt: ModalTransform, theta=1.0):
-        if theta <= 0:
-            raise InvalidInput("theta must be positive")
-        if mt.sigma_M <= 0:
-            raise CertificateInvalid(
-                "modal form is not Hurwitz", offending_eigenvalue=-mt.sigma_M)
-        n = mt.Lam.shape[0]
-        Q = -theta * (mt.Lam + mt.Lam.T)
-        return cls(theta=theta, P=theta * np.eye(n), Q=Q,
-                   ratio=2.0 * mt.sigma_M)
-
-
-@dataclass
 class ConditionReport:
-    """One agent's row of the test matrix with its verdict."""
+    """One agent's row of the test matrix with its verdict.
+
+    ``offdiag`` holds the magnitudes of the nonpositive off-diagonal
+    entries; ``met`` is strict row dominance, and every row meeting it
+    makes the test matrix an M-matrix.
+    """
 
     agent: int
     diagonal: float
@@ -126,22 +105,39 @@ def certify_decoupled(A, Q):
     )
 
 
-def _row_reports(agents, diag, offdiag_norms, variant):
-    S = np.zeros((len(agents), len(agents)))
-    index = {a: k for k, a in enumerate(agents)}
-    reports = []
-    for a in agents:
-        k = index[a]
-        S[k, k] = diag[a]
-        row = {}
-        for j, nrm in offdiag_norms.get(a, {}).items():
-            if j not in index:
-                raise InvalidInput(f"coupling references unknown agent {j}")
-            S[k, index[j]] = -nrm
-            row[j] = nrm
-        reports.append(ConditionReport(agent=a, diagonal=diag[a],
-                                       offdiag=row, variant=variant))
-    return S, reports
+def _require_hurwitz(agent, mt):
+    if mt.sigma_M <= 0:
+        raise CertificateInvalid(
+            f"agent {agent}: modal form is not Hurwitz",
+            offending_eigenvalue=-mt.sigma_M,
+        )
+
+
+def _row(agent, diagonal, weight, blocks, variant):
+    """Row with off-diagonal magnitudes ``weight * ||block||`` per neighbor."""
+    return ConditionReport(
+        agent=agent, diagonal=diagonal,
+        offdiag={j: weight * spectral_norm(b) for j, b in blocks.items()},
+        variant=variant)
+
+
+def _blocks_by_agent(agents, couplings):
+    """Group ``(i, j) -> block`` couplings by the receiving agent i."""
+    blocks = {}
+    for (i, j), block in couplings.items():
+        if i not in agents or j not in agents:
+            raise InvalidInput(f"coupling ({i}, {j}) references unknown agent")
+        blocks.setdefault(i, {})[j] = block
+    return blocks
+
+
+def _matrix(reports):
+    index = {r.agent: k for k, r in enumerate(reports)}
+    S = np.diag([float(r.diagonal) for r in reports])
+    for r in reports:
+        for j, v in r.offdiag.items():
+            S[index[r.agent], index[j]] = -v
+    return S
 
 
 def build_S(certificates, couplings):
@@ -151,17 +147,11 @@ def build_S(certificates, couplings):
     ``couplings`` maps ordered pairs ``(i, j)`` to the closed-loop block
     ``A_ij`` through which neighbor j drives agent i.
     """
-    agents = sorted(certificates)
-    offnorms = {}
-    for (i, j), block in couplings.items():
-        if i not in certificates:
-            raise InvalidInput(f"missing certificate for agent {i}")
-        if j not in certificates:
-            raise InvalidInput(f"coupling ({i}, {j}) references unknown agent {j}")
-        cert = certificates[i]
-        offnorms.setdefault(i, {})[j] = 2.0 * cert.lambda_max_P * spectral_norm(block)
-    diag = {a: certificates[a].lambda_min_Q for a in agents}
-    return _row_reports(agents, diag, offnorms, VARIANT_ORIGINAL)
+    blocks = _blocks_by_agent(certificates, couplings)
+    reports = [_row(a, c.lambda_min_Q, 2.0 * c.lambda_max_P, blocks.get(a, {}),
+                    VARIANT_ORIGINAL)
+               for a, c in sorted(certificates.items())]
+    return _matrix(reports), reports
 
 
 def build_S_tilde(transforms, couplings_t):
@@ -171,41 +161,49 @@ def build_S_tilde(transforms, couplings_t):
     Hurwitz); ``couplings_t`` maps ordered pairs ``(i, j)`` to the
     closed-loop transformed block ``At_ij``.
     """
-    agents = sorted(transforms)
-    for a in agents:
-        if transforms[a].sigma_M <= 0:
-            raise CertificateInvalid(
-                f"agent {a}: modal form is not Hurwitz",
-                offending_eigenvalue=-transforms[a].sigma_M,
-            )
-    offnorms = {}
-    for (i, j), block in couplings_t.items():
-        if i not in transforms or j not in transforms:
-            raise InvalidInput(f"coupling ({i}, {j}) references unknown agent")
-        offnorms.setdefault(i, {})[j] = spectral_norm(block)
-    diag = {a: transforms[a].sigma_M for a in agents}
-    return _row_reports(agents, diag, offnorms, VARIANT_TRANSFORMED)
+    for a, mt in sorted(transforms.items()):
+        _require_hurwitz(a, mt)
+    blocks = _blocks_by_agent(transforms, couplings_t)
+    reports = [_row(a, mt.sigma_M, 1.0, blocks.get(a, {}), VARIANT_TRANSFORMED)
+               for a, mt in sorted(transforms.items())]
+    return _matrix(reports), reports
+
+
+def agent_row(agent, A_hat, B, K, mt, couplings, T_nbrs, escalate, variant):
+    """One agent's row condition from its own model and its neighbors' shares.
+
+    ``K`` is the agent's local gain and ``mt`` the modal form of its closed
+    loop ``A_hat - B K^T``; ``couplings[j]`` is the open-loop block
+    ``A_hat_ij`` and ``T_nbrs[j]`` the modal transform neighbor j shared.
+    With ``escalate`` each coupling gets its norm-minimizing global gain
+    and the row is built from the residual blocks; the transformed residual
+    is ``At_ij - Bt Kt_ij^T``, the quantity the projection minimizes.
+
+    Returns ``(report, t_global, global_)``: the row and the global gains
+    in modal and original coordinates (both empty unless ``escalate``).
+    ``assess_grid`` and the protocol agents both evaluate rows here.
+    """
+    _require_hurwitz(agent, mt)
+    t_global, global_ = {}, {}
+    if escalate or variant == VARIANT_TRANSFORMED:
+        _, Bt, blocks_t = control.transform_subsystem(A_hat, B, couplings, mt.T, T_nbrs)
+    if escalate:
+        for j, C_t in list(blocks_t.items()):
+            kt = control.optimal_global_gain(Bt, C_t)
+            t_global[j] = kt
+            global_[j] = control.convert_global_gain(kt, T_nbrs[j])
+            blocks_t[j] = C_t - np.outer(Bt, kt)
+    if variant == VARIANT_TRANSFORMED:
+        return _row(agent, mt.sigma_M, 1.0, blocks_t, variant), t_global, global_
+    A_cl, blocks = control.close_loop(A_hat, B, K, couplings, global_)
+    cert = certify_decoupled(A_cl, np.eye(A_cl.shape[0]))
+    row = _row(agent, cert.lambda_min_Q, 2.0 * cert.lambda_max_P, blocks, variant)
+    return row, t_global, global_
 
 
 def compositional_verdict(reports):
     """``stable`` iff every agent met its row condition, else ``inconclusive``."""
     return STABLE if all(r.met for r in reports) else INCONCLUSIVE
-
-
-def worst_case_coupling_bound(X_ij, M_i, omega_b, T_norms):
-    """Upper bound on the transformed coupling norm from line data alone.
-
-    ``T_norms`` is the pair ``(||inv(T_i)||, ||T_j||)``; submultiplicativity
-    on the rank-one grid coupling gives
-    ``||inv(T_i)|| * (omega_b / (M_i X_ij)) * ||T_j||``, which is tight for
-    identity transforms.
-    """
-    if X_ij <= 0 or M_i <= 0 or omega_b <= 0:
-        raise InvalidInput("X_ij, M_i and omega_b must be positive")
-    n_inv, n_t = T_norms
-    if n_inv < 0 or n_t < 0:
-        raise InvalidInput("transform norms must be nonnegative")
-    return float(n_inv) * (omega_b / (M_i * X_ij)) * float(n_t)
 
 
 @dataclass
@@ -220,7 +218,6 @@ class AssessmentResult:
     transforms: dict[int, ModalTransform]
     subsystems: list[gridmodel.SubsystemModel]
     A_full: np.ndarray
-    S: np.ndarray
 
     @property
     def hurwitz(self):
@@ -242,58 +239,31 @@ def resolve_pole_specs(grid, overrides=None, scale=1.0):
 
 
 def assess_grid(grid, pole_overrides=None, use_global=False,
-                variant=VARIANT_TRANSFORMED, poles_scale=1.0, Q=None):
+                variant=VARIANT_TRANSFORMED, poles_scale=1.0):
     """Design feedback for every bus and evaluate the chosen condition.
 
     This is the centralized (no message passing) counterpart of the
-    distributed protocol: local pole placement per bus, optional
-    coupling-minimizing global gains when ``use_global``, then the
-    per-agent row conditions in the requested ``variant``.
+    distributed protocol: local pole placement per bus, then each agent's
+    :func:`agent_row` with every neighbor transform at hand, escalated to
+    coupling-minimizing global gains when ``use_global``.
     """
     if variant not in (VARIANT_ORIGINAL, VARIANT_TRANSFORMED):
         raise InvalidInput(f"unknown variant {variant!r}")
     subsystems = gridmodel.build_subsystems(grid)
     specs = resolve_pole_specs(grid, pole_overrides, poles_scale)
+    designs = {sub.bus: control.design_local(sub.A_hat, sub.B, specs[sub.bus])
+               for sub in subsystems}
+    transforms = {bus: mt for bus, (_, mt) in designs.items()}
 
-    gains, transforms = {}, {}
+    gains, reports = {}, []
     for sub in subsystems:
-        K, mt = control.design_local(sub.A_hat, sub.B, specs[sub.bus])
-        transforms[sub.bus] = mt
-        gains[sub.bus] = control.GainSet(local=K, t_local=mt.T.T @ K)
-
-    for sub in subsystems:
-        mt = transforms[sub.bus]
-        T_nbrs = {j: transforms[j].T for j in sub.neighbors}
-        _, Bt, coup_t = control.transform_subsystem(
-            sub.A_hat, sub.B, sub.couplings, mt.T, T_nbrs)
-        gs = gains[sub.bus]
-        if use_global:
-            for j in sub.neighbors:
-                kt = control.optimal_global_gain(Bt, coup_t[j])
-                gs.t_global[j] = kt
-                gs.global_[j] = control.convert_global_gain(kt, transforms[j].T)
-
-    couplings_closed = {}
-    couplings_closed_t = {}
-    for sub in subsystems:
-        gs = gains[sub.bus]
-        _, closed = control.close_loop(sub.A_hat, sub.B, gs.local,
-                                       sub.couplings, gs.global_)
-        mt = transforms[sub.bus]
-        for j, block in closed.items():
-            couplings_closed[(sub.bus, j)] = block
-            couplings_closed_t[(sub.bus, j)] = np.linalg.solve(
-                mt.T, block @ transforms[j].T)
-
-    if variant == VARIANT_TRANSFORMED:
-        S, reports = build_S_tilde(transforms, couplings_closed_t)
-    else:
-        certs = {}
-        for sub in subsystems:
-            A_cl = sub.A_hat - np.outer(sub.B, gains[sub.bus].local)
-            Qi = np.eye(A_cl.shape[0]) if Q is None else Q
-            certs[sub.bus] = certify_decoupled(A_cl, Qi)
-        S, reports = build_S(certs, couplings_closed)
+        K, mt = designs[sub.bus]
+        report, t_global, global_ = agent_row(
+            sub.bus, sub.A_hat, sub.B, K, mt, sub.couplings,
+            {j: transforms[j].T for j in sub.neighbors}, use_global, variant)
+        reports.append(report)
+        gains[sub.bus] = control.GainSet(local=K, global_=global_,
+                                         t_local=mt.T.T @ K, t_global=t_global)
 
     return AssessmentResult(
         variant=variant,
@@ -304,5 +274,4 @@ def assess_grid(grid, pole_overrides=None, use_global=False,
         transforms=transforms,
         subsystems=subsystems,
         A_full=gridmodel.assemble_full(subsystems, gains),
-        S=S,
     )

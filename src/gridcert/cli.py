@@ -30,10 +30,9 @@ SIM_JSON = "sim_summary.json"
 REPORT_MD = "report.md"
 
 
-def _manifest(command, path, data, options):
+def _manifest(command, data, options):
     return {
         "command": command,
-        "input": path,
         "input_sha256": hashlib.sha256(data).hexdigest(),
         "toolkit_version": __version__,
         "options": options,
@@ -116,7 +115,7 @@ def cmd_assess(args):
     # with --variant both, certification by either condition suffices
     stable = any(r.verdict == certify.STABLE for r in results)
     doc = {
-        "manifest": _manifest("assess", args.grid, data, {
+        "manifest": _manifest("assess", data, {
             "global": args.use_global,
             "variant": args.variant,
             "poles_scale": args.poles_scale,
@@ -147,7 +146,7 @@ def cmd_protocol(args):
     trace_text = "\n".join(result.trace_lines(full=args.trace_full)) + "\n"
     _write(args.out, TRACE_JSONL, trace_text)
     doc = {
-        "manifest": _manifest("protocol", args.grid, data, {
+        "manifest": _manifest("protocol", data, {
             "global": args.use_global,
             "max_retries": args.max_retries,
             "variant": args.variant,
@@ -191,7 +190,7 @@ def cmd_simulate(args):
     steady = sim.steady_state_check(result, grid)
     settle = sim.settling_time(result)
     doc = {
-        "manifest": _manifest("simulate", args.grid, data, {
+        "manifest": _manifest("simulate", data, {
             "global": args.use_global,
             "variant": args.variant,
             "poles_scale": args.poles_scale,

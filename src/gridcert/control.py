@@ -39,17 +39,9 @@ class GainSet:
     t_local: np.ndarray | None = None
     t_global: dict[int, np.ndarray] = field(default_factory=dict)
 
-    @classmethod
-    def zero(cls, n):
-        return cls(local=np.zeros(n), t_local=np.zeros(n))
-
     def copy(self):
         return GainSet(local=self.local, global_=dict(self.global_),
                        t_local=self.t_local, t_global=dict(self.t_global))
-
-    @property
-    def escalated(self):
-        return bool(self.global_) or bool(self.t_global)
 
     def consistency_error(self, T_self, T_neighbors=None):
         """Largest violation of the coordinate-change relations."""

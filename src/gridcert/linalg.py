@@ -2,10 +2,9 @@
 
 Everything here is deterministic and operates on plain ``numpy`` arrays:
 eigenvalues with a fixed ordering convention, spectral norms, Lyapunov
-solves, the real block-diagonal modal decomposition, diagonal-dominance
-M-matrix tests and Hurwitz checks.  Matrices are small (subsystems are
-order 3, assembled systems order 3N), so simplicity wins over asymptotic
-speed throughout.
+solves, the real block-diagonal modal decomposition and Hurwitz checks.
+Matrices are small (subsystems are order 3, assembled systems order 3N), so
+simplicity wins over asymptotic speed throughout.
 """
 
 from __future__ import annotations
@@ -162,13 +161,6 @@ class ModalTransform:
     Lam: np.ndarray
     sigma_M: float
 
-    @property
-    def order(self):
-        return self.T.shape[0]
-
-    def inverse(self):
-        return np.linalg.inv(self.T)
-
 
 def _geometric_deficit(A, lam_groups):
     n = A.shape[0]
@@ -265,21 +257,6 @@ def modal_decompose(A):
         Lam[pos:pos + m, pos:pos + m] = blk
         pos += m
     return ModalTransform(T=T, Lam=Lam, sigma_M=float(-lam.real.max()))
-
-
-def is_dd_m_matrix(S):
-    """Strict diagonal-dominance M-matrix test with per-row margins.
-
-    Returns ``(ok, margins)`` where ``margins[i] = |s_ii| - sum_j |s_ij|``
-    and ``ok`` is true iff every off-diagonal entry is <= 0 and every row
-    margin is strictly positive.  No tolerance slack is applied; callers
-    wanting conservatism should threshold the margins themselves.
-    """
-    S = _as_matrix(S, "S")
-    off = S - np.diag(np.diag(S))
-    margins = np.abs(np.diag(S)) - np.abs(off).sum(axis=1)
-    ok = bool(np.all(off <= 0.0) and np.all(margins > 0.0))
-    return ok, margins
 
 
 def is_hurwitz(A, margin=0.0):

@@ -9,9 +9,10 @@ traces.
 
 An agent's lifecycle: design local gains and share its modal transform
 and outgoing coupling blocks with its neighbors; once all neighbor shares
-have arrived, evaluate its row condition and report the outcome to the
-operator.  On failure it either retries the local design (pole-scaling
-policy) or, when retries are exhausted, escalates to global gains and
+have arrived, evaluate its row condition (:func:`certify.agent_row`) and
+report the outcome to the operator.  On failure it either retries the local
+design with every pole scaled by ``RETRY_POLE_SCALE`` or, when retries are
+exhausted, escalates to global gains and
 re-evaluates.  The operator broadcasts a single stable verdict when every
 agent has reported "met"; if the system goes quiescent without unanimity
 the verdict is inconclusive.
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import certify, control, gridmodel
 from .errors import InvalidInput, ProtocolViolation, Uncontrollable
-from .linalg import ModalTransform, spectral_norm
+from .linalg import ModalTransform
 
 OPERATOR = "operator"
 BROADCAST = "*"
@@ -40,7 +41,9 @@ SHARE_TRANSFORM = "ShareTransform"
 SHARE_COUPLING = "ShareCoupling"
 CONDITION_STATUS = "ConditionStatus"
 OPERATOR_VERDICT = "OperatorVerdict"
-STATE_SAMPLE = "StateSample"
+
+#: every desired pole is scaled by this factor on each local redesign
+RETRY_POLE_SCALE = 1.15
 
 DESIGNING = "designing"
 AWAITING = "awaiting_neighbors"
@@ -85,25 +88,15 @@ def _msg_key(m):
     return (_addr_key(m.sender), _addr_key(m.to), m.kind)
 
 
-def scale_poles_policy(factor=1.15):
-    """Default retry policy: every desired pole scaled by ``factor`` per retry."""
-    def policy(poles, retry_index):
-        return [factor * complex(p) for p in poles]
-    return policy
-
-
 @dataclass
 class ProtocolConfig:
     max_retries: int = 0
-    retry_policy: object = None
     allow_global: bool = True
     variant: str = certify.VARIANT_TRANSFORMED
-    selective_escalation: bool = False
-    max_rounds: int = 64
 
     def __post_init__(self):
-        if self.retry_policy is None:
-            self.retry_policy = scale_poles_policy()
+        if self.max_retries < 0:
+            raise InvalidInput(f"max_retries must be >= 0, got {self.max_retries}")
         if self.variant not in (certify.VARIANT_ORIGINAL, certify.VARIANT_TRANSFORMED):
             raise InvalidInput(f"unknown variant {self.variant!r}")
 
@@ -194,50 +187,12 @@ def _design(st, out, rnd):
     st.needs_evaluation = True
 
 
-def _transformed_couplings(st):
-    know = st.knowledge
-    _, Bt, coup_t = control.transform_subsystem(
-        know.A_hat, know.B, st.received_couplings,
-        st.transform.T, st.received_transforms)
-    return Bt, coup_t
-
-
 def _evaluate(st, config):
     know = st.knowledge
-    Bt, coup_t = _transformed_couplings(st)
-    if st.escalated:
-        order = sorted(coup_t, key=lambda j: (-spectral_norm(coup_t[j]), j))
-        st.gains.t_global.clear()
-        st.gains.global_.clear()
-        residual = dict(coup_t)
-        for j in order:
-            kt = control.optimal_global_gain(Bt, coup_t[j])
-            st.gains.t_global[j] = kt
-            st.gains.global_[j] = control.convert_global_gain(
-                kt, st.received_transforms[j])
-            residual[j] = coup_t[j] - np.outer(Bt, kt)
-            if config.selective_escalation:
-                sigma = st.transform.sigma_M
-                if sigma - sum(spectral_norm(b) for b in residual.values()) > 0.0:
-                    break
-        coup_t = residual
-
-    if config.variant == certify.VARIANT_TRANSFORMED:
-        row = {j: spectral_norm(b) for j, b in coup_t.items()}
-        st.report = certify.ConditionReport(
-            agent=st.id, diagonal=st.transform.sigma_M, offdiag=row,
-            variant=certify.VARIANT_TRANSFORMED)
-    else:
-        A_cl = know.A_hat - np.outer(know.B, st.gains.local)
-        cert = certify.certify_decoupled(A_cl, np.eye(A_cl.shape[0]))
-        row = {}
-        for j, C in st.received_couplings.items():
-            kj = st.gains.global_.get(j)
-            block = C if kj is None else C - np.outer(know.B, kj)
-            row[j] = 2.0 * cert.lambda_max_P * spectral_norm(block)
-        st.report = certify.ConditionReport(
-            agent=st.id, diagonal=cert.lambda_min_Q, offdiag=row,
-            variant=certify.VARIANT_ORIGINAL)
+    st.report, st.gains.t_global, st.gains.global_ = certify.agent_row(
+        st.id, know.A_hat, know.B, st.gains.local, st.transform,
+        st.received_couplings, st.received_transforms, st.escalated,
+        config.variant)
     return st.report
 
 
@@ -268,7 +223,7 @@ def agent_step(state, inbox, config, rnd):
             st.phase = ESCALATED if st.escalated else DONE
         elif st.retry_count < config.max_retries:
             st.retry_count += 1
-            st.poles = tuple(config.retry_policy(list(st.poles), st.retry_count))
+            st.poles = tuple(RETRY_POLE_SCALE * complex(p) for p in st.poles)
             st.phase = DESIGNING
         elif config.allow_global and not st.escalated:
             st.escalated = True
@@ -336,22 +291,26 @@ class DsaResult:
         return [m.to_json_line(full=full) for m in self.trace]
 
 
-def run_dsa(grid, pole_specs=None, max_retries=0, retry_policy=None,
-            allow_global=True, variant=certify.VARIANT_TRANSFORMED,
-            selective_escalation=False, max_rounds=64):
+def run_dsa(grid, max_retries=0, allow_global=True,
+            variant=certify.VARIANT_TRANSFORMED):
     """Run the distributed assessment on a grid and return its trace.
 
-    ``pole_specs`` optionally overrides the per-bus desired poles from the
-    grid document.  The run is deterministic: agents act in ascending bus
-    order, messages are canonically ordered within each round.
+    The run is deterministic: agents act in ascending bus order, messages
+    are canonically ordered within each round.
+
+    The round cap follows from the retry budget R.  Each of the N agents
+    designs at most R + 1 times and escalates at most once, so a run has at
+    most N (R + 2) designs and escalations.  Every round before quiescence
+    contains one of them or an evaluation one of them caused in the round
+    before, so at most 2 N (R + 2) rounds are active; two more finalize and
+    deliver the verdict.  Running past the cap raises
+    :class:`ProtocolViolation`.
     """
-    config = ProtocolConfig(
-        max_retries=max_retries, retry_policy=retry_policy,
-        allow_global=allow_global, variant=variant,
-        selective_escalation=selective_escalation, max_rounds=max_rounds)
+    config = ProtocolConfig(max_retries=max_retries, allow_global=allow_global,
+                            variant=variant)
     subsystems = gridmodel.build_subsystems(grid)
     by_bus = {s.bus: s for s in subsystems}
-    specs = certify.resolve_pole_specs(grid, pole_specs)
+    specs = certify.resolve_pole_specs(grid)
 
     states = {}
     for sub in subsystems:
@@ -363,11 +322,12 @@ def run_dsa(grid, pole_specs=None, max_retries=0, retry_policy=None,
         states[sub.bus] = AgentState(id=sub.bus, knowledge=know,
                                      poles=tuple(specs[sub.bus]))
     operator = OperatorState(expected=tuple(sorted(states)))
+    max_rounds = 2 * len(states) * (config.max_retries + 2) + 2
 
     trace = []
     pending = []
     rounds_used = 0
-    for rnd in range(config.max_rounds):
+    for rnd in range(max_rounds):
         rounds_used = rnd
         inboxes = {}
         for m in pending:
@@ -398,24 +358,10 @@ def run_dsa(grid, pole_specs=None, max_retries=0, retry_policy=None,
                 trace.extend(op_out)
                 pending = op_out
     else:
-        raise ProtocolViolation(f"no termination within {config.max_rounds} rounds")
+        raise ProtocolViolation(f"no termination within {max_rounds} rounds")
 
     verdict = certify.STABLE if operator.verdict else certify.INCONCLUSIVE
     return DsaResult(verdict=verdict, trace=trace, agents=states,
                      operator=operator, rounds=rounds_used + 1,
                      subsystems=subsystems)
 
-
-def state_exchange_pairs(agents):
-    """Directed (from, to) pairs for real-time state exchange.
-
-    Every escalated agent needs its neighbors' states, so each neighbor j
-    of an escalated agent i sends samples j -> i.
-    """
-    pairs = []
-    for a in sorted(agents):
-        st = agents[a]
-        if st.escalated and st.gains is not None and st.gains.t_global:
-            for j in sorted(st.gains.t_global):
-                pairs.append((j, a))
-    return pairs

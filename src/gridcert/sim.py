@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergedSimulation, InvalidInput
-from .protocol import STATE_SAMPLE, Message
 
 DEFAULT_DT = 1e-3     # s; fastest grid mode here is ~ -43 1/s, so dt*|lam| < 0.05
 DEFAULT_T_END = 10.0  # s
@@ -32,7 +31,6 @@ class SimConfig:
     t_end: float = DEFAULT_T_END
     dt: float = DEFAULT_DT
     disturbances: list = field(default_factory=list)   # gridmodel.Disturbance
-    record_inputs: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.dt <= self.t_end):
@@ -47,8 +45,8 @@ class SimResult:
     t: np.ndarray                 # (n_samples,), s
     states: np.ndarray            # (n_samples, 3N): [delta, omega, Pm] per bus
     d: np.ndarray                 # (n_samples, N), pu
-    u_local: np.ndarray | None    # (n_samples, N), pu
-    u_global: np.ndarray | None   # (n_samples, N), pu
+    u_local: np.ndarray           # (n_samples, N), pu
+    u_global: np.ndarray          # (n_samples, N), pu
     A_full: np.ndarray
     F_full: np.ndarray
 
@@ -70,13 +68,12 @@ class SimResult:
         writer.writerow(CSV_HEADER)
         for k, tk in enumerate(self.t):
             for b, bus in enumerate(self.bus_ids):
-                ul = self.u_local[k, b] if self.u_local is not None else 0.0
-                ug = self.u_global[k, b] if self.u_global is not None else 0.0
                 writer.writerow([fmt(tk), bus,
                                  fmt(self.states[k, 3 * b]),
                                  fmt(self.states[k, 3 * b + 1]),
                                  fmt(self.states[k, 3 * b + 2]),
-                                 fmt(ul), fmt(ug), fmt(self.d[k, b])])
+                                 fmt(self.u_local[k, b]), fmt(self.u_global[k, b]),
+                                 fmt(self.d[k, b])])
 
     def to_csv(self):
         buf = io.StringIO()
@@ -153,8 +150,8 @@ def simulate(A_full, F_full, config, bus_ids, gains=None, x0=None):
     bus_ids : sequence of int
         Bus order matching the block structure of ``A_full``.
     gains : dict, optional
-        Bus id -> GainSet; enables reconstruction of the local and global
-        control series when ``config.record_inputs`` is set.
+        Bus id -> GainSet for reconstructing the local and global control
+        series; without it both series are zero.
 
     Raises
     ------
@@ -179,9 +176,7 @@ def simulate(A_full, F_full, config, bus_ids, gains=None, x0=None):
     d = _disturbance_profile(config.disturbances, bus_ids, t)
     states = integrate(A, F, d, t, x0=x0)
 
-    ul = ug = None
-    if config.record_inputs:
-        ul, ug = _control_series(states, bus_ids, gains or {})
+    ul, ug = _control_series(states, bus_ids, gains or {})
     return SimResult(bus_ids=bus_ids, t=t, states=states, d=d,
                      u_local=ul, u_global=ug, A_full=A, F_full=F)
 
@@ -241,20 +236,3 @@ def settling_time(result, threshold=1e-4):
         return None
     return float(result.t[k])
 
-
-def state_sample_messages(result, pairs, round_index):
-    """Real-time state exchange as protocol messages.
-
-    One message per integration step and directed pair ``(j, i)``: the
-    neighbor j of an escalated agent i sends its own state sample.  Only
-    meaningful after a stable verdict; ``round_index`` should follow the
-    verdict round.
-    """
-    msgs = []
-    for k, tk in enumerate(result.t):
-        for j, i in pairs:
-            b = result.bus_ids.index(j)
-            msgs.append(Message(
-                STATE_SAMPLE, j, i, round_index,
-                {"x": result.states[k, 3 * b:3 * b + 3].copy(), "t": float(tk)}))
-    return msgs

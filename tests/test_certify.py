@@ -63,19 +63,23 @@ class TestBuildS:
             certify.build_S(certs, {(2, 1): np.eye(2)})
 
     def test_three_bus_matches_direct_formula(self, three_bus):
-        # oracle: evaluate the entry formulas directly on the closed loop
-        res = certify.assess_grid(three_bus, use_global=False,
-                                  variant=certify.VARIANT_ORIGINAL)
-        subs = {s.bus: s for s in res.subsystems}
-        for rep in res.reports:
-            sub = subs[rep.agent]
-            A_cl = sub.A_hat - np.outer(sub.B, res.gains[rep.agent].local)
-            P = linalg.solve_lyapunov(A_cl, np.eye(3))
-            lmax = np.linalg.eigvalsh(P).max()
-            assert rep.diagonal == pytest.approx(1.0)
-            for j, val in rep.offdiag.items():
-                want = 2.0 * lmax * linalg.spectral_norm(sub.couplings[j])
-                assert val == pytest.approx(want, rel=1e-12)
+        # oracle: evaluate the entry formulas directly on the closed loop,
+        # whose couplings carry the global gains when escalated
+        for use_global in (False, True):
+            res = certify.assess_grid(three_bus, use_global=use_global,
+                                      variant=certify.VARIANT_ORIGINAL)
+            subs = {s.bus: s for s in res.subsystems}
+            for rep in res.reports:
+                sub, gs = subs[rep.agent], res.gains[rep.agent]
+                assert bool(gs.global_) == use_global
+                A_cl = sub.A_hat - np.outer(sub.B, gs.local)
+                P = linalg.solve_lyapunov(A_cl, np.eye(3))
+                lmax = np.linalg.eigvalsh(P).max()
+                assert rep.diagonal == pytest.approx(1.0)
+                for j, val in rep.offdiag.items():
+                    block = sub.couplings[j] - np.outer(sub.B, gs.global_.get(j, 0.0))
+                    want = 2.0 * lmax * linalg.spectral_norm(block)
+                    assert val == pytest.approx(want, rel=1e-12)
 
 
 class TestBuildSTilde:
@@ -138,6 +142,21 @@ class TestVerdict:
                    certify.ConditionReport(agent=2, diagonal=1.0, offdiag={1: 3.0})]
         assert certify.compositional_verdict(reports) == certify.INCONCLUSIVE
 
+    def test_three_bus_certified_rows(self):
+        # the certified three-bus transformed rows form a row-dominant M-matrix
+        S = np.array([
+            [22.0, -11.15, -9.37],
+            [-13.0, 24.0, -7.46],
+            [-12.23, -8.36, 25.0],
+        ])
+        reports = [certify.ConditionReport(
+            agent=k + 1, diagonal=S[k, k],
+            offdiag={j + 1: -S[k, j] for j in range(3) if j != k})
+            for k in range(3)]
+        assert [r.margin for r in reports] == pytest.approx([1.48, 3.54, 4.41])
+        assert all(r.met for r in reports)
+        assert certify.compositional_verdict(reports) == certify.STABLE
+
     def test_report_serialization_shape(self):
         rep = certify.ConditionReport(agent=1, diagonal=22.0,
                                       offdiag={2: 11.15, 3: 9.37})
@@ -147,44 +166,34 @@ class TestVerdict:
         assert doc["offdiag"] == {"2": 11.15, "3": 9.37}
 
 
-class TestWorstCaseBound:
-    def test_identity_transforms_tight(self):
-        wb = 2.0 * math.pi * 60.0
-        bound = certify.worst_case_coupling_bound(0.4, 8.0, wb, (1.0, 1.0))
-        assert bound == pytest.approx(wb / (8.0 * 0.4))
-        assert bound == pytest.approx(117.81, abs=5e-3)
-
-    def test_dominates_exact_norm(self, rng):
-        wb = 2.0 * math.pi * 60.0
-        C = np.zeros((3, 3))
-        C[1, 0] = wb / (8.0 * 0.4)
-        for _ in range(100):
-            Ti = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
-            Tj = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
-            bound = certify.worst_case_coupling_bound(
-                0.4, 8.0, wb,
-                (linalg.spectral_norm(np.linalg.inv(Ti)), linalg.spectral_norm(Tj)))
-            exact = linalg.spectral_norm(np.linalg.solve(Ti, C @ Tj))
-            assert bound >= exact * (1.0 - 1e-12)
-
-
 class TestTransformedCertificate:
+    """The certificate behind the transformed diagonal ``sigma_M``.
+
+    With ``P = theta*I`` the Lyapunov equation of the modal form forces
+    ``Q = -theta*(Lam + Lam^T)``; its decay ratio
+    ``lambda_min(Q)/lambda_max(P)`` is ``2*sigma_M`` and no SPD pair does
+    better.
+    """
+
     def test_ratio_is_twice_sigma(self, rng):
         _, mt = random_semisimple_hurwitz(rng, 4)
         for theta in (1.0, 7.0):
-            tc = certify.TransformedCertificate.from_modal(mt, theta=theta)
-            assert tc.ratio == pytest.approx(2.0 * mt.sigma_M)
-            # valid Lyapunov pair for the modal form
-            assert np.allclose(mt.Lam.T @ tc.P + tc.P @ mt.Lam, -tc.Q, atol=1e-12)
-            assert np.allclose(tc.Q, np.diag(np.diag(tc.Q)))
-            assert np.linalg.eigvalsh(tc.Q).min() > 0.0
-            got = np.linalg.eigvalsh(tc.Q).min() / np.linalg.eigvalsh(tc.P).max()
-            assert got == pytest.approx(tc.ratio)
+            P, Q = theta * np.eye(4), -theta * (mt.Lam + mt.Lam.T)
+            assert np.allclose(mt.Lam.T @ P + P @ mt.Lam, -Q, atol=1e-12)
+            assert np.allclose(Q, np.diag(np.diag(Q)))
+            assert np.linalg.eigvalsh(Q).min() > 0.0
+            got = np.linalg.eigvalsh(Q).min() / np.linalg.eigvalsh(P).max()
+            assert got == pytest.approx(2.0 * mt.sigma_M)
 
     def test_non_hurwitz_rejected(self):
-        mt = linalg.modal_decompose(np.diag([0.5, -1.0]))
-        with pytest.raises(CertificateInvalid):
-            certify.TransformedCertificate.from_modal(mt)
+        # the row kernel refuses a modal form with sigma_M <= 0 in both variants
+        A = np.diag([0.5, -1.0])
+        mt = linalg.modal_decompose(A)
+        for variant in (certify.VARIANT_TRANSFORMED, certify.VARIANT_ORIGINAL):
+            with pytest.raises(CertificateInvalid) as exc:
+                certify.agent_row(1, A, np.array([0.0, 1.0]), np.zeros(2), mt,
+                                  {}, {}, False, variant)
+            assert exc.value.offending_eigenvalue == pytest.approx(0.5)
 
     def test_no_alternative_pair_beats_ratio(self, rng):
         _, mt = random_semisimple_hurwitz(rng, 3)

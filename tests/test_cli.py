@@ -123,6 +123,23 @@ class TestProtocol:
         assert "ShareCoupling" not in kinds
 
 
+    @pytest.mark.parametrize("retries", [0, 10, 40])
+    @pytest.mark.parametrize("flag", ["--global", "--no-global"])
+    def test_rounds_follow_retry_budget(self, capsys, tmp_path, flag, retries):
+        # each retry costs a design round and an evaluation round on three-bus
+        code, out, err = run(capsys, "protocol", three_bus_path(), flag,
+                             "--max-retries", str(retries),
+                             "--out", str(tmp_path / "o"))
+        assert code == (0 if flag == "--global" else 2), err
+        assert json.loads(out)["rounds"] == 2 * retries + 4
+
+    def test_negative_retries_rejected(self, capsys, tmp_path):
+        code, _, err = run(capsys, "protocol", three_bus_path(),
+                           "--max-retries", "-1", "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert "max_retries" in err
+
+
 class TestSimulate:
     def test_summary_and_csv(self, capsys, tmp_path):
         code, out, _ = run(capsys, "simulate", three_bus_path(),
@@ -254,3 +271,21 @@ class TestReproducibility:
         a = (tmp_path / "simulate" / "x" / "sim.csv").read_bytes()
         b = (tmp_path / "simulate" / "y" / "sim.csv").read_bytes()
         assert a == b
+
+    def test_artifacts_independent_of_input_path(self, capsys, tmp_path):
+        # the manifest identifies the grid by its digest, not by its path
+        with open(three_bus_path(), "rb") as fh:
+            data = fh.read()
+        artifacts = []
+        for rel in ("a/grid.json", "b/c/copy.json"):
+            grid = tmp_path / rel
+            grid.parent.mkdir(parents=True)
+            grid.write_bytes(data)
+            out = grid.parent / "out"
+            for cmd in (["assess", "--global"], ["protocol"],
+                        ["simulate", "--t-end", "1"]):
+                run(capsys, cmd[0], str(grid), *cmd[1:], "--out", str(out))
+            artifacts.append({name: (out / name).read_bytes()
+                              for name in sorted(os.listdir(out))})
+        assert len(artifacts[0]) == 5
+        assert artifacts[0] == artifacts[1]

@@ -229,11 +229,6 @@ class TestCoordinateConsistency:
 
 
 class TestGainSet:
-    def test_zero(self):
-        gs = control.GainSet.zero(3)
-        assert not gs.escalated
-        assert np.array_equal(gs.local, np.zeros(3))
-
     def test_consistency_relations(self, three_bus):
         models = bus_models(three_bus)
         sub = models[1]

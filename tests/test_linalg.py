@@ -188,43 +188,6 @@ class TestModalDecompose:
             linalg.modal_decompose([[-1.0, 1e13], [0.0, -2.0]])
 
 
-class TestDiagonalDominance:
-    def test_dominant(self):
-        ok, margins = linalg.is_dd_m_matrix([[2.0, -1.0], [-1.0, 2.0]])
-        assert ok
-        assert np.allclose(margins, [1.0, 1.0])
-
-    def test_not_dominant(self):
-        ok, _ = linalg.is_dd_m_matrix([[1.0, -2.0], [-2.0, 1.0]])
-        assert not ok
-
-    def test_positive_offdiagonal_rejected(self):
-        ok, margins = linalg.is_dd_m_matrix([[2.0, 0.5], [-1.0, 2.0]])
-        assert not ok
-        assert np.all(margins > 0)   # margins alone would pass
-
-    def test_three_bus_certified_matrix(self):
-        S = np.array([
-            [22.0, -11.15, -9.37],
-            [-13.0, 24.0, -7.46],
-            [-12.23, -8.36, 25.0],
-        ])
-        ok, margins = linalg.is_dd_m_matrix(S)
-        assert ok
-        assert np.allclose(margins, [1.48, 3.54, 4.41])
-
-    def test_dominance_implies_spd_symmetrization(self, rng):
-        for _ in range(30):
-            n = int(rng.integers(2, 6))
-            off = -np.abs(rng.standard_normal((n, n)))
-            np.fill_diagonal(off, 0.0)
-            diag = np.abs(off).sum(axis=1) + rng.uniform(0.1, 2.0, size=n)
-            S = off + np.diag(diag)
-            ok, _ = linalg.is_dd_m_matrix(S)
-            assert ok
-            assert np.linalg.eigvalsh(S + S.T).min() > 0.0
-
-
 class TestIsHurwitz:
     def test_stable(self):
         assert linalg.is_hurwitz(np.diag([-1.0, -2.0]), margin=0.0)

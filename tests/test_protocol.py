@@ -12,12 +12,42 @@ ALLOWED_PAYLOAD_KEYS = {
     protocol.SHARE_COUPLING: {"block"},
     protocol.CONDITION_STATUS: {"met"},
     protocol.OPERATOR_VERDICT: {"stable"},
-    protocol.STATE_SAMPLE: {"x", "t"},
 }
 
 
 def kind_counts(trace):
     return Counter((m.round, m.kind) for m in trace)
+
+
+def random_grid_tuples(rng):
+    """Generators and lines of a random grid with 2-4 buses, for make_grid."""
+    n = int(rng.integers(2, 5))
+    gens = []
+    for b in range(1, n + 1):
+        poles = sorted(-rng.uniform(2.0, 60.0, size=3))
+        gens.append((b, rng.uniform(4.0, 14.0), rng.uniform(0.5, 2.0),
+                     rng.uniform(0.6, 1.4), poles))
+    lines = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if rng.random() < 0.6:
+                lines.append((i, j, float(rng.uniform(0.3, 8.0))))
+    return gens, lines
+
+
+def assert_matches_centralized(st, cen):
+    """Agent state ``st`` has exactly the gains and row of ``cen``."""
+    want = cen.gains[st.id]
+    assert np.array_equal(st.gains.local, want.local)
+    for got_k, want_k in ((st.gains.t_global, want.t_global),
+                          (st.gains.global_, want.global_)):
+        assert got_k.keys() == want_k.keys()
+        for j in want_k:
+            assert np.array_equal(got_k[j], want_k[j])
+    rep = next(r for r in cen.reports if r.agent == st.id)
+    assert st.report.variant == rep.variant
+    assert st.report.diagonal == rep.diagonal
+    assert st.report.offdiag == rep.offdiag
 
 
 class TestRunDsaThreeBus:
@@ -192,7 +222,7 @@ class TestAgentStep:
     def test_rejects_malformed_kind(self, three_bus):
         _, st = self._fresh(three_bus, 1)
         cfg = protocol.ProtocolConfig()
-        bad = protocol.Message(protocol.STATE_SAMPLE, 2, 1, 0,
+        bad = protocol.Message("StateSample", 2, 1, 0,
                                {"x": np.zeros(3), "t": 0.0})
         with pytest.raises(ProtocolViolation):
             protocol.agent_step(st, [bad], cfg, 0)
@@ -277,38 +307,28 @@ class TestScenarios:
             want = tuple(1.15 ** 2 * complex(p) for p in st.knowledge.base_poles)
             assert np.allclose(np.array(st.poles), np.array(want))
 
-    def test_selective_escalation_stops_early(self):
-        # one strong and one weak neighbor: minimizing the strong coupling
-        # alone satisfies the row
-        grid = make_grid(
-            [(1, 8.0, 1.0, 0.9, [-22, -39, -43]),
-             (2, 12.0, 1.0, 1.0, [-24, -43, -37]),
-             (3, 10.0, 1.0, 1.1, [-25, -38, -42])],
-            [(1, 2, 0.4), (1, 3, 60.0), (2, 3, 60.0)])
-        res = protocol.run_dsa(grid, selective_escalation=True)
-        assert res.verdict == certify.STABLE
-        st = res.agents[1]
-        assert st.escalated
-        assert set(st.gains.t_global) == {2}
-        full = protocol.run_dsa(grid, selective_escalation=False)
-        assert set(full.agents[1].gains.t_global) == {2, 3}
-
     def test_matches_centralized_assessment(self, three_bus):
-        # the message-passing route and the centralized route must agree on
-        # gains and row entries
-        dsa = protocol.run_dsa(three_bus)
-        cen = certify.assess_grid(three_bus, use_global=True)
-        cen_reports = {r.agent: r for r in cen.reports}
-        for bus in three_bus.bus_ids:
-            ag = dsa.agents[bus]
-            assert np.allclose(ag.gains.local, cen.gains[bus].local, atol=1e-10)
-            assert set(ag.gains.t_global) == set(cen.gains[bus].t_global)
-            for j, kt in cen.gains[bus].t_global.items():
-                assert np.allclose(ag.gains.t_global[j], kt, atol=1e-10)
-            rep, want = ag.report, cen_reports[bus]
-            assert rep.diagonal == pytest.approx(want.diagonal, abs=1e-10)
-            for j, v in want.offdiag.items():
-                assert rep.offdiag[j] == pytest.approx(v, abs=1e-9)
+        # the message-passing route and the centralized route evaluate rows
+        # through the same kernel, so gains and row entries agree exactly
+        for variant in (certify.VARIANT_TRANSFORMED, certify.VARIANT_ORIGINAL):
+            dsa = protocol.run_dsa(three_bus, variant=variant)
+            cen = certify.assess_grid(three_bus, use_global=True, variant=variant)
+            for bus in three_bus.bus_ids:
+                assert dsa.agents[bus].escalated
+                assert_matches_centralized(dsa.agents[bus], cen)
+
+    def test_matches_centralized_on_random_grids(self, rng):
+        escalated = 0
+        for _ in range(6):
+            grid = make_grid(*random_grid_tuples(rng))
+            for variant in (certify.VARIANT_TRANSFORMED, certify.VARIANT_ORIGINAL):
+                dsa = protocol.run_dsa(grid, variant=variant)
+                cen = certify.assess_grid(grid, use_global=True, variant=variant)
+                for st in dsa.agents.values():
+                    if st.escalated:
+                        escalated += 1
+                        assert_matches_centralized(st, cen)
+        assert escalated > 0
 
     def test_noncontiguous_bus_ids(self):
         grid = make_grid(
@@ -328,18 +348,7 @@ class TestScenarios:
     def test_random_grids_verdict_soundness(self, rng):
         stable_seen = 0
         for _ in range(25):
-            n = int(rng.integers(2, 5))
-            gens = []
-            for b in range(1, n + 1):
-                poles = sorted(-rng.uniform(2.0, 60.0, size=3))
-                gens.append((b, rng.uniform(4.0, 14.0), rng.uniform(0.5, 2.0),
-                             rng.uniform(0.6, 1.4), poles))
-            lines = []
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    if rng.random() < 0.6:
-                        lines.append((i, j, float(rng.uniform(0.3, 8.0))))
-            grid = make_grid(gens, lines)
+            grid = make_grid(*random_grid_tuples(rng))
             res = protocol.run_dsa(grid, max_retries=int(rng.integers(0, 2)))
             if res.verdict == certify.STABLE:
                 stable_seen += 1
@@ -354,14 +363,6 @@ class TestScenarios:
         assert res.verdict == certify.INCONCLUSIVE
         assert all(r.variant == "original" for r in res.reports)
         assert protocol.run_dsa(three_bus).verdict == certify.STABLE
-
-    def test_state_exchange_pairs(self, three_bus):
-        res = protocol.run_dsa(three_bus)
-        pairs = protocol.state_exchange_pairs(res.agents)
-        assert pairs == [(2, 1), (3, 1), (1, 2), (3, 2), (1, 3), (2, 3)]
-        res = protocol.run_dsa(three_bus, allow_global=False)
-        assert protocol.state_exchange_pairs(res.agents) == []
-
 
 class TestTraceSerialization:
     def test_digest_and_full_lines(self, three_bus):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_grid
-from gridcert import certify, gridmodel, protocol, sim
+from gridcert import certify, gridmodel, sim
 from gridcert.errors import DivergedSimulation, InvalidInput
 
 
@@ -183,22 +183,3 @@ class TestCsv:
         assert first[0] == "0.0" and first[1] == "1"
         assert "-0.0" not in out.to_csv()
 
-
-class TestStateSamples:
-    def test_messages_follow_verdict(self, three_bus, certified):
-        res, F = certified
-        dsa = protocol.run_dsa(three_bus)
-        pairs = protocol.state_exchange_pairs(dsa.agents)
-        cfg = sim.SimConfig(t_end=0.005, disturbances=three_bus.disturbances)
-        out = sim.simulate(res.A_full, F, cfg, three_bus.bus_ids)
-        rnd = dsa.operator.verdict_round + 1
-        msgs = sim.state_sample_messages(out, pairs, rnd)
-        assert len(msgs) == out.t.size * len(pairs)
-        assert all(m.kind == protocol.STATE_SAMPLE for m in msgs)
-        assert all(m.round == rnd for m in msgs)
-        # sender j delivers its own recorded state to the escalated agent
-        m0 = msgs[0]
-        b = out.bus_ids.index(m0.sender)
-        assert np.array_equal(m0.payload["x"], out.states[0, 3 * b:3 * b + 3])
-        times = [m.payload["t"] for m in msgs]
-        assert times == sorted(times)
