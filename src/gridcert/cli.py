@@ -171,7 +171,8 @@ def cmd_simulate(args):
     assessment = certify.assess_grid(
         grid, use_global=args.use_global, variant=args.variant,
         poles_scale=args.poles_scale)
-    if not assessment.hurwitz:
+    full_system = _eig_doc(assessment.A_full)
+    if not full_system["hurwitz"]:
         if not args.force:
             raise GridcertError(
                 "assembled closed loop is not Hurwitz; rerun with --force to simulate anyway")
@@ -202,7 +203,7 @@ def cmd_simulate(args):
             "disturbances": _disturbances_doc(grid),
         }),
         "certification_verdict": assessment.verdict,
-        "full_system": _eig_doc(assessment.A_full),
+        "full_system": full_system,
         "steady_state": steady.to_dict(),
         "settling_time_s": settle,
         "max_abs_omega_end": max(steady.omega_end.values()),

@@ -35,9 +35,6 @@ class Line:
     to_bus: int
     X: float            # reactance, pu
 
-    def key(self):
-        return (min(self.from_bus, self.to_bus), max(self.from_bus, self.to_bus))
-
 
 @dataclass
 class Disturbance:
@@ -48,12 +45,21 @@ class Disturbance:
 
 @dataclass
 class GridSpec:
-    """Validated grid description."""
+    """Validated grid description, indexed once for every bus and line lookup."""
 
     base_frequency_hz: float
     generators: list[Generator]
     lines: list[Line]
     disturbances: list[Disturbance] = field(default_factory=list)
+
+    def __post_init__(self):
+        # bus -> generator and bus -> {neighbor: X} (both directions), ascending
+        self._generator_at = {g.bus: g for g in sorted(self.generators, key=lambda g: g.bus)}
+        adjacency = {bus: [] for bus in self._generator_at}
+        for ln in self.lines:
+            adjacency.setdefault(ln.from_bus, []).append((ln.to_bus, ln.X))
+            adjacency.setdefault(ln.to_bus, []).append((ln.from_bus, ln.X))
+        self._adjacency = {bus: dict(sorted(pairs)) for bus, pairs in adjacency.items()}
 
     @property
     def omega_b(self):
@@ -62,28 +68,20 @@ class GridSpec:
 
     @property
     def bus_ids(self):
-        return sorted(g.bus for g in self.generators)
+        return list(self._generator_at)
 
     def generator(self, bus):
-        for g in self.generators:
-            if g.bus == bus:
-                return g
-        raise InvalidInput(f"no generator at bus {bus}")
+        if bus not in self._generator_at:
+            raise InvalidInput(f"no generator at bus {bus}")
+        return self._generator_at[bus]
 
     def neighbors(self, bus):
-        out = set()
-        for ln in self.lines:
-            if ln.from_bus == bus:
-                out.add(ln.to_bus)
-            elif ln.to_bus == bus:
-                out.add(ln.from_bus)
-        return sorted(out)
+        return list(self._adjacency.get(bus, ()))
 
     def reactance(self, i, j):
-        for ln in self.lines:
-            if ln.key() == (min(i, j), max(i, j)):
-                return ln.X
-        raise InvalidInput(f"no line between buses {i} and {j}")
+        if j not in self._adjacency.get(i, ()):
+            raise InvalidInput(f"no line between buses {i} and {j}")
+        return self._adjacency[i][j]
 
 
 @dataclass
@@ -112,7 +110,11 @@ def _require(doc, key, typ, path):
     if typ is float:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise GridFormatError(f"{path}.{key}", f"expected number, got {_type_name(v)}")
-        if not math.isfinite(v):
+        try:
+            finite = math.isfinite(v)
+        except OverflowError:   # an integer beyond the float range
+            finite = False
+        if not finite:
             raise GridFormatError(f"{path}.{key}", "non-finite number")
         return float(v)
     if typ is int:
@@ -126,15 +128,23 @@ def _require(doc, key, typ, path):
     raise AssertionError(typ)
 
 
+def _optional_list(doc, key):
+    """The list under a top-level key; an absent key reads as empty."""
+    return _require(doc, key, list, "$") if key in doc else []
+
+
 def _parse_pole(entry, path):
-    if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-        if not math.isfinite(entry):
-            raise GridFormatError(path, "non-finite pole")
-        return complex(entry)
-    if (isinstance(entry, list) and len(entry) == 2
-            and all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                    and math.isfinite(c) for c in entry)):
-        return complex(entry[0], entry[1])
+    try:
+        if isinstance(entry, (int, float)) and not isinstance(entry, bool):
+            if not math.isfinite(entry):
+                raise GridFormatError(path, "non-finite pole")
+            return complex(entry)
+        if (isinstance(entry, list) and len(entry) == 2
+                and all(isinstance(c, (int, float)) and not isinstance(c, bool)
+                        and math.isfinite(c) for c in entry)):
+            return complex(entry[0], entry[1])
+    except OverflowError:   # an integer beyond the float range
+        raise GridFormatError(path, "non-finite pole") from None
     raise GridFormatError(path, "pole must be a number or a [re, im] pair")
 
 
@@ -148,7 +158,8 @@ def parse_grid(text):
     if isinstance(text, (bytes, str)):
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError: syntax, undecodable bytes, or an over-long integer
             raise GridFormatError("$", f"invalid JSON: {exc}") from exc
     else:
         doc = text
@@ -180,17 +191,18 @@ def parse_grid(text):
             raise GridFormatError(f"{path}.D", "negative damping")
         poles = None
         if "control" in item:
-            raw = item["control"]
-            if not isinstance(raw, list) or not raw:
-                raise GridFormatError(f"{path}.control", "expected non-empty list of poles")
+            raw = _require(item, "control", list, path)
             poles = [_parse_pole(p, f"{path}.control[{m}]") for m, p in enumerate(raw)]
+            if len(poles) != SUBSYSTEM_ORDER:
+                raise GridFormatError(
+                    f"{path}.control", f"expected {SUBSYSTEM_ORDER} poles, got {len(poles)}")
         generators.append(Generator(bus=bus, M=M, D=D, T_T=TT, poles=poles))
     if not generators:
         raise GridFormatError("$.generators", "at least one generator required")
 
     lines = []
     seen_pairs = set()
-    for k, item in enumerate(doc.get("lines", [])):
+    for k, item in enumerate(_optional_list(doc, "lines")):
         path = f"$.lines[{k}]"
         if not isinstance(item, dict):
             raise GridFormatError(path, "expected object")
@@ -211,7 +223,7 @@ def parse_grid(text):
         lines.append(Line(from_bus=fb, to_bus=tb, X=X))
 
     disturbances = []
-    for k, item in enumerate(doc.get("disturbances", [])):
+    for k, item in enumerate(_optional_list(doc, "disturbances")):
         path = f"$.disturbances[{k}]"
         if not isinstance(item, dict):
             raise GridFormatError(path, "expected object")
@@ -270,10 +282,9 @@ def build_subsystems(grid):
     """
     wb = grid.omega_b
     out = []
-    for bus in grid.bus_ids:
-        g = grid.generator(bus)
-        nbrs = grid.neighbors(bus)
-        susceptance_sum = sum(1.0 / grid.reactance(bus, j) for j in nbrs)
+    for bus, g in grid._generator_at.items():
+        reactances = grid._adjacency[bus]
+        susceptance_sum = sum(1.0 / X for X in reactances.values())
         A = np.array([
             [0.0, 1.0, 0.0],
             [-(wb / g.M) * susceptance_sum, -g.D / g.M, wb / g.M],
@@ -282,9 +293,9 @@ def build_subsystems(grid):
         B = np.array([0.0, 0.0, 1.0 / g.T_T])
         F = np.array([0.0, -wb / g.M, 0.0])
         couplings = {}
-        for j in nbrs:
+        for j, X in reactances.items():
             C = np.zeros((3, 3))
-            C[1, 0] = (wb / g.M) / grid.reactance(bus, j)
+            C[1, 0] = (wb / g.M) / X
             couplings[j] = C
         out.append(SubsystemModel(bus=bus, A_hat=A, B=B, F=F, couplings=couplings))
     return out

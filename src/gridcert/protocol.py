@@ -47,8 +47,6 @@ RETRY_POLE_SCALE = 1.15
 
 DESIGNING = "designing"
 AWAITING = "awaiting_neighbors"
-EVALUATING = "evaluating"
-ESCALATED = "escalated"
 DONE = "done"
 
 
@@ -143,7 +141,6 @@ class OperatorState:
     expected: tuple[int, ...]
     statuses: dict[int, bool] = field(default_factory=dict)
     verdict: bool | None = None
-    verdict_round: int | None = None
 
 
 def _ingest(st, inbox):
@@ -213,21 +210,18 @@ def agent_step(state, inbox, config, rnd):
         _design(st, out, rnd)
         return st, out
     if st.needs_evaluation and st.shares_complete():
-        if st.phase == AWAITING:
-            st.phase = EVALUATING
         report = _evaluate(st, config)
         st.needs_evaluation = False
         out.append(Message(CONDITION_STATUS, st.id, OPERATOR, rnd,
                            {"met": report.met}))
         if report.met:
-            st.phase = ESCALATED if st.escalated else DONE
+            st.phase = DONE
         elif st.retry_count < config.max_retries:
             st.retry_count += 1
             st.poles = tuple(RETRY_POLE_SCALE * complex(p) for p in st.poles)
             st.phase = DESIGNING
         elif config.allow_global and not st.escalated:
             st.escalated = True
-            st.phase = ESCALATED
             st.needs_evaluation = True
         else:
             st.phase = DONE
@@ -256,7 +250,6 @@ def operator_step(state, inbox, rnd):
     if (st.verdict is None and len(st.statuses) == len(st.expected)
             and all(st.statuses.values())):
         st.verdict = True
-        st.verdict_round = rnd
         out.append(Message(OPERATOR_VERDICT, OPERATOR, BROADCAST, rnd,
                            {"stable": True}))
     return st, out
@@ -265,7 +258,6 @@ def operator_step(state, inbox, rnd):
 def _finalize_operator(state, rnd):
     st = replace(state, statuses=dict(state.statuses))
     st.verdict = False
-    st.verdict_round = rnd
     return st, [Message(OPERATOR_VERDICT, OPERATOR, BROADCAST, rnd,
                         {"stable": False})]
 

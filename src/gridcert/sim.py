@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -33,8 +34,10 @@ class SimConfig:
     disturbances: list = field(default_factory=list)   # gridmodel.Disturbance
 
     def __post_init__(self):
-        if not (0.0 < self.dt <= self.t_end):
-            raise InvalidInput(f"need 0 < dt <= t_end, got dt={self.dt}, t_end={self.t_end}")
+        # also rejects NaN and infinity, which would size an unbounded time grid
+        if not (0.0 < self.dt <= self.t_end < math.inf):
+            raise InvalidInput(
+                f"need 0 < dt <= t_end < inf, got dt={self.dt}, t_end={self.t_end}")
 
 
 @dataclass

@@ -192,6 +192,12 @@ class TestSimulate:
         assert code == 1
         assert "non-finite" in err
 
+    def test_infinite_horizon_rejected(self, capsys, tmp_path):
+        code, _, err = run(capsys, "simulate", three_bus_path(), "--t-end", "inf",
+                           "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert err == "error: need 0 < dt <= t_end < inf, got dt=0.001, t_end=inf\n"
+
 
 class TestReport:
     def test_renders_all_artifacts(self, capsys, tmp_path):
@@ -227,6 +233,40 @@ class TestErrorPaths:
         code, _, err = run(capsys, "assess", str(bad), "--out", str(tmp_path / "o"))
         assert code == 1
         assert "$.generators[0].M" in err
+
+    @pytest.mark.parametrize("key,value,kind", [
+        ("lines", {}, "dict"), ("lines", 5, "int"), ("lines", None, "NoneType"),
+        ("disturbances", {}, "dict"), ("disturbances", 5, "int"),
+        ("disturbances", None, "NoneType"),
+    ])
+    def test_section_not_a_list(self, capsys, tmp_path, key, value, kind):
+        doc = json.load(open(three_bus_path()))
+        doc[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "assess", str(bad), "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert err == f"error: $.{key}: expected list, got {kind}\n"
+
+    def test_control_of_wrong_length(self, capsys, tmp_path):
+        doc = json.load(open(three_bus_path()))
+        doc["generators"][1]["control"] = [-24.0, -43.0]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "assess", str(bad), "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert err == "error: $.generators[1].control: expected 3 poles, got 2\n"
+
+    @pytest.mark.parametrize("data", [b"\xff\xfe{", b"\xff", b'{"base_frequency_hz": \x80}'])
+    def test_undecodable_bytes(self, tmp_path, data):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data)
+        proc = subprocess.run(
+            [sys.executable, "-m", "gridcert", "assess", str(bad), "--out", str(tmp_path / "o")],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: $: invalid JSON: ")
+        assert "Traceback" not in proc.stderr
 
     def test_usage_error_exit_one(self, capsys):
         code, _, _ = run(capsys, "assess")   # missing grid argument

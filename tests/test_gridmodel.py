@@ -79,6 +79,21 @@ class TestParse:
                                  '[{"bus": 1, "M": 1, "D": 1, "T_T": 1, '
                                  '"control": [NaN]}]}')
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"base_frequency_hz": 1%s}' % ("0" * 400), "$.base_frequency_hz: non-finite number"),
+        ('{"base_frequency_hz": 1%s}' % ("0" * 5000), "$: invalid JSON: "),
+        ("[" * 100000 + "]" * 100000, "$: invalid JSON: "),
+        ('{"base_frequency_hz": 60, "generators": [{"bus": 1, "M": 1, "D": 1, "T_T": 1, '
+         '"control": [[-1, 1%s], -2, -3]}]}' % ("0" * 400),
+         "$.generators[0].control[0]: non-finite pole"),
+        ('{"base_frequency_hz": 60, "generators": [{"bus": 1, "M": 1, "D": 1, "T_T": 1, '
+         '"control": {}}]}', "$.generators[0].control: expected list, got dict"),
+    ])
+    def test_out_of_range_numbers_and_nesting(self, text, message):
+        with pytest.raises(GridFormatError) as exc:
+            gridmodel.parse_grid(text)
+        assert str(exc.value).startswith(message)
+
     def test_roundtrip_identity(self, three_bus):
         again = gridmodel.parse_grid(gridmodel.serialize_grid(three_bus))
         assert again == three_bus

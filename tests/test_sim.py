@@ -127,6 +127,13 @@ class TestSimulate:
         with pytest.raises(InvalidInput):
             sim.SimConfig(t_end=1.0, dt=0.0)
 
+    @pytest.mark.parametrize("t_end,dt", [
+        (math.inf, 1e-3), (math.inf, math.inf), (1.0, math.nan), (math.nan, 1e-3),
+    ])
+    def test_non_finite_horizon_rejected(self, t_end, dt):
+        with pytest.raises(InvalidInput, match="t_end < inf"):
+            sim.SimConfig(t_end=t_end, dt=dt)
+
 
 class TestSteadyState:
     def test_zero_input_zero_residuals(self, three_bus, certified):
