@@ -73,8 +73,7 @@ def _gains_doc(gains):
     return doc
 
 
-def _eig_doc(A):
-    lam = np.linalg.eigvals(np.asarray(A, dtype=float))
+def _eig_doc(lam):
     order = np.lexsort((lam.imag, lam.real))
     return {
         "eigenvalues": [[float(z.real), float(z.imag)] for z in lam[order]],
@@ -128,7 +127,7 @@ def cmd_assess(args):
             } for r in results
         },
         "verdict": certify.STABLE if stable else certify.INCONCLUSIVE,
-        "full_system": _eig_doc(results[-1].A_full),
+        "full_system": _eig_doc(np.linalg.eigvals(results[-1].A_full)),
         "gains": _gains_doc(results[-1].gains),
     }
     text = _dump(doc)
@@ -171,7 +170,9 @@ def cmd_simulate(args):
     assessment = certify.assess_grid(
         grid, use_global=args.use_global, variant=args.variant,
         poles_scale=args.poles_scale)
-    full_system = _eig_doc(assessment.A_full)
+    # the one spectrum of this command: the artifact, the gate and simulate's checks
+    lam = np.linalg.eigvals(assessment.A_full)
+    full_system = _eig_doc(lam)
     if not full_system["hurwitz"]:
         if not args.force:
             raise GridcertError(
@@ -185,11 +186,12 @@ def cmd_simulate(args):
         # the Hurwitz gate above already reported on stderr
         warnings.filterwarnings("ignore", message="system matrix is not Hurwitz")
         result = sim.simulate(assessment.A_full, F_full, config, grid.bus_ids,
-                              gains=assessment.gains)
+                              gains=assessment.gains, eigenvalues=lam)
     _write(args.out, SIM_CSV, result.to_csv())
 
     steady = sim.steady_state_check(result, grid)
     settle = sim.settling_time(result)
+    peaks = np.abs(result.states[:, 1::3]).max(axis=0)
     doc = {
         "manifest": _manifest("simulate", data, {
             "global": args.use_global,
@@ -207,6 +209,7 @@ def cmd_simulate(args):
         "steady_state": steady.to_dict(),
         "settling_time_s": settle,
         "max_abs_omega_end": max(steady.omega_end.values()),
+        "peak_abs_omega": {str(b): float(p) for b, p in zip(result.bus_ids, peaks)},
     }
     text = _dump(doc)
     _write(args.out, SIM_JSON, text)
@@ -252,7 +255,7 @@ def _report_protocol(trace_lines_, summary, lines):
             lines.append(f"| {rnd} | {kind} | {counts[rnd][kind]} |")
 
 
-def _report_sim(summary, csv_rows, lines):
+def _report_sim(summary, lines):
     lines.append("\n## Simulation")
     steady = summary["steady_state"]
     lines.append(f"\nmax |d_omega(t_end)|: {summary['max_abs_omega_end']:.3e} rad/s")
@@ -260,12 +263,8 @@ def _report_sim(summary, csv_rows, lines):
     settle = summary.get("settling_time_s")
     lines.append("settling time (||x - x_end|| < 1e-4): "
                  + (f"{settle:.3f} s" if settle is not None else "not settled"))
-    if csv_rows:
-        # per-bus peak speed deviation scanned from the time series
-        peaks = {}
-        for row in csv_rows:
-            bus = row["bus"]
-            peaks[bus] = max(peaks.get(bus, 0.0), abs(float(row["omega_rad_s"])))
+    peaks = summary.get("peak_abs_omega")
+    if peaks:
         lines.append("\n| bus | peak |d_omega| (rad/s) |")
         lines.append("|---|---|")
         for bus in sorted(peaks):
@@ -273,8 +272,6 @@ def _report_sim(summary, csv_rows, lines):
 
 
 def cmd_report(args):
-    import csv as _csv
-
     found = False
     lines = ["# gridcert run report"]
     assess_path = os.path.join(args.out, ASSESS_JSON)
@@ -293,13 +290,7 @@ def cmd_report(args):
     sim_path = os.path.join(args.out, SIM_JSON)
     if os.path.exists(sim_path):
         with open(sim_path, encoding="utf-8") as fh:
-            summary = json.load(fh)
-        rows = []
-        csv_path = os.path.join(args.out, SIM_CSV)
-        if os.path.exists(csv_path):
-            with open(csv_path, newline="", encoding="utf-8") as fh:
-                rows = list(_csv.DictReader(fh))
-        _report_sim(summary, rows, lines)
+            _report_sim(json.load(fh), lines)
         found = True
     if not found:
         sys.stderr.write(f"error: no run artifacts in {args.out!r}\n")

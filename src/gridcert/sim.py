@@ -11,8 +11,8 @@ fixed point of the scheme, which keeps the steady-state checks sharp.
 
 from __future__ import annotations
 
-import csv
 import io
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -25,6 +25,7 @@ DEFAULT_DT = 1e-3     # s; fastest grid mode here is ~ -43 1/s, so dt*|lam| < 0.
 DEFAULT_T_END = 10.0  # s
 
 CSV_HEADER = ["t", "bus", "delta_rad", "omega_rad_s", "Pm_pu", "ul_pu", "ug_pu", "d_pu"]
+CSV_BLOCK_ROWS = 8192   # rows formatted per write; bounds the transient Python floats
 
 
 @dataclass
@@ -66,17 +67,21 @@ class SimResult:
         return self._col(bus, 2)
 
     def write_csv(self, fh):
-        fmt = lambda v: repr(float(v) + 0.0)   # normalizes -0.0
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for k, tk in enumerate(self.t):
-            for b, bus in enumerate(self.bus_ids):
-                writer.writerow([fmt(tk), bus,
-                                 fmt(self.states[k, 3 * b]),
-                                 fmt(self.states[k, 3 * b + 1]),
-                                 fmt(self.states[k, 3 * b + 2]),
-                                 fmt(self.u_local[k, b]), fmt(self.u_global[k, b]),
-                                 fmt(self.d[k, b])])
+        """One row per (sample, bus) in ``CSV_HEADER`` order: each value as
+        ``repr`` of its float with ``-0.0`` written as ``0.0``, rows ended by
+        ``\\r\\n`` (the bytes ``csv.writer`` gives for the same cells)."""
+        n_t, n_b = self.t.size, len(self.bus_ids)
+        cols = np.dstack([np.repeat(self.t[:, None], n_b, axis=1),
+                          self.states.reshape(n_t, n_b, 3),
+                          self.u_local, self.u_global, self.d])
+        cols += 0.0                                  # normalizes -0.0
+        fh.write(",".join(CSV_HEADER) + "\r\n")
+        block = max(1, CSV_BLOCK_ROWS // n_b)
+        for k in range(0, n_t, block):
+            rows = cols[k:k + block].reshape(-1, 7).tolist()
+            fh.write("".join(
+                f"{t!r},{bus},{x!r},{w!r},{p!r},{ul!r},{ug!r},{d!r}\r\n"
+                for bus, (t, x, w, p, ul, ug, d) in zip(itertools.cycle(self.bus_ids), rows)))
 
     def to_csv(self):
         buf = io.StringIO()
@@ -111,11 +116,41 @@ def _control_series(states, bus_ids, gains):
     return ul, ug
 
 
+def rk4_radius(eigenvalues, dt):
+    """Spectral radius of the RK4 one-step propagator ``M`` for step ``dt``.
+
+    ``M`` is the degree-4 Taylor polynomial of ``exp(dt A)``, so its
+    eigenvalues are that polynomial at ``dt * lambda`` for each eigenvalue
+    ``lambda`` of ``A``; above 1 the discrete trajectory grows.  A mode
+    slower than about ``eps / dt`` rounds to exactly 1: neutral, not growing.
+    """
+    z = dt * np.asarray(eigenvalues)
+    return float(np.abs(1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))).max())
+
+
+def _stable_dt(eigenvalues, dt):
+    """A step below ``dt`` with ``rk4_radius <= 1``, two significant digits,
+    found by bisection on ``(0, dt)`` (steps small enough always pass)."""
+    lo, hi = 0.0, dt
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if rk4_radius(eigenvalues, mid) <= 1.0:
+            lo = mid
+        else:
+            hi = mid
+    scale = 10.0 ** (math.floor(math.log10(lo)) - 1)
+    short = float(f"{math.floor(lo / scale) * scale:.2g}")
+    return short if rk4_radius(eigenvalues, short) <= 1.0 else lo
+
+
 def integrate(A, F, d, t, x0=None):
     """Classical RK4 for ``xdot = A x + F d(t)`` with zero-order-hold input.
 
     ``d`` has one row per time sample; row k is held constant over the
-    step starting at ``t[k]``.  Returns the (len(t), n) state history.
+    step starting at ``t[k]``.  ``t`` must be uniform with step ``h``: one
+    RK4 step is then the affine map ``x <- M x + h P F d[k]`` with
+    ``P = I + hA/2 + (hA)^2/6 + (hA)^3/24`` and ``M = I + hA P``, built once.
+    Returns the (len(t), n) state history.
     """
     A = np.asarray(A, dtype=float)
     F = np.asarray(F, dtype=float)
@@ -124,15 +159,20 @@ def integrate(A, F, d, t, x0=None):
     states = np.zeros((t.size, n))
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
     states[0] = x
+    if t.size < 2:
+        return states
+    h = (t[-1] - t[0]) / (t.size - 1)
+    tol = 8 * np.finfo(float).eps * np.abs(t).max()   # rounding of sample times of size |t|
+    if not (h > 0.0 and np.abs(np.diff(t) - h).max() <= tol):
+        raise InvalidInput("time grid must be uniform and increasing")
+    hA = h * A
+    eye = np.eye(n)
+    hP = h * (eye + hA @ (0.5 * eye + hA @ (eye / 6.0 + hA / 24.0)))   # Horner
+    M = eye + A @ hP
+    g = d[:-1] @ (hP @ F).T
     with np.errstate(over="ignore", invalid="ignore"):   # divergence is detected below
         for k in range(t.size - 1):
-            h = t[k + 1] - t[k]
-            f = F @ d[k]
-            k1 = A @ x + f
-            k2 = A @ (x + 0.5 * h * k1) + f
-            k3 = A @ (x + 0.5 * h * k2) + f
-            k4 = A @ (x + h * k3) + f
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            x = M @ x + g[k]
             if not np.all(np.isfinite(x)):
                 raise DivergedSimulation(
                     f"non-finite state at t={t[k + 1]:.6g} s", time=float(t[k + 1]))
@@ -140,7 +180,7 @@ def integrate(A, F, d, t, x0=None):
     return states
 
 
-def simulate(A_full, F_full, config, bus_ids, gains=None, x0=None):
+def simulate(A_full, F_full, config, bus_ids, gains=None, x0=None, eigenvalues=None):
     """Integrate the assembled system under the configured load steps.
 
     Parameters
@@ -155,9 +195,15 @@ def simulate(A_full, F_full, config, bus_ids, gains=None, x0=None):
     gains : dict, optional
         Bus id -> GainSet for reconstructing the local and global control
         series; without it both series are zero.
+    eigenvalues : array_like, optional
+        The spectrum of ``A_full`` when the caller has computed it; it is
+        computed here otherwise, with the same results.
 
     Raises
     ------
+    InvalidInput
+        When ``A_full`` is Hurwitz but ``config.dt`` is outside the RK4
+        stability region of its spectrum (``rk4_radius > 1``).
     DivergedSimulation
         On the first non-finite sample.
     """
@@ -170,9 +216,17 @@ def simulate(A_full, F_full, config, bus_ids, gains=None, x0=None):
     if F.shape != (n, len(bus_ids)):
         raise InvalidInput(f"F_full must be ({n}, {len(bus_ids)}), got {F.shape}")
 
-    if np.linalg.eigvals(A).real.max() >= 0.0:
+    lam = np.linalg.eigvals(A) if eigenvalues is None else np.asarray(eigenvalues)
+    if lam.real.max() >= 0.0:
         warnings.warn("system matrix is not Hurwitz; trajectories may diverge",
                       stacklevel=2)
+    else:
+        rho = rk4_radius(lam, config.dt)
+        if rho > 1.0:
+            raise InvalidInput(
+                f"dt={config.dt:g} s is outside the RK4 stability region of this "
+                f"system: the one-step propagator has spectral radius {rho:.4g} > 1; "
+                f"dt={_stable_dt(lam, config.dt)!r} s passes")
 
     steps = int(round(config.t_end / config.dt))
     t = np.arange(steps + 1) * config.dt

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from gridcert import cli
@@ -192,6 +193,30 @@ class TestSimulate:
         assert code == 1
         assert "non-finite" in err
 
+    def test_unstable_dt_rejected(self, capsys, tmp_path):
+        code, out, err = run(capsys, "simulate", three_bus_path(), "--dt", "0.3",
+                             "--t-end", "3", "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert out == ""
+        assert err == ("error: dt=0.3 s is outside the RK4 stability region of this "
+                       "system: the one-step propagator has spectral radius 1386 > 1; "
+                       "dt=0.058 s passes\n")
+        assert not (tmp_path / "o" / "sim.csv").exists()
+
+    def test_one_spectrum_per_simulate(self, capsys, tmp_path, monkeypatch):
+        eigvals = np.linalg.eigvals
+        orders = []
+
+        def counting(a, *args, **kwargs):
+            orders.append(np.shape(a))
+            return eigvals(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        code, _, _ = run(capsys, "simulate", three_bus_path(), "--t-end", "0.5",
+                         "--out", str(tmp_path / "o"))
+        assert code == 0
+        assert orders.count((9, 9)) == 1
+
     def test_infinite_horizon_rejected(self, capsys, tmp_path):
         code, _, err = run(capsys, "simulate", three_bus_path(), "--t-end", "inf",
                            "--out", str(tmp_path / "o"))
@@ -213,6 +238,35 @@ class TestReport:
         assert "## Simulation" in out
         assert "settling time" in out
         assert (tmp_path / "o" / "report.md").exists()
+
+    def test_peak_table_matches_csv_scan(self, capsys, tmp_path):
+        out_dir = tmp_path / "o"
+        run(capsys, "simulate", three_bus_path(), "--t-end", "1", "--out", str(out_dir))
+        # reference: the per-bus scan of sim.csv that report used to make
+        peaks = {}
+        with open(out_dir / "sim.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                bus = row["bus"]
+                peaks[bus] = max(peaks.get(bus, 0.0), abs(float(row["omega_rad_s"])))
+        summary = json.loads((out_dir / "sim_summary.json").read_text())
+        assert summary["peak_abs_omega"] == peaks
+        code, out, _ = run(capsys, "report", "--out", str(out_dir))
+        assert code == 0
+        table = ["| bus | peak |d_omega| (rad/s) |", "|---|---|"]
+        table += [f"| {bus} | {peaks[bus]:.4e} |" for bus in sorted(peaks)]
+        assert out.endswith("\n".join(table) + "\n")
+
+    def test_summary_without_peaks_has_no_peak_table(self, capsys, tmp_path):
+        out_dir = tmp_path / "o"
+        run(capsys, "simulate", three_bus_path(), "--t-end", "1", "--out", str(out_dir))
+        path = out_dir / "sim_summary.json"
+        summary = json.loads(path.read_text())
+        del summary["peak_abs_omega"]
+        path.write_text(json.dumps(summary))
+        code, out, _ = run(capsys, "report", "--out", str(out_dir))
+        assert code == 0
+        assert "## Simulation" in out
+        assert "peak |d_omega|" not in out
 
     def test_empty_dir_fails(self, capsys, tmp_path):
         code, _, err = run(capsys, "report", "--out", str(tmp_path / "nothing"))
