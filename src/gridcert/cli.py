@@ -45,12 +45,14 @@ def _read_grid(path):
     return gridmodel.parse_grid(data), data
 
 
-def _write(out_dir, name, text):
+def _open_artifact(out_dir, name):
     os.makedirs(out_dir, exist_ok=True)
-    target = os.path.join(out_dir, name)
-    with open(target, "w", encoding="utf-8") as fh:
+    return open(os.path.join(out_dir, name), "w", encoding="utf-8")
+
+
+def _write(out_dir, name, text):
+    with _open_artifact(out_dir, name) as fh:
         fh.write(text)
-    return target
 
 
 def _dump(doc):
@@ -187,7 +189,8 @@ def cmd_simulate(args):
         warnings.filterwarnings("ignore", message="system matrix is not Hurwitz")
         result = sim.simulate(assessment.A_full, F_full, config, grid.bus_ids,
                               gains=assessment.gains, eigenvalues=lam)
-    _write(args.out, SIM_CSV, result.to_csv())
+    with _open_artifact(args.out, SIM_CSV) as fh:
+        result.to_csv(fh)    # streamed: the CSV text is tens of MB on large grids
 
     steady = sim.steady_state_check(result, grid)
     settle = sim.settling_time(result)

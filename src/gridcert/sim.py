@@ -83,7 +83,12 @@ class SimResult:
                 f"{t!r},{bus},{x!r},{w!r},{p!r},{ul!r},{ug!r},{d!r}\r\n"
                 for bus, (t, x, w, p, ul, ug, d) in zip(itertools.cycle(self.bus_ids), rows)))
 
-    def to_csv(self):
+    def to_csv(self, fh=None):
+        """Write the CSV to the text file ``fh`` block by block, so the whole
+        text is never held at once; without ``fh``, return it as a string."""
+        if fh is not None:
+            self.write_csv(fh)
+            return None
         buf = io.StringIO()
         self.write_csv(buf)
         return buf.getvalue()

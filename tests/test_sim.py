@@ -354,6 +354,14 @@ class TestCsv:
         assert first[0] == "0.0" and first[1] == "1"
         assert "-0.0" not in out.to_csv()
 
+    def test_streamed_file_matches_string(self, three_bus, certified, tmp_path):
+        out = run_three_bus(three_bus, certified, t_end=3.0)
+        assert out.t.size * 3 > sim.CSV_BLOCK_ROWS    # more than one block
+        path = tmp_path / "sim.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            assert out.to_csv(fh) is None
+        assert path.read_bytes() == out.to_csv().encode("utf-8")
+
     @settings(max_examples=60, deadline=None, database=None)
     @given(st.data())
     def test_matches_csv_writer_reference(self, data):
