@@ -10,9 +10,11 @@ negative verdict is "inconclusive", never "unstable".
 Two variants exist: the original-coordinates matrix (diagonal
 ``lambda_min(Q_i)``, off-diagonal ``-2 lambda_max(P_i) ||A_ij||``) and the
 relaxed transformed variant in modal coordinates (diagonal ``sigma_M_i``,
-off-diagonal ``-||At_ij||``).  :func:`agent_row` evaluates one agent's
-row of a designed grid; the centralized :func:`assess_grid` and the
-protocol agents both go through it.
+off-diagonal ``-||At_ij||``).  :func:`build_S` and :func:`build_S_tilde`
+form either matrix from arbitrary blocks.  :func:`agent_row` evaluates one
+agent's row of a designed grid, where every line coupling is rank one, from
+the line strengths and three scalars of the agent and its neighbors; the
+centralized :func:`assess_grid` and the protocol agents both go through it.
 """
 
 from __future__ import annotations
@@ -169,36 +171,53 @@ def build_S_tilde(transforms, couplings_t):
     return _matrix(reports), reports
 
 
-def agent_row(agent, A_hat, B, K, mt, couplings, T_nbrs, escalate, variant):
+def agent_row(sub, K, mt, T_nbrs, escalate, variant):
     """One agent's row condition from its own model and its neighbors' shares.
 
-    ``K`` is the agent's local gain and ``mt`` the modal form of its closed
-    loop ``A_hat - B K^T``; ``couplings[j]`` is the open-loop block
-    ``A_hat_ij`` and ``T_nbrs[j]`` the modal transform neighbor j shared.
-    With ``escalate`` each coupling gets its norm-minimizing global gain
-    and the row is built from the residual blocks; the transformed residual
-    is ``At_ij - Bt Kt_ij^T``, the quantity the projection minimizes.
+    ``sub`` is the agent's :class:`~gridcert.gridmodel.SubsystemModel`,
+    ``K`` its local gain and ``mt`` the modal form of its closed loop
+    ``A_hat - B K^T``; ``T_nbrs[j]`` is the modal transform neighbor j
+    shared.  Every line coupling is rank one, ``A_hat_ij = c_ij e2 e1^T``,
+    so each row entry is a product of scalars.  With ``u = inv(T_i) e2``
+    and ``Bt = inv(T_i) B`` the transformed block is
+    ``c_ij u (e1^T T_j)``; escalating to the norm-minimizing global gain
+    projects ``u`` off ``Bt`` with the coefficient
+    ``s = Bt^T u / Bt^T Bt``, which gives ``K_ij = c_ij s e1`` whatever
+    ``T_j`` is.  Off-diagonal entries are then
 
-    Returns ``(report, t_global, global_)``: the row and the global gains
-    in modal and original coordinates (both empty unless ``escalate``).
-    ``assess_grid`` and the protocol agents both evaluate rows here.
+    * transformed: ``|c_ij| ||u - s Bt|| ||e1^T T_j||``;
+    * original: ``2 lambda_max(P_i) |c_ij| ||e2 - s B||``;
+
+    with ``s = 0`` unless ``escalate``.
+
+    Returns ``(report, global_)``: the row and the global gains
+    ``{j: K_ij}`` (empty unless ``escalate``).  ``assess_grid`` and the
+    protocol agents both evaluate rows here.
     """
-    _require_hurwitz(agent, mt)
-    t_global, global_ = {}, {}
+    _require_hurwitz(sub.bus, mt)
+    for j in sub.couplings:
+        if j not in T_nbrs:
+            raise InvalidInput(f"agent {sub.bus}: missing transform for neighbor {j}")
+    c = {j: sub.coupling_gain(j) for j in sub.couplings}
+    e2 = np.array([0.0, 1.0, 0.0])
+    s = 0.0
     if escalate or variant == VARIANT_TRANSFORMED:
-        _, Bt, blocks_t = control.transform_subsystem(A_hat, B, couplings, mt.T, T_nbrs)
-    if escalate:
-        for j, C_t in list(blocks_t.items()):
-            kt = control.optimal_global_gain(Bt, C_t)
-            t_global[j] = kt
-            global_[j] = control.convert_global_gain(kt, T_nbrs[j])
-            blocks_t[j] = C_t - np.outer(Bt, kt)
+        u, Bt = np.linalg.solve(mt.T, np.column_stack([e2, sub.B])).T
+        if escalate:
+            s = float(control.optimal_global_gain(Bt, u[:, None])[0])
+    global_ = {j: np.array([c[j] * s, 0.0, 0.0]) for j in c} if escalate else {}
     if variant == VARIANT_TRANSFORMED:
-        return _row(agent, mt.sigma_M, 1.0, blocks_t, variant), t_global, global_
-    A_cl, blocks = control.close_loop(A_hat, B, K, couplings, global_)
-    cert = certify_decoupled(A_cl, np.eye(A_cl.shape[0]))
-    row = _row(agent, cert.lambda_min_Q, 2.0 * cert.lambda_max_P, blocks, variant)
-    return row, t_global, global_
+        alpha = float(np.linalg.norm(u - s * Bt))
+        offdiag = {j: abs(c[j]) * alpha * float(np.linalg.norm(T_nbrs[j][0])) for j in c}
+        diagonal = mt.sigma_M
+    else:
+        A_cl = sub.A_hat - np.outer(sub.B, K)
+        cert = certify_decoupled(A_cl, np.eye(len(A_cl)))
+        weight = 2.0 * cert.lambda_max_P * float(np.linalg.norm(e2 - s * sub.B))
+        offdiag = {j: weight * abs(c[j]) for j in c}
+        diagonal = cert.lambda_min_Q
+    return ConditionReport(agent=sub.bus, diagonal=diagonal, offdiag=offdiag,
+                           variant=variant), global_
 
 
 def compositional_verdict(reports):
@@ -258,12 +277,10 @@ def assess_grid(grid, pole_overrides=None, use_global=False,
     gains, reports = {}, []
     for sub in subsystems:
         K, mt = designs[sub.bus]
-        report, t_global, global_ = agent_row(
-            sub.bus, sub.A_hat, sub.B, K, mt, sub.couplings,
-            {j: transforms[j].T for j in sub.neighbors}, use_global, variant)
+        report, global_ = agent_row(
+            sub, K, mt, {j: transforms[j].T for j in sub.neighbors}, use_global, variant)
         reports.append(report)
-        gains[sub.bus] = control.GainSet(local=K, global_=global_,
-                                         t_local=mt.T.T @ K, t_global=t_global)
+        gains[sub.bus] = control.GainSet(local=K, global_=global_)
 
     return AssessmentResult(
         variant=variant,

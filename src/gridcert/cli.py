@@ -66,11 +66,6 @@ def _gains_doc(gains):
         entry["global"] = {
             str(j): list(map(float, k)) for j, k in sorted(gs.global_.items())
         }
-        entry["local_modal"] = (
-            None if gs.t_local is None else list(map(float, gs.t_local)))
-        entry["global_modal"] = {
-            str(j): list(map(float, k)) for j, k in sorted(gs.t_global.items())
-        }
         doc[str(bus)] = entry
     return doc
 

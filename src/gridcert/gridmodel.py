@@ -98,6 +98,20 @@ class SubsystemModel:
     def neighbors(self):
         return sorted(self.couplings)
 
+    def coupling_gain(self, j):
+        """Line strength ``c`` of the rank-one block ``c e2 e1^T`` from neighbor j.
+
+        Raises :class:`InvalidInput` for a block of any other form, which
+        the closed-form row kernel would certify wrongly.
+        """
+        C = np.asarray(self.couplings[j], dtype=float)
+        c = float(C[1, 0]) if C.shape == (3, 3) else math.nan
+        # entry (2, 1) is the only one that may be nonzero
+        if not math.isfinite(c) or np.count_nonzero(C) != (c != 0.0):
+            raise InvalidInput(
+                f"coupling ({self.bus}, {j}) is not of the form c*e2*e1^T")
+        return c
+
 
 def _type_name(v):
     return type(v).__name__

@@ -8,18 +8,18 @@ by (from, to, kind), so two runs with identical inputs yield identical
 traces.
 
 An agent's lifecycle: design local gains and share its modal transform
-and outgoing coupling blocks with its neighbors; once all neighbor shares
-have arrived, evaluate its row condition (:func:`certify.agent_row`) and
-report the outcome to the operator.  On failure it either retries the local
-design with every pole scaled by ``RETRY_POLE_SCALE`` or, when retries are
-exhausted, escalates to global gains and
-re-evaluates.  The operator broadcasts a single stable verdict when every
-agent has reported "met"; if the system goes quiescent without unanimity
-the verdict is inconclusive.
+with its neighbors; once every neighbor's transform has arrived, evaluate
+its row condition (:func:`certify.agent_row`) and report the outcome to the
+operator.  On failure it either retries the local design with every pole
+scaled by ``RETRY_POLE_SCALE`` or, when retries are exhausted, escalates to
+global gains and re-evaluates.  The operator broadcasts a single stable
+verdict when every agent has reported "met"; if the system goes quiescent
+without unanimity the verdict is inconclusive.
 
-Privacy: the only matrix-bearing messages are the modal transform and the
-coupling block an agent contributes to its neighbor's dynamics.  Local
-system matrices, gains and Lyapunov certificates never leave an agent.
+Privacy: each agent knows only its own bus model, incoming line couplings
+included (they depend on its own inertia and the line reactances).  The
+only matrix-bearing message is the modal transform; local system matrices,
+gains and Lyapunov certificates never leave an agent.
 """
 
 from __future__ import annotations
@@ -38,16 +38,11 @@ OPERATOR = "operator"
 BROADCAST = "*"
 
 SHARE_TRANSFORM = "ShareTransform"
-SHARE_COUPLING = "ShareCoupling"
 CONDITION_STATUS = "ConditionStatus"
 OPERATOR_VERDICT = "OperatorVerdict"
 
 #: every desired pole is scaled by this factor on each local redesign
 RETRY_POLE_SCALE = 1.15
-
-DESIGNING = "designing"
-AWAITING = "awaiting_neighbors"
-DONE = "done"
 
 
 @dataclass
@@ -101,13 +96,9 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class AgentKnowledge:
-    """What an agent knows a priori: its own model and its influence terms."""
+    """What an agent knows a priori: its own bus model and desired poles."""
 
-    bus: int
-    A_hat: np.ndarray
-    B: np.ndarray
-    neighbors: tuple[int, ...]
-    outgoing: dict[int, np.ndarray]    # j -> block through which this bus drives j
+    model: gridmodel.SubsystemModel
     base_poles: tuple[complex, ...]
 
 
@@ -115,25 +106,22 @@ class AgentKnowledge:
 class AgentState:
     id: int
     knowledge: AgentKnowledge
-    phase: str = DESIGNING
+    designing: bool = True              # designs (again) on its next step
     retry_count: int = 0
     poles: tuple[complex, ...] = ()
     escalated: bool = False
     gains: control.GainSet | None = None
     transform: ModalTransform | None = None
     received_transforms: dict[int, np.ndarray] = field(default_factory=dict)
-    received_couplings: dict[int, np.ndarray] = field(default_factory=dict)
     report: certify.ConditionReport | None = None
     needs_evaluation: bool = False
     verdict: bool | None = None
 
     def has_work(self):
-        return self.phase == DESIGNING or self.needs_evaluation
+        return self.designing or self.needs_evaluation
 
     def shares_complete(self):
-        nbrs = set(self.knowledge.neighbors)
-        return (nbrs <= set(self.received_transforms)
-                and nbrs <= set(self.received_couplings))
+        return set(self.knowledge.model.couplings) <= set(self.received_transforms)
 
 
 @dataclass
@@ -146,22 +134,15 @@ class OperatorState:
 def _ingest(st, inbox):
     for msg in inbox:
         if msg.kind == SHARE_TRANSFORM:
-            if msg.sender not in st.knowledge.neighbors:
+            if msg.sender not in st.knowledge.model.couplings:
                 raise ProtocolViolation(
                     f"agent {st.id} got transform from non-neighbor {msg.sender}",
                     offending=msg)
             st.received_transforms[msg.sender] = np.asarray(msg.payload["T"], dtype=float)
             st.needs_evaluation = True
-        elif msg.kind == SHARE_COUPLING:
-            if msg.sender not in st.knowledge.neighbors:
-                raise ProtocolViolation(
-                    f"agent {st.id} got coupling from non-neighbor {msg.sender}",
-                    offending=msg)
-            st.received_couplings[msg.sender] = np.asarray(msg.payload["block"], dtype=float)
-            st.needs_evaluation = True
         elif msg.kind == OPERATOR_VERDICT:
             st.verdict = bool(msg.payload["stable"])
-            st.phase = DONE
+            st.designing = False
             st.needs_evaluation = False
         else:
             raise ProtocolViolation(
@@ -169,62 +150,50 @@ def _ingest(st, inbox):
 
 
 def _design(st, out, rnd):
-    know = st.knowledge
+    sub = st.knowledge.model
     try:
-        K, mt = control.design_local(know.A_hat, know.B, list(st.poles))
+        K, mt = control.design_local(sub.A_hat, sub.B, list(st.poles))
     except Uncontrollable as exc:
         raise Uncontrollable(f"agent {st.id}: {exc}") from exc
-    st.gains = control.GainSet(local=K, t_local=mt.T.T @ K)
+    st.gains = control.GainSet(local=K)
     st.transform = mt
     st.escalated = False
-    for j in know.neighbors:
+    for j in sub.neighbors:
         out.append(Message(SHARE_TRANSFORM, st.id, j, rnd, {"T": mt.T}))
-        out.append(Message(SHARE_COUPLING, st.id, j, rnd, {"block": know.outgoing[j]}))
-    st.phase = AWAITING
+    st.designing = False
     st.needs_evaluation = True
 
 
 def _evaluate(st, config):
-    know = st.knowledge
-    st.report, st.gains.t_global, st.gains.global_ = certify.agent_row(
-        st.id, know.A_hat, know.B, st.gains.local, st.transform,
-        st.received_couplings, st.received_transforms, st.escalated,
-        config.variant)
+    st.report, global_ = certify.agent_row(
+        st.knowledge.model, st.gains.local, st.transform,
+        st.received_transforms, st.escalated, config.variant)
+    st.gains = control.GainSet(local=st.gains.local, global_=global_)
     return st.report
 
 
 def agent_step(state, inbox, config, rnd):
     """Pure transition for one agent; returns ``(new_state, outbox)``."""
-    st = replace(
-        state,
-        received_transforms=dict(state.received_transforms),
-        received_couplings=dict(state.received_couplings),
-        poles=tuple(state.poles),
-        gains=None if state.gains is None else state.gains.copy(),
-    )
+    st = replace(state, received_transforms=dict(state.received_transforms))
     out = []
     _ingest(st, inbox)
-    if st.phase == DONE and not st.needs_evaluation:
-        return st, out
-    if st.phase == DESIGNING:
+    if st.designing:
         _design(st, out, rnd)
         return st, out
-    if st.needs_evaluation and st.shares_complete():
-        report = _evaluate(st, config)
-        st.needs_evaluation = False
-        out.append(Message(CONDITION_STATUS, st.id, OPERATOR, rnd,
-                           {"met": report.met}))
-        if report.met:
-            st.phase = DONE
-        elif st.retry_count < config.max_retries:
-            st.retry_count += 1
-            st.poles = tuple(RETRY_POLE_SCALE * complex(p) for p in st.poles)
-            st.phase = DESIGNING
-        elif config.allow_global and not st.escalated:
-            st.escalated = True
-            st.needs_evaluation = True
-        else:
-            st.phase = DONE
+    if not (st.needs_evaluation and st.shares_complete()):
+        return st, out
+    report = _evaluate(st, config)
+    st.needs_evaluation = False
+    out.append(Message(CONDITION_STATUS, st.id, OPERATOR, rnd, {"met": report.met}))
+    if report.met:
+        return st, out
+    if st.retry_count < config.max_retries:
+        st.retry_count += 1
+        st.poles = tuple(RETRY_POLE_SCALE * complex(p) for p in st.poles)
+        st.designing = True
+    elif config.allow_global and not st.escalated:
+        st.escalated = True
+        st.needs_evaluation = True
     return st, out
 
 
@@ -301,18 +270,14 @@ def run_dsa(grid, max_retries=0, allow_global=True,
     config = ProtocolConfig(max_retries=max_retries, allow_global=allow_global,
                             variant=variant)
     subsystems = gridmodel.build_subsystems(grid)
-    by_bus = {s.bus: s for s in subsystems}
     specs = certify.resolve_pole_specs(grid)
 
     states = {}
     for sub in subsystems:
-        outgoing = {j: by_bus[j].couplings[sub.bus] for j in sub.neighbors}
-        know = AgentKnowledge(
-            bus=sub.bus, A_hat=sub.A_hat, B=sub.B,
-            neighbors=tuple(sub.neighbors), outgoing=outgoing,
-            base_poles=tuple(specs[sub.bus]))
-        states[sub.bus] = AgentState(id=sub.bus, knowledge=know,
-                                     poles=tuple(specs[sub.bus]))
+        poles = tuple(specs[sub.bus])
+        states[sub.bus] = AgentState(
+            id=sub.bus, knowledge=AgentKnowledge(model=sub, base_poles=poles),
+            poles=poles)
     operator = OperatorState(expected=tuple(sorted(states)))
     max_rounds = 2 * len(states) * (config.max_retries + 2) + 2
 

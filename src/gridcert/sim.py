@@ -70,15 +70,16 @@ class SimResult:
         """One row per (sample, bus) in ``CSV_HEADER`` order: each value as
         ``repr`` of its float with ``-0.0`` written as ``0.0``, rows ended by
         ``\\r\\n`` (the bytes ``csv.writer`` gives for the same cells)."""
-        n_t, n_b = self.t.size, len(self.bus_ids)
-        cols = np.dstack([np.repeat(self.t[:, None], n_b, axis=1),
-                          self.states.reshape(n_t, n_b, 3),
-                          self.u_local, self.u_global, self.d])
-        cols += 0.0                                  # normalizes -0.0
+        n_b = len(self.bus_ids)
         fh.write(",".join(CSV_HEADER) + "\r\n")
         block = max(1, CSV_BLOCK_ROWS // n_b)
-        for k in range(0, n_t, block):
-            rows = cols[k:k + block].reshape(-1, 7).tolist()
+        for k in range(0, self.t.size, block):
+            ks = slice(k, k + block)
+            cols = np.dstack([np.repeat(self.t[ks, None], n_b, axis=1),
+                              self.states[ks].reshape(-1, n_b, 3),
+                              self.u_local[ks], self.u_global[ks], self.d[ks]])
+            cols += 0.0                              # normalizes -0.0
+            rows = cols.reshape(-1, 7).tolist()
             fh.write("".join(
                 f"{t!r},{bus},{x!r},{w!r},{p!r},{ul!r},{ug!r},{d!r}\r\n"
                 for bus, (t, x, w, p, ul, ug, d) in zip(itertools.cycle(self.bus_ids), rows)))

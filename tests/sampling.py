@@ -111,3 +111,19 @@ def sample_met_transformed(rng):
             raw = rng.standard_normal((orders[i], orders[j]))
             couplings[(i, j)] = raw * (budget * w / np.linalg.svd(raw, compute_uv=False)[0])
     return orders, transforms, couplings
+
+
+def random_grid_tuples(rng):
+    """Generators and lines of a random grid with 2-4 buses, for make_grid."""
+    n = int(rng.integers(2, 5))
+    gens = []
+    for b in range(1, n + 1):
+        poles = sorted(-rng.uniform(2.0, 60.0, size=3))
+        gens.append((b, rng.uniform(4.0, 14.0), rng.uniform(0.5, 2.0),
+                     rng.uniform(0.6, 1.4), poles))
+    lines = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if rng.random() < 0.6:
+                lines.append((i, j, float(rng.uniform(0.3, 8.0))))
+    return gens, lines

@@ -4,15 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from gridcert import certify, gridmodel, linalg
+from conftest import make_grid
+from gridcert import certify, control, gridmodel, linalg
 from gridcert.errors import CertificateInvalid, InvalidInput
 from sampling import (
     assemble_blocks,
+    random_grid_tuples,
     random_semisimple_hurwitz,
     random_spd,
     sample_met_original,
     sample_met_transformed,
 )
+
+EPS = np.finfo(float).eps
 
 PRE_ROWS = {1: (22.0, {2: 296.58, 3: 249.13}),
             2: (24.0, {1: 236.70, 3: 135.88}),
@@ -190,9 +194,10 @@ class TestTransformedCertificate:
         A = np.diag([0.5, -1.0])
         mt = linalg.modal_decompose(A)
         for variant in (certify.VARIANT_TRANSFORMED, certify.VARIANT_ORIGINAL):
+            sub = gridmodel.SubsystemModel(bus=1, A_hat=A, B=np.array([0.0, 1.0]),
+                                           F=np.zeros(2), couplings={})
             with pytest.raises(CertificateInvalid) as exc:
-                certify.agent_row(1, A, np.array([0.0, 1.0]), np.zeros(2), mt,
-                                  {}, {}, False, variant)
+                certify.agent_row(sub, np.zeros(2), mt, {}, False, variant)
             assert exc.value.offending_eigenvalue == pytest.approx(0.5)
 
     def test_no_alternative_pair_beats_ratio(self, rng):
@@ -249,7 +254,6 @@ class TestAssessGrid:
         assert res.hurwitz
 
     def test_missing_poles_rejected(self):
-        from conftest import make_grid
         g = make_grid([(1, 8.0, 1.0, 0.9)], [])
         with pytest.raises(InvalidInput, match="no desired poles"):
             certify.assess_grid(g)
@@ -262,7 +266,100 @@ class TestAssessGrid:
         assert res.reports[0].diagonal == pytest.approx(30.0)
 
     def test_gain_representations_consistent(self, three_bus):
+        # the stored original-coordinate gains, taken to modal coordinates
+        # (Kt_ij = T_j^T K_ij), are the projection gains of the modal blocks
         res = certify.assess_grid(three_bus, use_global=True)
-        for bus, gs in res.gains.items():
-            T_nbrs = {j: res.transforms[j].T for j in gs.t_global}
-            assert gs.consistency_error(res.transforms[bus].T, T_nbrs) <= 1e-8
+        for sub in res.subsystems:
+            T = res.transforms[sub.bus].T
+            Bt = np.linalg.solve(T, sub.B)
+            gs = res.gains[sub.bus]
+            assert sorted(gs.global_) == sub.neighbors
+            for j, k in gs.global_.items():
+                Tj = res.transforms[j].T
+                kt = control.optimal_global_gain(Bt, np.linalg.solve(T, sub.couplings[j] @ Tj))
+                assert np.abs(kt - Tj.T @ k).max() <= 1e-8
+
+
+def reference_rows(subs, designs, variant, escalate):
+    """Rows and global gains stage by stage on the full 3x3 blocks: modal
+    blocks ``inv(T_i) A_hat_ij T_j``, their projection gains, the residual
+    blocks, then ``build_S_tilde`` or ``certify_decoupled`` + ``build_S``."""
+    couplings_t, couplings, gains = {}, {}, {}
+    for sub in subs:
+        T = designs[sub.bus][1].T
+        Bt = np.linalg.solve(T, sub.B)
+        for j, C in sub.couplings.items():
+            Tj = designs[j][1].T
+            At, k = np.linalg.solve(T, C @ Tj), np.zeros(3)
+            if escalate:
+                kt = control.optimal_global_gain(Bt, At)
+                At, k = At - np.outer(Bt, kt), np.linalg.solve(Tj.T, kt)
+                gains[(sub.bus, j)] = k
+            couplings_t[(sub.bus, j)] = At
+            couplings[(sub.bus, j)] = C - np.outer(sub.B, k)
+    if variant == certify.VARIANT_TRANSFORMED:
+        _, reports = certify.build_S_tilde({b: mt for b, (_, mt) in designs.items()},
+                                           couplings_t)
+    else:
+        certs = {s.bus: certify.certify_decoupled(
+            s.A_hat - np.outer(s.B, designs[s.bus][0]), np.eye(3)) for s in subs}
+        _, reports = certify.build_S(certs, couplings)
+    return reports, gains
+
+
+class TestRankOneKernel:
+    """``agent_row`` forms every row entry from line strengths and
+    per-agent scalars; the stage-by-stage reference forms it from blocks."""
+
+    @pytest.mark.parametrize("variant", [certify.VARIANT_TRANSFORMED,
+                                         certify.VARIANT_ORIGINAL])
+    @pytest.mark.parametrize("escalate", [False, True])
+    def test_matches_stage_by_stage_reference(self, rng, variant, escalate):
+        for _ in range(12):
+            grid = make_grid(*random_grid_tuples(rng))
+            subs = gridmodel.build_subsystems(grid)
+            designs = {s.bus: control.design_local(s.A_hat, s.B, grid.generator(s.bus).poles)
+                       for s in subs}
+            want, want_gains = reference_rows(subs, designs, variant, escalate)
+            for sub, ref in zip(subs, want):
+                K, mt = designs[sub.bus]
+                got, gains = certify.agent_row(
+                    sub, K, mt, {j: designs[j][1].T for j in sub.neighbors},
+                    escalate, variant)
+                # the reference takes its gain back through inv(T_j^T), which
+                # loses up to cond(T_j) eps; the kernel never inverts T_j
+                tol = {j: max(1e-12, EPS * np.linalg.cond(designs[j][1].T))
+                       for j in sub.neighbors}
+                assert got.diagonal == pytest.approx(ref.diagonal, rel=1e-12)
+                assert got.offdiag.keys() == ref.offdiag.keys()
+                for j, v in ref.offdiag.items():
+                    assert got.offdiag[j] == pytest.approx(v, rel=tol[j])
+                assert got.met == ref.met
+                assert gains.keys() == ({j for (i, j) in want_gains if i == sub.bus}
+                                        if escalate else set())
+                for j, k in gains.items():
+                    ref_k = want_gains[(sub.bus, j)]
+                    assert k[0] == pytest.approx(ref_k[0], rel=tol[j])
+                    assert k[1] == 0.0 and k[2] == 0.0
+                    assert np.abs(ref_k[1:]).max() <= tol[j] * abs(ref_k[0])
+
+    def test_global_gain_is_line_strength_times_own_scalar(self, three_bus):
+        # K_ij = c_ij s_i e1: the ratio K_ij[0] / c_ij is one scalar per agent
+        res = certify.assess_grid(three_bus, use_global=True)
+        for sub in res.subsystems:
+            ratios = {res.gains[sub.bus].global_[j][0] / sub.coupling_gain(j)
+                      for j in sub.neighbors}
+            assert len(ratios) == 1
+
+    def test_rejects_coupling_not_rank_one(self, three_bus):
+        sub = gridmodel.build_subsystems(three_bus)[0]
+        K, mt = control.design_local(sub.A_hat, sub.B, three_bus.generator(1).poles)
+        T_nbrs = {j: np.eye(3) for j in sub.neighbors}
+        for entry in ((0, 1), (1, 1), (2, 0)):
+            C = sub.couplings[2].copy()
+            C[entry] = 1e-3
+            bad = gridmodel.SubsystemModel(bus=1, A_hat=sub.A_hat, B=sub.B, F=sub.F,
+                                           couplings={**sub.couplings, 2: C})
+            for variant in (certify.VARIANT_TRANSFORMED, certify.VARIANT_ORIGINAL):
+                with pytest.raises(InvalidInput, match=r"coupling \(1, 2\)"):
+                    certify.agent_row(bad, K, mt, T_nbrs, False, variant)

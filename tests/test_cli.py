@@ -8,8 +8,17 @@ import sys
 import numpy as np
 import pytest
 
+import gridcert
 from gridcert import cli
 from gridcert.data import three_bus_path
+
+# child interpreters import the same gridcert as this one, installed or not
+SRC_DIR = os.path.dirname(os.path.dirname(gridcert.__file__))
+
+
+def child_env(**extra):
+    path = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 UNSTABLE_DOC = {
     "base_frequency_hz": 60,
@@ -317,7 +326,7 @@ class TestErrorPaths:
         bad.write_bytes(data)
         proc = subprocess.run(
             [sys.executable, "-m", "gridcert", "assess", str(bad), "--out", str(tmp_path / "o")],
-            capture_output=True, text=True)
+            env=child_env(), capture_output=True, text=True)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: $: invalid JSON: ")
         assert "Traceback" not in proc.stderr
@@ -330,7 +339,7 @@ class TestErrorPaths:
         proc = subprocess.run(
             [sys.executable, "-m", "gridcert", "assess", three_bus_path(),
              "--global", "--out", str(tmp_path / "o")],
-            capture_output=True, text=True)
+            env=child_env(), capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["verdict"] == "stable"
 
@@ -340,7 +349,7 @@ class TestReproducibility:
         # trace bytes must not depend on interpreter hash randomization
         outs = []
         for seed in ("0", "424242"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env = child_env(PYTHONHASHSEED=seed)
             proc = subprocess.run(
                 [sys.executable, "-m", "gridcert", "protocol", three_bus_path(),
                  "--trace-full", "--out", str(tmp_path / seed)],

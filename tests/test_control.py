@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from gridcert import control, gridmodel, linalg
-from gridcert.errors import Degenerate, InvalidInput, Uncontrollable, Unsupported
+from gridcert import certify, control, gridmodel, linalg
+from gridcert.errors import (
+    Degenerate,
+    IllConditionedTransform,
+    InvalidInput,
+    NotSemiSimple,
+    Uncontrollable,
+    Unsupported,
+)
 from sampling import random_hurwitz
 
 
@@ -82,43 +89,60 @@ class TestPolePlace:
             done += 1
 
 
+def designed(grid, bus):
+    """Bus model, local gain and modal form, plus every neighbor's transform."""
+    models = bus_models(grid)
+    mts = {b: control.design_local(m.A_hat, m.B, THREE_BUS_POLES[b])
+           for b, m in models.items()}
+    K, mt = mts[bus]
+    return models[bus], K, mt, {j: mts[j][1].T for j in models[bus].neighbors}
+
+
+def with_T(mt, T):
+    return linalg.ModalTransform(T=T, Lam=mt.Lam, sigma_M=mt.sigma_M)
+
+
+def row(sub, mt, T_nbrs, escalate=False, K=None):
+    K = np.zeros(3) if K is None else K
+    return certify.agent_row(sub, K, mt, T_nbrs, escalate, certify.VARIANT_TRANSFORMED)
+
+
 class TestTransform:
+    """The row kernel's change of coordinates ``x = T xt``."""
+
     def test_identity_transform(self, three_bus):
-        sub = bus_models(three_bus)[1]
+        # with T = I everywhere the transformed blocks are the original ones
+        sub, _, mt, _ = designed(three_bus, 1)
         eye = {j: np.eye(3) for j in sub.neighbors}
-        At, Bt, coup = control.transform_subsystem(
-            sub.A_hat, sub.B, sub.couplings, np.eye(3), eye)
-        assert np.allclose(At, sub.A_hat)
-        assert np.allclose(Bt, sub.B)
+        rep, _ = row(sub, with_T(mt, np.eye(3)), eye)
         for j in sub.neighbors:
-            assert np.allclose(coup[j], sub.couplings[j])
+            assert rep.offdiag[j] == pytest.approx(linalg.spectral_norm(sub.couplings[j]))
+        rep, gains = row(sub, with_T(mt, np.eye(3)), eye, escalate=True)
+        for j in sub.neighbors:
+            C = sub.couplings[j]
+            k = control.optimal_global_gain(sub.B, C)
+            assert np.allclose(gains[j], k, rtol=1e-13, atol=0.0)
+            assert rep.offdiag[j] == pytest.approx(
+                linalg.spectral_norm(C - np.outer(sub.B, k)), rel=1e-13)
 
     def test_scalar_transforms(self, three_bus):
-        sub = bus_models(three_bus)[1]
-        T_nbrs = {j: 3.0 * np.eye(3) for j in sub.neighbors}
-        At, Bt, coup = control.transform_subsystem(
-            sub.A_hat, sub.B, sub.couplings, 2.0 * np.eye(3), T_nbrs)
-        assert np.allclose(At, sub.A_hat)
-        assert np.allclose(Bt, sub.B / 2.0)
+        sub, _, mt, _ = designed(three_bus, 1)
+        base, _ = row(sub, with_T(mt, np.eye(3)), {j: np.eye(3) for j in sub.neighbors})
+        rep, _ = row(sub, with_T(mt, 2.0 * np.eye(3)),
+                     {j: 3.0 * np.eye(3) for j in sub.neighbors})
         for j in sub.neighbors:
-            assert np.allclose(coup[j], sub.couplings[j] * 3.0 / 2.0)
+            assert rep.offdiag[j] == pytest.approx(base.offdiag[j] * 3.0 / 2.0, rel=1e-14)
 
     def test_three_bus_coupling_norm(self, three_bus):
         # local loop closed, no global gains: transformed coupling 1<-2
-        models = bus_models(three_bus)
-        mts = {b: control.design_local(m.A_hat, m.B, THREE_BUS_POLES[b])[1]
-               for b, m in models.items()}
-        sub = models[1]
-        _, _, coup = control.transform_subsystem(
-            sub.A_hat, sub.B, sub.couplings, mts[1].T,
-            {j: mts[j].T for j in sub.neighbors})
-        assert linalg.spectral_norm(coup[2]) == pytest.approx(296.58, rel=0.02)
+        sub, K, mt, T_nbrs = designed(three_bus, 1)
+        rep, _ = row(sub, mt, T_nbrs, K=K)
+        assert rep.offdiag[2] == pytest.approx(296.58, rel=0.02)
 
     def test_missing_neighbor_transform(self, three_bus):
-        sub = bus_models(three_bus)[1]
+        sub, _, mt, _ = designed(three_bus, 1)
         with pytest.raises(InvalidInput, match="missing transform"):
-            control.transform_subsystem(sub.A_hat, sub.B, sub.couplings,
-                                        np.eye(3), {2: np.eye(3)})
+            row(sub, mt, {2: np.eye(3)})
 
 
 class TestOptimalGlobalGain:
@@ -162,25 +186,33 @@ class TestOptimalGlobalGain:
 
 
 class TestCloseLoop:
+    """``u = -K^T x - sum_j K_ij^T x_j`` closed through ``assemble_full``."""
+
     def test_zero_gains_identity(self, three_bus):
-        sub = bus_models(three_bus)[2]
-        A, coup = control.close_loop(sub.A_hat, sub.B, np.zeros(3), sub.couplings)
-        assert np.array_equal(A, sub.A_hat)
-        for j in sub.neighbors:
-            assert np.array_equal(coup[j], sub.couplings[j])
+        subs = gridmodel.build_subsystems(three_bus)
+        zero = {s.bus: control.GainSet(local=np.zeros(3)) for s in subs}
+        assert np.array_equal(gridmodel.assemble_full(subs, zero),
+                              gridmodel.assemble_full(subs))
 
     def test_three_bus_poles(self, three_bus):
-        sub = bus_models(three_bus)[1]
-        K = control.pole_place(sub.A_hat, sub.B, THREE_BUS_POLES[1])
-        A, _ = control.close_loop(sub.A_hat, sub.B, K)
-        got = np.sort(np.linalg.eigvals(A).real)
+        subs = gridmodel.build_subsystems(three_bus)
+        gains = {s.bus: control.GainSet(local=control.pole_place(
+            s.A_hat, s.B, THREE_BUS_POLES[s.bus])) for s in subs}
+        A = gridmodel.assemble_full(subs, gains)
+        got = np.sort(np.linalg.eigvals(A[0:3, 0:3]).real)
         assert np.allclose(got, [-43.0, -39.0, -22.0], rtol=1e-8)
 
     def test_rank_one_update_touches_row3_only(self, three_bus):
-        sub = bus_models(three_bus)[3]
-        A, _ = control.close_loop(sub.A_hat, sub.B, np.array([1.0, 2.0, 3.0]))
-        assert np.array_equal(A[:2], sub.A_hat[:2])
-        assert not np.array_equal(A[2], sub.A_hat[2])
+        # the global gains K_ij = c_ij s_i e1 change one entry per coupling
+        # block: the input row (3) on the neighbor's angle (column 1)
+        res = certify.assess_grid(three_bus, use_global=True)
+        local = {b: control.GainSet(local=gs.local) for b, gs in res.gains.items()}
+        delta = res.A_full - gridmodel.assemble_full(res.subsystems, local)
+        rows, cols = np.nonzero(delta)
+        assert len(rows) == 6
+        assert set(rows % 3) == {2} and set(cols % 3) == {0}
+        assert set(zip(rows // 3, cols // 3)) == {(0, 1), (0, 2), (1, 0), (1, 2),
+                                                  (2, 0), (2, 1)}
 
     def test_modal_form_of_designed_loop(self, three_bus):
         sub = bus_models(three_bus)[1]
@@ -191,56 +223,54 @@ class TestCloseLoop:
 
 class TestCoordinateConsistency:
     def test_close_then_transform_equals_transform_then_close(self, rng):
-        for _ in range(20):
-            n = 3
-            A = random_hurwitz(rng, n)
-            Ahat_ij = rng.standard_normal((n, n))
-            B = rng.standard_normal(n)
-            Ti = linalg.modal_decompose(random_hurwitz(rng, n)).T
-            Tj = linalg.modal_decompose(random_hurwitz(rng, n)).T
-            Kt_ij = rng.standard_normal(n)
-            K_ij = control.convert_global_gain(Kt_ij, Tj)
-
-            _, closed = control.close_loop(A, B, np.zeros(n),
-                                           {9: Ahat_ij}, {9: K_ij})
-            route1 = np.linalg.solve(Ti, closed[9] @ Tj)
-
-            _, Bt, coup_t = control.transform_subsystem(A, B, {9: Ahat_ij}, Ti, {9: Tj})
-            route2 = coup_t[9] - np.outer(Bt, Kt_ij)
-            assert np.abs(route1 - route2).max() <= 1e-8
+        # the kernel's original-coordinate gain, closed and then transformed,
+        # gives the projection residual formed in modal coordinates
+        done = 0
+        while done < 20:
+            A = random_hurwitz(rng, 3)
+            B = rng.standard_normal(3)
+            c = float(rng.uniform(-50.0, 50.0))
+            C = np.zeros((3, 3))
+            C[1, 0] = c
+            sub = gridmodel.SubsystemModel(bus=1, A_hat=A, B=B, F=np.zeros(3),
+                                           couplings={9: C})
+            try:
+                mt = linalg.modal_decompose(A)
+                Tj = linalg.modal_decompose(random_hurwitz(rng, 3)).T
+            except (NotSemiSimple, IllConditionedTransform):
+                continue
+            rep, gains = row(sub, mt, {9: Tj}, escalate=True)
+            route1 = np.linalg.solve(mt.T, (C - np.outer(B, gains[9])) @ Tj)
+            Bt = np.linalg.solve(mt.T, B)
+            At = np.linalg.solve(mt.T, C @ Tj)
+            route2 = At - np.outer(Bt, control.optimal_global_gain(Bt, At))
+            scale = np.abs(At).max()
+            assert np.abs(route1 - route2).max() <= 1e-10 * scale
+            assert rep.offdiag[9] == pytest.approx(linalg.spectral_norm(route2), rel=1e-10)
+            done += 1
 
     def test_residual_norm_invariant_to_conventions(self, rng, three_bus):
-        models = bus_models(three_bus)
-        mts = {b: control.design_local(m.A_hat, m.B, THREE_BUS_POLES[b])[1]
-               for b, m in models.items()}
-        sub = models[1]
-
-        def residual_norm(Ti, Tj):
-            _, Bt, coup = control.transform_subsystem(
-                sub.A_hat, sub.B, {2: sub.couplings[2]}, Ti, {2: Tj})
-            K = control.optimal_global_gain(Bt, coup[2])
-            return linalg.spectral_norm(coup[2] - np.outer(Bt, K))
-
-        base = residual_norm(mts[1].T, mts[2].T)
+        sub, _, mt, T_nbrs = designed(three_bus, 1)
+        base, _ = row(sub, mt, T_nbrs, escalate=True)
         for _ in range(10):
             Pi = np.eye(3)[:, rng.permutation(3)] * rng.choice([-1.0, 1.0], size=3)
-            Pj = np.eye(3)[:, rng.permutation(3)] * rng.choice([-1.0, 1.0], size=3)
-            assert residual_norm(mts[1].T @ Pi, mts[2].T @ Pj) == pytest.approx(base, abs=1e-9)
+            Pj = {j: np.eye(3)[:, rng.permutation(3)] * rng.choice([-1.0, 1.0], size=3)
+                  for j in sub.neighbors}
+            rep, _ = row(sub, with_T(mt, mt.T @ Pi),
+                         {j: T_nbrs[j] @ Pj[j] for j in sub.neighbors}, escalate=True)
+            for j in sub.neighbors:
+                assert rep.offdiag[j] == pytest.approx(base.offdiag[j], abs=1e-9)
 
 
 class TestGainSet:
     def test_consistency_relations(self, three_bus):
-        models = bus_models(three_bus)
-        sub = models[1]
-        K, mt = control.design_local(sub.A_hat, sub.B, THREE_BUS_POLES[1])
-        mts = {b: control.design_local(m.A_hat, m.B, THREE_BUS_POLES[b])[1]
-               for b, m in models.items()}
-        _, Bt, coup = control.transform_subsystem(
-            sub.A_hat, sub.B, sub.couplings, mt.T, {j: mts[j].T for j in sub.neighbors})
-        gs = control.GainSet(local=K, t_local=mt.T.T @ K)
+        # Kt_ij^T = K_ij^T T_j: the stored original-coordinate gains map to
+        # the projection gains of the modal blocks
+        sub, K, mt, T_nbrs = designed(three_bus, 1)
+        _, global_ = row(sub, mt, T_nbrs, escalate=True, K=K)
+        gs = control.GainSet(local=K, global_=global_)
+        Bt = np.linalg.solve(mt.T, sub.B)
         for j in sub.neighbors:
-            kt = control.optimal_global_gain(Bt, coup[j])
-            gs.t_global[j] = kt
-            gs.global_[j] = control.convert_global_gain(kt, mts[j].T)
-        err = gs.consistency_error(mt.T, {j: mts[j].T for j in sub.neighbors})
-        assert err <= 1e-8
+            kt = control.optimal_global_gain(
+                Bt, np.linalg.solve(mt.T, sub.couplings[j] @ T_nbrs[j]))
+            assert np.abs(kt - T_nbrs[j].T @ gs.global_[j]).max() <= 1e-8

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,10 +7,10 @@ import pytest
 from conftest import make_grid
 from gridcert import certify, gridmodel, linalg, protocol
 from gridcert.errors import ProtocolViolation
+from sampling import random_grid_tuples
 
 ALLOWED_PAYLOAD_KEYS = {
     protocol.SHARE_TRANSFORM: {"T"},
-    protocol.SHARE_COUPLING: {"block"},
     protocol.CONDITION_STATUS: {"met"},
     protocol.OPERATOR_VERDICT: {"stable"},
 }
@@ -19,31 +20,13 @@ def kind_counts(trace):
     return Counter((m.round, m.kind) for m in trace)
 
 
-def random_grid_tuples(rng):
-    """Generators and lines of a random grid with 2-4 buses, for make_grid."""
-    n = int(rng.integers(2, 5))
-    gens = []
-    for b in range(1, n + 1):
-        poles = sorted(-rng.uniform(2.0, 60.0, size=3))
-        gens.append((b, rng.uniform(4.0, 14.0), rng.uniform(0.5, 2.0),
-                     rng.uniform(0.6, 1.4), poles))
-    lines = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if rng.random() < 0.6:
-                lines.append((i, j, float(rng.uniform(0.3, 8.0))))
-    return gens, lines
-
-
 def assert_matches_centralized(st, cen):
     """Agent state ``st`` has exactly the gains and row of ``cen``."""
     want = cen.gains[st.id]
     assert np.array_equal(st.gains.local, want.local)
-    for got_k, want_k in ((st.gains.t_global, want.t_global),
-                          (st.gains.global_, want.global_)):
-        assert got_k.keys() == want_k.keys()
-        for j in want_k:
-            assert np.array_equal(got_k[j], want_k[j])
+    assert st.gains.global_.keys() == want.global_.keys()
+    for j in want.global_:
+        assert np.array_equal(st.gains.global_[j], want.global_[j])
     rep = next(r for r in cen.reports if r.agent == st.id)
     assert st.report.variant == rep.variant
     assert st.report.diagonal == rep.diagonal
@@ -56,17 +39,16 @@ class TestRunDsaThreeBus:
         assert res.verdict == certify.STABLE
         counts = kind_counts(res.trace)
         assert counts[(0, protocol.SHARE_TRANSFORM)] == 6
-        assert counts[(0, protocol.SHARE_COUPLING)] == 6
         assert counts[(1, protocol.CONDITION_STATUS)] == 3
         assert counts[(2, protocol.CONDITION_STATUS)] == 3
         assert counts[(2, protocol.OPERATOR_VERDICT)] == 1
-        assert sum(counts.values()) == len(res.trace) == 19
+        assert sum(counts.values()) == len(res.trace) == 13
         statuses = [m for m in res.trace if m.kind == protocol.CONDITION_STATUS]
         assert [m.payload["met"] for m in statuses] == [False] * 3 + [True] * 3
         for st in res.agents.values():
             assert st.escalated
             assert st.verdict is True
-            assert set(st.gains.t_global) == set(st.knowledge.neighbors)
+            assert set(st.gains.global_) == set(st.knowledge.model.neighbors)
 
     def test_determinism_byte_identical(self, three_bus):
         a = protocol.run_dsa(three_bus).trace_lines(full=True)
@@ -78,13 +60,23 @@ class TestRunDsaThreeBus:
         res = protocol.run_dsa(three_bus)
         for m in res.trace:
             assert set(m.payload) == ALLOWED_PAYLOAD_KEYS[m.kind]
-            if m.kind == protocol.SHARE_COUPLING:
-                # the only matrix shared is the receiver's incoming block
-                assert np.array_equal(m.payload["block"],
-                                      subs[m.to].couplings[m.sender])
             if m.kind == protocol.SHARE_TRANSFORM:
                 local = subs[m.sender]
                 assert not np.allclose(m.payload["T"], local.A_hat)
+        # each agent starts from its own bus model alone: the incoming line
+        # couplings carry its own inertia and the line reactance, nothing
+        # of a neighbor
+        for bus, st in res.agents.items():
+            model, own = st.knowledge.model, subs[bus]
+            assert model.bus == bus
+            for name in ("A_hat", "B", "F"):
+                assert np.array_equal(getattr(model, name), getattr(own, name))
+            assert model.neighbors == own.neighbors
+            for j in own.neighbors:
+                assert np.array_equal(model.couplings[j], own.couplings[j])
+                assert model.coupling_gain(j) == pytest.approx(
+                    three_bus.omega_b / (three_bus.generator(bus).M
+                                         * three_bus.reactance(bus, j)), rel=1e-15)
 
     def test_escalation_monotonicity(self, three_bus):
         pre = {r.agent: r.offdiag
@@ -102,7 +94,7 @@ class TestRunDsaThreeBus:
         for m in res.trace:
             per_round[(m.round, m.kind)] += 1
         for (rnd, kind), count in per_round.items():
-            if kind in (protocol.SHARE_TRANSFORM, protocol.SHARE_COUPLING):
+            if kind == protocol.SHARE_TRANSFORM:
                 assert count <= 2 * n_edges
             elif kind == protocol.CONDITION_STATUS:
                 assert count <= n_agents
@@ -119,12 +111,8 @@ class TestRunDsaThreeBus:
 class TestAgentStep:
     def _fresh(self, grid, bus):
         subs = {s.bus: s for s in gridmodel.build_subsystems(grid)}
-        sub = subs[bus]
         know = protocol.AgentKnowledge(
-            bus=bus, A_hat=sub.A_hat, B=sub.B,
-            neighbors=tuple(sub.neighbors),
-            outgoing={j: subs[j].couplings[bus] for j in sub.neighbors},
-            base_poles=tuple(grid.generator(bus).poles))
+            model=subs[bus], base_poles=tuple(grid.generator(bus).poles))
         return subs, protocol.AgentState(
             id=bus, knowledge=know, poles=tuple(grid.generator(bus).poles))
 
@@ -132,13 +120,12 @@ class TestAgentStep:
         _, st = self._fresh(three_bus, 1)
         cfg = protocol.ProtocolConfig()
         st2, out = protocol.agent_step(st, [], cfg, 0)
-        assert st2.phase == protocol.AWAITING
+        assert not st2.designing
         kinds = Counter(m.kind for m in out)
-        assert kinds[protocol.SHARE_TRANSFORM] == 2
-        assert kinds[protocol.SHARE_COUPLING] == 2
+        assert kinds == {protocol.SHARE_TRANSFORM: 2}
         assert {m.to for m in out} == {2, 3}
         # purity: the input state is untouched
-        assert st.phase == protocol.DESIGNING
+        assert st.designing
         assert st.gains is None
 
     def test_missing_share_keeps_awaiting(self, three_bus):
@@ -146,13 +133,9 @@ class TestAgentStep:
         cfg = protocol.ProtocolConfig()
         st, _ = protocol.agent_step(st, [], cfg, 0)
         mt2 = linalg.modal_decompose(np.diag([-1.0, -2.0, -3.0]))
-        inbox = [
-            protocol.Message(protocol.SHARE_TRANSFORM, 2, 1, 0, {"T": mt2.T}),
-            protocol.Message(protocol.SHARE_COUPLING, 2, 1, 0,
-                             {"block": subs[1].couplings[2]}),
-        ]
+        inbox = [protocol.Message(protocol.SHARE_TRANSFORM, 2, 1, 0, {"T": mt2.T})]
         st2, out = protocol.agent_step(st, inbox, cfg, 1)
-        assert st2.phase == protocol.AWAITING
+        assert not st2.designing and st2.needs_evaluation
         assert out == []
 
     def test_weak_coupling_reports_met(self):
@@ -164,17 +147,13 @@ class TestAgentStep:
         cfg = protocol.ProtocolConfig()
         st, _ = protocol.agent_step(st, [], cfg, 0)
         mt2 = linalg.modal_decompose(np.diag([-1.0, -2.0, -3.0]))
-        inbox = [
-            protocol.Message(protocol.SHARE_TRANSFORM, 2, 1, 0, {"T": mt2.T}),
-            protocol.Message(protocol.SHARE_COUPLING, 2, 1, 0,
-                             {"block": subs[1].couplings[2]}),
-        ]
+        inbox = [protocol.Message(protocol.SHARE_TRANSFORM, 2, 1, 0, {"T": mt2.T})]
         st2, out = protocol.agent_step(st, inbox, cfg, 1)
         assert len(out) == 1
         assert out[0].kind == protocol.CONDITION_STATUS
         assert out[0].payload["met"] is True
         assert out[0].to == protocol.OPERATOR
-        assert st2.phase == protocol.DONE
+        assert not (st2.designing or st2.has_work())
 
     def test_step_does_not_mutate_prior_state(self, three_bus):
         # drive agent 1 to escalation, then confirm the pre-escalation
@@ -189,15 +168,13 @@ class TestAgentStep:
                                          three_bus.generator(j).poles)
             inbox.append(protocol.Message(protocol.SHARE_TRANSFORM, j, 1, 0,
                                           {"T": mt.T}))
-            inbox.append(protocol.Message(protocol.SHARE_COUPLING, j, 1, 0,
-                                          {"block": subs[1].couplings[j]}))
         st_failed, out = protocol.agent_step(st, inbox, cfg, 1)
         assert out[0].payload["met"] is False
-        assert st_failed.escalated and st_failed.gains.t_global == {}
+        assert st_failed.escalated and st_failed.gains.global_ == {}
         st_after, out = protocol.agent_step(st_failed, [], cfg, 2)
         assert out[0].payload["met"] is True
-        assert set(st_after.gains.t_global) == {2, 3}
-        assert st_failed.gains.t_global == {}   # snapshot untouched
+        assert set(st_after.gains.global_) == {2, 3}
+        assert st_failed.gains.global_ == {}   # snapshot untouched
 
     def test_rejects_share_from_non_neighbor(self, three_bus):
         _, st = self._fresh(three_bus, 1)
@@ -207,13 +184,22 @@ class TestAgentStep:
         with pytest.raises(ProtocolViolation):
             protocol.agent_step(st, [bad], cfg, 1)
 
+    def test_rejects_share_coupling(self, three_bus):
+        # an agent holds its own incoming couplings; a neighbor that ships
+        # one breaks the protocol
+        subs, st = self._fresh(three_bus, 1)
+        cfg = protocol.ProtocolConfig()
+        st, _ = protocol.agent_step(st, [], cfg, 0)
+        bad = protocol.Message("ShareCoupling", 2, 1, 0,
+                               {"block": subs[1].couplings[2]})
+        with pytest.raises(ProtocolViolation, match="cannot handle ShareCoupling"):
+            protocol.agent_step(st, [bad], cfg, 1)
+
     def test_uncontrollable_aborts_with_agent_id(self, three_bus):
         _, st = self._fresh(three_bus, 1)
         know = st.knowledge
         broken = protocol.AgentKnowledge(
-            bus=know.bus, A_hat=know.A_hat, B=np.zeros(3),
-            neighbors=know.neighbors, outgoing=know.outgoing,
-            base_poles=know.base_poles)
+            model=replace(know.model, B=np.zeros(3)), base_poles=know.base_poles)
         st = protocol.AgentState(id=1, knowledge=broken, poles=st.poles)
         from gridcert.errors import Uncontrollable
         with pytest.raises(Uncontrollable, match="agent 1"):
@@ -282,14 +268,13 @@ class TestScenarios:
         assert res.verdict == certify.STABLE
         counts = kind_counts(res.trace)
         assert counts[(1, protocol.CONDITION_STATUS)] == 1
-        assert not any(m.kind in (protocol.SHARE_TRANSFORM, protocol.SHARE_COUPLING)
-                       for m in res.trace)
+        assert not any(m.kind == protocol.SHARE_TRANSFORM for m in res.trace)
         assert not res.agents[4].escalated
 
     def test_no_options_inconclusive(self, three_bus):
         res = protocol.run_dsa(three_bus, max_retries=0, allow_global=False)
         assert res.verdict == certify.INCONCLUSIVE
-        assert all(st.phase == protocol.DONE for st in res.agents.values())
+        assert not any(st.has_work() for st in res.agents.values())
         verdicts = [m for m in res.trace if m.kind == protocol.OPERATOR_VERDICT]
         assert len(verdicts) == 1
         assert verdicts[0].payload == {"stable": False}
