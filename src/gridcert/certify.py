@@ -19,16 +19,16 @@ centralized :func:`assess_grid` and the protocol agents both go through it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import control, gridmodel
-from .errors import CertificateInvalid, InvalidInput
+from .errors import CertificateInvalid, GridcertError, InvalidInput
 from .linalg import (
     ModalTransform,
     _as_matrix,
-    eigenvalues,
     is_hurwitz,
     solve_lyapunov,
     spectral_norm,
@@ -91,7 +91,7 @@ def certify_decoupled(A, Q):
     when ``A`` is not Hurwitz.
     """
     A = _as_matrix(A, "A")
-    lam = eigenvalues(A)
+    lam = np.linalg.eigvals(A)
     worst = lam[np.argmax(lam.real)]
     if worst.real >= 0.0:
         raise CertificateInvalid(
@@ -230,7 +230,6 @@ class AssessmentResult:
     """Outcome of a centralized design-and-certify pass over a grid."""
 
     variant: str
-    use_global: bool
     reports: list[ConditionReport]
     verdict: str
     gains: dict[int, control.GainSet]
@@ -243,22 +242,29 @@ class AssessmentResult:
         return is_hurwitz(self.A_full)
 
 
-def resolve_pole_specs(grid, overrides=None, scale=1.0):
-    """Desired poles per bus: overrides first, then the grid 'control' entries."""
+def resolve_pole_specs(grid, scale=1.0):
+    """Desired poles per bus: the grid 'control' entries times ``scale``."""
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise InvalidInput(f"poles_scale must be finite and > 0, got {scale}")
     specs = {}
     for bus in grid.bus_ids:
-        poles = None if overrides is None else overrides.get(bus)
+        poles = grid.generator(bus).poles
         if poles is None:
-            poles = grid.generator(bus).poles
-        if poles is None:
-            raise InvalidInput(
-                f"bus {bus} has no desired poles (grid 'control' entry or override)")
+            raise InvalidInput(f"bus {bus} has no desired poles (grid 'control' entry)")
         specs[bus] = [scale * complex(p) for p in poles]
     return specs
 
 
-def assess_grid(grid, pole_overrides=None, use_global=False,
-                variant=VARIANT_TRANSFORMED, poles_scale=1.0):
+def design_agent(sub, poles):
+    """Local design of one bus (:func:`control.design_local`); an error keeps
+    its type and names the agent."""
+    try:
+        return control.design_local(sub.A_hat, sub.B, poles)
+    except GridcertError as exc:
+        raise type(exc)(f"agent {sub.bus}: {exc}") from exc
+
+
+def assess_grid(grid, use_global=False, variant=VARIANT_TRANSFORMED, poles_scale=1.0):
     """Design feedback for every bus and evaluate the chosen condition.
 
     This is the centralized (no message passing) counterpart of the
@@ -269,9 +275,8 @@ def assess_grid(grid, pole_overrides=None, use_global=False,
     if variant not in (VARIANT_ORIGINAL, VARIANT_TRANSFORMED):
         raise InvalidInput(f"unknown variant {variant!r}")
     subsystems = gridmodel.build_subsystems(grid)
-    specs = resolve_pole_specs(grid, pole_overrides, poles_scale)
-    designs = {sub.bus: control.design_local(sub.A_hat, sub.B, specs[sub.bus])
-               for sub in subsystems}
+    specs = resolve_pole_specs(grid, poles_scale)
+    designs = {sub.bus: design_agent(sub, specs[sub.bus]) for sub in subsystems}
     transforms = {bus: mt for bus, (_, mt) in designs.items()}
 
     gains, reports = {}, []
@@ -284,7 +289,6 @@ def assess_grid(grid, pole_overrides=None, use_global=False,
 
     return AssessmentResult(
         variant=variant,
-        use_global=use_global,
         reports=reports,
         verdict=compositional_verdict(reports),
         gains=gains,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import warnings
@@ -55,14 +56,19 @@ def _write(out_dir, name, text):
         fh.write(text)
 
 
-def _dump(doc):
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _dump(name, doc):
+    """JSON text of the artifact ``name``; a NaN or infinity in ``doc`` is an
+    error, since JSON has no such numbers."""
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise GridcertError(f"{name}: {exc}") from None
 
 
 def _gains_doc(gains):
     doc = {}
     for bus, gs in sorted(gains.items()):
-        entry = {"local": None if gs.local is None else list(map(float, gs.local))}
+        entry = {"local": list(map(float, gs.local))}
         entry["global"] = {
             str(j): list(map(float, k)) for j, k in sorted(gs.global_.items())
         }
@@ -92,6 +98,8 @@ def _disturbances_doc(grid):
 def _apply_step_override(grid, step_pu):
     if step_pu is None:
         return grid
+    if not math.isfinite(step_pu):
+        raise GridcertError(f"--step-pu must be finite, got {step_pu}")
     if not grid.disturbances:
         raise GridcertError("--step-pu given but the grid has no disturbances")
     for d in grid.disturbances:
@@ -127,7 +135,7 @@ def cmd_assess(args):
         "full_system": _eig_doc(np.linalg.eigvals(results[-1].A_full)),
         "gains": _gains_doc(results[-1].gains),
     }
-    text = _dump(doc)
+    text = _dump(ASSESS_JSON, doc)
     _write(args.out, ASSESS_JSON, text)
     sys.stdout.write(text)
     return 0 if stable else 2
@@ -155,7 +163,7 @@ def cmd_protocol(args):
         "agents": [r.to_dict() for r in result.reports],
         "gains": _gains_doc(result.gains),
     }
-    text = _dump(doc)
+    text = _dump(PROTOCOL_JSON, doc)
     _write(args.out, PROTOCOL_JSON, text)
     sys.stdout.write(text)
     return 0 if result.verdict == certify.STABLE else 2
@@ -209,7 +217,7 @@ def cmd_simulate(args):
         "max_abs_omega_end": max(steady.omega_end.values()),
         "peak_abs_omega": {str(b): float(p) for b, p in zip(result.bus_ids, peaks)},
     }
-    text = _dump(doc)
+    text = _dump(SIM_JSON, doc)
     _write(args.out, SIM_JSON, text)
     sys.stdout.write(text)
     return 0

@@ -30,7 +30,7 @@ class GainSet:
     ``u_i = -K_i^T x_i - sum_j K_ij^T x_j`` with ``local`` = ``K_i`` and
     ``global_[j]`` = ``K_ij``."""
 
-    local: np.ndarray | None = None
+    local: np.ndarray
     global_: dict[int, np.ndarray] = field(default_factory=dict)
 
 

@@ -45,7 +45,8 @@ class Disturbance:
 
 @dataclass
 class GridSpec:
-    """Validated grid description, indexed once for every bus and line lookup."""
+    """Validated grid description, indexed once: :meth:`generator` and
+    :attr:`bus_ids` read the bus index, :func:`build_subsystems` the line index."""
 
     base_frequency_hz: float
     generators: list[Generator]
@@ -74,14 +75,6 @@ class GridSpec:
         if bus not in self._generator_at:
             raise InvalidInput(f"no generator at bus {bus}")
         return self._generator_at[bus]
-
-    def neighbors(self, bus):
-        return list(self._adjacency.get(bus, ()))
-
-    def reactance(self, i, j):
-        if j not in self._adjacency.get(i, ()):
-            raise InvalidInput(f"no line between buses {i} and {j}")
-        return self._adjacency[i][j]
 
 
 @dataclass
@@ -254,29 +247,6 @@ def parse_grid(text):
                     lines=lines, disturbances=disturbances)
 
 
-def serialize_grid(grid):
-    """Inverse of :func:`parse_grid`; returns a canonical JSON string."""
-    doc = {
-        "base_frequency_hz": grid.base_frequency_hz,
-        "generators": [],
-        "lines": [
-            {"from": ln.from_bus, "to": ln.to_bus, "X": ln.X} for ln in grid.lines
-        ],
-        "disturbances": [
-            {"bus": d.bus, "delta_PL": d.delta_PL, "t_step": d.t_step}
-            for d in grid.disturbances
-        ],
-    }
-    for g in grid.generators:
-        item = {"bus": g.bus, "M": g.M, "D": g.D, "T_T": g.T_T}
-        if g.poles is not None:
-            item["control"] = [
-                p.real if p.imag == 0.0 else [p.real, p.imag] for p in g.poles
-            ]
-        doc["generators"].append(item)
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
 def load_grid(path):
     with open(path, "rb") as fh:
         return parse_grid(fh.read())
@@ -318,12 +288,10 @@ def build_subsystems(grid):
 def _gain_vectors(gains, sub):
     """Original-coordinate (K, {j: K_ij}) for one subsystem, zeros if absent."""
     n = sub.A_hat.shape[0]
-    if gains is None:
-        return np.zeros(n), {}
-    gs = gains.get(sub.bus) if isinstance(gains, dict) else gains
+    gs = (gains or {}).get(sub.bus)
     if gs is None:
         return np.zeros(n), {}
-    K = np.zeros(n) if gs.local is None else np.asarray(gs.local, dtype=float)
+    K = np.asarray(gs.local, dtype=float)
     if K.shape != (n,):
         raise InvalidInput(f"local gain for bus {sub.bus} has shape {K.shape}, want ({n},)")
     Kij = {}

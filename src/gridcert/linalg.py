@@ -1,8 +1,8 @@
 """Small dense linear-algebra kernels.
 
 Everything here is deterministic and operates on plain ``numpy`` arrays:
-eigenvalues with a fixed ordering convention, spectral norms, Lyapunov
-solves, the real block-diagonal modal decomposition and Hurwitz checks.
+spectral norms, Lyapunov solves, the real block-diagonal modal
+decomposition and Hurwitz checks.
 Matrices are small (subsystems are order 3, assembled systems order 3N), so
 simplicity wins over asymptotic speed throughout.
 """
@@ -43,45 +43,6 @@ def _as_matrix(A, name="matrix", square=True):
     if not np.all(np.isfinite(A)):
         raise InvalidInput(f"{name} has non-finite entries")
     return A
-
-
-def _ordered_spectrum(lams):
-    """Sort eigenvalues: complex-pair groups first, then reals.
-
-    Within each group the order is ascending real part, ties broken by
-    ascending |imaginary part|.  Conjugate pairs are kept adjacent with the
-    positive-imaginary member first, and are snapped to exact conjugates.
-    """
-    lams = np.asarray(lams, dtype=complex)
-    reals = sorted(lams[lams.imag == 0.0].real)
-    plus = sorted(lams[lams.imag > 0.0], key=lambda z: (z.real, z.imag))
-    minus = sorted(lams[lams.imag < 0.0], key=lambda z: (z.real, -z.imag))
-    if len(plus) != len(minus):
-        raise InvalidInput("spectrum is not conjugate symmetric")
-    out = []
-    for p, m in zip(plus, minus):
-        pair = 0.5 * (p + m.conjugate())
-        out.extend([pair, pair.conjugate()])
-    out.extend(complex(r) for r in reals)
-    return np.array(out, dtype=complex)
-
-
-def eigenvalues(A):
-    """All eigenvalues of a real square matrix, in the canonical order.
-
-    Parameters
-    ----------
-    A : (n, n) array_like
-        Real matrix with finite entries.
-
-    Returns
-    -------
-    (n,) complex ndarray
-        Complex-pair groups first (positive-imaginary member leading),
-        then real eigenvalues; each group ascending in real part.
-    """
-    A = _as_matrix(A, "A")
-    return _ordered_spectrum(np.linalg.eigvals(A))
 
 
 def spectral_norm(A):
@@ -259,7 +220,7 @@ def modal_decompose(A):
     return ModalTransform(T=T, Lam=Lam, sigma_M=float(-lam.real.max()))
 
 
-def is_hurwitz(A, margin=0.0):
-    """True iff every eigenvalue of ``A`` has real part < ``-margin``."""
+def is_hurwitz(A):
+    """True iff every eigenvalue of ``A`` has negative real part."""
     A = _as_matrix(A, "A")
-    return bool(np.linalg.eigvals(A).real.max() < -margin)
+    return bool(np.linalg.eigvals(A).real.max() < 0.0)

@@ -16,10 +16,11 @@ global gains and re-evaluates.  The operator broadcasts a single stable
 verdict when every agent has reported "met"; if the system goes quiescent
 without unanimity the verdict is inconclusive.
 
-Privacy: each agent knows only its own bus model, incoming line couplings
-included (they depend on its own inertia and the line reactances).  The
-only matrix-bearing message is the modal transform; local system matrices,
-gains and Lyapunov certificates never leave an agent.
+Privacy: each agent knows only its own bus model (``AgentState.model``),
+incoming line couplings included (they depend on its own inertia and the
+line reactances).  The only matrix-bearing message is the modal transform;
+local system matrices, gains and Lyapunov certificates never leave an
+agent.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import certify, control, gridmodel
-from .errors import InvalidInput, ProtocolViolation, Uncontrollable
+from .errors import InvalidInput, ProtocolViolation
 from .linalg import ModalTransform
 
 OPERATOR = "operator"
@@ -94,18 +95,10 @@ class ProtocolConfig:
             raise InvalidInput(f"unknown variant {self.variant!r}")
 
 
-@dataclass(frozen=True)
-class AgentKnowledge:
-    """What an agent knows a priori: its own bus model and desired poles."""
-
-    model: gridmodel.SubsystemModel
-    base_poles: tuple[complex, ...]
-
-
 @dataclass
 class AgentState:
     id: int
-    knowledge: AgentKnowledge
+    model: gridmodel.SubsystemModel     # its own bus model, all it knows a priori
     designing: bool = True              # designs (again) on its next step
     retry_count: int = 0
     poles: tuple[complex, ...] = ()
@@ -121,7 +114,7 @@ class AgentState:
         return self.designing or self.needs_evaluation
 
     def shares_complete(self):
-        return set(self.knowledge.model.couplings) <= set(self.received_transforms)
+        return set(self.model.couplings) <= set(self.received_transforms)
 
 
 @dataclass
@@ -134,7 +127,7 @@ class OperatorState:
 def _ingest(st, inbox):
     for msg in inbox:
         if msg.kind == SHARE_TRANSFORM:
-            if msg.sender not in st.knowledge.model.couplings:
+            if msg.sender not in st.model.couplings:
                 raise ProtocolViolation(
                     f"agent {st.id} got transform from non-neighbor {msg.sender}",
                     offending=msg)
@@ -150,11 +143,8 @@ def _ingest(st, inbox):
 
 
 def _design(st, out, rnd):
-    sub = st.knowledge.model
-    try:
-        K, mt = control.design_local(sub.A_hat, sub.B, list(st.poles))
-    except Uncontrollable as exc:
-        raise Uncontrollable(f"agent {st.id}: {exc}") from exc
+    sub = st.model
+    K, mt = certify.design_agent(sub, list(st.poles))
     st.gains = control.GainSet(local=K)
     st.transform = mt
     st.escalated = False
@@ -166,7 +156,7 @@ def _design(st, out, rnd):
 
 def _evaluate(st, config):
     st.report, global_ = certify.agent_row(
-        st.knowledge.model, st.gains.local, st.transform,
+        st.model, st.gains.local, st.transform,
         st.received_transforms, st.escalated, config.variant)
     st.gains = control.GainSet(local=st.gains.local, global_=global_)
     return st.report
@@ -236,7 +226,6 @@ class DsaResult:
     verdict: str
     trace: list[Message]
     agents: dict[int, AgentState]
-    operator: OperatorState
     rounds: int
     subsystems: list[gridmodel.SubsystemModel]
 
@@ -274,10 +263,7 @@ def run_dsa(grid, max_retries=0, allow_global=True,
 
     states = {}
     for sub in subsystems:
-        poles = tuple(specs[sub.bus])
-        states[sub.bus] = AgentState(
-            id=sub.bus, knowledge=AgentKnowledge(model=sub, base_poles=poles),
-            poles=poles)
+        states[sub.bus] = AgentState(id=sub.bus, model=sub, poles=tuple(specs[sub.bus]))
     operator = OperatorState(expected=tuple(sorted(states)))
     max_rounds = 2 * len(states) * (config.max_retries + 2) + 2
 
@@ -319,6 +305,5 @@ def run_dsa(grid, max_retries=0, allow_global=True,
 
     verdict = certify.STABLE if operator.verdict else certify.INCONCLUSIVE
     return DsaResult(verdict=verdict, trace=trace, agents=states,
-                     operator=operator, rounds=rounds_used + 1,
-                     subsystems=subsystems)
+                     rounds=rounds_used + 1, subsystems=subsystems)
 

@@ -11,7 +11,6 @@ fixed point of the scheme, which keeps the steady-state checks sharp.
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
 import warnings
@@ -54,22 +53,15 @@ class SimResult:
     A_full: np.ndarray
     F_full: np.ndarray
 
-    def _col(self, bus, offset):
-        return self.states[:, 3 * self.bus_ids.index(bus) + offset]
-
-    def delta(self, bus):
-        return self._col(bus, 0)
-
     def omega(self, bus):
-        return self._col(bus, 1)
+        return self.states[:, 3 * self.bus_ids.index(bus) + 1]
 
-    def Pm(self, bus):
-        return self._col(bus, 2)
-
-    def write_csv(self, fh):
-        """One row per (sample, bus) in ``CSV_HEADER`` order: each value as
-        ``repr`` of its float with ``-0.0`` written as ``0.0``, rows ended by
-        ``\\r\\n`` (the bytes ``csv.writer`` gives for the same cells)."""
+    def to_csv(self, fh):
+        """Write the CSV to the text file ``fh`` block by block, so the whole
+        text is never held at once.  One row per (sample, bus) in
+        ``CSV_HEADER`` order: each value as ``repr`` of its float with
+        ``-0.0`` written as ``0.0``, rows ended by ``\\r\\n`` (the bytes
+        ``csv.writer`` gives for the same cells)."""
         n_b = len(self.bus_ids)
         fh.write(",".join(CSV_HEADER) + "\r\n")
         block = max(1, CSV_BLOCK_ROWS // n_b)
@@ -83,16 +75,6 @@ class SimResult:
             fh.write("".join(
                 f"{t!r},{bus},{x!r},{w!r},{p!r},{ul!r},{ug!r},{d!r}\r\n"
                 for bus, (t, x, w, p, ul, ug, d) in zip(itertools.cycle(self.bus_ids), rows)))
-
-    def to_csv(self, fh=None):
-        """Write the CSV to the text file ``fh`` block by block, so the whole
-        text is never held at once; without ``fh``, return it as a string."""
-        if fh is not None:
-            self.write_csv(fh)
-            return None
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
 
 
 def _disturbance_profile(disturbances, bus_ids, t):
@@ -111,11 +93,10 @@ def _control_series(states, bus_ids, gains):
     ul = np.zeros((n, len(bus_ids)))
     ug = np.zeros((n, len(bus_ids)))
     for b, bus in enumerate(bus_ids):
-        gs = gains.get(bus) if gains else None
+        gs = gains.get(bus)
         if gs is None:
             continue
-        if gs.local is not None:
-            ul[:, b] = -(states[:, 3 * b:3 * b + 3] @ gs.local)
+        ul[:, b] = -(states[:, 3 * b:3 * b + 3] @ gs.local)
         for j, kj in gs.global_.items():
             col = bus_ids.index(j)
             ug[:, b] -= states[:, 3 * col:3 * col + 3] @ kj
@@ -186,7 +167,7 @@ def integrate(A, F, d, t, x0=None):
     return states
 
 
-def simulate(A_full, F_full, config, bus_ids, gains=None, x0=None, eigenvalues=None):
+def simulate(A_full, F_full, config, bus_ids, gains=None, eigenvalues=None):
     """Integrate the assembled system under the configured load steps.
 
     Parameters
@@ -211,7 +192,7 @@ def simulate(A_full, F_full, config, bus_ids, gains=None, x0=None, eigenvalues=N
         When ``A_full`` is Hurwitz but ``config.dt`` is outside the RK4
         stability region of its spectrum (``rk4_radius > 1``).
     DivergedSimulation
-        On the first non-finite sample.
+        On the first non-finite state or control input sample.
     """
     A = np.asarray(A_full, dtype=float)
     F = np.asarray(F_full, dtype=float)
@@ -237,9 +218,14 @@ def simulate(A_full, F_full, config, bus_ids, gains=None, x0=None, eigenvalues=N
     steps = int(round(config.t_end / config.dt))
     t = np.arange(steps + 1) * config.dt
     d = _disturbance_profile(config.disturbances, bus_ids, t)
-    states = integrate(A, F, d, t, x0=x0)
+    states = integrate(A, F, d, t)
 
-    ul, ug = _control_series(states, bus_ids, gains or {})
+    with np.errstate(over="ignore", invalid="ignore"):   # detected below
+        ul, ug = _control_series(states, bus_ids, gains or {})
+    bad = np.flatnonzero(~(np.isfinite(ul).all(axis=1) & np.isfinite(ug).all(axis=1)))
+    if bad.size:
+        raise DivergedSimulation(
+            f"non-finite control input at t={t[bad[0]]:.6g} s", time=float(t[bad[0]]))
     return SimResult(bus_ids=bus_ids, t=t, states=states, d=d,
                      u_local=ul, u_global=ug, A_full=A, F_full=F)
 
@@ -268,12 +254,13 @@ def steady_state_check(result, grid):
     cancel pairwise in the sum).
     """
     x_end = result.states[-1]
-    xdot = result.A_full @ x_end + result.F_full @ result.d[-1]
+    with np.errstate(over="ignore", invalid="ignore"):   # overflow: the JSON artifact rejects it
+        xdot = result.A_full @ x_end + result.F_full @ result.d[-1]
+        pm_sum = float(x_end[2::3].sum())
     omega = {bus: float(abs(result.omega(bus)[-1])) for bus in result.bus_ids}
     active_load = sum(
         dist.delta_PL for dist in grid.disturbances
         if result.t[-1] >= dist.t_step - 1e-12)
-    pm_sum = float(x_end[2::3].sum())
     return SteadyStateReport(
         omega_end=omega,
         max_state_derivative=float(np.abs(xdot).max()),

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import make_grid
 from gridcert import certify, control, gridmodel, linalg
-from gridcert.errors import CertificateInvalid, InvalidInput
+from gridcert.errors import CertificateInvalid, IllConditionedTransform, InvalidInput
 from sampling import (
     assemble_blocks,
     random_grid_tuples,
@@ -261,9 +261,21 @@ class TestAssessGrid:
     def test_pole_overrides_and_scale(self, three_bus):
         res = certify.assess_grid(three_bus, poles_scale=1.5)
         assert res.reports[0].diagonal == pytest.approx(33.0)
-        res = certify.assess_grid(
-            three_bus, pole_overrides={1: [-30.0, -40.0, -50.0]})
-        assert res.reports[0].diagonal == pytest.approx(30.0)
+        # the grid's 'control' entries are the only source of poles
+        gens = [(g.bus, g.M, g.D, g.T_T, [p.real for p in g.poles])
+                for g in three_bus.generators]
+        gens[0] = (1, 8.0, 1.0, 0.9, [-30.0, -40.0, -50.0])
+        grid = make_grid(gens, [(ln.from_bus, ln.to_bus, ln.X) for ln in three_bus.lines])
+        assert certify.assess_grid(grid).reports[0].diagonal == pytest.approx(30.0)
+
+    def test_design_error_keeps_type_and_names_agent(self, three_bus):
+        with pytest.raises(IllConditionedTransform, match="^agent 1: eigenvector matrix"):
+            certify.assess_grid(three_bus, poles_scale=1e6)
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
+    def test_poles_scale_rejected(self, three_bus, scale):
+        with pytest.raises(InvalidInput, match="poles_scale must be finite and > 0"):
+            certify.assess_grid(three_bus, poles_scale=scale)
 
     def test_gain_representations_consistent(self, three_bus):
         # the stored original-coordinate gains, taken to modal coordinates

@@ -31,6 +31,11 @@ UNSTABLE_DOC = {
 }
 
 
+def three_bus_doc():
+    with open(three_bus_path(), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -99,6 +104,21 @@ class TestAssess:
         agents = json.loads(out)["variants"]["transformed"]["agents"]
         assert agents[0]["diagonal"] == pytest.approx(33.0)
 
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+    def test_poles_scale_rejected(self, capsys, tmp_path, scale):
+        code, out, err = run(capsys, "assess", three_bus_path(), "--poles-scale", scale,
+                             "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: poles_scale must be finite and > 0, got {float(scale)}\n"
+
+    def test_design_failure_names_agent(self, capsys, tmp_path):
+        code, _, err = run(capsys, "assess", three_bus_path(), "--poles-scale", "1e6",
+                           "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert err.startswith("error: agent 1: eigenvector matrix condition number ")
+        assert err.count("\n") == 1
+
 
 class TestProtocol:
     def test_stable_run(self, capsys, tmp_path):
@@ -149,6 +169,14 @@ class TestProtocol:
         assert code == 1
         assert "max_retries" in err
 
+    def test_design_failure_names_agent(self, capsys, tmp_path):
+        # poles scaled by 1.15 per retry end up with an ill-conditioned modal form
+        code, _, err = run(capsys, "protocol", three_bus_path(), "--no-global",
+                           "--max-retries", "200", "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert err.startswith("error: agent 3: eigenvector matrix condition number ")
+        assert err.count("\n") == 1
+
 
 class TestSimulate:
     def test_summary_and_csv(self, capsys, tmp_path):
@@ -166,7 +194,7 @@ class TestSimulate:
 
     def test_zero_disturbance_all_zero_columns(self, capsys, tmp_path):
         path = tmp_path / "quiet.json"
-        doc = json.load(open(three_bus_path()))
+        doc = three_bus_doc()
         doc["disturbances"] = []
         path.write_text(json.dumps(doc))
         code, _, _ = run(capsys, "simulate", str(path), "--t-end", "0.5",
@@ -185,6 +213,31 @@ class TestSimulate:
         pm1 = json.loads(out1)["steady_state"]["pm_sum"]
         pm2 = json.loads(out2)["steady_state"]["pm_sum"]
         assert pm2 / pm1 == pytest.approx(2.0, abs=1e-9)
+
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_nonfinite_step_rejected(self, capsys, tmp_path, step):
+        code, _, err = run(capsys, "simulate", three_bus_path(), "--step-pu", step,
+                           "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert err == f"error: --step-pu must be finite, got {step}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_overflowing_step_fails_without_artifacts(self, capsys, tmp_path):
+        code, _, err = run(capsys, "simulate", three_bus_path(), "--step-pu", "1e308",
+                           "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert err == "error: non-finite control input at t=0.501 s\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_nonfinite_summary_value_rejected(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.sim, "settling_time", lambda result: float("nan"))
+        code, out, err = run(capsys, "simulate", three_bus_path(), "--t-end", "0.5",
+                             "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: sim_summary.json: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o" / "sim_summary.json").exists()
 
     def test_unstable_requires_force(self, capsys, tmp_path, unstable_grid):
         code, _, err = run(capsys, "simulate", unstable_grid, "--no-global",
@@ -303,7 +356,7 @@ class TestErrorPaths:
         ("disturbances", None, "NoneType"),
     ])
     def test_section_not_a_list(self, capsys, tmp_path, key, value, kind):
-        doc = json.load(open(three_bus_path()))
+        doc = three_bus_doc()
         doc[key] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -312,7 +365,7 @@ class TestErrorPaths:
         assert err == f"error: $.{key}: expected list, got {kind}\n"
 
     def test_control_of_wrong_length(self, capsys, tmp_path):
-        doc = json.load(open(three_bus_path()))
+        doc = three_bus_doc()
         doc["generators"][1]["control"] = [-24.0, -43.0]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))

@@ -15,16 +15,15 @@ class TestParse:
         assert three_bus.omega_b == pytest.approx(WB)
         assert three_bus.bus_ids == [1, 2, 3]
         assert len(three_bus.lines) == 3
-        assert three_bus.neighbors(1) == [2, 3]
-        assert three_bus.reactance(2, 1) == 0.4
+        assert three_bus.lines[0] == gridmodel.Line(from_bus=1, to_bus=2, X=0.4)
         assert three_bus.generator(2).T_T == 1.0
         assert three_bus.disturbances[0].delta_PL == 0.1
         assert three_bus.generator(1).poles == [-22, -39, -43]
 
     def test_single_bus_no_lines(self):
-        g = make_grid([(7, 5.0, 1.0, 0.8)], [])
+        g = make_grid([(7, 5.0, 1.0, 0.8, [[-2.0, 3.0], [-2.0, -3.0], -5.0])], [])
         assert g.bus_ids == [7]
-        assert g.neighbors(7) == []
+        assert g.generator(7).poles == [complex(-2, 3), complex(-2, -3), complex(-5)]
         subs = gridmodel.build_subsystems(g)
         assert subs[0].couplings == {}
         assert subs[0].A_hat[1, 0] == 0.0
@@ -94,15 +93,6 @@ class TestParse:
             gridmodel.parse_grid(text)
         assert str(exc.value).startswith(message)
 
-    def test_roundtrip_identity(self, three_bus):
-        again = gridmodel.parse_grid(gridmodel.serialize_grid(three_bus))
-        assert again == three_bus
-
-    def test_roundtrip_complex_poles(self):
-        g = make_grid([(1, 8, 1, 0.9, [[-2.0, 3.0], [-2.0, -3.0], -5.0])], [])
-        assert g.generator(1).poles == [complex(-2, 3), complex(-2, -3), complex(-5)]
-        assert gridmodel.parse_grid(gridmodel.serialize_grid(g)) == g
-
 
 class TestBuildSubsystems:
     def test_bus1_entries(self, three_bus):
@@ -134,14 +124,12 @@ class TestBuildSubsystems:
 
     def test_symmetric_coupling_magnitudes(self, three_bus):
         subs = {s.bus: s for s in gridmodel.build_subsystems(three_bus)}
-        for i in three_bus.bus_ids:
-            Mi = three_bus.generator(i).M
-            for j in three_bus.neighbors(i):
-                Mj = three_bus.generator(j).M
-                lhs = subs[i].couplings[j][1, 0] * Mi
-                rhs = subs[j].couplings[i][1, 0] * Mj
-                assert lhs == pytest.approx(rhs)
-                assert lhs == pytest.approx(WB / three_bus.reactance(i, j))
+        for ln in three_bus.lines:
+            i, j = ln.from_bus, ln.to_bus
+            lhs = subs[i].couplings[j][1, 0] * three_bus.generator(i).M
+            rhs = subs[j].couplings[i][1, 0] * three_bus.generator(j).M
+            assert lhs == pytest.approx(rhs)
+            assert lhs == pytest.approx(WB / ln.X)
 
 
 class TestAssemble:

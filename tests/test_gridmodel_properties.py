@@ -84,10 +84,7 @@ def test_index_agrees_with_scan(doc):
     assert grid.bus_ids == sorted(g.bus for g in grid.generators)
     probe = grid.bus_ids + [max(grid.bus_ids) + 1]   # plus one unknown bus
     for i in probe:
-        assert grid.neighbors(i) == scan_neighbors(grid, i)
         assert outcome(grid.generator, i) == outcome(scan_generator, grid, i)
-        for j in probe:
-            assert outcome(grid.reactance, i, j) == outcome(scan_reactance, grid, i, j)
 
 
 @SETTINGS
@@ -104,18 +101,6 @@ def test_subsystems_match_scanned_formula(doc):
         assert list(sub.couplings) == nbrs
         for j in nbrs:
             assert sub.couplings[j][1, 0] == (wb / g.M) / scan_reactance(grid, sub.bus, j)
-
-
-@SETTINGS
-@given(grid_docs())
-def test_serialize_round_trip(doc):
-    grid = gridmodel.parse_grid(doc)
-    text = gridmodel.serialize_grid(grid)
-    again = gridmodel.parse_grid(text)
-    assert again == grid
-    assert gridmodel.serialize_grid(again) == text
-    for bus in grid.bus_ids:
-        assert again.neighbors(bus) == grid.neighbors(bus)
 
 
 # values of the wrong type or range for some field: non-lists, huge integers,

@@ -13,43 +13,19 @@ from sampling import random_hurwitz, random_spd
 
 
 class TestEigenvalues:
-    def test_diagonal(self):
-        lam = linalg.eigenvalues(np.diag([-1.0, -2.0, -3.0]))
-        assert np.allclose(lam, [-3, -2, -1])
-
-    def test_identity(self):
-        assert np.allclose(linalg.eigenvalues(np.eye(3)), [1, 1, 1])
-
-    def test_complex_pair(self):
-        # characteristic polynomial s^2 + 2s + 2 by hand -> -1 +/- i
-        lam = linalg.eigenvalues([[0.0, 1.0], [-2.0, -2.0]])
-        assert np.allclose(lam, [-1 + 1j, -1 - 1j])
-
-    def test_ordering_complex_before_real(self):
-        A = np.zeros((3, 3))
-        A[:2, :2] = [[0.0, 1.0], [-2.0, -2.0]]
-        A[2, 2] = -5.0
-        lam = linalg.eigenvalues(A)
-        assert np.allclose(lam, [-1 + 1j, -1 - 1j, -5])
-
-    def test_conjugate_symmetry_enforced(self, rng):
-        for _ in range(20):
-            lam = linalg.eigenvalues(rng.standard_normal((5, 5)))
-            pairs = lam[lam.imag != 0]
-            for k in range(0, pairs.size, 2):
-                assert pairs[k] == pairs[k + 1].conjugate()
+    """Input validation of the spectrum entries (``is_hurwitz`` here)."""
 
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidInput):
-            linalg.eigenvalues([[np.nan, 0.0], [0.0, 1.0]])
+            linalg.is_hurwitz([[np.nan, 0.0], [0.0, 1.0]])
 
     def test_rejects_nonsquare(self):
         with pytest.raises(InvalidInput):
-            linalg.eigenvalues(np.ones((2, 3)))
+            linalg.is_hurwitz(np.ones((2, 3)))
 
     def test_rejects_complex_input(self):
         with pytest.raises(InvalidInput, match="real-valued"):
-            linalg.eigenvalues(np.eye(2) * (1 + 1j))
+            linalg.is_hurwitz(np.eye(2) * (1 + 1j))
 
 
 class TestSpectralNorm:
@@ -161,8 +137,8 @@ class TestModalDecompose:
             mt = linalg.modal_decompose(A)
             err = np.linalg.norm(mt.T @ mt.Lam @ np.linalg.inv(mt.T) - A)
             assert err <= 1e-8 * np.linalg.norm(A)
-            got = np.sort_complex(linalg.eigenvalues(mt.Lam))
-            want = np.sort_complex(linalg.eigenvalues(A))
+            got = np.sort_complex(np.linalg.eigvals(mt.Lam))
+            want = np.sort_complex(np.linalg.eigvals(A))
             assert np.allclose(got, want, atol=1e-8 * max(1.0, np.abs(want).max()))
 
     def test_block_layout(self, rng):
@@ -190,12 +166,7 @@ class TestModalDecompose:
 
 class TestIsHurwitz:
     def test_stable(self):
-        assert linalg.is_hurwitz(np.diag([-1.0, -2.0]), margin=0.0)
+        assert linalg.is_hurwitz(np.diag([-1.0, -2.0]))
 
     def test_integrator_chain(self):
         assert not linalg.is_hurwitz([[0.0, 1.0], [0.0, 0.0]])
-
-    def test_margin_semantics(self):
-        A = np.diag([-1.0, -2.0])
-        assert linalg.is_hurwitz(A, margin=0.5)
-        assert not linalg.is_hurwitz(A, margin=1.5)

@@ -48,7 +48,7 @@ class TestRunDsaThreeBus:
         for st in res.agents.values():
             assert st.escalated
             assert st.verdict is True
-            assert set(st.gains.global_) == set(st.knowledge.model.neighbors)
+            assert set(st.gains.global_) == set(st.model.neighbors)
 
     def test_determinism_byte_identical(self, three_bus):
         a = protocol.run_dsa(three_bus).trace_lines(full=True)
@@ -67,16 +67,16 @@ class TestRunDsaThreeBus:
         # couplings carry its own inertia and the line reactance, nothing
         # of a neighbor
         for bus, st in res.agents.items():
-            model, own = st.knowledge.model, subs[bus]
+            model, own = st.model, subs[bus]
             assert model.bus == bus
             for name in ("A_hat", "B", "F"):
                 assert np.array_equal(getattr(model, name), getattr(own, name))
             assert model.neighbors == own.neighbors
             for j in own.neighbors:
                 assert np.array_equal(model.couplings[j], own.couplings[j])
+                X = next(ln.X for ln in three_bus.lines if {ln.from_bus, ln.to_bus} == {bus, j})
                 assert model.coupling_gain(j) == pytest.approx(
-                    three_bus.omega_b / (three_bus.generator(bus).M
-                                         * three_bus.reactance(bus, j)), rel=1e-15)
+                    three_bus.omega_b / (three_bus.generator(bus).M * X), rel=1e-15)
 
     def test_escalation_monotonicity(self, three_bus):
         pre = {r.agent: r.offdiag
@@ -111,10 +111,8 @@ class TestRunDsaThreeBus:
 class TestAgentStep:
     def _fresh(self, grid, bus):
         subs = {s.bus: s for s in gridmodel.build_subsystems(grid)}
-        know = protocol.AgentKnowledge(
-            model=subs[bus], base_poles=tuple(grid.generator(bus).poles))
         return subs, protocol.AgentState(
-            id=bus, knowledge=know, poles=tuple(grid.generator(bus).poles))
+            id=bus, model=subs[bus], poles=tuple(grid.generator(bus).poles))
 
     def test_designing_emits_share_pairs(self, three_bus):
         _, st = self._fresh(three_bus, 1)
@@ -197,10 +195,7 @@ class TestAgentStep:
 
     def test_uncontrollable_aborts_with_agent_id(self, three_bus):
         _, st = self._fresh(three_bus, 1)
-        know = st.knowledge
-        broken = protocol.AgentKnowledge(
-            model=replace(know.model, B=np.zeros(3)), base_poles=know.base_poles)
-        st = protocol.AgentState(id=1, knowledge=broken, poles=st.poles)
+        st = replace(st, model=replace(st.model, B=np.zeros(3)))
         from gridcert.errors import Uncontrollable
         with pytest.raises(Uncontrollable, match="agent 1"):
             protocol.agent_step(st, [], protocol.ProtocolConfig(), 0)
@@ -289,7 +284,7 @@ class TestScenarios:
             assert st.retry_count == 2
             assert st.escalated
             # retry policy scales every pole by 1.15 per attempt
-            want = tuple(1.15 ** 2 * complex(p) for p in st.knowledge.base_poles)
+            want = tuple(1.15 ** 2 * complex(p) for p in three_bus.generator(st.id).poles)
             assert np.allclose(np.array(st.poles), np.array(want))
 
     def test_matches_centralized_assessment(self, three_bus):
