@@ -30,6 +30,7 @@ from .linalg import (
     ModalTransform,
     _as_matrix,
     is_hurwitz,
+    modal_decompose,
     solve_lyapunov,
     spectral_norm,
 )
@@ -115,22 +116,26 @@ def _require_hurwitz(agent, mt):
         )
 
 
-def _row(agent, diagonal, weight, blocks, variant):
-    """Row with off-diagonal magnitudes ``weight * ||block||`` per neighbor."""
+def _row(agent, diagonal, own, strengths, variant, nbr=None):
+    """Row whose off-diagonal magnitude for neighbor j is
+    ``own * strengths[j] * nbr[j]``: the receiving agent's own factor, the
+    coupling strength, and the neighbor's factor (1 when ``nbr`` is None)."""
+    nbr = dict.fromkeys(strengths, 1.0) if nbr is None else nbr
     return ConditionReport(
         agent=agent, diagonal=diagonal,
-        offdiag={j: weight * spectral_norm(b) for j, b in blocks.items()},
+        offdiag={j: own * strength * nbr[j] for j, strength in strengths.items()},
         variant=variant)
 
 
-def _blocks_by_agent(agents, couplings):
-    """Group ``(i, j) -> block`` couplings by the receiving agent i."""
-    blocks = {}
+def _norms_by_agent(agents, couplings):
+    """Spectral norms of ``(i, j) -> block`` couplings, grouped by the
+    receiving agent i."""
+    norms = {}
     for (i, j), block in couplings.items():
         if i not in agents or j not in agents:
             raise InvalidInput(f"coupling ({i}, {j}) references unknown agent")
-        blocks.setdefault(i, {})[j] = block
-    return blocks
+        norms.setdefault(i, {})[j] = spectral_norm(block)
+    return norms
 
 
 def _matrix(reports):
@@ -149,8 +154,8 @@ def build_S(certificates, couplings):
     ``couplings`` maps ordered pairs ``(i, j)`` to the closed-loop block
     ``A_ij`` through which neighbor j drives agent i.
     """
-    blocks = _blocks_by_agent(certificates, couplings)
-    reports = [_row(a, c.lambda_min_Q, 2.0 * c.lambda_max_P, blocks.get(a, {}),
+    norms = _norms_by_agent(certificates, couplings)
+    reports = [_row(a, c.lambda_min_Q, 2.0 * c.lambda_max_P, norms.get(a, {}),
                     VARIANT_ORIGINAL)
                for a, c in sorted(certificates.items())]
     return _matrix(reports), reports
@@ -165,8 +170,8 @@ def build_S_tilde(transforms, couplings_t):
     """
     for a, mt in sorted(transforms.items()):
         _require_hurwitz(a, mt)
-    blocks = _blocks_by_agent(transforms, couplings_t)
-    reports = [_row(a, mt.sigma_M, 1.0, blocks.get(a, {}), VARIANT_TRANSFORMED)
+    norms = _norms_by_agent(transforms, couplings_t)
+    reports = [_row(a, mt.sigma_M, 1.0, norms.get(a, {}), VARIANT_TRANSFORMED)
                for a, mt in sorted(transforms.items())]
     return _matrix(reports), reports
 
@@ -207,17 +212,17 @@ def agent_row(sub, K, mt, T_nbrs, escalate, variant):
             s = float(control.optimal_global_gain(Bt, u[:, None])[0])
     global_ = {j: np.array([c[j] * s, 0.0, 0.0]) for j in c} if escalate else {}
     if variant == VARIANT_TRANSFORMED:
-        alpha = float(np.linalg.norm(u - s * Bt))
-        offdiag = {j: abs(c[j]) * alpha * float(np.linalg.norm(T_nbrs[j][0])) for j in c}
+        own = float(np.linalg.norm(u - s * Bt))
+        nbr = {j: float(np.linalg.norm(T_nbrs[j][0])) for j in c}
         diagonal = mt.sigma_M
     else:
         A_cl = sub.A_hat - np.outer(sub.B, K)
         cert = certify_decoupled(A_cl, np.eye(len(A_cl)))
-        weight = 2.0 * cert.lambda_max_P * float(np.linalg.norm(e2 - s * sub.B))
-        offdiag = {j: weight * abs(c[j]) for j in c}
+        own = 2.0 * cert.lambda_max_P * float(np.linalg.norm(e2 - s * sub.B))
+        nbr = None
         diagonal = cert.lambda_min_Q
-    return ConditionReport(agent=sub.bus, diagonal=diagonal, offdiag=offdiag,
-                           variant=variant), global_
+    strengths = {j: abs(cj) for j, cj in c.items()}
+    return _row(sub.bus, diagonal, own, strengths, variant, nbr), global_
 
 
 def compositional_verdict(reports):
@@ -256,10 +261,12 @@ def resolve_pole_specs(grid, scale=1.0):
 
 
 def design_agent(sub, poles):
-    """Local design of one bus (:func:`control.design_local`); an error keeps
-    its type and names the agent."""
+    """Local design of one bus: the gain ``K`` placing ``poles`` and the
+    modal form of ``A_hat - B K^T``.  An error keeps its type and names the
+    agent."""
     try:
-        return control.design_local(sub.A_hat, sub.B, poles)
+        K = control.pole_place(sub.A_hat, sub.B, poles)
+        return K, modal_decompose(sub.A_hat - np.outer(sub.B, K))
     except GridcertError as exc:
         raise type(exc)(f"agent {sub.bus}: {exc}") from exc
 

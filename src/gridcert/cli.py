@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 
@@ -31,9 +32,18 @@ SIM_JSON = "sim_summary.json"
 REPORT_MD = "report.md"
 
 
-def _manifest(command, data, options):
+def _manifest(args, data, grid, **resolved):
+    """Run manifest.  Its options are the parsed command-line options, with
+    ``use_global`` recorded as ``global``, plus the resolved desired poles
+    and whatever else the command resolved (``resolved``)."""
+    options = {k: v for k, v in vars(args).items()
+               if k not in ("command", "func", "grid", "out")}
+    options["global"] = options.pop("use_global")
+    specs = certify.resolve_pole_specs(grid, getattr(args, "poles_scale", 1.0))
+    options["poles"] = {str(b): [[p.real, p.imag] for p in specs[b]] for b in grid.bus_ids}
+    options.update(resolved)
     return {
-        "command": command,
+        "command": args.command,
         "input_sha256": hashlib.sha256(data).hexdigest(),
         "toolkit_version": __version__,
         "options": options,
@@ -56,13 +66,15 @@ def _write(out_dir, name, text):
         fh.write(text)
 
 
-def _dump(name, doc):
-    """JSON text of the artifact ``name``; a NaN or infinity in ``doc`` is an
-    error, since JSON has no such numbers."""
+def _emit(out_dir, name, doc):
+    """Write the JSON artifact ``name`` and echo it to stdout; a NaN or
+    infinity in ``doc`` is an error, since JSON has no such numbers."""
     try:
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
         raise GridcertError(f"{name}: {exc}") from None
+    _write(out_dir, name, text)
+    sys.stdout.write(text)
 
 
 def _gains_doc(gains):
@@ -83,16 +95,6 @@ def _eig_doc(lam):
         "max_real_part": float(lam.real.max()),
         "hurwitz": bool(lam.real.max() < 0.0),
     }
-
-
-def _poles_doc(grid, scale=1.0):
-    specs = certify.resolve_pole_specs(grid, scale=scale)
-    return {str(b): [[p.real, p.imag] for p in specs[b]] for b in grid.bus_ids}
-
-
-def _disturbances_doc(grid):
-    return [{"bus": d.bus, "delta_PL": d.delta_PL, "t_step": d.t_step}
-            for d in grid.disturbances]
 
 
 def _apply_step_override(grid, step_pu):
@@ -119,12 +121,7 @@ def cmd_assess(args):
     # with --variant both, certification by either condition suffices
     stable = any(r.verdict == certify.STABLE for r in results)
     doc = {
-        "manifest": _manifest("assess", data, {
-            "global": args.use_global,
-            "variant": args.variant,
-            "poles_scale": args.poles_scale,
-            "poles": _poles_doc(grid, args.poles_scale),
-        }),
+        "manifest": _manifest(args, data, grid),
         "variants": {
             r.variant: {
                 "agents": [rep.to_dict() for rep in r.reports],
@@ -135,9 +132,7 @@ def cmd_assess(args):
         "full_system": _eig_doc(np.linalg.eigvals(results[-1].A_full)),
         "gains": _gains_doc(results[-1].gains),
     }
-    text = _dump(ASSESS_JSON, doc)
-    _write(args.out, ASSESS_JSON, text)
-    sys.stdout.write(text)
+    _emit(args.out, ASSESS_JSON, doc)
     return 0 if stable else 2
 
 
@@ -150,22 +145,14 @@ def cmd_protocol(args):
     trace_text = "\n".join(result.trace_lines(full=args.trace_full)) + "\n"
     _write(args.out, TRACE_JSONL, trace_text)
     doc = {
-        "manifest": _manifest("protocol", data, {
-            "global": args.use_global,
-            "max_retries": args.max_retries,
-            "variant": args.variant,
-            "trace_full": args.trace_full,
-            "poles": _poles_doc(grid),
-        }),
+        "manifest": _manifest(args, data, grid),
         "verdict": result.verdict,
         "rounds": result.rounds,
         "messages": len(result.trace),
         "agents": [r.to_dict() for r in result.reports],
         "gains": _gains_doc(result.gains),
     }
-    text = _dump(PROTOCOL_JSON, doc)
-    _write(args.out, PROTOCOL_JSON, text)
-    sys.stdout.write(text)
+    _emit(args.out, PROTOCOL_JSON, doc)
     return 0 if result.verdict == certify.STABLE else 2
 
 
@@ -199,27 +186,16 @@ def cmd_simulate(args):
     settle = sim.settling_time(result)
     peaks = np.abs(result.states[:, 1::3]).max(axis=0)
     doc = {
-        "manifest": _manifest("simulate", data, {
-            "global": args.use_global,
-            "variant": args.variant,
-            "poles_scale": args.poles_scale,
-            "dt": args.dt,
-            "t_end": args.t_end,
-            "step_pu": args.step_pu,
-            "force": args.force,
-            "poles": _poles_doc(grid, args.poles_scale),
-            "disturbances": _disturbances_doc(grid),
-        }),
+        "manifest": _manifest(
+            args, data, grid, disturbances=[asdict(d) for d in grid.disturbances]),
         "certification_verdict": assessment.verdict,
         "full_system": full_system,
-        "steady_state": steady.to_dict(),
+        "steady_state": steady,
         "settling_time_s": settle,
-        "max_abs_omega_end": max(steady.omega_end.values()),
+        "max_abs_omega_end": max(steady["omega_end"].values()),
         "peak_abs_omega": {str(b): float(p) for b, p in zip(result.bus_ids, peaks)},
     }
-    text = _dump(SIM_JSON, doc)
-    _write(args.out, SIM_JSON, text)
-    sys.stdout.write(text)
+    _emit(args.out, SIM_JSON, doc)
     return 0
 
 
@@ -354,7 +330,8 @@ def build_parser():
     _add_global_flags(p, default=True)
     p.add_argument("--variant", choices=["original", "transformed"],
                    default="transformed")
-    p.add_argument("--poles-scale", type=float, default=1.0)
+    p.add_argument("--poles-scale", type=float, default=1.0,
+                   help="uniform scale applied to the desired poles")
     p.add_argument("--dt", type=float, default=sim.DEFAULT_DT, help="step size, s")
     p.add_argument("--t-end", type=float, default=sim.DEFAULT_T_END,
                    help="final time, s")
@@ -380,10 +357,7 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except GridcertError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except OSError as exc:
+    except (GridcertError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

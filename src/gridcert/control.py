@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Degenerate, InvalidInput, Uncontrollable, Unsupported
-from .linalg import ModalTransform, _as_matrix, modal_decompose
+from .linalg import ModalTransform, _as_matrix
 
 __all__ = [
     "GainSet", "ModalTransform", "validate_poles", "pole_place",
-    "optimal_global_gain", "design_local",
+    "optimal_global_gain",
 ]
 
 
@@ -88,6 +88,8 @@ def pole_place(A_hat, B, poles):
     ------
     Uncontrollable
         If the controllability matrix is rank deficient.
+    InvalidInput
+        If the desired characteristic polynomial overflows at ``A_hat``.
     """
     A_hat = _as_matrix(A_hat, "A_hat")
     n = A_hat.shape[0]
@@ -99,25 +101,16 @@ def pole_place(A_hat, B, poles):
         raise Uncontrollable("controllability matrix is rank deficient")
 
     # desired characteristic polynomial evaluated at A_hat
-    coeffs = np.real(np.poly(np.array(poles)))
-    pA = coeffs[-1] * np.eye(n)
-    Ak = np.eye(n)
-    for k in range(1, n + 1):
-        Ak = Ak @ A_hat
-        pA = pA + coeffs[n - k] * Ak
-    e_last = np.zeros(n)
-    e_last[-1] = 1.0
-    return e_last @ np.linalg.solve(C, pA)
-
-
-def design_local(A_hat, B, poles):
-    """Place local poles and modal-decompose the closed loop.
-
-    Returns ``(K, ModalTransform)`` for ``A = A_hat - B K^T``.
-    """
-    K = pole_place(A_hat, B, poles)
-    mt = modal_decompose(A_hat - np.outer(np.asarray(B, dtype=float).reshape(-1), K))
-    return K, mt
+    with np.errstate(over="ignore", invalid="ignore"):   # overflow is reported below
+        coeffs = np.real(np.poly(np.array(poles)))
+        pA = coeffs[-1] * np.eye(n)
+        Ak = np.eye(n)
+        for k in range(1, n + 1):
+            Ak = Ak @ A_hat
+            pA = pA + coeffs[n - k] * Ak
+    if not np.all(np.isfinite(pA)):
+        raise InvalidInput("desired characteristic polynomial overflows at these poles")
+    return np.linalg.solve(C, pA)[-1]   # e_n^T inv(C) p(A_hat)
 
 
 def optimal_global_gain(Bt, At_ij):

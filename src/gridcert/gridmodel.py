@@ -285,49 +285,43 @@ def build_subsystems(grid):
     return out
 
 
-def _gain_vectors(gains, sub):
-    """Original-coordinate (K, {j: K_ij}) for one subsystem, zeros if absent."""
-    n = sub.A_hat.shape[0]
-    gs = (gains or {}).get(sub.bus)
-    if gs is None:
-        return np.zeros(n), {}
-    K = np.asarray(gs.local, dtype=float)
-    if K.shape != (n,):
-        raise InvalidInput(f"local gain for bus {sub.bus} has shape {K.shape}, want ({n},)")
-    Kij = {}
-    for j, kj in gs.global_.items():
-        kj = np.asarray(kj, dtype=float)
-        if kj.shape != (n,):
-            raise InvalidInput(f"global gain {sub.bus}->{j} has shape {kj.shape}")
-        Kij[j] = kj
-    return K, Kij
+def _gain_vector(v, what):
+    v = np.asarray(v, dtype=float)
+    if v.shape != (SUBSYSTEM_ORDER,):
+        raise InvalidInput(f"{what} has shape {v.shape}, want ({SUBSYSTEM_ORDER},)")
+    return v
 
 
-def assemble_full(subsystems, gains=None):
+def assemble_full(subsystems, gains):
     """Block matrix of the interconnected closed-loop system.
 
-    ``gains`` maps bus id to a :class:`~gridcert.control.GainSet` (or is
-    None for the open loop).  Diagonal blocks are ``A_hat_i - B_i K_i^T``;
-    the (i, j) block is ``A_hat_ij - B_i K_ij^T`` when j is a neighbor of i
-    or a global gain targets j, and zero otherwise.
+    ``gains`` maps bus id to a :class:`~gridcert.control.GainSet`; a bus
+    without one is open loop, so ``{}`` assembles the open loop.  Diagonal
+    blocks are ``A_hat_i - B_i K_i^T``; the (i, j) block is
+    ``A_hat_ij - B_i K_ij^T`` for each line coupling of i, and zero
+    otherwise.  A global gain on a bus that is not a line neighbor raises
+    :class:`InvalidInput`.
     """
     subs = sorted(subsystems, key=lambda s: s.bus)
     index = {s.bus: k for k, s in enumerate(subs)}
     n = SUBSYSTEM_ORDER
     A = np.zeros((n * len(subs), n * len(subs)))
-    for s in subs:
-        bi = index[s.bus]
-        K, Kij = _gain_vectors(gains, s)
-        A[n * bi:n * bi + n, n * bi:n * bi + n] = s.A_hat - np.outer(s.B, K)
-        targets = set(s.couplings) | set(Kij)
-        for j in targets:
+    for bi, s in enumerate(subs):
+        rows = slice(n * bi, n * bi + n)
+        gs = gains.get(s.bus)
+        K = np.zeros(n) if gs is None else _gain_vector(gs.local, f"local gain for bus {s.bus}")
+        global_ = {} if gs is None else gs.global_
+        stray = sorted(set(global_) - set(s.couplings))
+        if stray:
+            raise InvalidInput(f"global gain {s.bus}->{stray[0]} is not on a line of bus {s.bus}")
+        A[rows, rows] = s.A_hat - np.outer(s.B, K)
+        for j, block in s.couplings.items():
             if j not in index:
                 raise InvalidInput(f"bus {s.bus} references unknown neighbor {j}")
-            bj = index[j]
-            block = s.couplings.get(j, np.zeros((n, n))).copy()
-            if j in Kij:
-                block -= np.outer(s.B, Kij[j])
-            A[n * bi:n * bi + n, n * bj:n * bj + n] = block
+            if j in global_:
+                block = block - np.outer(
+                    s.B, _gain_vector(global_[j], f"global gain {s.bus}->{j}"))
+            A[rows, n * index[j]:n * index[j] + n] = block
     return A
 
 

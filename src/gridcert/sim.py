@@ -23,6 +23,8 @@ from .errors import DivergedSimulation, InvalidInput
 DEFAULT_DT = 1e-3     # s; fastest grid mode here is ~ -43 1/s, so dt*|lam| < 0.05
 DEFAULT_T_END = 10.0  # s
 
+SETTLE_THRESHOLD = 1e-4  # state-deviation bound of settling_time
+
 CSV_HEADER = ["t", "bus", "delta_rad", "omega_rad_s", "Pm_pu", "ul_pu", "ug_pu", "d_pu"]
 CSV_BLOCK_ROWS = 8192   # rows formatted per write; bounds the transient Python floats
 
@@ -167,7 +169,7 @@ def integrate(A, F, d, t, x0=None):
     return states
 
 
-def simulate(A_full, F_full, config, bus_ids, gains=None, eigenvalues=None):
+def simulate(A_full, F_full, config, bus_ids, gains, eigenvalues=None):
     """Integrate the assembled system under the configured load steps.
 
     Parameters
@@ -179,9 +181,9 @@ def simulate(A_full, F_full, config, bus_ids, gains=None, eigenvalues=None):
     config : SimConfig
     bus_ids : sequence of int
         Bus order matching the block structure of ``A_full``.
-    gains : dict, optional
+    gains : dict
         Bus id -> GainSet for reconstructing the local and global control
-        series; without it both series are zero.
+        series; a bus without one has zero series (``{}`` for the open loop).
     eigenvalues : array_like, optional
         The spectrum of ``A_full`` when the caller has computed it; it is
         computed here otherwise, with the same results.
@@ -221,7 +223,7 @@ def simulate(A_full, F_full, config, bus_ids, gains=None, eigenvalues=None):
     states = integrate(A, F, d, t)
 
     with np.errstate(over="ignore", invalid="ignore"):   # detected below
-        ul, ug = _control_series(states, bus_ids, gains or {})
+        ul, ug = _control_series(states, bus_ids, gains)
     bad = np.flatnonzero(~(np.isfinite(ul).all(axis=1) & np.isfinite(ug).all(axis=1)))
     if bad.size:
         raise DivergedSimulation(
@@ -230,24 +232,12 @@ def simulate(A_full, F_full, config, bus_ids, gains=None, eigenvalues=None):
                      u_local=ul, u_global=ug, A_full=A, F_full=F)
 
 
-@dataclass
-class SteadyStateReport:
-    omega_end: dict[int, float]        # |d_omega(t_end)| per bus, rad/s
-    max_state_derivative: float        # inf-norm of xdot(t_end)
-    power_balance_residual: float      # |sum dPm(t_end) - sum active dPL|, pu
-    pm_sum: float                      # sum of dPm(t_end), pu
-
-    def to_dict(self):
-        return {
-            "omega_end": {str(b): v for b, v in sorted(self.omega_end.items())},
-            "max_state_derivative": self.max_state_derivative,
-            "power_balance_residual": self.power_balance_residual,
-            "pm_sum": self.pm_sum,
-        }
-
-
 def steady_state_check(result, grid):
-    """Settling residuals at the final sample.
+    """Settling residuals at the final sample, as the ``steady_state`` block
+    of ``sim_summary.json``: ``omega_end`` (|d_omega(t_end)| per bus, rad/s),
+    ``max_state_derivative`` (inf-norm of xdot(t_end)),
+    ``power_balance_residual`` (|sum dPm(t_end) - sum active dPL|, pu) and
+    ``pm_sum`` (sum of dPm(t_end), pu).
 
     At equilibrium the speed deviations vanish and the mechanical power
     increments absorb exactly the total active load step (line-flow terms
@@ -257,27 +247,28 @@ def steady_state_check(result, grid):
     with np.errstate(over="ignore", invalid="ignore"):   # overflow: the JSON artifact rejects it
         xdot = result.A_full @ x_end + result.F_full @ result.d[-1]
         pm_sum = float(x_end[2::3].sum())
-    omega = {bus: float(abs(result.omega(bus)[-1])) for bus in result.bus_ids}
     active_load = sum(
         dist.delta_PL for dist in grid.disturbances
         if result.t[-1] >= dist.t_step - 1e-12)
-    return SteadyStateReport(
-        omega_end=omega,
-        max_state_derivative=float(np.abs(xdot).max()),
-        power_balance_residual=abs(pm_sum - active_load),
-        pm_sum=pm_sum,
-    )
+    return {
+        "omega_end": {str(bus): float(abs(result.omega(bus)[-1]))
+                      for bus in sorted(result.bus_ids)},
+        "max_state_derivative": float(np.abs(xdot).max()),
+        "power_balance_residual": abs(pm_sum - active_load),
+        "pm_sum": pm_sum,
+    }
 
 
-def settling_time(result, threshold=1e-4):
-    """First time the state has settled: ``||x(t) - x(t_end)||_inf`` < threshold.
+def settling_time(result):
+    """First time the state has settled: ``||x(t) - x(t_end)||_inf`` <
+    ``SETTLE_THRESHOLD``.
 
     Deviation from the final sample is used because a step disturbance
     leaves a nonzero equilibrium.  Returns None when the trajectory never
     settles before the final sample.
     """
     dev = np.abs(result.states - result.states[-1]).max(axis=1)
-    violations = np.nonzero(dev >= threshold)[0]
+    violations = np.nonzero(dev >= SETTLE_THRESHOLD)[0]
     if violations.size == 0:
         return float(result.t[0])
     k = int(violations[-1]) + 1

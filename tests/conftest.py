@@ -1,5 +1,6 @@
 import os
 
+import hypothesis
 import numpy as np
 import pytest
 
@@ -8,6 +9,19 @@ from gridcert.data import three_bus_path
 
 # GRIDCERT_SEED pins every randomized sampling in the suite
 SEED = int(os.environ.get("GRIDCERT_SEED", "20260809"))
+
+# hypothesis draws from SEED too, and keeps no example database, whose
+# replays of earlier failures would make a run depend on the runs before it
+hypothesis.settings.register_profile("gridcert", database=None)
+hypothesis.settings.load_profile("gridcert")
+
+
+def pytest_collection_modifyitems(items):
+    for item in items:
+        test = getattr(item, "obj", None)
+        test = getattr(test, "__func__", test)   # a method: its function
+        if getattr(test, "is_hypothesis_test", False):
+            hypothesis.seed(SEED)(test)
 
 
 @pytest.fixture

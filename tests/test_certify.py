@@ -330,7 +330,7 @@ class TestRankOneKernel:
         for _ in range(12):
             grid = make_grid(*random_grid_tuples(rng))
             subs = gridmodel.build_subsystems(grid)
-            designs = {s.bus: control.design_local(s.A_hat, s.B, grid.generator(s.bus).poles)
+            designs = {s.bus: certify.design_agent(s, grid.generator(s.bus).poles)
                        for s in subs}
             want, want_gains = reference_rows(subs, designs, variant, escalate)
             for sub, ref in zip(subs, want):
@@ -365,7 +365,7 @@ class TestRankOneKernel:
 
     def test_rejects_coupling_not_rank_one(self, three_bus):
         sub = gridmodel.build_subsystems(three_bus)[0]
-        K, mt = control.design_local(sub.A_hat, sub.B, three_bus.generator(1).poles)
+        K, mt = certify.design_agent(sub, three_bus.generator(1).poles)
         T_nbrs = {j: np.eye(3) for j in sub.neighbors}
         for entry in ((0, 1), (1, 1), (2, 0)):
             C = sub.couplings[2].copy()

@@ -90,6 +90,25 @@ class TestAssess:
         assert set(manifest["options"]) == {"global", "variant", "poles_scale", "poles"}
         assert (tmp_path / "o" / "assess.json").exists()
 
+    @pytest.mark.parametrize("argv,options", [
+        (["protocol", "--max-retries", "2"],
+         {"global": True, "variant": "transformed", "max_retries": 2,
+          "trace_full": False}),
+        (["simulate", "--t-end", "0.5", "--no-global"],
+         {"global": False, "variant": "transformed", "poles_scale": 1.0, "dt": 1e-3,
+          "t_end": 0.5, "step_pu": None, "force": False}),
+    ])
+    def test_manifest_options_are_parsed_options(self, capsys, tmp_path, argv, options):
+        _, out, _ = run(capsys, argv[0], three_bus_path(), *argv[1:],
+                        "--out", str(tmp_path / "o"))
+        got = json.loads(out)["manifest"]["options"]
+        assert got.pop("poles") == {
+            str(g["bus"]): [[float(p), 0.0] for p in g["control"]]
+            for g in three_bus_doc()["generators"]}
+        if argv[0] == "simulate":
+            assert got.pop("disturbances") == three_bus_doc()["disturbances"]
+        assert got == options
+
     def test_variant_both_union(self, capsys, tmp_path):
         code, out, _ = run(capsys, "assess", three_bus_path(), "--global",
                            "--variant", "both", "--out", str(tmp_path / "o"))
@@ -118,6 +137,16 @@ class TestAssess:
         assert code == 1
         assert err.startswith("error: agent 1: eigenvector matrix condition number ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("scale", ["1e103", "1e200"])
+    def test_pole_overflow_names_agent(self, capsys, tmp_path, scale):
+        # warnings are errors under pytest, so a numpy overflow warning fails here
+        code, out, err = run(capsys, "assess", three_bus_path(), "--poles-scale", scale,
+                             "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert out == ""
+        assert err == ("error: agent 1: desired characteristic polynomial "
+                       "overflows at these poles\n")
 
 
 class TestProtocol:

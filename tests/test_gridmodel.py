@@ -135,14 +135,14 @@ class TestBuildSubsystems:
 class TestAssemble:
     def test_zero_gains_blocks(self, three_bus):
         subs = gridmodel.build_subsystems(three_bus)
-        A = gridmodel.assemble_full(subs)
+        A = gridmodel.assemble_full(subs, {})
         for k, sub in enumerate(subs):
             assert np.array_equal(A[3 * k:3 * k + 3, 3 * k:3 * k + 3], sub.A_hat)
         assert np.array_equal(A[3:6, 0:3], subs[1].couplings[1])
         # single isolated bus: assembly is just its open-loop matrix
         g1 = make_grid([(1, 8, 1, 0.9)], [])
         s1 = gridmodel.build_subsystems(g1)
-        assert np.array_equal(gridmodel.assemble_full(s1), s1[0].A_hat)
+        assert np.array_equal(gridmodel.assemble_full(s1, {}), s1[0].A_hat)
 
     def test_decoupled_spectrum_is_union(self):
         g = make_grid([(1, 8.0, 1.0, 0.9), (2, 12.0, 1.0, 1.0)], [])
@@ -174,6 +174,22 @@ class TestAssemble:
         gains = {1: control.GainSet(local=np.zeros(3))}
         gains[1].global_[9] = np.zeros(3)
         with pytest.raises(InvalidInput):
+            gridmodel.assemble_full(subs, gains)
+
+    def test_global_gain_off_the_lines_rejected(self):
+        # buses 1 and 2 share no line, so no block carries a gain 1 -> 2
+        g = make_grid([(1, 8.0, 1.0, 0.9), (2, 12.0, 1.0, 1.0)], [])
+        subs = gridmodel.build_subsystems(g)
+        gains = {1: control.GainSet(local=np.zeros(3), global_={2: np.zeros(3)})}
+        with pytest.raises(InvalidInput, match=r"global gain 1->2 is not on a line of bus 1"):
+            gridmodel.assemble_full(subs, gains)
+
+    def test_gain_shape_located(self, three_bus):
+        subs = gridmodel.build_subsystems(three_bus)
+        with pytest.raises(InvalidInput, match=r"local gain for bus 2 has shape \(2,\)"):
+            gridmodel.assemble_full(subs, {2: control.GainSet(local=np.zeros(2))})
+        gains = {1: control.GainSet(local=np.zeros(3), global_={3: np.zeros((3, 1))})}
+        with pytest.raises(InvalidInput, match=r"global gain 1->3 has shape \(3, 1\)"):
             gridmodel.assemble_full(subs, gains)
 
     def test_disturbance_matrix(self, three_bus):

@@ -160,10 +160,8 @@ class TestAgentStep:
         cfg = protocol.ProtocolConfig()
         st, _ = protocol.agent_step(st, [], cfg, 0)
         inbox = []
-        from gridcert import control
         for j in (2, 3):
-            _, mt = control.design_local(subs[j].A_hat, subs[j].B,
-                                         three_bus.generator(j).poles)
+            _, mt = certify.design_agent(subs[j], three_bus.generator(j).poles)
             inbox.append(protocol.Message(protocol.SHARE_TRANSFORM, j, 1, 0,
                                           {"T": mt.T}))
         st_failed, out = protocol.agent_step(st, inbox, cfg, 1)

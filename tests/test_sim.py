@@ -194,7 +194,7 @@ class TestStepSizeCheck:
         assert sim.rk4_radius(lam, 1e-3) == 1.0
         cfg = sim.SimConfig(t_end=1.0, disturbances=g1.disturbances)
         out = sim.simulate(res.A_full, gridmodel.disturbance_matrix(res.subsystems),
-                           cfg, [1], eigenvalues=lam)
+                           cfg, [1], {}, eigenvalues=lam)
         assert np.all(np.isfinite(out.states))
 
     def test_non_hurwitz_keeps_warning_at_any_dt(self):
@@ -202,7 +202,7 @@ class TestStepSizeCheck:
         sub = gridmodel.build_subsystems(g1)[0]
         cfg = sim.SimConfig(t_end=0.6, dt=0.3, disturbances=[])
         with pytest.warns(UserWarning, match="not Hurwitz"):
-            sim.simulate(sub.A_hat, sub.F.reshape(3, 1), cfg, [1])
+            sim.simulate(sub.A_hat, sub.F.reshape(3, 1), cfg, [1], {})
 
     def test_spectrum_handed_in_gives_identical_result(self, three_bus, certified):
         res, F = certified
@@ -276,7 +276,7 @@ class TestSimulate:
         res, F = certified
         dists = [gridmodel.Disturbance(bus=1, delta_PL=0.1, t_step=0.00037)]
         cfg = sim.SimConfig(t_end=0.01, disturbances=dists)
-        out = sim.simulate(res.A_full, F, cfg, three_bus.bus_ids)
+        out = sim.simulate(res.A_full, F, cfg, three_bus.bus_ids, {})
         assert out.d[0, 0] == 0.0
         assert out.d[1, 0] == 0.1   # active from the next grid point
 
@@ -286,12 +286,12 @@ class TestSimulate:
         sub = gridmodel.build_subsystems(g1)[0]
         cfg = sim.SimConfig(t_end=0.01, disturbances=[])
         with pytest.warns(UserWarning, match="not Hurwitz"):
-            sim.simulate(sub.A_hat, sub.F.reshape(3, 1), cfg, [1])
+            sim.simulate(sub.A_hat, sub.F.reshape(3, 1), cfg, [1], {})
 
     def test_shape_validation(self, three_bus, certified):
         res, F = certified
         with pytest.raises(InvalidInput):
-            sim.simulate(res.A_full, F, sim.SimConfig(t_end=1.0), [1, 2])
+            sim.simulate(res.A_full, F, sim.SimConfig(t_end=1.0), [1, 2], {})
         with pytest.raises(InvalidInput):
             sim.SimConfig(t_end=1.0, dt=2.0)
         with pytest.raises(InvalidInput):
@@ -309,20 +309,20 @@ class TestSteadyState:
     def test_zero_input_zero_residuals(self, three_bus, certified):
         res, F = certified
         cfg = sim.SimConfig(t_end=1.0, disturbances=[])
-        out = sim.simulate(res.A_full, F, cfg, three_bus.bus_ids)
+        out = sim.simulate(res.A_full, F, cfg, three_bus.bus_ids, {})
         grid_nod = make_grid(
             [(g.bus, g.M, g.D, g.T_T) for g in three_bus.generators],
             [(l.from_bus, l.to_bus, l.X) for l in three_bus.lines])
         rep = sim.steady_state_check(out, grid_nod)
-        assert rep.power_balance_residual == 0.0
-        assert rep.max_state_derivative == 0.0
-        assert all(v == 0.0 for v in rep.omega_end.values())
+        assert rep["power_balance_residual"] == 0.0
+        assert rep["max_state_derivative"] == 0.0
+        assert all(v == 0.0 for v in rep["omega_end"].values())
 
     def test_power_balance_after_step(self, three_bus, certified):
         out = run_three_bus(three_bus, certified)
         rep = sim.steady_state_check(out, three_bus)
-        assert rep.power_balance_residual < 1e-6
-        assert rep.pm_sum == pytest.approx(0.1, abs=1e-6)
+        assert rep["power_balance_residual"] < 1e-6
+        assert rep["pm_sum"] == pytest.approx(0.1, abs=1e-6)
 
     def test_doubled_step_doubles_pm_sum(self, three_bus, certified):
         res, F = certified
@@ -332,9 +332,9 @@ class TestSteadyState:
             [(l.from_bus, l.to_bus, l.X) for l in three_bus.lines],
             [(d.bus, 2.0 * d.delta_PL, d.t_step) for d in three_bus.disturbances])
         cfg = sim.SimConfig(t_end=5.0, disturbances=doubled_grid.disturbances)
-        out = sim.simulate(res.A_full, F, cfg, three_bus.bus_ids)
-        a = sim.steady_state_check(base, three_bus).pm_sum
-        b = sim.steady_state_check(out, doubled_grid).pm_sum
+        out = sim.simulate(res.A_full, F, cfg, three_bus.bus_ids, {})
+        a = sim.steady_state_check(base, three_bus)["pm_sum"]
+        b = sim.steady_state_check(out, doubled_grid)["pm_sum"]
         assert b / a == pytest.approx(2.0, abs=1e-9)
 
     def test_overflow_is_a_value_not_a_warning(self, three_bus, certified):
@@ -343,8 +343,8 @@ class TestSteadyState:
         out = run_three_bus(three_bus, certified, t_end=0.01)
         out.states[-1] = 1e308
         rep = sim.steady_state_check(out, three_bus)
-        assert not math.isfinite(rep.max_state_derivative)
-        assert not math.isfinite(rep.pm_sum)
+        assert not math.isfinite(rep["max_state_derivative"])
+        assert not math.isfinite(rep["pm_sum"])
 
 
 class TestSettlingTime:
