@@ -13,7 +13,7 @@ relaxed transformed variant in modal coordinates (diagonal ``sigma_M_i``,
 off-diagonal ``-||At_ij||``).  :func:`build_S` and :func:`build_S_tilde`
 form either matrix from arbitrary blocks.  :func:`agent_row` evaluates one
 agent's row of a designed grid, where every line coupling is rank one, from
-the line strengths and three scalars of the agent and its neighbors; the
+the line strengths, its own factor and its neighbors' :func:`share`; the
 centralized :func:`assess_grid` and the protocol agents both go through it.
 """
 
@@ -176,13 +176,19 @@ def build_S_tilde(transforms, couplings_t):
     return _matrix(reports), reports
 
 
-def agent_row(sub, K, mt, T_nbrs, escalate, variant):
+def share(mt):
+    """What an agent sends each neighbor: ``beta = ||e1^T T||`` of its modal
+    transform ``T``, the one number of ``T`` a neighbor's row reads."""
+    return float(np.linalg.norm(mt.T[0]))
+
+
+def agent_row(sub, K, mt, shares, escalate, variant):
     """One agent's row condition from its own model and its neighbors' shares.
 
     ``sub`` is the agent's :class:`~gridcert.gridmodel.SubsystemModel`,
     ``K`` its local gain and ``mt`` the modal form of its closed loop
-    ``A_hat - B K^T``; ``T_nbrs[j]`` is the modal transform neighbor j
-    shared.  Every line coupling is rank one, ``A_hat_ij = c_ij e2 e1^T``,
+    ``A_hat - B K^T``; ``shares[j]`` is neighbor j's :func:`share`
+    ``beta_j``.  Every line coupling is rank one, ``A_hat_ij = c_ij e2 e1^T``,
     so each row entry is a product of scalars.  With ``u = inv(T_i) e2``
     and ``Bt = inv(T_i) B`` the transformed block is
     ``c_ij u (e1^T T_j)``; escalating to the norm-minimizing global gain
@@ -190,8 +196,8 @@ def agent_row(sub, K, mt, T_nbrs, escalate, variant):
     ``s = Bt^T u / Bt^T Bt``, which gives ``K_ij = c_ij s e1`` whatever
     ``T_j`` is.  Off-diagonal entries are then
 
-    * transformed: ``|c_ij| ||u - s Bt|| ||e1^T T_j||``;
-    * original: ``2 lambda_max(P_i) |c_ij| ||e2 - s B||``;
+    * transformed: ``|c_ij| ||u - s Bt|| beta_j``;
+    * original: ``2 lambda_max(P_i) |c_ij| ||e2 - s B||`` (reads no share);
 
     with ``s = 0`` unless ``escalate``.
 
@@ -200,10 +206,7 @@ def agent_row(sub, K, mt, T_nbrs, escalate, variant):
     protocol agents both evaluate rows here.
     """
     _require_hurwitz(sub.bus, mt)
-    for j in sub.couplings:
-        if j not in T_nbrs:
-            raise InvalidInput(f"agent {sub.bus}: missing transform for neighbor {j}")
-    c = {j: sub.coupling_gain(j) for j in sub.couplings}
+    c = sub.couplings
     e2 = np.array([0.0, 1.0, 0.0])
     s = 0.0
     if escalate or variant == VARIANT_TRANSFORMED:
@@ -212,8 +215,11 @@ def agent_row(sub, K, mt, T_nbrs, escalate, variant):
             s = float(control.optimal_global_gain(Bt, u[:, None])[0])
     global_ = {j: np.array([c[j] * s, 0.0, 0.0]) for j in c} if escalate else {}
     if variant == VARIANT_TRANSFORMED:
+        for j in c:
+            if j not in shares:
+                raise InvalidInput(f"agent {sub.bus}: missing share from neighbor {j}")
         own = float(np.linalg.norm(u - s * Bt))
-        nbr = {j: float(np.linalg.norm(T_nbrs[j][0])) for j in c}
+        nbr = shares
         diagonal = mt.sigma_M
     else:
         A_cl = sub.A_hat - np.outer(sub.B, K)
@@ -276,7 +282,7 @@ def assess_grid(grid, use_global=False, variant=VARIANT_TRANSFORMED, poles_scale
 
     This is the centralized (no message passing) counterpart of the
     distributed protocol: local pole placement per bus, then each agent's
-    :func:`agent_row` with every neighbor transform at hand, escalated to
+    :func:`agent_row` with every neighbor's share at hand, escalated to
     coupling-minimizing global gains when ``use_global``.
     """
     if variant not in (VARIANT_ORIGINAL, VARIANT_TRANSFORMED):
@@ -285,12 +291,12 @@ def assess_grid(grid, use_global=False, variant=VARIANT_TRANSFORMED, poles_scale
     specs = resolve_pole_specs(grid, poles_scale)
     designs = {sub.bus: design_agent(sub, specs[sub.bus]) for sub in subsystems}
     transforms = {bus: mt for bus, (_, mt) in designs.items()}
+    shares = {bus: share(mt) for bus, mt in transforms.items()}
 
     gains, reports = {}, []
     for sub in subsystems:
         K, mt = designs[sub.bus]
-        report, global_ = agent_row(
-            sub, K, mt, {j: transforms[j].T for j in sub.neighbors}, use_global, variant)
+        report, global_ = agent_row(sub, K, mt, shares, use_global, variant)
         reports.append(report)
         gains[sub.bus] = control.GainSet(local=K, global_=global_)
 

@@ -160,8 +160,7 @@ def cmd_simulate(args):
     grid, data = _read_grid(args.grid)
     _apply_step_override(grid, args.step_pu)
     assessment = certify.assess_grid(
-        grid, use_global=args.use_global, variant=args.variant,
-        poles_scale=args.poles_scale)
+        grid, use_global=args.use_global, poles_scale=args.poles_scale)
     # the one spectrum of this command: the artifact, the gate and simulate's checks
     lam = np.linalg.eigvals(assessment.A_full)
     full_system = _eig_doc(lam)
@@ -328,8 +327,6 @@ def build_parser():
     p = subs.add_parser("simulate", help="time-domain response to the configured load steps")
     _add_common(p)
     _add_global_flags(p, default=True)
-    p.add_argument("--variant", choices=["original", "transformed"],
-                   default="transformed")
     p.add_argument("--poles-scale", type=float, default=1.0,
                    help="uniform scale applied to the desired poles")
     p.add_argument("--dt", type=float, default=sim.DEFAULT_DT, help="step size, s")
@@ -364,3 +361,7 @@ def main(argv=None):
 
 def entry():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

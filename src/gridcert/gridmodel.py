@@ -79,31 +79,19 @@ class GridSpec:
 
 @dataclass
 class SubsystemModel:
-    """Open-loop model of one bus: ``xdot = A_hat x + sum_j A_hat_ij x_j + F d + B u``."""
+    """Open-loop model of one bus: ``xdot = A_hat x + sum_j c_j e2 e1^T x_j
+    + F d + B u``.  A line couples only neighbor j's angle into this bus's
+    speed, so it is one float, its strength ``couplings[j] = c_j``."""
 
     bus: int
     A_hat: np.ndarray                  # 3x3, mixed units
     B: np.ndarray                      # (3,), input column, 1/s in entry 3
     F: np.ndarray                      # (3,), disturbance column
-    couplings: dict[int, np.ndarray]   # neighbor id -> 3x3 block into this bus
+    couplings: dict[int, float]        # neighbor id -> line strength c_j, 1/s^2
 
     @property
     def neighbors(self):
         return sorted(self.couplings)
-
-    def coupling_gain(self, j):
-        """Line strength ``c`` of the rank-one block ``c e2 e1^T`` from neighbor j.
-
-        Raises :class:`InvalidInput` for a block of any other form, which
-        the closed-form row kernel would certify wrongly.
-        """
-        C = np.asarray(self.couplings[j], dtype=float)
-        c = float(C[1, 0]) if C.shape == (3, 3) else math.nan
-        # entry (2, 1) is the only one that may be nonzero
-        if not math.isfinite(c) or np.count_nonzero(C) != (c != 0.0):
-            raise InvalidInput(
-                f"coupling ({self.bus}, {j}) is not of the form c*e2*e1^T")
-        return c
 
 
 def _type_name(v):
@@ -262,7 +250,7 @@ def build_subsystems(grid):
                  [-(wb/M)*sum_j(1/X_ij), -D/M,     wb/M   ],
                  [0,                      0,      -1/T_T  ]]
         B = [0, 0, 1/T_T],  F = [0, -wb/M, 0]
-        coupling to neighbor j: entry (2,1) = (wb/M)/X_ij, zeros elsewhere.
+        coupling strength to neighbor j: c_j = (wb/M)/X_ij.
     """
     wb = grid.omega_b
     out = []
@@ -276,11 +264,7 @@ def build_subsystems(grid):
         ])
         B = np.array([0.0, 0.0, 1.0 / g.T_T])
         F = np.array([0.0, -wb / g.M, 0.0])
-        couplings = {}
-        for j, X in reactances.items():
-            C = np.zeros((3, 3))
-            C[1, 0] = (wb / g.M) / X
-            couplings[j] = C
+        couplings = {j: (wb / g.M) / X for j, X in reactances.items()}
         out.append(SubsystemModel(bus=bus, A_hat=A, B=B, F=F, couplings=couplings))
     return out
 
@@ -298,7 +282,7 @@ def assemble_full(subsystems, gains):
     ``gains`` maps bus id to a :class:`~gridcert.control.GainSet`; a bus
     without one is open loop, so ``{}`` assembles the open loop.  Diagonal
     blocks are ``A_hat_i - B_i K_i^T``; the (i, j) block is
-    ``A_hat_ij - B_i K_ij^T`` for each line coupling of i, and zero
+    ``c_ij e2 e1^T - B_i K_ij^T`` for each line coupling of i, and zero
     otherwise.  A global gain on a bus that is not a line neighbor raises
     :class:`InvalidInput`.
     """
@@ -315,13 +299,14 @@ def assemble_full(subsystems, gains):
         if stray:
             raise InvalidInput(f"global gain {s.bus}->{stray[0]} is not on a line of bus {s.bus}")
         A[rows, rows] = s.A_hat - np.outer(s.B, K)
-        for j, block in s.couplings.items():
+        for j, c in s.couplings.items():
             if j not in index:
                 raise InvalidInput(f"bus {s.bus} references unknown neighbor {j}")
+            bj = n * index[j]
+            A[n * bi + 1, bj] = c     # the line's one entry, (2, 1) of the block
             if j in global_:
-                block = block - np.outer(
+                A[rows, bj:bj + n] -= np.outer(
                     s.B, _gain_vector(global_[j], f"global gain {s.bus}->{j}"))
-            A[rows, n * index[j]:n * index[j] + n] = block
     return A
 
 

@@ -7,9 +7,10 @@ round's condition statuses.  Messages produced within a round are ordered
 by (from, to, kind), so two runs with identical inputs yield identical
 traces.
 
-An agent's lifecycle: design local gains and share its modal transform
-with its neighbors; once every neighbor's transform has arrived, evaluate
-its row condition (:func:`certify.agent_row`) and report the outcome to the
+An agent's lifecycle: design local gains and, in the transformed variant,
+send each neighbor its share (:func:`certify.share`); once every
+neighbor's share has arrived (the original row reads none), evaluate its
+row condition (:func:`certify.agent_row`) and report the outcome to the
 operator.  On failure it either retries the local design with every pole
 scaled by ``RETRY_POLE_SCALE`` or, when retries are exhausted, escalates to
 global gains and re-evaluates.  The operator broadcasts a single stable
@@ -17,19 +18,19 @@ verdict when every agent has reported "met"; if the system goes quiescent
 without unanimity the verdict is inconclusive.
 
 Privacy: each agent knows only its own bus model (``AgentState.model``),
-incoming line couplings included (they depend on its own inertia and the
-line reactances).  The only matrix-bearing message is the modal transform;
-local system matrices, gains and Lyapunov certificates never leave an
-agent.
+incoming line strengths included (they depend on its own inertia and the
+line reactances).  What an agent tells a neighbor about its design is one
+float, ``beta = ||e1^T T||`` of its modal transform, and only in the
+transformed variant; no message carries a matrix.  Local system matrices,
+gains, transforms and Lyapunov certificates never leave an agent.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from . import certify, control, gridmodel
 from .errors import InvalidInput, ProtocolViolation
@@ -38,7 +39,7 @@ from .linalg import ModalTransform
 OPERATOR = "operator"
 BROADCAST = "*"
 
-SHARE_TRANSFORM = "ShareTransform"
+SHARE_FACTOR = "ShareFactor"
 CONDITION_STATUS = "ConditionStatus"
 OPERATOR_VERDICT = "OperatorVerdict"
 
@@ -54,21 +55,15 @@ class Message:
     round: int
     payload: dict
 
-    def payload_jsonable(self):
-        out = {}
-        for k, v in self.payload.items():
-            out[k] = v.tolist() if isinstance(v, np.ndarray) else v
-        return out
-
     def digest(self):
-        blob = json.dumps(self.payload_jsonable(), sort_keys=True)
+        blob = json.dumps(self.payload, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def to_json_line(self, full=False):
         doc = {"round": self.round, "from": self.sender, "to": self.to,
                "kind": self.kind}
         if full:
-            doc["payload"] = self.payload_jsonable()
+            doc["payload"] = self.payload
         else:
             doc["digest"] = self.digest()
         return json.dumps(doc, sort_keys=True)
@@ -94,6 +89,11 @@ class ProtocolConfig:
         if self.variant not in (certify.VARIANT_ORIGINAL, certify.VARIANT_TRANSFORMED):
             raise InvalidInput(f"unknown variant {self.variant!r}")
 
+    @property
+    def exchanges_shares(self):
+        """Only the transformed row reads the neighbors' shares."""
+        return self.variant == certify.VARIANT_TRANSFORMED
+
 
 @dataclass
 class AgentState:
@@ -105,16 +105,13 @@ class AgentState:
     escalated: bool = False
     gains: control.GainSet | None = None
     transform: ModalTransform | None = None
-    received_transforms: dict[int, np.ndarray] = field(default_factory=dict)
+    received_shares: dict[int, float] = field(default_factory=dict)
     report: certify.ConditionReport | None = None
     needs_evaluation: bool = False
     verdict: bool | None = None
 
     def has_work(self):
         return self.designing or self.needs_evaluation
-
-    def shares_complete(self):
-        return set(self.model.couplings) <= set(self.received_transforms)
 
 
 @dataclass
@@ -126,12 +123,17 @@ class OperatorState:
 
 def _ingest(st, inbox):
     for msg in inbox:
-        if msg.kind == SHARE_TRANSFORM:
+        if msg.kind == SHARE_FACTOR:
             if msg.sender not in st.model.couplings:
                 raise ProtocolViolation(
-                    f"agent {st.id} got transform from non-neighbor {msg.sender}",
+                    f"agent {st.id} got share from non-neighbor {msg.sender}",
                     offending=msg)
-            st.received_transforms[msg.sender] = np.asarray(msg.payload["T"], dtype=float)
+            beta = msg.payload["beta"]
+            # the norm of a row of an invertible T: a forged 0 or -1 would meet any row
+            if not (isinstance(beta, float) and math.isfinite(beta) and beta > 0.0):
+                raise ProtocolViolation(
+                    f"agent {st.id} got share {beta!r} from {msg.sender}", offending=msg)
+            st.received_shares[msg.sender] = beta
             st.needs_evaluation = True
         elif msg.kind == OPERATOR_VERDICT:
             st.verdict = bool(msg.payload["stable"])
@@ -142,14 +144,16 @@ def _ingest(st, inbox):
                 f"agent {st.id} cannot handle {msg.kind}", offending=msg)
 
 
-def _design(st, out, rnd):
+def _design(st, out, config, rnd):
     sub = st.model
     K, mt = certify.design_agent(sub, list(st.poles))
     st.gains = control.GainSet(local=K)
     st.transform = mt
     st.escalated = False
-    for j in sub.neighbors:
-        out.append(Message(SHARE_TRANSFORM, st.id, j, rnd, {"T": mt.T}))
+    if config.exchanges_shares:
+        beta = certify.share(mt)
+        for j in sub.neighbors:
+            out.append(Message(SHARE_FACTOR, st.id, j, rnd, {"beta": beta}))
     st.designing = False
     st.needs_evaluation = True
 
@@ -157,20 +161,21 @@ def _design(st, out, rnd):
 def _evaluate(st, config):
     st.report, global_ = certify.agent_row(
         st.model, st.gains.local, st.transform,
-        st.received_transforms, st.escalated, config.variant)
+        st.received_shares, st.escalated, config.variant)
     st.gains = control.GainSet(local=st.gains.local, global_=global_)
     return st.report
 
 
 def agent_step(state, inbox, config, rnd):
     """Pure transition for one agent; returns ``(new_state, outbox)``."""
-    st = replace(state, received_transforms=dict(state.received_transforms))
+    st = replace(state, received_shares=dict(state.received_shares))
     out = []
     _ingest(st, inbox)
     if st.designing:
-        _design(st, out, rnd)
+        _design(st, out, config, rnd)
         return st, out
-    if not (st.needs_evaluation and st.shares_complete()):
+    missing = config.exchanges_shares and set(st.model.couplings) - set(st.received_shares)
+    if not st.needs_evaluation or missing:
         return st, out
     report = _evaluate(st, config)
     st.needs_evaluation = False

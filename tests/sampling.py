@@ -37,6 +37,14 @@ def random_edges(rng, n_agents):
     return edges
 
 
+def line_block(c):
+    """The 3x3 block ``c e2 e1^T`` through which a line of strength ``c``
+    couples a neighbor's angle into a bus's speed."""
+    C = np.zeros((3, 3))
+    C[1, 0] = c
+    return C
+
+
 def assemble_blocks(orders, diag_blocks, couplings):
     """Full matrix from per-agent diagonal blocks and (i, j) coupling blocks."""
     offsets = np.concatenate([[0], np.cumsum(orders)])

@@ -13,6 +13,7 @@ from gridcert import certify, cli, control, gridmodel, linalg, protocol, sim
 from gridcert.data import three_bus_path
 from sampling import (
     assemble_blocks,
+    line_block,
     sample_met_original,
     sample_met_transformed,
     random_hurwitz,
@@ -163,7 +164,8 @@ def test_a2_pre_escalation_rows(grid, local_assessment, rng):
                 P = np.eye(3)[:, rng.permutation(3)] * rng.choice([-1.0, 1.0], size=3)
                 twisted[b] = linalg.ModalTransform(
                     T=mt.T @ P, Lam=P.T @ mt.Lam @ P, sigma_M=mt.sigma_M)
-            coup = {(b, j): np.linalg.solve(twisted[b].T, s.couplings[j] @ twisted[j].T)
+            coup = {(b, j): np.linalg.solve(twisted[b].T,
+                                            line_block(s.couplings[j]) @ twisted[j].T)
                     for b, s in subs.items() for j in s.neighbors}
             _, reps = certify.build_S_tilde(twisted, coup)
             for rep in reps:
@@ -319,9 +321,9 @@ def test_a10_protocol_determinism_and_shape(tmp_path, capsys):
                 and len(true_rounds) == 1 and false_rounds[0] < true_rounds[0]
                 and len(verdicts) == 1 and verdicts[0]["payload"]["stable"] is True)
 
-    allowed = {"ShareTransform": {"T"}, "ShareCoupling": {"block"},
+    allowed = {"ShareFactor": {"beta"},
                "ConditionStatus": {"met"}, "OperatorVerdict": {"stable"}}
-    privacy_ok = all(set(m["payload"]) == allowed[m["kind"]] for m in msgs)
+    privacy_ok = all(set(m["payload"]) == allowed.get(m["kind"]) for m in msgs)
 
     ok = identical and shape_ok and privacy_ok
     emit("A10 protocol determinism and trace shape", ok,

@@ -9,6 +9,7 @@ from gridcert import certify, control, gridmodel, linalg
 from gridcert.errors import CertificateInvalid, IllConditionedTransform, InvalidInput
 from sampling import (
     assemble_blocks,
+    line_block,
     random_grid_tuples,
     random_semisimple_hurwitz,
     random_spd,
@@ -81,7 +82,8 @@ class TestBuildS:
                 lmax = np.linalg.eigvalsh(P).max()
                 assert rep.diagonal == pytest.approx(1.0)
                 for j, val in rep.offdiag.items():
-                    block = sub.couplings[j] - np.outer(sub.B, gs.global_.get(j, 0.0))
+                    block = line_block(sub.couplings[j]) - np.outer(
+                        sub.B, gs.global_.get(j, 0.0))
                     want = 2.0 * lmax * linalg.spectral_norm(block)
                     assert val == pytest.approx(want, rel=1e-12)
 
@@ -127,8 +129,8 @@ class TestBuildSTilde:
         coup = {}
         for b, sub in subs.items():
             for j in sub.neighbors:
-                coup[(b, j)] = np.linalg.solve(twisted[b].T,
-                                               sub.couplings[j] @ twisted[j].T)
+                coup[(b, j)] = np.linalg.solve(
+                    twisted[b].T, line_block(sub.couplings[j]) @ twisted[j].T)
         _, reports = certify.build_S_tilde(twisted, coup)
         for rep in reports:
             for j, val in rep.offdiag.items():
@@ -288,7 +290,8 @@ class TestAssessGrid:
             assert sorted(gs.global_) == sub.neighbors
             for j, k in gs.global_.items():
                 Tj = res.transforms[j].T
-                kt = control.optimal_global_gain(Bt, np.linalg.solve(T, sub.couplings[j] @ Tj))
+                kt = control.optimal_global_gain(
+                    Bt, np.linalg.solve(T, line_block(sub.couplings[j]) @ Tj))
                 assert np.abs(kt - Tj.T @ k).max() <= 1e-8
 
 
@@ -300,8 +303,8 @@ def reference_rows(subs, designs, variant, escalate):
     for sub in subs:
         T = designs[sub.bus][1].T
         Bt = np.linalg.solve(T, sub.B)
-        for j, C in sub.couplings.items():
-            Tj = designs[j][1].T
+        for j, c in sub.couplings.items():
+            C, Tj = line_block(c), designs[j][1].T
             At, k = np.linalg.solve(T, C @ Tj), np.zeros(3)
             if escalate:
                 kt = control.optimal_global_gain(Bt, At)
@@ -336,7 +339,7 @@ class TestRankOneKernel:
             for sub, ref in zip(subs, want):
                 K, mt = designs[sub.bus]
                 got, gains = certify.agent_row(
-                    sub, K, mt, {j: designs[j][1].T for j in sub.neighbors},
+                    sub, K, mt, {j: certify.share(designs[j][1]) for j in sub.neighbors},
                     escalate, variant)
                 # the reference takes its gain back through inv(T_j^T), which
                 # loses up to cond(T_j) eps; the kernel never inverts T_j
@@ -359,19 +362,18 @@ class TestRankOneKernel:
         # K_ij = c_ij s_i e1: the ratio K_ij[0] / c_ij is one scalar per agent
         res = certify.assess_grid(three_bus, use_global=True)
         for sub in res.subsystems:
-            ratios = {res.gains[sub.bus].global_[j][0] / sub.coupling_gain(j)
+            ratios = {res.gains[sub.bus].global_[j][0] / sub.couplings[j]
                       for j in sub.neighbors}
             assert len(ratios) == 1
 
-    def test_rejects_coupling_not_rank_one(self, three_bus):
+    def test_original_row_reads_no_share(self, three_bus):
+        # the original row reads nothing of a neighbor; the transformed row
+        # reads each neighbor's share and refuses to run without it
         sub = gridmodel.build_subsystems(three_bus)[0]
         K, mt = certify.design_agent(sub, three_bus.generator(1).poles)
-        T_nbrs = {j: np.eye(3) for j in sub.neighbors}
-        for entry in ((0, 1), (1, 1), (2, 0)):
-            C = sub.couplings[2].copy()
-            C[entry] = 1e-3
-            bad = gridmodel.SubsystemModel(bus=1, A_hat=sub.A_hat, B=sub.B, F=sub.F,
-                                           couplings={**sub.couplings, 2: C})
-            for variant in (certify.VARIANT_TRANSFORMED, certify.VARIANT_ORIGINAL):
-                with pytest.raises(InvalidInput, match=r"coupling \(1, 2\)"):
-                    certify.agent_row(bad, K, mt, T_nbrs, False, variant)
+        got, _ = certify.agent_row(sub, K, mt, {}, True, certify.VARIANT_ORIGINAL)
+        res = certify.assess_grid(three_bus, use_global=True,
+                                  variant=certify.VARIANT_ORIGINAL)
+        assert got == res.reports[0]
+        with pytest.raises(InvalidInput, match="agent 1: missing share from neighbor 2"):
+            certify.agent_row(sub, K, mt, {}, True, certify.VARIANT_TRANSFORMED)

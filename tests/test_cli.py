@@ -95,7 +95,7 @@ class TestAssess:
          {"global": True, "variant": "transformed", "max_retries": 2,
           "trace_full": False}),
         (["simulate", "--t-end", "0.5", "--no-global"],
-         {"global": False, "variant": "transformed", "poles_scale": 1.0, "dt": 1e-3,
+         {"global": False, "poles_scale": 1.0, "dt": 1e-3,
           "t_end": 0.5, "step_pu": None, "force": False}),
     ])
     def test_manifest_options_are_parsed_options(self, capsys, tmp_path, argv, options):
@@ -178,8 +178,7 @@ class TestProtocol:
         assert code == 0
         with open(tmp_path / "o" / "trace.jsonl") as fh:
             kinds = [json.loads(ln)["kind"] for ln in fh.read().splitlines()]
-        assert "ShareTransform" not in kinds
-        assert "ShareCoupling" not in kinds
+        assert kinds == ["ConditionStatus", "OperatorVerdict"]
 
 
     @pytest.mark.parametrize("retries", [0, 10, 40])
@@ -424,6 +423,18 @@ class TestErrorPaths:
             env=child_env(), capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["verdict"] == "stable"
+
+    def test_cli_module_runs_the_cli(self, tmp_path):
+        # `python -m gridcert.cli` is the same command as `python -m gridcert`
+        out = {}
+        for module in ("gridcert", "gridcert.cli"):
+            proc = subprocess.run(
+                [sys.executable, "-m", module, "assess", three_bus_path(),
+                 "--out", str(tmp_path / module)],
+                env=child_env(), capture_output=True)
+            assert proc.returncode == 2
+            out[module] = (tmp_path / module / "assess.json").read_bytes()
+        assert out["gridcert.cli"] == out["gridcert"]
 
 
 class TestReproducibility:

@@ -10,7 +10,7 @@ from gridcert.errors import (
     Uncontrollable,
     Unsupported,
 )
-from sampling import random_hurwitz
+from sampling import line_block, random_hurwitz
 
 
 def _sorted(z):
@@ -116,8 +116,11 @@ def with_T(mt, T):
 
 
 def row(sub, mt, T_nbrs, escalate=False, K=None):
+    """The transformed row, each neighbor sharing the norm of its
+    transform's first row."""
     K = np.zeros(3) if K is None else K
-    return certify.agent_row(sub, K, mt, T_nbrs, escalate, certify.VARIANT_TRANSFORMED)
+    shares = {j: float(np.linalg.norm(T[0])) for j, T in T_nbrs.items()}
+    return certify.agent_row(sub, K, mt, shares, escalate, certify.VARIANT_TRANSFORMED)
 
 
 class TestTransform:
@@ -129,10 +132,11 @@ class TestTransform:
         eye = {j: np.eye(3) for j in sub.neighbors}
         rep, _ = row(sub, with_T(mt, np.eye(3)), eye)
         for j in sub.neighbors:
-            assert rep.offdiag[j] == pytest.approx(linalg.spectral_norm(sub.couplings[j]))
+            assert rep.offdiag[j] == pytest.approx(
+                linalg.spectral_norm(line_block(sub.couplings[j])))
         rep, gains = row(sub, with_T(mt, np.eye(3)), eye, escalate=True)
         for j in sub.neighbors:
-            C = sub.couplings[j]
+            C = line_block(sub.couplings[j])
             k = control.optimal_global_gain(sub.B, C)
             assert np.allclose(gains[j], k, rtol=1e-13, atol=0.0)
             assert rep.offdiag[j] == pytest.approx(
@@ -154,7 +158,7 @@ class TestTransform:
 
     def test_missing_neighbor_transform(self, three_bus):
         sub, _, mt, _ = designed(three_bus, 1)
-        with pytest.raises(InvalidInput, match="missing transform"):
+        with pytest.raises(InvalidInput, match="missing share from neighbor 3"):
             row(sub, mt, {2: np.eye(3)})
 
 
@@ -243,10 +247,9 @@ class TestCoordinateConsistency:
             A = random_hurwitz(rng, 3)
             B = rng.standard_normal(3)
             c = float(rng.uniform(-50.0, 50.0))
-            C = np.zeros((3, 3))
-            C[1, 0] = c
+            C = line_block(c)
             sub = gridmodel.SubsystemModel(bus=1, A_hat=A, B=B, F=np.zeros(3),
-                                           couplings={9: C})
+                                           couplings={9: c})
             try:
                 mt = linalg.modal_decompose(A)
                 Tj = linalg.modal_decompose(random_hurwitz(rng, 3)).T
@@ -285,5 +288,5 @@ class TestGainSet:
         Bt = np.linalg.solve(mt.T, sub.B)
         for j in sub.neighbors:
             kt = control.optimal_global_gain(
-                Bt, np.linalg.solve(mt.T, sub.couplings[j] @ T_nbrs[j]))
+                Bt, np.linalg.solve(mt.T, line_block(sub.couplings[j]) @ T_nbrs[j]))
             assert np.abs(kt - T_nbrs[j].T @ gs.global_[j]).max() <= 1e-8

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ from gridcert.errors import ProtocolViolation
 from sampling import random_grid_tuples
 
 ALLOWED_PAYLOAD_KEYS = {
-    protocol.SHARE_TRANSFORM: {"T"},
+    protocol.SHARE_FACTOR: {"beta"},
     protocol.CONDITION_STATUS: {"met"},
     protocol.OPERATOR_VERDICT: {"stable"},
 }
@@ -38,7 +39,7 @@ class TestRunDsaThreeBus:
         res = protocol.run_dsa(three_bus)
         assert res.verdict == certify.STABLE
         counts = kind_counts(res.trace)
-        assert counts[(0, protocol.SHARE_TRANSFORM)] == 6
+        assert counts[(0, protocol.SHARE_FACTOR)] == 6
         assert counts[(1, protocol.CONDITION_STATUS)] == 3
         assert counts[(2, protocol.CONDITION_STATUS)] == 3
         assert counts[(2, protocol.OPERATOR_VERDICT)] == 1
@@ -60,11 +61,13 @@ class TestRunDsaThreeBus:
         res = protocol.run_dsa(three_bus)
         for m in res.trace:
             assert set(m.payload) == ALLOWED_PAYLOAD_KEYS[m.kind]
-            if m.kind == protocol.SHARE_TRANSFORM:
-                local = subs[m.sender]
-                assert not np.allclose(m.payload["T"], local.A_hat)
+            if m.kind == protocol.SHARE_FACTOR:
+                # one finite float: the sender's share of its own design
+                beta = m.payload["beta"]
+                assert type(beta) is float and math.isfinite(beta)
+                assert beta == certify.share(res.agents[m.sender].transform)
         # each agent starts from its own bus model alone: the incoming line
-        # couplings carry its own inertia and the line reactance, nothing
+        # strengths carry its own inertia and the line reactance, nothing
         # of a neighbor
         for bus, st in res.agents.items():
             model, own = st.model, subs[bus]
@@ -73,9 +76,9 @@ class TestRunDsaThreeBus:
                 assert np.array_equal(getattr(model, name), getattr(own, name))
             assert model.neighbors == own.neighbors
             for j in own.neighbors:
-                assert np.array_equal(model.couplings[j], own.couplings[j])
+                assert model.couplings[j] == own.couplings[j]
                 X = next(ln.X for ln in three_bus.lines if {ln.from_bus, ln.to_bus} == {bus, j})
-                assert model.coupling_gain(j) == pytest.approx(
+                assert model.couplings[j] == pytest.approx(
                     three_bus.omega_b / (three_bus.generator(bus).M * X), rel=1e-15)
 
     def test_escalation_monotonicity(self, three_bus):
@@ -94,7 +97,7 @@ class TestRunDsaThreeBus:
         for m in res.trace:
             per_round[(m.round, m.kind)] += 1
         for (rnd, kind), count in per_round.items():
-            if kind == protocol.SHARE_TRANSFORM:
+            if kind == protocol.SHARE_FACTOR:
                 assert count <= 2 * n_edges
             elif kind == protocol.CONDITION_STATUS:
                 assert count <= n_agents
@@ -120,7 +123,7 @@ class TestAgentStep:
         st2, out = protocol.agent_step(st, [], cfg, 0)
         assert not st2.designing
         kinds = Counter(m.kind for m in out)
-        assert kinds == {protocol.SHARE_TRANSFORM: 2}
+        assert kinds == {protocol.SHARE_FACTOR: 2}
         assert {m.to for m in out} == {2, 3}
         # purity: the input state is untouched
         assert st.designing
@@ -131,7 +134,8 @@ class TestAgentStep:
         cfg = protocol.ProtocolConfig()
         st, _ = protocol.agent_step(st, [], cfg, 0)
         mt2 = linalg.modal_decompose(np.diag([-1.0, -2.0, -3.0]))
-        inbox = [protocol.Message(protocol.SHARE_TRANSFORM, 2, 1, 0, {"T": mt2.T})]
+        inbox = [protocol.Message(protocol.SHARE_FACTOR, 2, 1, 0,
+                                  {"beta": certify.share(mt2)})]
         st2, out = protocol.agent_step(st, inbox, cfg, 1)
         assert not st2.designing and st2.needs_evaluation
         assert out == []
@@ -145,7 +149,8 @@ class TestAgentStep:
         cfg = protocol.ProtocolConfig()
         st, _ = protocol.agent_step(st, [], cfg, 0)
         mt2 = linalg.modal_decompose(np.diag([-1.0, -2.0, -3.0]))
-        inbox = [protocol.Message(protocol.SHARE_TRANSFORM, 2, 1, 0, {"T": mt2.T})]
+        inbox = [protocol.Message(protocol.SHARE_FACTOR, 2, 1, 0,
+                                  {"beta": certify.share(mt2)})]
         st2, out = protocol.agent_step(st, inbox, cfg, 1)
         assert len(out) == 1
         assert out[0].kind == protocol.CONDITION_STATUS
@@ -162,8 +167,8 @@ class TestAgentStep:
         inbox = []
         for j in (2, 3):
             _, mt = certify.design_agent(subs[j], three_bus.generator(j).poles)
-            inbox.append(protocol.Message(protocol.SHARE_TRANSFORM, j, 1, 0,
-                                          {"T": mt.T}))
+            inbox.append(protocol.Message(protocol.SHARE_FACTOR, j, 1, 0,
+                                          {"beta": certify.share(mt)}))
         st_failed, out = protocol.agent_step(st, inbox, cfg, 1)
         assert out[0].payload["met"] is False
         assert st_failed.escalated and st_failed.gains.global_ == {}
@@ -176,8 +181,19 @@ class TestAgentStep:
         _, st = self._fresh(three_bus, 1)
         cfg = protocol.ProtocolConfig()
         st, _ = protocol.agent_step(st, [], cfg, 0)
-        bad = protocol.Message(protocol.SHARE_TRANSFORM, 99, 1, 0, {"T": np.eye(3)})
+        bad = protocol.Message(protocol.SHARE_FACTOR, 99, 1, 0, {"beta": 1.0})
         with pytest.raises(ProtocolViolation):
+            protocol.agent_step(st, [bad], cfg, 1)
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf, "1.0", 1])
+    def test_rejects_malformed_share(self, three_bus, beta):
+        # a share is the norm of a row of an invertible transform: a finite
+        # float > 0; a forged 0 or negative share would meet any row
+        _, st = self._fresh(three_bus, 1)
+        cfg = protocol.ProtocolConfig()
+        st, _ = protocol.agent_step(st, [], cfg, 0)
+        bad = protocol.Message(protocol.SHARE_FACTOR, 2, 1, 0, {"beta": beta})
+        with pytest.raises(ProtocolViolation, match="agent 1 got share .* from 2"):
             protocol.agent_step(st, [bad], cfg, 1)
 
     def test_rejects_share_coupling(self, three_bus):
@@ -248,8 +264,8 @@ class TestOperatorStep:
         op = protocol.OperatorState(expected=(1,))
         with pytest.raises(ProtocolViolation):
             protocol.operator_step(
-                op, [protocol.Message(protocol.SHARE_TRANSFORM, 1,
-                                      protocol.OPERATOR, 0, {"T": np.eye(3)})], 0)
+                op, [protocol.Message(protocol.SHARE_FACTOR, 1,
+                                      protocol.OPERATOR, 0, {"beta": 1.0})], 0)
         with pytest.raises(ProtocolViolation):
             protocol.operator_step(op, [self._status(9, True)], 0)
 
@@ -261,7 +277,7 @@ class TestScenarios:
         assert res.verdict == certify.STABLE
         counts = kind_counts(res.trace)
         assert counts[(1, protocol.CONDITION_STATUS)] == 1
-        assert not any(m.kind == protocol.SHARE_TRANSFORM for m in res.trace)
+        assert not any(m.kind == protocol.SHARE_FACTOR for m in res.trace)
         assert not res.agents[4].escalated
 
     def test_no_options_inconclusive(self, three_bus):
@@ -276,7 +292,7 @@ class TestScenarios:
         res = protocol.run_dsa(three_bus, max_retries=2, allow_global=True)
         assert res.verdict == certify.STABLE
         counts = kind_counts(res.trace)
-        share_rounds = sorted(r for (r, k) in counts if k == protocol.SHARE_TRANSFORM)
+        share_rounds = sorted(r for (r, k) in counts if k == protocol.SHARE_FACTOR)
         assert len(share_rounds) == 3   # initial design + two retries
         for st in res.agents.values():
             assert st.retry_count == 2
@@ -341,6 +357,17 @@ class TestScenarios:
         assert res.verdict == certify.INCONCLUSIVE
         assert all(r.variant == "original" for r in res.reports)
         assert protocol.run_dsa(three_bus).verdict == certify.STABLE
+
+    def test_original_variant_sends_no_shares(self, three_bus):
+        # the original row reads nothing of a neighbor, so agents share
+        # nothing and evaluate in the round after they design
+        res = protocol.run_dsa(three_bus, variant="original")
+        assert not any(m.kind == protocol.SHARE_FACTOR for m in res.trace)
+        assert len(res.trace) == 7
+        counts = kind_counts(res.trace)
+        assert counts[(1, protocol.CONDITION_STATUS)] == 3
+        assert counts[(2, protocol.CONDITION_STATUS)] == 3
+        assert res.rounds == 5
 
 class TestTraceSerialization:
     def test_digest_and_full_lines(self, three_bus):
