@@ -19,16 +19,24 @@ centralized :func:`assess_grid` and the protocol agents both go through it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import control, gridmodel
-from .errors import CertificateInvalid, GridcertError, InvalidInput
+from .errors import (
+    CertificateInvalid,
+    GridcertError,
+    IllConditionedTransform,
+    InvalidInput,
+    NotSemiSimple,
+)
 from .linalg import (
     ModalTransform,
     _as_matrix,
+    _in_member,
     is_hurwitz,
     modal_decompose,
     solve_lyapunov,
@@ -238,7 +246,10 @@ def compositional_verdict(reports):
 
 @dataclass
 class AssessmentResult:
-    """Outcome of a centralized design-and-certify pass over a grid."""
+    """Outcome of a centralized design-and-certify pass over a grid.
+
+    ``A_full``, the dense closed loop of order 3N, is assembled on first
+    read and kept: a pass that reads no oracle never holds it."""
 
     variant: str
     reports: list[ConditionReport]
@@ -246,7 +257,10 @@ class AssessmentResult:
     gains: dict[int, control.GainSet]
     transforms: dict[int, ModalTransform]
     subsystems: list[gridmodel.SubsystemModel]
-    A_full: np.ndarray
+
+    @functools.cached_property
+    def A_full(self):
+        return gridmodel.assemble_full(self.subsystems, self.gains)
 
     @property
     def hurwitz(self):
@@ -266,36 +280,92 @@ def resolve_pole_specs(grid, scale=1.0):
     return specs
 
 
-def design_agent(sub, poles):
-    """Local design of one bus: the gain ``K`` placing ``poles`` and the
-    modal form of ``A_hat - B K^T``.  An error keeps its type and names the
-    agent."""
+def _unresolved(A_hat, poles, A_cl):
+    """The error for a placement that failed to resolve ``poles``: when the
+    spectrum of the placed loop ``A_cl`` misses some requested pole by
+    more than that pole's distance to the imaginary axis, the worst such
+    pole; else None."""
+    lam = np.linalg.eigvals(A_cl)
+    misses = [(float(np.abs(lam - p).min()), complex(p)) for p in poles]
+    miss, p = max(misses, key=lambda mp: mp[0] / -mp[1].real)
+    if miss < -p.real:
+        return None
+    pole = f"{p.real:.6g}" if p.imag == 0.0 else f"{p:.6g}"
+    return InvalidInput(
+        f"pole {pole} cannot be placed: it is not resolved against "
+        f"||A_hat|| = {np.linalg.norm(A_hat, 2):.6g} (the placed loop misses it by {miss:.3g})")
+
+
+def _design_stack(A, B, pole_sets):
+    K = control.pole_place(A, B, pole_sets)
+    A_cl = A - B[:, :, None] * K[:, None, :]
     try:
-        K = control.pole_place(sub.A_hat, sub.B, poles)
-        return K, modal_decompose(sub.A_hat - np.outer(sub.B, K))
-    except GridcertError as exc:
-        raise type(exc)(f"agent {sub.bus}: {exc}") from exc
+        mts = modal_decompose(A_cl)
+    except (IllConditionedTransform, NotSemiSimple) as exc:
+        k = exc.member
+        bad = _unresolved(A[k], pole_sets[k], A_cl[k])
+        if bad is None:
+            raise
+        raise _in_member(bad, k) from exc
+    for k, mt in enumerate(mts):
+        # every requested pole is stable, so only rounding can leave the loop unstable
+        bad = _unresolved(A[k], pole_sets[k], A_cl[k]) if mt.sigma_M <= 0 else None
+        if bad is not None:
+            raise _in_member(bad, k)
+    return K, mts
+
+
+def design_agents(subsystems, pole_sets):
+    """Local design of every bus in one stacked pass: the gains ``K``
+    (N, 3) placing ``pole_sets[k]`` for ``subsystems[k]``, and the modal
+    forms of the closed loops ``A_hat - B K^T``.
+
+    An error keeps its type and names the lowest-numbered failing bus,
+    whichever stage it fails at: a stage raises for its own lowest failing
+    member, so the design is rerun on the buses before it until none fails.
+    """
+    if not subsystems:
+        return np.empty((0, gridmodel.SUBSYSTEM_ORDER)), []
+    A = np.array([s.A_hat for s in subsystems])
+    B = np.array([s.B for s in subsystems])
+    end, error = len(subsystems), None
+    while end:
+        try:
+            K, mts = _design_stack(A[:end], B[:end], pole_sets[:end])
+        except GridcertError as exc:
+            end, error = exc.member or 0, exc
+            continue
+        if error is None:
+            return K, mts
+        break
+    raise type(error)(f"agent {subsystems[end].bus}: {error}") from error
+
+
+def design_agent(sub, poles):
+    """Local design of one bus: the N = 1 case of :func:`design_agents`."""
+    K, (mt,) = design_agents([sub], [poles])
+    return K[0], mt
 
 
 def assess_grid(grid, use_global=False, variant=VARIANT_TRANSFORMED, poles_scale=1.0):
     """Design feedback for every bus and evaluate the chosen condition.
 
     This is the centralized (no message passing) counterpart of the
-    distributed protocol: local pole placement per bus, then each agent's
-    :func:`agent_row` with every neighbor's share at hand, escalated to
-    coupling-minimizing global gains when ``use_global``.
+    distributed protocol: local pole placement for all buses in one
+    stacked pass, then each agent's :func:`agent_row` with every
+    neighbor's share at hand, escalated to coupling-minimizing global
+    gains when ``use_global``.
     """
     if variant not in (VARIANT_ORIGINAL, VARIANT_TRANSFORMED):
         raise InvalidInput(f"unknown variant {variant!r}")
     subsystems = gridmodel.build_subsystems(grid)
     specs = resolve_pole_specs(grid, poles_scale)
-    designs = {sub.bus: design_agent(sub, specs[sub.bus]) for sub in subsystems}
-    transforms = {bus: mt for bus, (_, mt) in designs.items()}
+    Ks, mts = design_agents(subsystems, [specs[sub.bus] for sub in subsystems])
+    transforms = {sub.bus: mt for sub, mt in zip(subsystems, mts)}
     shares = {bus: share(mt) for bus, mt in transforms.items()}
 
     gains, reports = {}, []
-    for sub in subsystems:
-        K, mt = designs[sub.bus]
+    for sub, K, mt in zip(subsystems, Ks, mts):
         report, global_ = agent_row(sub, K, mt, shares, use_global, variant)
         reports.append(report)
         gains[sub.bus] = control.GainSet(local=K, global_=global_)
@@ -307,5 +377,4 @@ def assess_grid(grid, use_global=False, variant=VARIANT_TRANSFORMED, poles_scale
         gains=gains,
         transforms=transforms,
         subsystems=subsystems,
-        A_full=gridmodel.assemble_full(subsystems, gains),
     )

@@ -16,12 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Degenerate, InvalidInput, Uncontrollable, Unsupported
-from .linalg import ModalTransform, _as_matrix
+from .linalg import ModalTransform, _as_matrix, _in_member
 
-__all__ = [
-    "GainSet", "ModalTransform", "validate_poles", "pole_place",
-    "optimal_global_gain",
-]
+__all__ = ["GainSet", "ModalTransform", "pole_place", "optimal_global_gain"]
 
 
 @dataclass
@@ -34,55 +31,91 @@ class GainSet:
     global_: dict[int, np.ndarray] = field(default_factory=dict)
 
 
-def _as_column(v, n, name):
+def _as_column(v, n, name, stack=None):
+    """One input column of length ``n``, or with ``stack = N`` the (N, n)
+    columns of a stack; a non-finite member raises with its index as
+    ``member``."""
     v = np.asarray(v)
     if np.iscomplexobj(v):
         raise InvalidInput(f"{name} must be real-valued")
     v = v.astype(float, copy=False)
-    if v.ndim == 2:
-        if 1 not in v.shape:
+    lead = () if stack is None else (stack,)
+    if v.ndim == len(lead) + 2:
+        if 1 not in v.shape[-2:]:
             raise Unsupported(f"{name} must be a single column, got shape {v.shape}")
-        v = v.reshape(-1)
-    if v.shape != (n,):
+        v = v.reshape(*lead, -1)
+    if v.shape != (*lead, n):
         raise InvalidInput(f"{name} must have length {n}, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise InvalidInput(f"{name} has non-finite entries")
+    if not np.isfinite(v).all():
+        raise _in_member(InvalidInput(f"{name} has non-finite entries"),
+                         np.argmin(np.isfinite(v).all(axis=-1)))
     return v
 
 
-def validate_poles(poles, n):
-    """Check a desired pole set: length n, all stable, conjugate-closed."""
-    poles = [complex(p) for p in poles]
-    if len(poles) != n:
-        raise InvalidInput(f"expected {n} poles, got {len(poles)}")
-    if any(p.real >= 0 for p in poles):
-        raise InvalidInput("desired poles must have negative real parts")
-    remaining = [p for p in poles if p.imag != 0.0]
-    while remaining:
-        p = remaining.pop()
-        match = next((k for k, q in enumerate(remaining)
-                      if abs(q - p.conjugate()) <= 1e-9 * max(1.0, abs(p))), None)
-        if match is None:
-            raise InvalidInput(f"pole set is not conjugate-closed at {p}")
-        remaining.pop(match)
-    return poles
+def _pole_sets(pole_sets, n):
+    """The (N, n) complex array of N desired pole sets, each of length n,
+    all stable and conjugate-closed, and the indices of the sets holding a
+    complex pair; a failing set raises with its index as ``member``, the
+    lowest set failing the first check any set fails."""
+    sets = [[complex(p) for p in poles] for poles in pole_sets]
+    for k, poles in enumerate(sets):
+        if len(poles) != n:
+            raise _in_member(InvalidInput(f"expected {n} poles, got {len(poles)}"), k)
+    P = np.array(sets, dtype=complex).reshape(len(sets), n)
+    unstable = (P.real >= 0).any(axis=-1)
+    if unstable.any():
+        raise _in_member(InvalidInput("desired poles must have negative real parts"),
+                         np.argmax(unstable))
+    paired = np.flatnonzero(P.imag.any(axis=-1))
+    for k in paired:
+        remaining = [p for p in sets[k] if p.imag != 0.0]
+        while remaining:
+            p = remaining.pop()
+            match = next((j for j, q in enumerate(remaining)
+                          if abs(q - p.conjugate()) <= 1e-9 * max(1.0, abs(p))), None)
+            if match is None:
+                raise _in_member(InvalidInput(f"pole set is not conjugate-closed at {p}"), k)
+            remaining.pop(match)
+    return P, paired
+
+
+def _krylov(A, B):
+    cols = [B]
+    for _ in range(A.shape[-1] - 1):
+        cols.append((A @ cols[-1][..., None])[..., 0])
+    return np.stack(cols, axis=-1)
 
 
 def controllability_matrix(A, B):
     A = _as_matrix(A, "A")
-    B = _as_column(B, A.shape[0], "B")
-    cols = [B]
-    for _ in range(A.shape[0] - 1):
-        cols.append(A @ cols[-1])
-    return np.column_stack(cols)
+    return _krylov(A, _as_column(B, A.shape[0], "B"))
+
+
+def _char_poly(P, paired):
+    """Real coefficients, highest power first, of the monic polynomials
+    whose roots are the rows of ``P``, as ``np.poly`` gives them: its
+    recurrence run on all rows at once, then ``np.poly`` itself on the
+    rows ``paired`` that hold a complex pair (its complex products round
+    differently)."""
+    N, n = P.shape
+    roots = P.real
+    c = np.zeros((N, n + 1))
+    c[:, 0] = 1.0
+    for k in range(n):
+        c[:, 1:k + 2] -= c[:, :k + 1] * roots[:, k:k + 1]
+    for m in paired:
+        c[m] = np.real(np.poly(P[m]))
+    return c
 
 
 def pole_place(A_hat, B, poles):
-    """Single-input pole placement (Ackermann).
+    """Single-input pole placement (Ackermann), for one plant or a stack.
 
     Returns the gain column ``K`` such that ``A_hat - B K^T`` has the
     requested eigenvalues.  Multi-column ``B`` is rejected: the plants
-    handled here have one control input per bus.
+    handled here have one control input per bus.  A stack places N
+    plants in one pass: ``A_hat`` (N, n, n), ``B`` (N, n) and ``poles`` N
+    pole sets give ``K`` (N, n), each row that of its plant placed alone.
 
     Raises
     ------
@@ -90,27 +123,41 @@ def pole_place(A_hat, B, poles):
         If the controllability matrix is rank deficient.
     InvalidInput
         If the desired characteristic polynomial overflows at ``A_hat``.
-    """
-    A_hat = _as_matrix(A_hat, "A_hat")
-    n = A_hat.shape[0]
-    B = _as_column(B, n, "B")
-    poles = validate_poles(poles, n)
 
-    C = controllability_matrix(A_hat, B)
-    if np.linalg.matrix_rank(C) < n:
-        raise Uncontrollable("controllability matrix is rank deficient")
+    On a stack the error is that of the first failing check, raised for
+    the lowest member that fails it, whose index is the error's ``member``.
+    """
+    A = _as_matrix(A_hat, "A_hat", stack=True)
+    single = A.ndim == 2
+    A = A[None] if single else A
+    N, n, _ = A.shape
+    B = _as_column(B, n, "B")[None] if single else _as_column(B, n, "B", stack=N)
+    P, paired = _pole_sets([poles] if single else poles, n)
+    if len(P) != N:
+        raise InvalidInput(f"expected {N} pole sets, got {len(P)}")
+
+    C = _krylov(A, B)
+    # rank < n: the least singular value within n eps of the largest (np.linalg.matrix_rank)
+    s = np.linalg.svd(C, compute_uv=False)
+    deficient = s[:, -1] <= s[:, 0] * (n * np.finfo(float).eps)
+    if deficient.any():
+        raise _in_member(Uncontrollable("controllability matrix is rank deficient"),
+                         np.argmax(deficient))
 
     # desired characteristic polynomial evaluated at A_hat
     with np.errstate(over="ignore", invalid="ignore"):   # overflow is reported below
-        coeffs = np.real(np.poly(np.array(poles)))
-        pA = coeffs[-1] * np.eye(n)
+        coeffs = _char_poly(P, paired)[:, :, None, None]
+        pA = coeffs[:, -1] * np.eye(n)
         Ak = np.eye(n)
         for k in range(1, n + 1):
-            Ak = Ak @ A_hat
-            pA = pA + coeffs[n - k] * Ak
-    if not np.all(np.isfinite(pA)):
-        raise InvalidInput("desired characteristic polynomial overflows at these poles")
-    return np.linalg.solve(C, pA)[-1]   # e_n^T inv(C) p(A_hat)
+            Ak = Ak @ A
+            pA = pA + coeffs[:, n - k] * Ak
+    if not np.isfinite(pA).all():
+        raise _in_member(
+            InvalidInput("desired characteristic polynomial overflows at these poles"),
+            np.argmin(np.isfinite(pA).all(axis=(-2, -1))))
+    K = np.linalg.solve(C, pA)[:, -1]   # e_n^T inv(C) p(A_hat)
+    return K[0] if single else K
 
 
 def optimal_global_gain(Bt, At_ij):

@@ -26,7 +26,15 @@ from .errors import (
 COND_LIMIT = 1e12
 
 
-def _as_matrix(A, name="matrix", square=True):
+def _in_member(exc, k):
+    """``exc`` marked as raised for member ``k`` of a stack."""
+    exc.member = int(k)
+    return exc
+
+
+def _as_matrix(A, name="matrix", square=True, stack=False):
+    """``A`` as a float matrix; with ``stack``, also a stack (N, n, n) of
+    them, where a non-finite member raises with its index as ``member``."""
     A = np.asarray(A)
     if np.iscomplexobj(A):
         raise InvalidInput(f"{name} must be real-valued")
@@ -34,14 +42,15 @@ def _as_matrix(A, name="matrix", square=True):
         A = A.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise InvalidInput(f"{name} must be numeric: {exc}") from exc
-    if A.ndim != 2:
+    if A.ndim != 2 and not (stack and A.ndim == 3):
         raise InvalidInput(f"{name} must be 2-D, got shape {A.shape}")
-    if square and A.shape[0] != A.shape[1]:
+    if square and A.shape[-2] != A.shape[-1]:
         raise InvalidInput(f"{name} must be square, got shape {A.shape}")
     if A.size == 0:
         raise InvalidInput(f"{name} must have order >= 1")
-    if not np.all(np.isfinite(A)):
-        raise InvalidInput(f"{name} has non-finite entries")
+    if not np.isfinite(A).all():
+        raise _in_member(InvalidInput(f"{name} has non-finite entries"),
+                         np.argmin(np.isfinite(A).all(axis=(-2, -1))))
     return A
 
 
@@ -134,13 +143,80 @@ def _geometric_deficit(A, lam_groups):
     return None
 
 
+def _ill_conditioned(A, lam, cond):
+    """The error for a modal transform of ``A`` (spectrum ``lam``) whose
+    condition number ``cond`` is too large: defective or merely ill-conditioned."""
+    n = A.shape[0]
+    groups = []
+    used = np.zeros(n, dtype=bool)
+    tol = 1e-8 * max(1.0, float(np.abs(lam).max()))
+    for k in range(n):
+        if used[k]:
+            continue
+        close = np.abs(lam - lam[k]) <= tol
+        used |= close
+        groups.append((lam[k], int(close.sum())))
+    bad = _geometric_deficit(A, groups)
+    if bad is not None:
+        return NotSemiSimple(f"matrix is defective at eigenvalue {bad:.6g}")
+    return IllConditionedTransform(
+        f"eigenvector matrix condition number {cond:.3g} exceeds {COND_LIMIT:.0e}")
+
+
+def _norms(P):
+    # the 2-norm of each row, as np.linalg.norm computes it for one vector
+    return np.sqrt(np.vecdot(P, P))[..., None]
+
+
+def _signs(P, member):
+    """-1 for each row of ``P`` whose largest-magnitude entry is negative,
+    else 1, shaped to scale the rows of ``P``; ``member`` indexes the stack
+    as a column."""
+    top = P[member, np.arange(P.shape[1]), np.argmax(np.abs(P), axis=-1)]
+    return np.where(top < 0, -1.0, 1.0)[..., None]
+
+
+def _pair_rows(lam, W, member):
+    """For a stack with complex eigenvalues ``lam`` and eigenvector rows
+    ``W``, both in modal order: the columns of ``T`` as rows, the
+    eigenvalue on each column's diagonal entry of ``Lam``, and a mask of
+    the columns that open a pair's 2x2 block."""
+    N, n = lam.shape
+    pairs = (lam.imag > 0.0).sum(axis=-1)[:, None]
+    is_pair = np.arange(n) < pairs
+    p, q = W.real.copy(), W.imag.copy()
+    # rotate each pair's v by exp(i*theta) so both real columns have
+    # equal norm, then scale both to unit norm; the 2x2 block is unaffected
+    theta = 0.5 * np.arctan2(np.vecdot(p, p) - np.vecdot(q, q), 2.0 * np.vecdot(p, q))
+    w = np.where(is_pair[..., None], np.exp(1j * theta)[..., None] * W, W)
+    sign = _signs(w.real, member)
+    p, q = w.real * sign, w.imag * sign
+    nrm = _norms(p)
+    degenerate = is_pair & (nrm[..., 0] == 0.0)
+    if degenerate.any():
+        raise _in_member(NotSemiSimple("degenerate complex eigenvector"),
+                         np.argmax(degenerate.any(axis=-1)))
+    p /= nrm
+    q /= np.where(is_pair[..., None], _norms(q), 1.0)
+    # row o of T: p of pair o // 2 (even o) or its q (odd o) among the
+    # first 2 * pairs rows, then the real eigenvector at position o - pairs
+    o = np.arange(n)
+    in_pair = o < 2 * pairs
+    src = np.where(in_pair, o // 2, o - pairs)
+    rows = np.where((in_pair & (o % 2 == 1))[..., None], q[member, src], p[member, src])
+    return rows, lam[member, src], in_pair & (o % 2 == 0)
+
+
 def modal_decompose(A):
-    """Real block-diagonalization of a semi-simple real matrix.
+    """Real block-diagonalization of a semi-simple real matrix, or of each
+    member of a stack ``(N, n, n)`` in one pass.
 
     Complex-pair blocks come first, then real eigenvalues, each group in
     ascending real part.  Columns of ``T`` are normalized to unit 2-norm
     with the sign fixed so that the largest-magnitude component of each
     real column (and of the real part of each complex pair) is positive.
+    A stack gives one :class:`ModalTransform` per member, in a list, and
+    each member's transform equals that of the member decomposed alone.
 
     Raises
     ------
@@ -149,76 +225,52 @@ def modal_decompose(A):
     IllConditionedTransform
         If the eigenvector matrix has condition number above
         ``COND_LIMIT``.
+
+    On a stack the error is that of the first failing check, raised for
+    the lowest member that fails it, whose index is the error's ``member``.
     """
-    A = _as_matrix(A, "A")
-    n = A.shape[0]
-    lam, V = np.linalg.eig(A)
+    A = _as_matrix(A, "A", stack=True)
+    single = A.ndim == 2
+    A = A[None] if single else A
+    N, n, _ = A.shape
+    lam, V = np.linalg.eig(A)   # real arrays when every member's spectrum is real
+    member = np.arange(N)[:, None]
+    Lam = np.zeros((N, n, n))
+    diag = np.arange(n)
+    if np.iscomplexobj(lam):
+        plus, minus = lam.imag > 0.0, lam.imag < 0.0
+        bad = plus.sum(axis=-1) != minus.sum(axis=-1)
+        if bad.any():
+            raise _in_member(InvalidInput("eigenvalues are not conjugate symmetric"),
+                             np.argmax(bad))
+        # modal order: the +imag member of each conjugate pair, then the
+        # real eigenvalues, each group by ascending real part (lexsort is
+        # stable, so ties go by index); the -imag members last
+        order = np.lexsort((np.where(plus, lam.imag, 0.0), lam.real,
+                            minus.view(np.int8) - plus), axis=-1)
+        rows, lam_T, first = _pair_rows(lam[member, order],
+                                        np.swapaxes(V, -1, -2)[member, order], member)
+        first = first[:, :-1]
+        Lam[:, diag[:-1], diag[1:]] = np.where(first, lam_T.imag[:, :-1], 0.0)
+        Lam[:, diag[1:], diag[:-1]] = np.where(first, -lam_T.imag[:, :-1], 0.0)
+    else:
+        order = np.argsort(lam, axis=-1, kind="stable")
+        lam_T = lam[member, order]
+        rows = np.swapaxes(V, -1, -2)[member, order]
+        rows *= _signs(rows, member)
+        rows /= _norms(rows)
+    Lam[:, diag, diag] = lam_T.real
+    T = np.ascontiguousarray(np.swapaxes(rows, -1, -2))
 
-    # real eigenvectors and the +imag member of each conjugate pair
-    real_idx = [k for k in range(n) if lam[k].imag == 0.0]
-    plus_idx = [k for k in range(n) if lam[k].imag > 0.0]
-    minus = sum(1 for k in range(n) if lam[k].imag < 0.0)
-    if len(plus_idx) != minus:
-        raise InvalidInput("eigenvalues are not conjugate symmetric")
+    s = np.linalg.svd(T, compute_uv=False)
+    bad = ~(s[:, 0] <= COND_LIMIT * s[:, -1])   # cond(T) = s_max / s_min, inf when singular
+    if bad.any():
+        b = np.argmax(bad)
+        raise _in_member(_ill_conditioned(A[b], lam[b], np.linalg.cond(T[b])), b)
 
-    plus_idx.sort(key=lambda k: (lam[k].real, lam[k].imag, k))
-    real_idx.sort(key=lambda k: (lam[k].real, k))
-
-    cols = []
-    blocks = []
-    for k in plus_idx:
-        sig, om = lam[k].real, lam[k].imag
-        v = V[:, k]
-        p, q = v.real.copy(), v.imag.copy()
-        # rotate v by exp(i*theta) so both real columns have equal norm,
-        # then scale both to unit norm; the 2x2 block is unaffected
-        theta = 0.5 * np.arctan2(p @ p - q @ q, 2.0 * (p @ q))
-        w = np.exp(1j * theta) * v
-        p, q = w.real, w.imag
-        if p[np.argmax(np.abs(p))] < 0:
-            p, q = -p, -q
-        nrm = np.linalg.norm(p)
-        if nrm == 0.0:
-            raise NotSemiSimple("degenerate complex eigenvector")
-        cols.extend([p / nrm, q / np.linalg.norm(q)])
-        blocks.append(np.array([[sig, om], [-om, sig]]))
-    for k in real_idx:
-        v = V[:, k].real
-        if v[np.argmax(np.abs(v))] < 0:
-            v = -v
-        cols.append(v / np.linalg.norm(v))
-        blocks.append(np.array([[lam[k].real]]))
-
-    T = np.column_stack(cols)
-    cond = np.linalg.cond(T)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        # distinguish a defective matrix from mere ill-conditioning
-        groups = []
-        used = np.zeros(n, dtype=bool)
-        tol = 1e-8 * max(1.0, float(np.abs(lam).max()))
-        for k in range(n):
-            if used[k]:
-                continue
-            close = np.abs(lam - lam[k]) <= tol
-            used |= close
-            groups.append((lam[k], int(close.sum())))
-        bad = _geometric_deficit(A, groups)
-        if bad is not None:
-            raise NotSemiSimple(
-                f"matrix is defective at eigenvalue {bad:.6g}"
-            )
-        raise IllConditionedTransform(
-            f"eigenvector matrix condition number {cond:.3g} exceeds {COND_LIMIT:.0e}"
-        )
-
-    Lam = np.zeros((n, n))
-    pos = 0
-    for blk in blocks:
-        m = blk.shape[0]
-        Lam[pos:pos + m, pos:pos + m] = blk
-        pos += m
-    return ModalTransform(T=T, Lam=Lam, sigma_M=float(-lam.real.max()))
-
+    sigma_M = -lam.real.max(axis=-1)
+    mts = [ModalTransform(T=T[b], Lam=Lam[b], sigma_M=float(sigma_M[b])) for b in range(N)]
+    return mts[0] if single else mts
 
 def is_hurwitz(A):
     """True iff every eigenvalue of ``A`` has negative real part."""

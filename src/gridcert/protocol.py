@@ -121,6 +121,16 @@ class OperatorState:
     verdict: bool | None = None
 
 
+def _flag(msg, key, receiver):
+    """The JSON bool ``msg.payload[key]``; anything else, a missing key
+    included, breaks the protocol (``bool("false")`` would read true)."""
+    value = msg.payload.get(key)
+    if not isinstance(value, bool):
+        raise ProtocolViolation(
+            f"{receiver} got {key} {value!r} from {msg.sender}, not a bool", offending=msg)
+    return value
+
+
 def _ingest(st, inbox):
     for msg in inbox:
         if msg.kind == SHARE_FACTOR:
@@ -128,7 +138,7 @@ def _ingest(st, inbox):
                 raise ProtocolViolation(
                     f"agent {st.id} got share from non-neighbor {msg.sender}",
                     offending=msg)
-            beta = msg.payload["beta"]
+            beta = msg.payload.get("beta")
             # the norm of a row of an invertible T: a forged 0 or -1 would meet any row
             if not (isinstance(beta, float) and math.isfinite(beta) and beta > 0.0):
                 raise ProtocolViolation(
@@ -136,7 +146,7 @@ def _ingest(st, inbox):
             st.received_shares[msg.sender] = beta
             st.needs_evaluation = True
         elif msg.kind == OPERATOR_VERDICT:
-            st.verdict = bool(msg.payload["stable"])
+            st.verdict = _flag(msg, "stable", f"agent {st.id}")
             st.designing = False
             st.needs_evaluation = False
         else:
@@ -203,7 +213,7 @@ def operator_step(state, inbox, rnd):
         if msg.sender not in st.expected:
             raise ProtocolViolation(
                 f"status from unknown agent {msg.sender}", offending=msg)
-        met = bool(msg.payload["met"])
+        met = _flag(msg, "met", "operator")
         if msg.sender in seen and seen[msg.sender] != met:
             raise ProtocolViolation(
                 f"conflicting statuses from agent {msg.sender} in round {rnd}",

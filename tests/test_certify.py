@@ -7,10 +7,12 @@ import pytest
 from conftest import make_grid
 from gridcert import certify, control, gridmodel, linalg
 from gridcert.errors import CertificateInvalid, IllConditionedTransform, InvalidInput
+from gridcert.data import three_bus_path
 from sampling import (
     assemble_blocks,
     line_block,
     random_grid_tuples,
+    ring_grid_tuples,
     random_semisimple_hurwitz,
     random_spd,
     sample_met_original,
@@ -377,3 +379,111 @@ class TestRankOneKernel:
         assert got == res.reports[0]
         with pytest.raises(InvalidInput, match="agent 1: missing share from neighbor 2"):
             certify.agent_row(sub, K, mt, {}, True, certify.VARIANT_TRANSFORMED)
+
+
+def pole_specs(grid):
+    return [grid.generator(s.bus).poles for s in gridmodel.build_subsystems(grid)]
+
+
+PAIRED = [complex(-20.0, 6.0), complex(-20.0, -6.0), -40.0]
+
+
+class TestStackedDesign:
+    """``design_agents`` designs every bus in one stacked pass;
+    ``design_agent`` is its one-bus case and must agree bit for bit."""
+
+    def assert_stack_equals_buses(self, subs, pole_sets):
+        Ks, mts = certify.design_agents(subs, pole_sets)
+        assert Ks.shape == (len(subs), 3) and len(mts) == len(subs)
+        for sub, poles, K, mt in zip(subs, pole_sets, Ks, mts):
+            K1, mt1 = certify.design_agent(sub, poles)
+            assert np.array_equal(K, K1)
+            assert np.array_equal(mt.T, mt1.T)
+            assert np.array_equal(mt.Lam, mt1.Lam)
+            assert mt.sigma_M == mt1.sigma_M and isinstance(mt.sigma_M, float)
+
+    def test_three_bus(self, three_bus):
+        self.assert_stack_equals_buses(gridmodel.build_subsystems(three_bus),
+                                       pole_specs(three_bus))
+
+    def test_seeded_random_grids(self, rng):
+        for _ in range(10):
+            grid = make_grid(*random_grid_tuples(rng))
+            self.assert_stack_equals_buses(gridmodel.build_subsystems(grid), pole_specs(grid))
+        grid = make_grid(*ring_grid_tuples(rng, 40))
+        self.assert_stack_equals_buses(gridmodel.build_subsystems(grid), pole_specs(grid))
+
+    @pytest.mark.parametrize("paired_buses", [(1, 2, 3), (2,), (1, 3)])
+    def test_complex_pairs_and_mixed_stacks(self, three_bus, paired_buses):
+        subs = gridmodel.build_subsystems(three_bus)
+        specs = [PAIRED if s.bus in paired_buses else poles
+                 for s, poles in zip(subs, pole_specs(three_bus))]
+        self.assert_stack_equals_buses(subs, specs)
+        _, mts = certify.design_agents(subs, specs)
+        for bus in paired_buses:
+            # the complex pair opens the modal form with its 2x2 block
+            Lam = mts[bus - 1].Lam
+            assert np.allclose(np.diag(Lam), [-20.0, -20.0, -40.0])
+            assert Lam[0, 1] == pytest.approx(6.0) and Lam[1, 0] == -Lam[0, 1]
+
+    def test_random_pair_stacks(self, rng):
+        # stacks of random plants whose closed loops mix complex pairs and real spectra
+        subs = gridmodel.build_subsystems(make_grid(*ring_grid_tuples(rng, 30)))
+        specs = []
+        for _ in subs:
+            re = sorted(-rng.uniform(5.0, 50.0, size=3))
+            w = rng.uniform(0.5, 20.0)
+            specs.append([complex(re[0], w), complex(re[0], -w), re[2]]
+                         if rng.random() < 0.5 else re)
+        self.assert_stack_equals_buses(subs, specs)
+
+    def test_earlier_bus_wins_whatever_the_stage(self):
+        # bus 1 fails in modal_decompose, bus 2 already in pole validation:
+        # the error names bus 1, as designing bus by bus would
+        with open(three_bus_path(), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["generators"][0]["control"] = [-22e6, -39e6, -43e6]
+        doc["generators"][1]["control"] = [1.0, -39.0, -43.0]
+        grid = gridmodel.parse_grid(json.dumps(doc))
+        with pytest.raises(IllConditionedTransform) as info:
+            certify.assess_grid(grid)
+        assert str(info.value) == (
+            "agent 1: eigenvector matrix condition number 9.98e+14 exceeds 1e+12")
+        doc["generators"][0]["control"] = [-22.0, -39.0, -43.0]
+        grid = gridmodel.parse_grid(json.dumps(doc))
+        with pytest.raises(InvalidInput, match="^agent 2: desired poles must have negative real parts$"):
+            certify.assess_grid(grid)
+
+    def test_unresolved_pole_named(self, three_bus):
+        with pytest.raises(InvalidInput, match=(
+                r"^agent 1: pole -2.2e-99 cannot be placed: it is not resolved against "
+                r"\|\|A_hat\|\| = 217.231 \(the placed loop misses it by ")):
+            certify.assess_grid(three_bus, poles_scale=1e-100)
+
+
+class TestDesignCost:
+    """The shape of the certificate path's cost, counted, not timed."""
+
+    @pytest.mark.parametrize("variant", [certify.VARIANT_TRANSFORMED,
+                                         certify.VARIANT_ORIGINAL])
+    def test_one_eig_call_whatever_the_bus_count(self, rng, monkeypatch, variant):
+        shapes = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: shapes.append(np.shape(a)) or eig(a))
+        for n in (10, 50):
+            shapes.clear()
+            certify.assess_grid(make_grid(*ring_grid_tuples(rng, n)), use_global=True,
+                                variant=variant)
+            assert shapes == [(n, 3, 3)]
+
+    def test_A_full_assembled_once_on_first_read(self, rng, monkeypatch):
+        calls = []
+        assemble = gridmodel.assemble_full
+        monkeypatch.setattr(gridmodel, "assemble_full",
+                            lambda *args: calls.append(1) or assemble(*args))
+        res = certify.assess_grid(make_grid(*ring_grid_tuples(rng, 50)), use_global=True)
+        assert calls == []
+        A = res.A_full
+        assert res.A_full is A and res.hurwitz
+        assert len(calls) == 1
+        assert np.array_equal(A, assemble(res.subsystems, res.gains))

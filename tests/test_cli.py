@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import gridcert
-from gridcert import cli
+from gridcert import cli, gridmodel
 from gridcert.data import three_bus_path
 
 # child interpreters import the same gridcert as this one, installed or not
@@ -147,6 +147,39 @@ class TestAssess:
         assert out == ""
         assert err == ("error: agent 1: desired characteristic polynomial "
                        "overflows at these poles\n")
+
+
+    @pytest.mark.parametrize("scale", ["3e-6", "1e-7", "1e-8", "1e-9", "1e-10", "1e-20",
+                                       "1e-50", "1e-100", "1e-200", "5e-324"])
+    def test_unresolvable_poles_named(self, capsys, tmp_path, scale):
+        # every requested pole is stable, but the placed loop cannot resolve
+        # poles this small against A_hat: the error says so, naming the pole
+        code, out, err = run(capsys, "assess", three_bus_path(), "--poles-scale", scale,
+                             "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert out == ""
+        pole = f"{-22.0 * float(scale):.6g}"
+        assert err.startswith(f"error: agent 1: pole {pole} cannot be placed: it is not "
+                              "resolved against ||A_hat|| = 217.231 (the placed loop misses it by ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("scale", ["1e-3", "1e-5", "5e-6"])
+    def test_small_resolvable_poles_still_assessed(self, capsys, tmp_path, scale):
+        code, _, _ = run(capsys, "assess", three_bus_path(), "--poles-scale", scale,
+                         "--out", str(tmp_path / "o"))
+        assert code == 2
+
+    @pytest.mark.parametrize("argv", [["assess", "--global", "--variant", "both"],
+                                      ["simulate", "--t-end", "0.1"]])
+    def test_closed_loop_assembled_once(self, capsys, tmp_path, monkeypatch, argv):
+        calls = []
+        assemble = gridmodel.assemble_full
+        monkeypatch.setattr(gridmodel, "assemble_full",
+                            lambda *args: calls.append(1) or assemble(*args))
+        code, _, _ = run(capsys, argv[0], three_bus_path(), *argv[1:],
+                         "--out", str(tmp_path / "o"))
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestProtocol:

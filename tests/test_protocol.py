@@ -17,6 +17,16 @@ ALLOWED_PAYLOAD_KEYS = {
 }
 
 
+# flag values that are not a JSON bool; MISSING leaves the key out
+MISSING = object()
+NOT_BOOL = ["false", 0, 1, None, MISSING]
+NOT_BOOL_IDS = ["str", "zero", "one", "none", "missing"]
+
+
+def flag_payload(key, value):
+    return {} if value is MISSING else {key: value}
+
+
 def kind_counts(trace):
     return Counter((m.round, m.kind) for m in trace)
 
@@ -207,6 +217,15 @@ class TestAgentStep:
         with pytest.raises(ProtocolViolation, match="cannot handle ShareCoupling"):
             protocol.agent_step(st, [bad], cfg, 1)
 
+    @pytest.mark.parametrize("value", NOT_BOOL, ids=NOT_BOOL_IDS)
+    def test_rejects_verdict_not_bool(self, three_bus, value):
+        # bool("false") is True: only a JSON bool may carry a verdict
+        _, st = self._fresh(three_bus, 1)
+        bad = protocol.Message(protocol.OPERATOR_VERDICT, protocol.OPERATOR,
+                               protocol.BROADCAST, 1, flag_payload("stable", value))
+        with pytest.raises(ProtocolViolation, match="agent 1 got stable .* not a bool"):
+            protocol.agent_step(st, [bad], protocol.ProtocolConfig(), 1)
+
     def test_uncontrollable_aborts_with_agent_id(self, three_bus):
         _, st = self._fresh(three_bus, 1)
         st = replace(st, model=replace(st.model, B=np.zeros(3)))
@@ -259,6 +278,15 @@ class TestOperatorStep:
         with pytest.raises(ProtocolViolation):
             protocol.operator_step(
                 op, [self._status(1, True), self._status(1, False)], 1)
+
+    @pytest.mark.parametrize("value", NOT_BOOL, ids=NOT_BOOL_IDS)
+    def test_rejects_status_not_bool(self, value):
+        # a "false" string once counted as met and the operator broadcast stable
+        op = protocol.OperatorState(expected=(1,))
+        bad = protocol.Message(protocol.CONDITION_STATUS, 1, protocol.OPERATOR, 1,
+                               flag_payload("met", value))
+        with pytest.raises(ProtocolViolation, match="operator got met .* not a bool"):
+            protocol.operator_step(op, [bad], 1)
 
     def test_rejects_bad_messages(self):
         op = protocol.OperatorState(expected=(1,))
