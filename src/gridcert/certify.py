@@ -36,7 +36,6 @@ from .errors import (
 from .linalg import (
     ModalTransform,
     _as_matrix,
-    _in_member,
     is_hurwitz,
     modal_decompose,
     solve_lyapunov,
@@ -297,21 +296,22 @@ def _unresolved(A_hat, poles, A_cl):
 
 
 def _design_stack(A, B, pole_sets):
+    """The gains and closed-loop modal forms of a stack of buses.  An error
+    says that some bus fails, not which: :func:`design_agents` finds it."""
     K = control.pole_place(A, B, pole_sets)
     A_cl = A - B[:, :, None] * K[:, None, :]
     try:
         mts = modal_decompose(A_cl)
     except (IllConditionedTransform, NotSemiSimple) as exc:
-        k = exc.member
-        bad = _unresolved(A[k], pole_sets[k], A_cl[k])
+        bad = next(filter(None, map(_unresolved, A, pole_sets, A_cl)), None)
         if bad is None:
             raise
-        raise _in_member(bad, k) from exc
-    for k, mt in enumerate(mts):
+        raise bad from exc
+    for a, poles, a_cl, mt in zip(A, pole_sets, A_cl, mts):
         # every requested pole is stable, so only rounding can leave the loop unstable
-        bad = _unresolved(A[k], pole_sets[k], A_cl[k]) if mt.sigma_M <= 0 else None
+        bad = _unresolved(a, poles, a_cl) if mt.sigma_M <= 0 else None
         if bad is not None:
-            raise _in_member(bad, k)
+            raise bad
     return K, mts
 
 
@@ -321,24 +321,22 @@ def design_agents(subsystems, pole_sets):
     forms of the closed loops ``A_hat - B K^T``.
 
     An error keeps its type and names the lowest-numbered failing bus,
-    whichever stage it fails at: a stage raises for its own lowest failing
-    member, so the design is rerun on the buses before it until none fails.
+    whichever stage it fails at: when the stack fails, the buses are
+    designed one at a time and the first error is raised.
     """
     if not subsystems:
         return np.empty((0, gridmodel.SUBSYSTEM_ORDER)), []
     A = np.array([s.A_hat for s in subsystems])
     B = np.array([s.B for s in subsystems])
-    end, error = len(subsystems), None
-    while end:
-        try:
-            K, mts = _design_stack(A[:end], B[:end], pole_sets[:end])
-        except GridcertError as exc:
-            end, error = exc.member or 0, exc
-            continue
-        if error is None:
-            return K, mts
-        break
-    raise type(error)(f"agent {subsystems[end].bus}: {error}") from error
+    try:
+        return _design_stack(A, B, pole_sets)
+    except GridcertError:
+        for k, sub in enumerate(subsystems):
+            try:
+                _design_stack(A[k:k + 1], B[k:k + 1], pole_sets[k:k + 1])
+            except GridcertError as exc:
+                raise type(exc)(f"agent {sub.bus}: {exc}") from exc
+        raise
 
 
 def design_agent(sub, poles):

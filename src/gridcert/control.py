@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Degenerate, InvalidInput, Uncontrollable, Unsupported
-from .linalg import ModalTransform, _as_matrix, _in_member
+from .linalg import ModalTransform, _as_matrix
 
 __all__ = ["GainSet", "ModalTransform", "pole_place", "optimal_global_gain"]
 
@@ -33,8 +33,7 @@ class GainSet:
 
 def _as_column(v, n, name, stack=None):
     """One input column of length ``n``, or with ``stack = N`` the (N, n)
-    columns of a stack; a non-finite member raises with its index as
-    ``member``."""
+    columns of a stack."""
     v = np.asarray(v)
     if np.iscomplexobj(v):
         raise InvalidInput(f"{name} must be real-valued")
@@ -47,36 +46,30 @@ def _as_column(v, n, name, stack=None):
     if v.shape != (*lead, n):
         raise InvalidInput(f"{name} must have length {n}, got shape {v.shape}")
     if not np.isfinite(v).all():
-        raise _in_member(InvalidInput(f"{name} has non-finite entries"),
-                         np.argmin(np.isfinite(v).all(axis=-1)))
+        raise InvalidInput(f"{name} has non-finite entries")
     return v
 
 
 def _pole_sets(pole_sets, n):
     """The (N, n) complex array of N desired pole sets, each of length n,
-    all stable and conjugate-closed, and the indices of the sets holding a
-    complex pair; a failing set raises with its index as ``member``, the
-    lowest set failing the first check any set fails."""
+    all stable and conjugate-closed."""
     sets = [[complex(p) for p in poles] for poles in pole_sets]
-    for k, poles in enumerate(sets):
+    for poles in sets:
         if len(poles) != n:
-            raise _in_member(InvalidInput(f"expected {n} poles, got {len(poles)}"), k)
+            raise InvalidInput(f"expected {n} poles, got {len(poles)}")
     P = np.array(sets, dtype=complex).reshape(len(sets), n)
-    unstable = (P.real >= 0).any(axis=-1)
-    if unstable.any():
-        raise _in_member(InvalidInput("desired poles must have negative real parts"),
-                         np.argmax(unstable))
-    paired = np.flatnonzero(P.imag.any(axis=-1))
-    for k in paired:
+    if (P.real >= 0).any():
+        raise InvalidInput("desired poles must have negative real parts")
+    for k in np.flatnonzero(P.imag.any(axis=-1)):
         remaining = [p for p in sets[k] if p.imag != 0.0]
         while remaining:
             p = remaining.pop()
             match = next((j for j, q in enumerate(remaining)
                           if abs(q - p.conjugate()) <= 1e-9 * max(1.0, abs(p))), None)
             if match is None:
-                raise _in_member(InvalidInput(f"pole set is not conjugate-closed at {p}"), k)
+                raise InvalidInput(f"pole set is not conjugate-closed at {p}")
             remaining.pop(match)
-    return P, paired
+    return P
 
 
 def _krylov(A, B):
@@ -91,19 +84,19 @@ def controllability_matrix(A, B):
     return _krylov(A, _as_column(B, A.shape[0], "B"))
 
 
-def _char_poly(P, paired):
+def _char_poly(P):
     """Real coefficients, highest power first, of the monic polynomials
     whose roots are the rows of ``P``, as ``np.poly`` gives them: its
-    recurrence run on all rows at once, then ``np.poly`` itself on the
-    rows ``paired`` that hold a complex pair (its complex products round
-    differently)."""
+    recurrence run on all rows at once, which for real roots is ``np.poly``
+    step for step, then ``np.poly`` itself on the rows that hold a complex
+    pair (its complex products round differently)."""
     N, n = P.shape
     roots = P.real
     c = np.zeros((N, n + 1))
     c[:, 0] = 1.0
     for k in range(n):
         c[:, 1:k + 2] -= c[:, :k + 1] * roots[:, k:k + 1]
-    for m in paired:
+    for m in np.flatnonzero(P.imag.any(axis=-1)):
         c[m] = np.real(np.poly(P[m]))
     return c
 
@@ -124,38 +117,33 @@ def pole_place(A_hat, B, poles):
     InvalidInput
         If the desired characteristic polynomial overflows at ``A_hat``.
 
-    On a stack the error is that of the first failing check, raised for
-    the lowest member that fails it, whose index is the error's ``member``.
+    On a stack the error is that of the first check any member fails.
     """
     A = _as_matrix(A_hat, "A_hat", stack=True)
     single = A.ndim == 2
     A = A[None] if single else A
     N, n, _ = A.shape
     B = _as_column(B, n, "B")[None] if single else _as_column(B, n, "B", stack=N)
-    P, paired = _pole_sets([poles] if single else poles, n)
+    P = _pole_sets([poles] if single else poles, n)
     if len(P) != N:
         raise InvalidInput(f"expected {N} pole sets, got {len(P)}")
 
     C = _krylov(A, B)
     # rank < n: the least singular value within n eps of the largest (np.linalg.matrix_rank)
     s = np.linalg.svd(C, compute_uv=False)
-    deficient = s[:, -1] <= s[:, 0] * (n * np.finfo(float).eps)
-    if deficient.any():
-        raise _in_member(Uncontrollable("controllability matrix is rank deficient"),
-                         np.argmax(deficient))
+    if (s[:, -1] <= s[:, 0] * (n * np.finfo(float).eps)).any():
+        raise Uncontrollable("controllability matrix is rank deficient")
 
     # desired characteristic polynomial evaluated at A_hat
     with np.errstate(over="ignore", invalid="ignore"):   # overflow is reported below
-        coeffs = _char_poly(P, paired)[:, :, None, None]
+        coeffs = _char_poly(P)[:, :, None, None]
         pA = coeffs[:, -1] * np.eye(n)
         Ak = np.eye(n)
         for k in range(1, n + 1):
             Ak = Ak @ A
             pA = pA + coeffs[:, n - k] * Ak
     if not np.isfinite(pA).all():
-        raise _in_member(
-            InvalidInput("desired characteristic polynomial overflows at these poles"),
-            np.argmin(np.isfinite(pA).all(axis=(-2, -1))))
+        raise InvalidInput("desired characteristic polynomial overflows at these poles")
     K = np.linalg.solve(C, pA)[:, -1]   # e_n^T inv(C) p(A_hat)
     return K[0] if single else K
 

@@ -2,13 +2,7 @@
 
 
 class GridcertError(Exception):
-    """Base class for all toolkit errors.
-
-    A function given a stack of problems raises for one failing member and
-    sets ``member`` to its index (see :func:`gridcert.linalg.modal_decompose`).
-    """
-
-    member = None
+    """Base class for all toolkit errors."""
 
 
 class InvalidInput(GridcertError):

@@ -26,15 +26,8 @@ from .errors import (
 COND_LIMIT = 1e12
 
 
-def _in_member(exc, k):
-    """``exc`` marked as raised for member ``k`` of a stack."""
-    exc.member = int(k)
-    return exc
-
-
 def _as_matrix(A, name="matrix", square=True, stack=False):
-    """``A`` as a float matrix; with ``stack``, also a stack (N, n, n) of
-    them, where a non-finite member raises with its index as ``member``."""
+    """``A`` as a float matrix; with ``stack``, also a stack (N, n, n) of them."""
     A = np.asarray(A)
     if np.iscomplexobj(A):
         raise InvalidInput(f"{name} must be real-valued")
@@ -49,8 +42,7 @@ def _as_matrix(A, name="matrix", square=True, stack=False):
     if A.size == 0:
         raise InvalidInput(f"{name} must have order >= 1")
     if not np.isfinite(A).all():
-        raise _in_member(InvalidInput(f"{name} has non-finite entries"),
-                         np.argmin(np.isfinite(A).all(axis=(-2, -1))))
+        raise InvalidInput(f"{name} has non-finite entries")
     return A
 
 
@@ -194,8 +186,7 @@ def _pair_rows(lam, W, member):
     nrm = _norms(p)
     degenerate = is_pair & (nrm[..., 0] == 0.0)
     if degenerate.any():
-        raise _in_member(NotSemiSimple("degenerate complex eigenvector"),
-                         np.argmax(degenerate.any(axis=-1)))
+        raise NotSemiSimple("degenerate complex eigenvector")
     p /= nrm
     q /= np.where(is_pair[..., None], _norms(q), 1.0)
     # row o of T: p of pair o // 2 (even o) or its q (odd o) among the
@@ -226,23 +217,20 @@ def modal_decompose(A):
         If the eigenvector matrix has condition number above
         ``COND_LIMIT``.
 
-    On a stack the error is that of the first failing check, raised for
-    the lowest member that fails it, whose index is the error's ``member``.
+    On a stack the error is that of the first check any member fails.
     """
     A = _as_matrix(A, "A", stack=True)
     single = A.ndim == 2
     A = A[None] if single else A
     N, n, _ = A.shape
-    lam, V = np.linalg.eig(A)   # real arrays when every member's spectrum is real
+    lam, V = np.linalg.eig(A)
     member = np.arange(N)[:, None]
     Lam = np.zeros((N, n, n))
     diag = np.arange(n)
     if np.iscomplexobj(lam):
         plus, minus = lam.imag > 0.0, lam.imag < 0.0
-        bad = plus.sum(axis=-1) != minus.sum(axis=-1)
-        if bad.any():
-            raise _in_member(InvalidInput("eigenvalues are not conjugate symmetric"),
-                             np.argmax(bad))
+        if (plus.sum(axis=-1) != minus.sum(axis=-1)).any():
+            raise InvalidInput("eigenvalues are not conjugate symmetric")
         # modal order: the +imag member of each conjugate pair, then the
         # real eigenvalues, each group by ascending real part (lexsort is
         # stable, so ties go by index); the -imag members last
@@ -254,6 +242,10 @@ def modal_decompose(A):
         Lam[:, diag[:-1], diag[1:]] = np.where(first, lam_T.imag[:, :-1], 0.0)
         Lam[:, diag[1:], diag[:-1]] = np.where(first, -lam_T.imag[:, :-1], 0.0)
     else:
+        # a real spectrum (eig returns real arrays) has no pair to rotate:
+        # the order, signs and norms above without the pair steps, which on
+        # one 3x3 member, as each protocol agent decomposes, cost more than
+        # the rest of this function
         order = np.argsort(lam, axis=-1, kind="stable")
         lam_T = lam[member, order]
         rows = np.swapaxes(V, -1, -2)[member, order]
@@ -266,11 +258,12 @@ def modal_decompose(A):
     bad = ~(s[:, 0] <= COND_LIMIT * s[:, -1])   # cond(T) = s_max / s_min, inf when singular
     if bad.any():
         b = np.argmax(bad)
-        raise _in_member(_ill_conditioned(A[b], lam[b], np.linalg.cond(T[b])), b)
+        raise _ill_conditioned(A[b], lam[b], np.linalg.cond(T[b]))
 
     sigma_M = -lam.real.max(axis=-1)
     mts = [ModalTransform(T=T[b], Lam=Lam[b], sigma_M=float(sigma_M[b])) for b in range(N)]
     return mts[0] if single else mts
+
 
 def is_hurwitz(A):
     """True iff every eigenvalue of ``A`` has negative real part."""
