@@ -11,10 +11,12 @@ Two variants exist: the original-coordinates matrix (diagonal
 ``lambda_min(Q_i)``, off-diagonal ``-2 lambda_max(P_i) ||A_ij||``) and the
 relaxed transformed variant in modal coordinates (diagonal ``sigma_M_i``,
 off-diagonal ``-||At_ij||``).  :func:`build_S` and :func:`build_S_tilde`
-form either matrix from arbitrary blocks.  :func:`agent_row` evaluates one
-agent's row of a designed grid, where every line coupling is rank one, from
-the line strengths, its own factor and its neighbors' :func:`share`; the
-centralized :func:`assess_grid` and the protocol agents both go through it.
+form either matrix from arbitrary blocks.  :func:`agent_rows` evaluates
+the rows of many agents of a designed grid in one stacked pass, where every
+line coupling is rank one, each row from the line strengths, the agent's
+own factor and its neighbors' :func:`share`; the centralized
+:func:`assess_grid` and the protocol rounds both go through it, and
+:func:`agent_row` is its one-agent case.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from .errors import (
 from .linalg import (
     ModalTransform,
     _as_matrix,
+    _modal_eigenvalues,
+    _norms,
     is_hurwitz,
     modal_decompose,
     solve_lyapunov,
@@ -93,26 +97,32 @@ class ConditionReport:
 
 
 def certify_decoupled(A, Q):
-    """Lyapunov certificate for one decoupled subsystem.
+    """Lyapunov certificate for one decoupled subsystem, or for each member
+    of a stack ``(N, n, n)`` in one pass (a list, one per member, each
+    equal to that of the member certified alone).
 
     Raises :class:`CertificateInvalid` (carrying the offending eigenvalue)
-    when ``A`` is not Hurwitz.
+    when ``A`` is not Hurwitz; on a stack, for the first member that is not.
     """
-    A = _as_matrix(A, "A")
+    A = _as_matrix(A, "A", stack=True)
+    single = A.ndim == 2
+    A = A[None] if single else A
     lam = np.linalg.eigvals(A)
-    worst = lam[np.argmax(lam.real)]
-    if worst.real >= 0.0:
+    worst = lam[np.arange(len(lam)), np.argmax(lam.real, axis=-1)]
+    if (worst.real >= 0.0).any():
+        w = worst[np.argmax(worst.real >= 0.0)]
         raise CertificateInvalid(
-            f"subsystem matrix has eigenvalue {worst:.6g} with nonnegative real part",
-            offending_eigenvalue=complex(worst),
+            f"subsystem matrix has eigenvalue {w:.6g} with nonnegative real part",
+            offending_eigenvalue=complex(w),
         )
     P = solve_lyapunov(A, Q)
     Q = np.asarray(Q, dtype=float)
-    return LyapunovCertificate(
-        P=P, Q=Q,
-        lambda_min_Q=float(np.linalg.eigvalsh(Q).min()),
-        lambda_max_P=float(np.linalg.eigvalsh(P).max()),
-    )
+    lambda_min_Q = float(np.linalg.eigvalsh(Q).min())
+    lambda_max_P = np.linalg.eigvalsh(P).max(axis=-1)
+    certs = [LyapunovCertificate(P=p, Q=Q, lambda_min_Q=lambda_min_Q,
+                                 lambda_max_P=float(lmax))
+             for p, lmax in zip(P, lambda_max_P)]
+    return certs[0] if single else certs
 
 
 def _require_hurwitz(agent, mt):
@@ -189,53 +199,96 @@ def share(mt):
     return float(np.linalg.norm(mt.T[0]))
 
 
-def agent_row(sub, K, mt, shares, escalate, variant):
-    """One agent's row condition from its own model and its neighbors' shares.
+def _rows_stack(subs, Ks, mts, shares, escalate, variant):
+    """The rows of a stack of agents.  An error says that some agent fails,
+    not which: :func:`agent_rows` finds it."""
+    for sub, mt in zip(subs, mts):
+        _require_hurwitz(sub.bus, mt)
+    transformed = variant == VARIANT_TRANSFORMED
+    esc = np.array(escalate, dtype=bool)
+    B = np.array([sub.B for sub in subs])
+    e2 = np.array([0.0, 1.0, 0.0])
+    s = np.zeros(len(subs))
+    if transformed or esc.any():
+        T = np.array([mt.T for mt in mts])
+        rhs = np.stack([np.broadcast_to(e2, B.shape), B], axis=-1)
+        X = np.linalg.solve(T, rhs)
+        u, Bt = X[..., 0], X[..., 1]
+        if esc.any():
+            s[esc] = control.optimal_global_gain(Bt[esc], u[esc][..., None])[:, 0]
+    if transformed:
+        for sub, received in zip(subs, shares):
+            for j in sub.couplings:
+                if j not in received:
+                    raise InvalidInput(f"agent {sub.bus}: missing share from neighbor {j}")
+        own = _norms(u - s[:, None] * Bt)[:, 0]
+        diagonal = [mt.sigma_M for mt in mts]
+        nbrs = shares
+    else:
+        A_cl = (np.array([sub.A_hat for sub in subs])
+                - B[:, :, None] * np.asarray(Ks, dtype=float)[:, None, :])
+        certs = certify_decoupled(A_cl, np.eye(A_cl.shape[-1]))
+        lambda_max_P = np.array([c.lambda_max_P for c in certs])
+        own = 2.0 * lambda_max_P * _norms(e2 - s[:, None] * B)[:, 0]
+        diagonal = [c.lambda_min_Q for c in certs]
+        nbrs = [None] * len(subs)
 
-    ``sub`` is the agent's :class:`~gridcert.gridmodel.SubsystemModel`,
-    ``K`` its local gain and ``mt`` the modal form of its closed loop
-    ``A_hat - B K^T``; ``shares[j]`` is neighbor j's :func:`share`
-    ``beta_j``.  Every line coupling is rank one, ``A_hat_ij = c_ij e2 e1^T``,
-    so each row entry is a product of scalars.  With ``u = inv(T_i) e2``
-    and ``Bt = inv(T_i) B`` the transformed block is
-    ``c_ij u (e1^T T_j)``; escalating to the norm-minimizing global gain
-    projects ``u`` off ``Bt`` with the coefficient
-    ``s = Bt^T u / Bt^T Bt``, which gives ``K_ij = c_ij s e1`` whatever
-    ``T_j`` is.  Off-diagonal entries are then
+    reports, globals_ = [], []
+    for sub, d, o, sk, e, nbr in zip(subs, diagonal, own.tolist(), s.tolist(), esc, nbrs):
+        c = sub.couplings
+        globals_.append({j: np.array([c[j] * sk, 0.0, 0.0]) for j in c} if e else {})
+        strengths = {j: abs(cj) for j, cj in c.items()}
+        reports.append(_row(sub.bus, d, o, strengths, variant, nbr))
+    return reports, globals_
+
+
+def agent_rows(subs, Ks, mts, shares, escalate, variant):
+    """Many agents' row conditions in one stacked pass, each from its own
+    model and its neighbors' shares.
+
+    Agent k is ``subs[k]``, its :class:`~gridcert.gridmodel.SubsystemModel`,
+    with local gain ``Ks[k]``, ``mts[k]`` the modal form of its closed loop
+    ``A_hat - B K^T``, ``shares[k]`` the neighbor shares it holds
+    (``shares[k][j]`` is neighbor j's :func:`share` ``beta_j``) and
+    ``escalate[k]``.  Every line coupling is rank one,
+    ``A_hat_ij = c_ij e2 e1^T``, so each row entry is a product of scalars.
+    With ``u = inv(T_i) e2`` and ``Bt = inv(T_i) B`` the transformed block
+    is ``c_ij u (e1^T T_j)``; escalating to the norm-minimizing global gain
+    projects ``u`` off ``Bt`` with the coefficient ``s = Bt^T u / Bt^T Bt``,
+    which gives ``K_ij = c_ij s e1`` whatever ``T_j`` is.  Off-diagonal
+    entries are then
 
     * transformed: ``|c_ij| ||u - s Bt|| beta_j``;
     * original: ``2 lambda_max(P_i) |c_ij| ||e2 - s B||`` (reads no share);
 
-    with ``s = 0`` unless ``escalate``.
+    with ``s = 0`` unless ``escalate[k]``.  The solves for ``u`` and
+    ``Bt``, the projections, the norms and the original variant's Lyapunov
+    certificates each run once over the stack; row k reads only agent k's
+    inputs and equals that of agent k evaluated alone.
 
-    Returns ``(report, global_)``: the row and the global gains
-    ``{j: K_ij}`` (empty unless ``escalate``).  ``assess_grid`` and the
-    protocol agents both evaluate rows here.
+    Returns ``(reports, globals_)``: the rows and the global gains
+    ``{j: K_ij}`` of each agent (empty unless escalated).  ``assess_grid``
+    and the protocol rounds both evaluate rows here.  An error keeps its
+    type and text and is that of the lowest-numbered failing agent: when
+    the stack fails, the agents are evaluated one at a time and the first
+    error is raised.
     """
-    _require_hurwitz(sub.bus, mt)
-    c = sub.couplings
-    e2 = np.array([0.0, 1.0, 0.0])
-    s = 0.0
-    if escalate or variant == VARIANT_TRANSFORMED:
-        u, Bt = np.linalg.solve(mt.T, np.column_stack([e2, sub.B])).T
-        if escalate:
-            s = float(control.optimal_global_gain(Bt, u[:, None])[0])
-    global_ = {j: np.array([c[j] * s, 0.0, 0.0]) for j in c} if escalate else {}
-    if variant == VARIANT_TRANSFORMED:
-        for j in c:
-            if j not in shares:
-                raise InvalidInput(f"agent {sub.bus}: missing share from neighbor {j}")
-        own = float(np.linalg.norm(u - s * Bt))
-        nbr = shares
-        diagonal = mt.sigma_M
-    else:
-        A_cl = sub.A_hat - np.outer(sub.B, K)
-        cert = certify_decoupled(A_cl, np.eye(len(A_cl)))
-        own = 2.0 * cert.lambda_max_P * float(np.linalg.norm(e2 - s * sub.B))
-        nbr = None
-        diagonal = cert.lambda_min_Q
-    strengths = {j: abs(cj) for j, cj in c.items()}
-    return _row(sub.bus, diagonal, own, strengths, variant, nbr), global_
+    if not subs:
+        return [], []
+    try:
+        return _rows_stack(subs, Ks, mts, shares, escalate, variant)
+    except GridcertError:
+        for k in range(len(subs)):
+            _rows_stack(subs[k:k + 1], Ks[k:k + 1], mts[k:k + 1], shares[k:k + 1],
+                        escalate[k:k + 1], variant)
+        raise
+
+
+def agent_row(sub, K, mt, shares, escalate, variant):
+    """One agent's row condition: the N = 1 case of :func:`agent_rows`.
+    Returns ``(report, global_)``."""
+    (report,), (global_,) = agent_rows([sub], [K], [mt], [shares], [escalate], variant)
+    return report, global_
 
 
 def compositional_verdict(reports):
@@ -279,6 +332,43 @@ def resolve_pole_specs(grid, scale=1.0):
     return specs
 
 
+#: a placed pole farther than this fraction of its modulus from the
+#: requested one is misplaced (:func:`misplaced_poles`)
+POLE_TOLERANCE = 0.01
+
+
+def _pole_text(p):
+    return f"{p.real:.6g}" if p.imag == 0.0 else f"{p:.6g}"
+
+
+def misplaced_poles(transforms, specs):
+    """The buses whose closed loop misses some requested pole by more than
+    ``POLE_TOLERANCE`` relative, worst first: ``(bus, requested, placed)``
+    with the pole the bus misses worst and the placed pole nearest it.
+
+    ``transforms`` maps bus to the :class:`ModalTransform` of its closed
+    loop, whose spectrum the design already computed; ``specs`` maps bus
+    to its requested poles.  Rounding moves the poles of a loop whose
+    gains are large against its requested poles; the design raises only
+    when the loop is no longer stable or well-conditioned.
+    """
+    buses = sorted(transforms)
+    if not buses:
+        return []
+    placed = _modal_eigenvalues(np.array([transforms[b].Lam for b in buses]))
+    wanted = np.array([specs[b] for b in buses], dtype=complex)
+    dist = np.abs(wanted[:, :, None] - placed[:, None, :])
+    nearest = dist.argmin(axis=-1)
+    rel = dist.min(axis=-1) / np.abs(wanted)
+    worst = rel.argmax(axis=-1)
+    out = []
+    for k in np.argsort(-rel.max(axis=-1), kind="stable"):
+        p = worst[k]
+        if rel[k, p] > POLE_TOLERANCE:
+            out.append((buses[k], complex(wanted[k, p]), complex(placed[k, nearest[k, p]])))
+    return out
+
+
 def _unresolved(A_hat, poles, A_cl):
     """The error for a placement that failed to resolve ``poles``: when the
     spectrum of the placed loop ``A_cl`` misses some requested pole by
@@ -289,9 +379,8 @@ def _unresolved(A_hat, poles, A_cl):
     miss, p = max(misses, key=lambda mp: mp[0] / -mp[1].real)
     if miss < -p.real:
         return None
-    pole = f"{p.real:.6g}" if p.imag == 0.0 else f"{p:.6g}"
     return InvalidInput(
-        f"pole {pole} cannot be placed: it is not resolved against "
+        f"pole {_pole_text(p)} cannot be placed: it is not resolved against "
         f"||A_hat|| = {np.linalg.norm(A_hat, 2):.6g} (the placed loop misses it by {miss:.3g})")
 
 
@@ -350,8 +439,8 @@ def assess_grid(grid, use_global=False, variant=VARIANT_TRANSFORMED, poles_scale
 
     This is the centralized (no message passing) counterpart of the
     distributed protocol: local pole placement for all buses in one
-    stacked pass, then each agent's :func:`agent_row` with every
-    neighbor's share at hand, escalated to coupling-minimizing global
+    stacked pass, then every agent's row in one :func:`agent_rows` pass
+    with every neighbor's share at hand, escalated to coupling-minimizing global
     gains when ``use_global``.
     """
     if variant not in (VARIANT_ORIGINAL, VARIANT_TRANSFORMED):
@@ -361,12 +450,11 @@ def assess_grid(grid, use_global=False, variant=VARIANT_TRANSFORMED, poles_scale
     Ks, mts = design_agents(subsystems, [specs[sub.bus] for sub in subsystems])
     transforms = {sub.bus: mt for sub, mt in zip(subsystems, mts)}
     shares = {bus: share(mt) for bus, mt in transforms.items()}
-
-    gains, reports = {}, []
-    for sub, K, mt in zip(subsystems, Ks, mts):
-        report, global_ = agent_row(sub, K, mt, shares, use_global, variant)
-        reports.append(report)
-        gains[sub.bus] = control.GainSet(local=K, global_=global_)
+    n = len(subsystems)
+    reports, globals_ = agent_rows(subsystems, Ks, mts, [shares] * n, [use_global] * n,
+                                   variant)
+    gains = {sub.bus: control.GainSet(local=K, global_=global_)
+             for sub, K, global_ in zip(subsystems, Ks, globals_)}
 
     return AssessmentResult(
         variant=variant,

@@ -109,6 +109,20 @@ def _apply_step_override(grid, step_pu):
     return grid
 
 
+def _warn_misplaced(grid, assessment, poles_scale):
+    """One stderr line naming the bus that misses a requested pole worst,
+    with the count of buses that miss one."""
+    specs = certify.resolve_pole_specs(grid, poles_scale)
+    misses = certify.misplaced_poles(assessment.transforms, specs)
+    if misses:
+        bus, p, q = misses[0]
+        sys.stderr.write(
+            f"warning: agent {bus}: pole {certify._pole_text(p)} placed at "
+            f"{certify._pole_text(q)} ({len(misses)} of "
+            f"{len(specs)} buses miss a requested pole by more than "
+            f"{certify.POLE_TOLERANCE:.0%})\n")
+
+
 def cmd_assess(args):
     grid, data = _read_grid(args.grid)
     variants = ([args.variant] if args.variant != "both"
@@ -118,6 +132,7 @@ def cmd_assess(args):
                             poles_scale=args.poles_scale)
         for v in variants
     ]
+    _warn_misplaced(grid, results[0], args.poles_scale)
     # with --variant both, certification by either condition suffices
     stable = any(r.verdict == certify.STABLE for r in results)
     doc = {
@@ -161,6 +176,7 @@ def cmd_simulate(args):
     _apply_step_override(grid, args.step_pu)
     assessment = certify.assess_grid(
         grid, use_global=args.use_global, poles_scale=args.poles_scale)
+    _warn_misplaced(grid, assessment, args.poles_scale)
     # the one spectrum of this command: the artifact, the gate and simulate's checks
     lam = np.linalg.eigvals(assessment.A_full)
     full_system = _eig_doc(lam)

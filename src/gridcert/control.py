@@ -79,11 +79,6 @@ def _krylov(A, B):
     return np.stack(cols, axis=-1)
 
 
-def controllability_matrix(A, B):
-    A = _as_matrix(A, "A")
-    return _krylov(A, _as_column(B, A.shape[0], "B"))
-
-
 def _char_poly(P):
     """Real coefficients, highest power first, of the monic polynomials
     whose roots are the rows of ``P``, as ``np.poly`` gives them: its
@@ -149,17 +144,20 @@ def pole_place(A_hat, B, poles):
 
 
 def optimal_global_gain(Bt, At_ij):
-    """Norm-minimizing global gain for one coupling block.
+    """Norm-minimizing global gain for one coupling block, or for a stack.
 
     Solves ``min_K || At_ij - Bt K^T ||`` in closed form through the
     Moore-Penrose inverse of the input column:
     ``K^T = (Bt^T Bt)^-1 Bt^T At_ij``.  The residual is orthogonal to
     ``Bt`` (normal equations).  ``At_ij`` may have any number of columns;
-    an n x 1 block gives the scalar projection coefficient.
+    an n x 1 block gives the scalar projection coefficient.  A stack
+    projects N blocks in one pass: ``Bt`` (N, n) and ``At_ij`` (N, n, m)
+    give (N, m), each row that of its block projected alone.
     """
-    At_ij = _as_matrix(At_ij, "At_ij", square=False)
-    Bt = _as_column(Bt, At_ij.shape[0], "Bt")
-    denom = float(Bt @ Bt)
-    if denom == 0.0:
+    At = _as_matrix(At_ij, "At_ij", square=False, stack=True)
+    stack = None if At.ndim == 2 else len(At)
+    Bt = _as_column(Bt, At.shape[-2], "Bt", stack=stack)
+    denom = np.vecdot(Bt, Bt)
+    if (denom == 0.0).any():
         raise Degenerate("input column is zero")
-    return (Bt @ At_ij) / denom
+    return np.vecdot(Bt[..., :, None], At, axis=-2) / denom[..., None]

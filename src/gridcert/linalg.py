@@ -53,7 +53,8 @@ def spectral_norm(A):
 
 
 def solve_lyapunov(A, Q):
-    """Solve the continuous Lyapunov equation ``A^T P + P A = -Q``.
+    """Solve the continuous Lyapunov equation ``A^T P + P A = -Q``, for one
+    matrix ``A`` or for each member of a stack ``(N, n, n)`` in one pass.
 
     Uses the stacked n^2-dimensional linear system, which is entirely
     adequate at the orders handled here.  The result is symmetrized before
@@ -61,14 +62,15 @@ def solve_lyapunov(A, Q):
 
     Parameters
     ----------
-    A : (n, n) array_like
+    A : (n, n) or (N, n, n) array_like
     Q : (n, n) array_like
-        Symmetric positive definite right-hand side.
+        Symmetric positive definite right-hand side, shared by a stack.
 
     Returns
     -------
-    (n, n) ndarray
-        Symmetric positive definite solution ``P``.
+    (n, n) or (N, n, n) ndarray
+        Symmetric positive definite solution ``P`` (one per member), each
+        equal to that of the member solved alone.
 
     Raises
     ------
@@ -77,10 +79,14 @@ def solve_lyapunov(A, Q):
     CertificateInvalid
         If the solution is not positive definite, which signals that ``A``
         is not Hurwitz.
+
+    On a stack the error is that of the first check any member fails.
     """
-    A = _as_matrix(A, "A")
+    A = _as_matrix(A, "A", stack=True)
     Q = _as_matrix(Q, "Q")
-    n = A.shape[0]
+    single = A.ndim == 2
+    A = A[None] if single else A
+    n = A.shape[-1]
     if Q.shape[0] != n:
         raise InvalidInput(f"Q must match A, got {Q.shape} vs {A.shape}")
     if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-12 * max(1.0, abs(Q).max())):
@@ -89,23 +95,31 @@ def solve_lyapunov(A, Q):
         raise InvalidInput("Q must be positive definite")
 
     lam = np.linalg.eigvals(A)
-    scale = max(1.0, float(np.abs(lam).max()))
-    pair_sums = np.abs(lam[:, None] + lam[None, :])
-    if pair_sums.min() <= 1e-12 * scale:
+    scale = np.maximum(1.0, np.abs(lam).max(axis=-1))
+    pair_sums = np.abs(lam[:, :, None] + lam[:, None, :])
+    if (pair_sums.min(axis=(-2, -1)) <= 1e-12 * scale).any():
         raise NoUniqueSolution(
             "Lyapunov operator is singular: eigenvalue pair sums to zero"
         )
 
+    # kron(I, A^T) + kron(A^T, I), indexed [member, i, a, j, b] before the reshape
     eye = np.eye(n)
-    op = np.kron(eye, A.T) + np.kron(A.T, eye)
-    P = np.linalg.solve(op, -Q.reshape(-1, order="F")).reshape((n, n), order="F")
-    P = 0.5 * (P + P.T)
-    if np.linalg.eigvalsh(P).min() <= 0.0:
+    At = np.swapaxes(A, -1, -2)
+    op = (eye[:, None, :, None] * At[:, None, :, None, :]
+          + At[:, :, None, :, None] * eye[None, :, None, :])
+    op = op.reshape(-1, n * n, n * n)
+    rhs = -Q.reshape(-1, order="F")
+    x = np.linalg.solve(op, np.broadcast_to(rhs[:, None], (len(A), n * n, 1)))
+    P = np.swapaxes(x.reshape(-1, n, n), -1, -2)   # each member's x in column order
+    P = 0.5 * (P + np.swapaxes(P, -1, -2))
+    bad = np.linalg.eigvalsh(P).min(axis=-1) <= 0.0
+    if bad.any():
+        b = lam[np.argmax(bad)]
         raise CertificateInvalid(
             "Lyapunov solution is not positive definite: A is not Hurwitz",
-            offending_eigenvalue=complex(lam[np.argmax(lam.real)]),
+            offending_eigenvalue=complex(b[np.argmax(b.real)]),
         )
-    return P
+    return P[0] if single else P
 
 
 @dataclass
@@ -196,6 +210,17 @@ def _pair_rows(lam, W, member):
     src = np.where(in_pair, o // 2, o - pairs)
     rows = np.where((in_pair & (o % 2 == 1))[..., None], q[member, src], p[member, src])
     return rows, lam[member, src], in_pair & (o % 2 == 0)
+
+
+def _modal_eigenvalues(Lam):
+    """The eigenvalues of modal forms ``Lam`` (n, n) or (N, n, n), read
+    off their blocks in modal order: ``s + iw`` and ``s - iw`` for a block
+    ``[[s, w], [-w, s]]``, the diagonal entry of a 1x1 block."""
+    d = np.diagonal
+    imag = np.zeros(Lam.shape[:-1])
+    imag[..., :-1] += d(Lam, 1, -2, -1)
+    imag[..., 1:] += d(Lam, -1, -2, -1)
+    return d(Lam, 0, -2, -1) + 1j * imag
 
 
 def modal_decompose(A):

@@ -1,16 +1,23 @@
 """Deterministic multi-agent simulation of the distributed assessment.
 
 Agents run in synchronous rounds under a single-threaded scheduler: each
-round every agent (ascending id) consumes the messages addressed to it in
-the previous round and emits new ones; the operator then consumes this
-round's condition statuses.  Messages produced within a round are ordered
-by (from, to, kind), so two runs with identical inputs yield identical
+round every agent consumes the messages addressed to it in the previous
+round and emits new ones; the operator then consumes this round's
+condition statuses.  Messages produced within a round are ordered by
+(from, to, kind), so two runs with identical inputs yield identical
 traces.
+
+A round is stepped as stacked passes (:func:`step_agents`): every agent
+with mail or work ingests its inbox, one stacked design pass designs the
+agents that design this round, one stacked row pass evaluates the agents
+whose row is due, and each of those then takes its own report, retry and
+escalation step.  The result, errors included, is that of stepping the
+agents one at a time in ascending id order (:func:`agent_step`).
 
 An agent's lifecycle: design local gains and, in the transformed variant,
 send each neighbor its share (:func:`certify.share`); once every
 neighbor's share has arrived (the original row reads none), evaluate its
-row condition (:func:`certify.agent_row`) and report the outcome to the
+row condition (:func:`certify.agent_rows`) and report the outcome to the
 operator.  On failure it either retries the local design with every pole
 scaled by ``RETRY_POLE_SCALE`` or, when retries are exhausted, escalates to
 global gains and re-evaluates.  The operator broadcasts a single stable
@@ -22,7 +29,10 @@ incoming line strengths included (they depend on its own inertia and the
 line reactances).  What an agent tells a neighbor about its design is one
 float, ``beta = ||e1^T T||`` of its modal transform, and only in the
 transformed variant; no message carries a matrix.  Local system matrices,
-gains, transforms and Lyapunov certificates never leave an agent.
+gains, transforms and Lyapunov certificates never leave an agent.  The
+stacked passes are how this single-process simulator executes a round, not
+an information flow: each member of a stack reads only its own agent's
+model, gains, transform and received shares.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from . import certify, control, gridmodel
-from .errors import InvalidInput, ProtocolViolation
+from .errors import GridcertError, InvalidInput, ProtocolViolation
 from .linalg import ModalTransform
 
 OPERATOR = "operator"
@@ -154,51 +164,80 @@ def _ingest(st, inbox):
                 f"agent {st.id} cannot handle {msg.kind}", offending=msg)
 
 
-def _design(st, out, config, rnd):
-    sub = st.model
-    K, mt = certify.design_agent(sub, list(st.poles))
-    st.gains = control.GainSet(local=K)
-    st.transform = mt
-    st.escalated = False
-    if config.exchanges_shares:
-        beta = certify.share(mt)
-        for j in sub.neighbors:
-            out.append(Message(SHARE_FACTOR, st.id, j, rnd, {"beta": beta}))
-    st.designing = False
-    st.needs_evaluation = True
+def _step_stack(states, inboxes, config, rnd):
+    """One round for a stack of agents.  An error says that some agent
+    fails, not which: :func:`step_agents` finds it."""
+    sts = [replace(st, received_shares=dict(st.received_shares)) for st in states]
+    outs = [[] for _ in sts]
+    for st, inbox in zip(sts, inboxes):
+        _ingest(st, inbox)
+
+    designing = [k for k, st in enumerate(sts) if st.designing]
+    Ks, mts = certify.design_agents([sts[k].model for k in designing],
+                                    [list(sts[k].poles) for k in designing])
+    for k, K, mt in zip(designing, Ks, mts):
+        st = sts[k]
+        st.gains = control.GainSet(local=K)
+        st.transform = mt
+        st.escalated = False
+        if config.exchanges_shares:
+            beta = certify.share(mt)
+            outs[k] = [Message(SHARE_FACTOR, st.id, j, rnd, {"beta": beta})
+                       for j in st.model.neighbors]
+        st.designing = False
+        st.needs_evaluation = True
+
+    done = set(designing)
+    evaluating = [k for k, st in enumerate(sts) if k not in done and st.needs_evaluation
+                  and not (config.exchanges_shares
+                           and set(st.model.couplings) - set(st.received_shares))]
+    ev = [sts[k] for k in evaluating]
+    reports, globals_ = certify.agent_rows(
+        [st.model for st in ev], [st.gains.local for st in ev], [st.transform for st in ev],
+        [st.received_shares for st in ev], [st.escalated for st in ev], config.variant)
+    for k, st, report, global_ in zip(evaluating, ev, reports, globals_):
+        st.report = report
+        st.gains = control.GainSet(local=st.gains.local, global_=global_)
+        st.needs_evaluation = False
+        outs[k] = [Message(CONDITION_STATUS, st.id, OPERATOR, rnd, {"met": report.met})]
+        if report.met:
+            continue
+        if st.retry_count < config.max_retries:
+            st.retry_count += 1
+            st.poles = tuple(RETRY_POLE_SCALE * complex(p) for p in st.poles)
+            st.designing = True
+        elif config.allow_global and not st.escalated:
+            st.escalated = True
+            st.needs_evaluation = True
+    return sts, outs
 
 
-def _evaluate(st, config):
-    st.report, global_ = certify.agent_row(
-        st.model, st.gains.local, st.transform,
-        st.received_shares, st.escalated, config.variant)
-    st.gains = control.GainSet(local=st.gains.local, global_=global_)
-    return st.report
+def step_agents(states, inboxes, config, rnd):
+    """One round for many agents as stacked passes; returns ``(new_states,
+    outboxes)``, one of each per agent, and leaves ``states`` untouched.
+
+    Every agent ingests its inbox; then one :func:`certify.design_agents`
+    call designs the agents that design this round and one
+    :func:`certify.agent_rows` call evaluates those whose row is due (all
+    their neighbors' shares at hand, the original row reads none); then
+    each evaluated agent reports and takes its own retry or escalation
+    step.  Each agent's result equals that of the agent stepped alone.
+    An error keeps its type and text and is that of the first failing
+    agent in ``states``, whatever the phase: when the stack fails, the
+    agents are stepped one at a time and the first error is raised.
+    """
+    try:
+        return _step_stack(states, inboxes, config, rnd)
+    except GridcertError:
+        for st, inbox in zip(states, inboxes):
+            _step_stack([st], [inbox], config, rnd)
+        raise
 
 
 def agent_step(state, inbox, config, rnd):
-    """Pure transition for one agent; returns ``(new_state, outbox)``."""
-    st = replace(state, received_shares=dict(state.received_shares))
-    out = []
-    _ingest(st, inbox)
-    if st.designing:
-        _design(st, out, config, rnd)
-        return st, out
-    missing = config.exchanges_shares and set(st.model.couplings) - set(st.received_shares)
-    if not st.needs_evaluation or missing:
-        return st, out
-    report = _evaluate(st, config)
-    st.needs_evaluation = False
-    out.append(Message(CONDITION_STATUS, st.id, OPERATOR, rnd, {"met": report.met}))
-    if report.met:
-        return st, out
-    if st.retry_count < config.max_retries:
-        st.retry_count += 1
-        st.poles = tuple(RETRY_POLE_SCALE * complex(p) for p in st.poles)
-        st.designing = True
-    elif config.allow_global and not st.escalated:
-        st.escalated = True
-        st.needs_evaluation = True
+    """Pure transition for one agent, the N = 1 case of :func:`step_agents`;
+    returns ``(new_state, outbox)``."""
+    (st,), (out,) = step_agents([state], [inbox], config, rnd)
     return st, out
 
 
@@ -260,8 +299,9 @@ def run_dsa(grid, max_retries=0, allow_global=True,
             variant=certify.VARIANT_TRANSFORMED):
     """Run the distributed assessment on a grid and return its trace.
 
-    The run is deterministic: agents act in ascending bus order, messages
-    are canonically ordered within each round.
+    The run is deterministic: each round is one :func:`step_agents` call
+    over the agents with mail or work, in ascending bus order, and
+    messages are canonically ordered within each round.
 
     The round cap follows from the retry budget R.  Each of the N agents
     designs at most R + 1 times and escalates at most once, so a run has at
@@ -296,9 +336,13 @@ def run_dsa(grid, max_retries=0, allow_global=True,
                 inboxes.setdefault(m.to, []).append(m)
         pending = []
 
+        # an agent with an empty inbox and no work would not change: not stepped
+        active = [a for a in sorted(states) if a in inboxes or states[a].has_work()]
+        stepped, outs = step_agents([states[a] for a in active],
+                                    [inboxes.get(a, []) for a in active], config, rnd)
         produced = []
-        for a in sorted(states):
-            states[a], out = agent_step(states[a], inboxes.get(a, []), config, rnd)
+        for a, st, out in zip(active, stepped, outs):
+            states[a] = st
             produced.extend(out)
         produced.sort(key=_msg_key)
         operator, op_out = operator_step(

@@ -1,11 +1,12 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import make_grid
-from gridcert import certify, control, gridmodel, linalg
+from gridcert import certify, control, gridmodel, linalg, protocol
 from gridcert.errors import CertificateInvalid, IllConditionedTransform, InvalidInput
 from gridcert.data import three_bus_path
 from sampling import (
@@ -43,6 +44,25 @@ class TestCertifyDecoupled:
         with pytest.raises(CertificateInvalid) as exc:
             certify.certify_decoupled(np.diag([1.0, -2.0]), np.eye(2))
         assert exc.value.offending_eigenvalue == pytest.approx(1.0)
+
+    def test_stack_equals_members(self, rng):
+        for n in (2, 3):
+            A = np.array([random_semisimple_hurwitz(rng, n)[0] for _ in range(6)])
+            Q = random_spd(rng, n)
+            certs = certify.certify_decoupled(A, Q)
+            assert len(certs) == len(A)
+            for a, cert in zip(A, certs):
+                one = certify.certify_decoupled(a, Q)
+                assert np.array_equal(cert.P, one.P) and np.array_equal(cert.Q, one.Q)
+                assert cert.lambda_max_P == one.lambda_max_P
+                assert cert.lambda_min_Q == one.lambda_min_Q
+
+    def test_stack_error_is_first_failing_member(self):
+        A = np.array([-np.eye(2), np.diag([2.0, -1.0]), np.diag([3.0, -1.0])])
+        with pytest.raises(CertificateInvalid, match=(
+                "^subsystem matrix has eigenvalue 2 with nonnegative real part$")) as exc:
+            certify.certify_decoupled(A, np.eye(2))
+        assert exc.value.offending_eigenvalue == 2.0
 
 
 class TestBuildS:
@@ -381,6 +401,68 @@ class TestRankOneKernel:
             certify.agent_row(sub, K, mt, {}, True, certify.VARIANT_TRANSFORMED)
 
 
+def member_shares(subs, mts):
+    """What each agent holds: the share of each of its neighbors."""
+    by_bus = {sub.bus: mt for sub, mt in zip(subs, mts)}
+    return [{j: certify.share(by_bus[j]) for j in sub.neighbors} for sub in subs]
+
+
+class TestStackedRows:
+    """``agent_rows`` evaluates every agent's row in one stacked pass;
+    ``agent_row`` is its one-agent case and must agree bit for bit."""
+
+    def assert_stack_equals_agents(self, subs, Ks, mts, shares, escalate, variant):
+        reports, globals_ = certify.agent_rows(subs, Ks, mts, shares, escalate, variant)
+        assert len(reports) == len(globals_) == len(subs)
+        for k, sub in enumerate(subs):
+            report, global_ = certify.agent_row(sub, Ks[k], mts[k], shares[k],
+                                                escalate[k], variant)
+            assert reports[k] == report and isinstance(reports[k].diagonal, float)
+            assert all(type(v) is float for v in reports[k].offdiag.values())
+            assert globals_[k].keys() == global_.keys()
+            for j, g in global_.items():
+                assert np.array_equal(globals_[k][j], g)
+
+    def check_grid(self, grid, escalations, variant):
+        subs = gridmodel.build_subsystems(grid)
+        Ks, mts = certify.design_agents(subs, pole_specs(grid))
+        shares = member_shares(subs, mts)
+        for escalate in escalations:
+            self.assert_stack_equals_agents(subs, Ks, mts, shares, escalate, variant)
+
+    @pytest.mark.parametrize("variant", [certify.VARIANT_TRANSFORMED,
+                                         certify.VARIANT_ORIGINAL])
+    def test_three_bus_every_escalation_mix(self, three_bus, variant):
+        mixes = [[bool(m >> k & 1) for k in range(3)] for m in range(8)]
+        self.check_grid(three_bus, mixes, variant)
+
+    @pytest.mark.parametrize("variant", [certify.VARIANT_TRANSFORMED,
+                                         certify.VARIANT_ORIGINAL])
+    def test_seeded_random_grids(self, rng, variant):
+        grids = [make_grid(*random_grid_tuples(rng)) for _ in range(10)]
+        grids.append(make_grid(*ring_grid_tuples(rng, 40)))
+        for grid in grids:
+            n = len(grid.bus_ids)
+            self.check_grid(grid, [[False] * n, [True] * n, list(rng.random(n) < 0.5)],
+                            variant)
+
+    def test_error_is_lowest_numbered_failing_agent(self, three_bus):
+        # agent 3 fails the Hurwitz check, which the stack runs first; agent 2,
+        # evaluated alone, fails earlier in bus order: its error is raised
+        subs = gridmodel.build_subsystems(three_bus)
+        Ks, mts = certify.design_agents(subs, pole_specs(three_bus))
+        shares = member_shares(subs, mts)
+        shares[1] = {}
+        mts = [mts[0], mts[1], linalg.modal_decompose(np.diag([0.5, -1.0, -2.0]))]
+        with pytest.raises(InvalidInput) as info:
+            certify.agent_rows(subs, Ks, mts, shares, [False] * 3,
+                               certify.VARIANT_TRANSFORMED)
+        assert str(info.value) == "agent 2: missing share from neighbor 1"
+        with pytest.raises(CertificateInvalid, match="^agent 3: modal form is not Hurwitz$"):
+            certify.agent_rows(subs, Ks, mts, shares, [False] * 3,
+                               certify.VARIANT_ORIGINAL)
+
+
 def pole_specs(grid):
     return [grid.generator(s.bus).poles for s in gridmodel.build_subsystems(grid)]
 
@@ -425,6 +507,8 @@ class TestStackedDesign:
             Lam = mts[bus - 1].Lam
             assert np.allclose(np.diag(Lam), [-20.0, -20.0, -40.0])
             assert Lam[0, 1] == pytest.approx(6.0) and Lam[1, 0] == -Lam[0, 1]
+            # the placed spectrum, read off the blocks in modal order
+            assert np.allclose(linalg._modal_eigenvalues(Lam), PAIRED)
 
     def test_random_pair_stacks(self, rng):
         # stacks of random plants whose closed loops mix complex pairs and real spectra
@@ -461,8 +545,44 @@ class TestStackedDesign:
             certify.assess_grid(three_bus, poles_scale=1e-100)
 
 
+def counting(monkeypatch, module, names):
+    """Count the calls of ``module``'s functions ``names`` (a Counter)."""
+    calls = Counter()
+    for name in names:
+        fn = getattr(module, name)
+
+        def wrapper(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 class TestDesignCost:
     """The shape of the certificate path's cost, counted, not timed."""
+
+    def test_original_rows_fixed_solve_and_eigvalsh_calls(self, rng, monkeypatch):
+        # the rows' solves and the stacked Lyapunov certificates run once
+        # per grid, not once per bus
+        calls = counting(monkeypatch, np.linalg, ("solve", "eigvalsh"))
+        counts = []
+        for n in (10, 50):
+            calls.clear()
+            certify.assess_grid(make_grid(*ring_grid_tuples(rng, n)), use_global=True,
+                                variant=certify.VARIANT_ORIGINAL)
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert counts[0]["solve"] >= 1 and counts[0]["eigvalsh"] >= 1
+
+    @pytest.mark.parametrize("variant", [certify.VARIANT_TRANSFORMED,
+                                         certify.VARIANT_ORIGINAL])
+    def test_protocol_one_design_and_one_row_pass_per_round(self, rng, monkeypatch,
+                                                            variant):
+        calls = counting(monkeypatch, certify, ("design_agents", "agent_rows"))
+        res = protocol.run_dsa(make_grid(*ring_grid_tuples(rng, 50)), max_retries=2,
+                               variant=variant)
+        assert 0 < calls["design_agents"] <= res.rounds
+        assert 0 < calls["agent_rows"] <= res.rounds
 
     @pytest.mark.parametrize("variant", [certify.VARIANT_TRANSFORMED,
                                          certify.VARIANT_ORIGINAL])

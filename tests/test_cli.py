@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -168,6 +169,20 @@ class TestAssess:
         code, _, _ = run(capsys, "assess", three_bus_path(), "--poles-scale", scale,
                          "--out", str(tmp_path / "o"))
         assert code == 2
+
+    @pytest.mark.parametrize("scale, warned", [("1", False), ("1e-5", True)])
+    def test_misplaced_pole_warned(self, capsys, tmp_path, scale, warned):
+        # at 1e-5 the placed loop stays stable and well-conditioned, but its
+        # poles sit about 12% off the request: one warning line, same exit code
+        code, out, err = run(capsys, "assess", three_bus_path(), "--poles-scale", scale,
+                             "--out", str(tmp_path / "o"))
+        assert code == 2 and json.loads(out)["verdict"] == "inconclusive"
+        if not warned:
+            assert err == ""
+            return
+        assert err.count("\n") == 1
+        assert re.fullmatch(r"warning: agent [123]: pole -\S+ placed at -\S+ \(3 of 3 buses "
+                            r"miss a requested pole by more than 1%\)\n", err), err
 
     @pytest.mark.parametrize("argv", [["assess", "--global", "--variant", "both"],
                                       ["simulate", "--t-end", "0.1"]])

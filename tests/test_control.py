@@ -80,7 +80,7 @@ class TestPolePlace:
             n = int(rng.integers(2, 6))
             A = rng.standard_normal((n, n))
             B = rng.standard_normal(n)
-            C = control.controllability_matrix(A, B)
+            C = control._krylov(A, B)
             if np.linalg.matrix_rank(C) < n or np.linalg.cond(C) > 1e8:
                 continue
             re = -rng.uniform(0.5, 5.0, size=n)

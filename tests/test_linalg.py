@@ -106,6 +106,25 @@ class TestSolveLyapunov:
             resid = np.linalg.norm(A.T @ P + P @ A + Q)
             assert resid <= 1e-9 * np.linalg.norm(Q)
 
+    def test_stack_equals_members(self, rng):
+        # a stack is solved in one pass, each member bit for bit as alone
+        for n in (1, 2, 3, 5):
+            A = np.array([random_hurwitz(rng, n) for _ in range(7)])
+            Q = random_spd(rng, n)
+            P = linalg.solve_lyapunov(A, Q)
+            assert P.shape == (7, n, n)
+            for a, p in zip(A, P):
+                assert np.array_equal(p, linalg.solve_lyapunov(a, Q))
+
+    def test_stack_error_is_first_failing_member(self):
+        A = np.array([-np.eye(2), np.diag([2.0, -1.0]), np.diag([3.0, -1.0])])
+        with pytest.raises(CertificateInvalid) as exc:
+            linalg.solve_lyapunov(A, np.eye(2))
+        assert exc.value.offending_eigenvalue == 2.0
+        A[1] = [[0.0, 1.0], [0.0, 0.0]]
+        with pytest.raises(NoUniqueSolution):
+            linalg.solve_lyapunov(A, np.eye(2))
+
 
 class TestModalDecompose:
     def test_real_diagonal(self):

@@ -8,7 +8,7 @@ import pytest
 from conftest import make_grid
 from gridcert import certify, gridmodel, linalg, protocol
 from gridcert.errors import ProtocolViolation
-from sampling import random_grid_tuples
+from sampling import random_grid_tuples, ring_grid_tuples
 
 ALLOWED_PAYLOAD_KEYS = {
     protocol.SHARE_FACTOR: {"beta"},
@@ -396,6 +396,142 @@ class TestScenarios:
         assert counts[(1, protocol.CONDITION_STATUS)] == 3
         assert counts[(2, protocol.CONDITION_STATUS)] == 3
         assert res.rounds == 5
+
+def sequential_dsa(grid, max_retries, allow_global, variant):
+    """The one-agent-at-a-time scheduler: every agent, in ascending id
+    order, takes its own ``agent_step`` each round.  Returns ``(trace,
+    agents, rounds, verdict)`` as ``run_dsa`` would."""
+    config = protocol.ProtocolConfig(max_retries=max_retries, allow_global=allow_global,
+                                     variant=variant)
+    specs = certify.resolve_pole_specs(grid)
+    states = {s.bus: protocol.AgentState(id=s.bus, model=s, poles=tuple(specs[s.bus]))
+              for s in gridmodel.build_subsystems(grid)}
+    operator = protocol.OperatorState(expected=tuple(sorted(states)))
+    trace, pending = [], []
+    for rnd in range(10_000):
+        inboxes = {}
+        for m in pending:
+            for a in (states if m.to == protocol.BROADCAST else [m.to]):
+                inboxes.setdefault(a, []).append(m)
+        produced = []
+        for a in sorted(states):
+            states[a], out = protocol.agent_step(states[a], inboxes.get(a, []), config, rnd)
+            produced.extend(out)
+        produced.sort(key=protocol._msg_key)
+        operator, op_out = protocol.operator_step(
+            operator, [m for m in produced if m.to == protocol.OPERATOR], rnd)
+        produced.extend(op_out)
+        trace.extend(produced)
+        pending = [m for m in produced if m.to != protocol.OPERATOR]
+        if not pending:
+            if operator.verdict is not None:
+                verdict = certify.STABLE if operator.verdict else certify.INCONCLUSIVE
+                return trace, states, rnd + 1, verdict
+            if not produced and not any(st.has_work() for st in states.values()):
+                operator, pending = protocol._finalize_operator(operator, rnd)
+                trace.extend(pending)
+    raise AssertionError("the sequential scheduler did not terminate")
+
+
+class TestRoundStep:
+    """A round runs as one stacked design pass and one stacked row pass;
+    the run equals that of the one-agent-at-a-time scheduler."""
+
+    @pytest.mark.parametrize("variant", [certify.VARIANT_TRANSFORMED,
+                                         certify.VARIANT_ORIGINAL])
+    @pytest.mark.parametrize("allow_global", [True, False])
+    @pytest.mark.parametrize("retries", [0, 2, 10])
+    def test_matches_sequential_scheduler(self, three_bus, rng, variant, allow_global,
+                                          retries):
+        # on the ring, agents that retry, escalate and re-evaluate on a
+        # neighbor's new share meet in one round's stacks
+        grids = [three_bus, make_grid(*ring_grid_tuples(rng, 30))]
+        grids += [make_grid(*random_grid_tuples(rng)) for _ in range(4)]
+        for grid in grids:
+            res = protocol.run_dsa(grid, max_retries=retries, allow_global=allow_global,
+                                   variant=variant)
+            trace, agents, rounds, verdict = sequential_dsa(grid, retries, allow_global,
+                                                            variant)
+            assert res.trace_lines(full=True) == [m.to_json_line(full=True) for m in trace]
+            assert res.trace_lines() == [m.to_json_line() for m in trace]
+            assert (res.rounds, res.verdict) == (rounds, verdict)
+            assert res.agents.keys() == agents.keys()
+            for a, want in agents.items():
+                got = res.agents[a]
+                assert got.report == want.report
+                assert (got.poles, got.retry_count, got.escalated, got.verdict) == (
+                    want.poles, want.retry_count, want.escalated, want.verdict)
+                assert np.array_equal(got.gains.local, want.gains.local)
+                assert got.gains.global_.keys() == want.gains.global_.keys()
+                for j, k in want.gains.global_.items():
+                    assert np.array_equal(got.gains.global_[j], k)
+
+    @pytest.mark.parametrize("variant", [certify.VARIANT_TRANSFORMED,
+                                         certify.VARIANT_ORIGINAL])
+    def test_round_equals_agents_stepped_alone(self, three_bus, variant):
+        # one round whose row stack mixes an escalated agent with local-only ones
+        cfg = protocol.ProtocolConfig(variant=variant)
+        stepped = [protocol.agent_step(self._fresh(three_bus, b), [], cfg, 0)
+                   for b in three_bus.bus_ids]
+        mail = [m for _, out in stepped for m in out]
+        states = [st for st, _ in stepped]
+        states[1] = replace(states[1], escalated=True)
+        inboxes = [[m for m in mail if m.to == st.id] for st in states]
+        got, outs = protocol.step_agents(states, inboxes, cfg, 1)
+        for st, inbox, g, out in zip(states, inboxes, got, outs):
+            want, want_out = protocol.agent_step(st, inbox, cfg, 1)
+            assert out == want_out and len(out) == 1
+            assert g.report == want.report
+            assert (g.escalated, g.needs_evaluation) == (want.escalated, want.needs_evaluation)
+            assert g.gains.global_.keys() == want.gains.global_.keys()
+            assert bool(g.gains.global_) == (st.id == 2)
+            for j, k in want.gains.global_.items():
+                assert np.array_equal(g.gains.global_[j], k)
+
+    def _fresh(self, grid, bus, **model):
+        sub = next(s for s in gridmodel.build_subsystems(grid) if s.bus == bus)
+        return protocol.AgentState(id=bus, model=replace(sub, **model),
+                                   poles=tuple(grid.generator(bus).poles))
+
+    def _designed(self, grid, bus, cfg):
+        st, _ = protocol.agent_step(self._fresh(grid, bus), [], cfg, 0)
+        return st
+
+    def assert_round_raises(self, states, inboxes, cfg, exc_type, text):
+        # the round raises what stepping the agents one by one raises first
+        with pytest.raises(exc_type) as info:
+            protocol.step_agents(states, inboxes, cfg, 1)
+        assert str(info.value) == text
+        with pytest.raises(exc_type) as first:
+            for st, inbox in zip(states, inboxes):
+                protocol.agent_step(st, inbox, cfg, 1)
+        assert str(first.value) == text
+
+    def test_lower_ingest_error_wins_over_higher_design_error(self, three_bus):
+        cfg = protocol.ProtocolConfig()
+        forged = protocol.Message(protocol.SHARE_FACTOR, 2, 1, 0, {"beta": 0.0})
+        states = [self._designed(three_bus, 1, cfg), self._fresh(three_bus, 3, B=np.zeros(3))]
+        self.assert_round_raises(states, [[forged], []], cfg, ProtocolViolation,
+                                 "agent 1 got share 0.0 from 2")
+
+    def test_lower_design_error_wins_over_higher_ingest_error(self, three_bus):
+        from gridcert.errors import Uncontrollable
+        cfg = protocol.ProtocolConfig()
+        forged = protocol.Message(protocol.SHARE_FACTOR, 2, 3, 0, {"beta": -1.0})
+        states = [self._fresh(three_bus, 1, B=np.zeros(3)), self._designed(three_bus, 3, cfg)]
+        self.assert_round_raises(states, [[], [forged]], cfg, Uncontrollable,
+                                 "agent 1: controllability matrix is rank deficient")
+
+    def test_lower_row_error_wins_over_higher_design_error(self, three_bus):
+        from gridcert.errors import CertificateInvalid
+        cfg = protocol.ProtocolConfig(variant=certify.VARIANT_ORIGINAL)
+        unstable = linalg.modal_decompose(np.diag([0.5, -1.0, -2.0]))
+        states = [self._designed(three_bus, 1, cfg),
+                  replace(self._designed(three_bus, 2, cfg), transform=unstable),
+                  self._fresh(three_bus, 3, B=np.zeros(3))]
+        self.assert_round_raises(states, [[], [], []], cfg, CertificateInvalid,
+                                 "agent 2: modal form is not Hurwitz")
+
 
 class TestTraceSerialization:
     def test_digest_and_full_lines(self, three_bus):
