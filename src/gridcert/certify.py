@@ -15,8 +15,7 @@ form either matrix from arbitrary blocks.  :func:`agent_rows` evaluates
 the rows of many agents of a designed grid in one stacked pass, where every
 line coupling is rank one, each row from the line strengths, the agent's
 own factor and its neighbors' :func:`share`; the centralized
-:func:`assess_grid` and the protocol rounds both go through it, and
-:func:`agent_row` is its one-agent case.
+:func:`assess_grid` and the protocol rounds both go through it.
 """
 
 from __future__ import annotations
@@ -97,16 +96,13 @@ class ConditionReport:
 
 
 def certify_decoupled(A, Q):
-    """Lyapunov certificate for one decoupled subsystem, or for each member
-    of a stack ``(N, n, n)`` in one pass (a list, one per member, each
-    equal to that of the member certified alone).
+    """Lyapunov certificates for each decoupled subsystem of a stack
+    ``(N, n, n)`` in one pass: a list, one per member.
 
     Raises :class:`CertificateInvalid` (carrying the offending eigenvalue)
-    when ``A`` is not Hurwitz; on a stack, for the first member that is not.
+    for the first member that is not Hurwitz.
     """
     A = _as_matrix(A, "A", stack=True)
-    single = A.ndim == 2
-    A = A[None] if single else A
     lam = np.linalg.eigvals(A)
     worst = lam[np.arange(len(lam)), np.argmax(lam.real, axis=-1)]
     if (worst.real >= 0.0).any():
@@ -119,10 +115,9 @@ def certify_decoupled(A, Q):
     Q = np.asarray(Q, dtype=float)
     lambda_min_Q = float(np.linalg.eigvalsh(Q).min())
     lambda_max_P = np.linalg.eigvalsh(P).max(axis=-1)
-    certs = [LyapunovCertificate(P=p, Q=Q, lambda_min_Q=lambda_min_Q,
-                                 lambda_max_P=float(lmax))
-             for p, lmax in zip(P, lambda_max_P)]
-    return certs[0] if single else certs
+    return [LyapunovCertificate(P=p, Q=Q, lambda_min_Q=lambda_min_Q,
+                                lambda_max_P=float(lmax))
+            for p, lmax in zip(P, lambda_max_P)]
 
 
 def _require_hurwitz(agent, mt):
@@ -284,13 +279,6 @@ def agent_rows(subs, Ks, mts, shares, escalate, variant):
         raise
 
 
-def agent_row(sub, K, mt, shares, escalate, variant):
-    """One agent's row condition: the N = 1 case of :func:`agent_rows`.
-    Returns ``(report, global_)``."""
-    (report,), (global_,) = agent_rows([sub], [K], [mt], [shares], [escalate], variant)
-    return report, global_
-
-
 def compositional_verdict(reports):
     """``stable`` iff every agent met its row condition, else ``inconclusive``."""
     return STABLE if all(r.met for r in reports) else INCONCLUSIVE
@@ -426,12 +414,6 @@ def design_agents(subsystems, pole_sets):
             except GridcertError as exc:
                 raise type(exc)(f"agent {sub.bus}: {exc}") from exc
         raise
-
-
-def design_agent(sub, poles):
-    """Local design of one bus: the N = 1 case of :func:`design_agents`."""
-    K, (mt,) = design_agents([sub], [poles])
-    return K[0], mt
 
 
 def assess_grid(grid, use_global=False, variant=VARIANT_TRANSFORMED, poles_scale=1.0):

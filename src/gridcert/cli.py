@@ -9,6 +9,8 @@ stable / success, 2 = inconclusive, 1 = error.
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
 import hashlib
 import json
 import math
@@ -236,20 +238,20 @@ def _report_assess(doc, lines):
                      f" (Hurwitz: {fs['hurwitz']})")
 
 
-def _report_protocol(trace_lines_, summary, lines):
+def _round_counts(fh):
+    """``((round, kind), count)`` for the messages of a trace, ascending."""
+    msgs = map(json.loads, filter(None, fh.read().splitlines()))
+    return sorted(collections.Counter((m["round"], m["kind"]) for m in msgs).items())
+
+
+def _report_protocol(counts, summary, lines):
     lines.append("\n## Protocol")
     lines.append(f"\nverdict: {summary['verdict']} after {summary['rounds']} rounds, "
                  f"{summary['messages']} messages")
-    counts = {}
-    for raw in trace_lines_:
-        msg = json.loads(raw)
-        counts.setdefault(msg["round"], {}).setdefault(msg["kind"], 0)
-        counts[msg["round"]][msg["kind"]] += 1
     lines.append("\n| round | kind | count |")
     lines.append("|---|---|---|")
-    for rnd in sorted(counts):
-        for kind in sorted(counts[rnd]):
-            lines.append(f"| {rnd} | {kind} | {counts[rnd][kind]} |")
+    for (rnd, kind), count in counts:
+        lines.append(f"| {rnd} | {kind} | {count} |")
 
 
 def _report_sim(summary, lines):
@@ -268,25 +270,36 @@ def _report_sim(summary, lines):
             lines.append(f"| {bus} | {peaks[bus]:.4e} |")
 
 
+@contextlib.contextmanager
+def _artifact(out_dir, name):
+    """The artifact ``name`` in ``out_dir``, open for reading; a damaged one
+    (not JSON, or not as its command writes it) is an error naming it."""
+    try:
+        with open(os.path.join(out_dir, name), encoding="utf-8") as fh:
+            yield fh
+    except KeyError as exc:
+        raise GridcertError(f"{name}: missing key {exc}") from None
+    except (ValueError, TypeError, AttributeError, IndexError) as exc:
+        raise GridcertError(f"{name}: {exc}") from None
+
+
 def cmd_report(args):
     found = False
     lines = ["# gridcert run report"]
-    assess_path = os.path.join(args.out, ASSESS_JSON)
-    if os.path.exists(assess_path):
-        with open(assess_path, encoding="utf-8") as fh:
+    present = {name for name in (ASSESS_JSON, TRACE_JSONL, PROTOCOL_JSON, SIM_JSON)
+               if os.path.exists(os.path.join(args.out, name))}
+    if ASSESS_JSON in present:
+        with _artifact(args.out, ASSESS_JSON) as fh:
             _report_assess(json.load(fh), lines)
         found = True
-    trace_path = os.path.join(args.out, TRACE_JSONL)
-    proto_path = os.path.join(args.out, PROTOCOL_JSON)
-    if os.path.exists(trace_path) and os.path.exists(proto_path):
-        with open(proto_path, encoding="utf-8") as fh:
-            summary = json.load(fh)
-        with open(trace_path, encoding="utf-8") as fh:
-            _report_protocol([ln for ln in fh.read().splitlines() if ln], summary, lines)
+    if {TRACE_JSONL, PROTOCOL_JSON} <= present:
+        with _artifact(args.out, TRACE_JSONL) as fh:
+            counts = _round_counts(fh)
+        with _artifact(args.out, PROTOCOL_JSON) as fh:
+            _report_protocol(counts, json.load(fh), lines)
         found = True
-    sim_path = os.path.join(args.out, SIM_JSON)
-    if os.path.exists(sim_path):
-        with open(sim_path, encoding="utf-8") as fh:
+    if SIM_JSON in present:
+        with _artifact(args.out, SIM_JSON) as fh:
             _report_sim(json.load(fh), lines)
         found = True
     if not found:

@@ -6,7 +6,7 @@ Moore-Penrose projection onto the input column, evaluated in the modal
 coordinates where the certification conditions live.  Gains are stored in
 original coordinates only (``u = -K^T x``); a rank-one line coupling makes
 each global gain one scalar on the neighbor's angle (see
-:func:`gridcert.certify.agent_row`).
+:func:`gridcert.certify.agent_rows`).
 """
 
 from __future__ import annotations
@@ -31,20 +31,18 @@ class GainSet:
     global_: dict[int, np.ndarray] = field(default_factory=dict)
 
 
-def _as_column(v, n, name, stack=None):
-    """One input column of length ``n``, or with ``stack = N`` the (N, n)
-    columns of a stack."""
+def _as_column(v, n, name, N):
+    """The (N, n) input columns of a stack of N members."""
     v = np.asarray(v)
     if np.iscomplexobj(v):
         raise InvalidInput(f"{name} must be real-valued")
     v = v.astype(float, copy=False)
-    lead = () if stack is None else (stack,)
-    if v.ndim == len(lead) + 2:
+    if v.ndim == 3:
         if 1 not in v.shape[-2:]:
             raise Unsupported(f"{name} must be a single column, got shape {v.shape}")
-        v = v.reshape(*lead, -1)
-    if v.shape != (*lead, n):
-        raise InvalidInput(f"{name} must have length {n}, got shape {v.shape}")
+        v = v.reshape(len(v), -1)
+    if v.shape != (N, n):
+        raise InvalidInput(f"{name} must have shape ({N}, {n}), got shape {v.shape}")
     if not np.isfinite(v).all():
         raise InvalidInput(f"{name} has non-finite entries")
     return v
@@ -97,13 +95,12 @@ def _char_poly(P):
 
 
 def pole_place(A_hat, B, poles):
-    """Single-input pole placement (Ackermann), for one plant or a stack.
+    """Single-input pole placement (Ackermann) of N plants in one pass.
 
-    Returns the gain column ``K`` such that ``A_hat - B K^T`` has the
+    ``A_hat`` (N, n, n), ``B`` (N, n) and ``poles`` N pole sets give the
+    gain columns ``K`` (N, n) such that each ``A_hat - B K^T`` has its
     requested eigenvalues.  Multi-column ``B`` is rejected: the plants
-    handled here have one control input per bus.  A stack places N
-    plants in one pass: ``A_hat`` (N, n, n), ``B`` (N, n) and ``poles`` N
-    pole sets give ``K`` (N, n), each row that of its plant placed alone.
+    handled here have one control input per bus.
 
     Raises
     ------
@@ -112,14 +109,12 @@ def pole_place(A_hat, B, poles):
     InvalidInput
         If the desired characteristic polynomial overflows at ``A_hat``.
 
-    On a stack the error is that of the first check any member fails.
+    The error is that of the first check any member fails.
     """
     A = _as_matrix(A_hat, "A_hat", stack=True)
-    single = A.ndim == 2
-    A = A[None] if single else A
     N, n, _ = A.shape
-    B = _as_column(B, n, "B")[None] if single else _as_column(B, n, "B", stack=N)
-    P = _pole_sets([poles] if single else poles, n)
+    B = _as_column(B, n, "B", N)
+    P = _pole_sets(poles, n)
     if len(P) != N:
         raise InvalidInput(f"expected {N} pole sets, got {len(P)}")
 
@@ -139,25 +134,21 @@ def pole_place(A_hat, B, poles):
             pA = pA + coeffs[:, n - k] * Ak
     if not np.isfinite(pA).all():
         raise InvalidInput("desired characteristic polynomial overflows at these poles")
-    K = np.linalg.solve(C, pA)[:, -1]   # e_n^T inv(C) p(A_hat)
-    return K[0] if single else K
+    return np.linalg.solve(C, pA)[:, -1]   # e_n^T inv(C) p(A_hat)
 
 
 def optimal_global_gain(Bt, At_ij):
-    """Norm-minimizing global gain for one coupling block, or for a stack.
+    """Norm-minimizing global gains for N coupling blocks in one pass.
 
     Solves ``min_K || At_ij - Bt K^T ||`` in closed form through the
     Moore-Penrose inverse of the input column:
     ``K^T = (Bt^T Bt)^-1 Bt^T At_ij``.  The residual is orthogonal to
-    ``Bt`` (normal equations).  ``At_ij`` may have any number of columns;
-    an n x 1 block gives the scalar projection coefficient.  A stack
-    projects N blocks in one pass: ``Bt`` (N, n) and ``At_ij`` (N, n, m)
-    give (N, m), each row that of its block projected alone.
+    ``Bt`` (normal equations).  ``Bt`` (N, n) and ``At_ij`` (N, n, m)
+    give (N, m); an n x 1 block gives the scalar projection coefficient.
     """
     At = _as_matrix(At_ij, "At_ij", square=False, stack=True)
-    stack = None if At.ndim == 2 else len(At)
-    Bt = _as_column(Bt, At.shape[-2], "Bt", stack=stack)
+    Bt = _as_column(Bt, At.shape[-2], "Bt", len(At))
     denom = np.vecdot(Bt, Bt)
     if (denom == 0.0).any():
         raise Degenerate("input column is zero")
-    return np.vecdot(Bt[..., :, None], At, axis=-2) / denom[..., None]
+    return np.vecdot(Bt[:, :, None], At, axis=-2) / denom[:, None]

@@ -27,7 +27,7 @@ COND_LIMIT = 1e12
 
 
 def _as_matrix(A, name="matrix", square=True, stack=False):
-    """``A`` as a float matrix; with ``stack``, also a stack (N, n, n) of them."""
+    """``A`` as a float matrix, or with ``stack`` as a stack of them."""
     A = np.asarray(A)
     if np.iscomplexobj(A):
         raise InvalidInput(f"{name} must be real-valued")
@@ -35,8 +35,9 @@ def _as_matrix(A, name="matrix", square=True, stack=False):
         A = A.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise InvalidInput(f"{name} must be numeric: {exc}") from exc
-    if A.ndim != 2 and not (stack and A.ndim == 3):
-        raise InvalidInput(f"{name} must be 2-D, got shape {A.shape}")
+    if A.ndim != (3 if stack else 2):
+        want = f"a stack (N, n, {'n' if square else 'm'})" if stack else "2-D"
+        raise InvalidInput(f"{name} must be {want}, got shape {A.shape}")
     if square and A.shape[-2] != A.shape[-1]:
         raise InvalidInput(f"{name} must be square, got shape {A.shape}")
     if A.size == 0:
@@ -53,8 +54,8 @@ def spectral_norm(A):
 
 
 def solve_lyapunov(A, Q):
-    """Solve the continuous Lyapunov equation ``A^T P + P A = -Q``, for one
-    matrix ``A`` or for each member of a stack ``(N, n, n)`` in one pass.
+    """Solve the continuous Lyapunov equation ``A^T P + P A = -Q`` for each
+    member of a stack ``(N, n, n)`` in one pass.
 
     Uses the stacked n^2-dimensional linear system, which is entirely
     adequate at the orders handled here.  The result is symmetrized before
@@ -62,15 +63,14 @@ def solve_lyapunov(A, Q):
 
     Parameters
     ----------
-    A : (n, n) or (N, n, n) array_like
+    A : (N, n, n) array_like
     Q : (n, n) array_like
-        Symmetric positive definite right-hand side, shared by a stack.
+        Symmetric positive definite right-hand side, shared by the stack.
 
     Returns
     -------
-    (n, n) or (N, n, n) ndarray
-        Symmetric positive definite solution ``P`` (one per member), each
-        equal to that of the member solved alone.
+    (N, n, n) ndarray
+        Symmetric positive definite solution ``P``, one per member.
 
     Raises
     ------
@@ -80,12 +80,10 @@ def solve_lyapunov(A, Q):
         If the solution is not positive definite, which signals that ``A``
         is not Hurwitz.
 
-    On a stack the error is that of the first check any member fails.
+    The error is that of the first check any member fails.
     """
     A = _as_matrix(A, "A", stack=True)
     Q = _as_matrix(Q, "Q")
-    single = A.ndim == 2
-    A = A[None] if single else A
     n = A.shape[-1]
     if Q.shape[0] != n:
         raise InvalidInput(f"Q must match A, got {Q.shape} vs {A.shape}")
@@ -119,7 +117,7 @@ def solve_lyapunov(A, Q):
             "Lyapunov solution is not positive definite: A is not Hurwitz",
             offending_eigenvalue=complex(b[np.argmax(b.real)]),
         )
-    return P[0] if single else P
+    return P
 
 
 @dataclass
@@ -138,33 +136,23 @@ class ModalTransform:
     sigma_M: float
 
 
-def _geometric_deficit(A, lam_groups):
-    n = A.shape[0]
-    scale = max(1.0, float(np.abs(A).max()))
-    for lam, alg in lam_groups:
-        geo = n - np.linalg.matrix_rank(A - lam * np.eye(n, dtype=complex),
-                                        tol=1e-8 * scale)
-        if geo < alg:
-            return lam
-    return None
-
-
 def _ill_conditioned(A, lam, cond):
     """The error for a modal transform of ``A`` (spectrum ``lam``) whose
-    condition number ``cond`` is too large: defective or merely ill-conditioned."""
+    condition number ``cond`` is too large: defective at the first group
+    of equal eigenvalues whose eigenspace is too small, else merely
+    ill-conditioned."""
     n = A.shape[0]
-    groups = []
     used = np.zeros(n, dtype=bool)
     tol = 1e-8 * max(1.0, float(np.abs(lam).max()))
+    rank_tol = 1e-8 * max(1.0, float(np.abs(A).max()))
     for k in range(n):
         if used[k]:
             continue
         close = np.abs(lam - lam[k]) <= tol
         used |= close
-        groups.append((lam[k], int(close.sum())))
-    bad = _geometric_deficit(A, groups)
-    if bad is not None:
-        return NotSemiSimple(f"matrix is defective at eigenvalue {bad:.6g}")
+        geo = n - np.linalg.matrix_rank(A - lam[k] * np.eye(n, dtype=complex), tol=rank_tol)
+        if geo < close.sum():
+            return NotSemiSimple(f"matrix is defective at eigenvalue {lam[k]:.6g}")
     return IllConditionedTransform(
         f"eigenvector matrix condition number {cond:.3g} exceeds {COND_LIMIT:.0e}")
 
@@ -183,10 +171,10 @@ def _signs(P, member):
 
 
 def _pair_rows(lam, W, member):
-    """For a stack with complex eigenvalues ``lam`` and eigenvector rows
-    ``W``, both in modal order: the columns of ``T`` as rows, the
-    eigenvalue on each column's diagonal entry of ``Lam``, and a mask of
-    the columns that open a pair's 2x2 block."""
+    """For a stack with eigenvalues ``lam`` (real when no member has a
+    pair) and eigenvector rows ``W``, both in modal order: the columns of
+    ``T`` as rows, the eigenvalue on each column's diagonal entry of
+    ``Lam``, and a mask of the columns that open a pair's 2x2 block."""
     N, n = lam.shape
     pairs = (lam.imag > 0.0).sum(axis=-1)[:, None]
     is_pair = np.arange(n) < pairs
@@ -224,15 +212,13 @@ def _modal_eigenvalues(Lam):
 
 
 def modal_decompose(A):
-    """Real block-diagonalization of a semi-simple real matrix, or of each
-    member of a stack ``(N, n, n)`` in one pass.
+    """Real block-diagonalization of each semi-simple member of a stack
+    ``(N, n, n)`` in one pass: one :class:`ModalTransform` each, in a list.
 
     Complex-pair blocks come first, then real eigenvalues, each group in
     ascending real part.  Columns of ``T`` are normalized to unit 2-norm
     with the sign fixed so that the largest-magnitude component of each
     real column (and of the real part of each complex pair) is positive.
-    A stack gives one :class:`ModalTransform` per member, in a list, and
-    each member's transform equals that of the member decomposed alone.
 
     Raises
     ------
@@ -242,40 +228,27 @@ def modal_decompose(A):
         If the eigenvector matrix has condition number above
         ``COND_LIMIT``.
 
-    On a stack the error is that of the first check any member fails.
+    The error is that of the first check any member fails.
     """
     A = _as_matrix(A, "A", stack=True)
-    single = A.ndim == 2
-    A = A[None] if single else A
     N, n, _ = A.shape
     lam, V = np.linalg.eig(A)
     member = np.arange(N)[:, None]
+    plus, minus = lam.imag > 0.0, lam.imag < 0.0
+    if (plus.sum(axis=-1) != minus.sum(axis=-1)).any():
+        raise InvalidInput("eigenvalues are not conjugate symmetric")
+    # modal order: the +imag member of each conjugate pair, then the
+    # real eigenvalues, each group by ascending real part (lexsort is
+    # stable, so ties go by index); the -imag members last
+    order = np.lexsort((np.where(plus, lam.imag, 0.0), lam.real,
+                        minus.view(np.int8) - plus), axis=-1)
+    rows, lam_T, first = _pair_rows(lam[member, order],
+                                    np.swapaxes(V, -1, -2)[member, order], member)
+    first = first[:, :-1]
     Lam = np.zeros((N, n, n))
     diag = np.arange(n)
-    if np.iscomplexobj(lam):
-        plus, minus = lam.imag > 0.0, lam.imag < 0.0
-        if (plus.sum(axis=-1) != minus.sum(axis=-1)).any():
-            raise InvalidInput("eigenvalues are not conjugate symmetric")
-        # modal order: the +imag member of each conjugate pair, then the
-        # real eigenvalues, each group by ascending real part (lexsort is
-        # stable, so ties go by index); the -imag members last
-        order = np.lexsort((np.where(plus, lam.imag, 0.0), lam.real,
-                            minus.view(np.int8) - plus), axis=-1)
-        rows, lam_T, first = _pair_rows(lam[member, order],
-                                        np.swapaxes(V, -1, -2)[member, order], member)
-        first = first[:, :-1]
-        Lam[:, diag[:-1], diag[1:]] = np.where(first, lam_T.imag[:, :-1], 0.0)
-        Lam[:, diag[1:], diag[:-1]] = np.where(first, -lam_T.imag[:, :-1], 0.0)
-    else:
-        # a real spectrum (eig returns real arrays) has no pair to rotate:
-        # the order, signs and norms above without the pair steps, which on
-        # one 3x3 member, as each protocol agent decomposes, cost more than
-        # the rest of this function
-        order = np.argsort(lam, axis=-1, kind="stable")
-        lam_T = lam[member, order]
-        rows = np.swapaxes(V, -1, -2)[member, order]
-        rows *= _signs(rows, member)
-        rows /= _norms(rows)
+    Lam[:, diag[:-1], diag[1:]] = np.where(first, lam_T.imag[:, :-1], 0.0)
+    Lam[:, diag[1:], diag[:-1]] = np.where(first, -lam_T.imag[:, :-1], 0.0)
     Lam[:, diag, diag] = lam_T.real
     T = np.ascontiguousarray(np.swapaxes(rows, -1, -2))
 
@@ -286,8 +259,7 @@ def modal_decompose(A):
         raise _ill_conditioned(A[b], lam[b], np.linalg.cond(T[b]))
 
     sigma_M = -lam.real.max(axis=-1)
-    mts = [ModalTransform(T=T[b], Lam=Lam[b], sigma_M=float(sigma_M[b])) for b in range(N)]
-    return mts[0] if single else mts
+    return [ModalTransform(T=T[b], Lam=Lam[b], sigma_M=float(sigma_M[b])) for b in range(N)]
 
 
 def is_hurwitz(A):

@@ -12,7 +12,7 @@ with mail or work ingests its inbox, one stacked design pass designs the
 agents that design this round, one stacked row pass evaluates the agents
 whose row is due, and each of those then takes its own report, retry and
 escalation step.  The result, errors included, is that of stepping the
-agents one at a time in ascending id order (:func:`agent_step`).
+agents one at a time in ascending id order, each as a stack of one.
 
 An agent's lifecycle: design local gains and, in the transformed variant,
 send each neighbor its share (:func:`certify.share`); once every
@@ -232,13 +232,6 @@ def step_agents(states, inboxes, config, rnd):
         for st, inbox in zip(states, inboxes):
             _step_stack([st], [inbox], config, rnd)
         raise
-
-
-def agent_step(state, inbox, config, rnd):
-    """Pure transition for one agent, the N = 1 case of :func:`step_agents`;
-    returns ``(new_state, outbox)``."""
-    (st,), (out,) = step_agents([state], [inbox], config, rnd)
-    return st, out
 
 
 def operator_step(state, inbox, rnd):

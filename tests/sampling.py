@@ -21,7 +21,7 @@ def random_semisimple_hurwitz(rng, n, tries=20):
     for _ in range(tries):
         A = random_hurwitz(rng, n)
         try:
-            return A, linalg.modal_decompose(A)
+            return A, linalg.modal_decompose([A])[0]
         except (NotSemiSimple, IllConditionedTransform):
             continue
     raise AssertionError("could not sample a semi-simple Hurwitz matrix")
@@ -67,7 +67,7 @@ def sample_met_original(rng):
     n_agents = int(rng.integers(2, 5))
     orders = [int(rng.integers(1, 4)) for _ in range(n_agents)]
     A_blocks = [random_hurwitz(rng, ni) for ni in orders]
-    certs = {i: certify.certify_decoupled(A_blocks[i], np.eye(orders[i]))
+    certs = {i: certify.certify_decoupled([A_blocks[i]], np.eye(orders[i]))[0]
              for i in range(n_agents)}
 
     neighbor_sets = {i: set() for i in range(n_agents)}

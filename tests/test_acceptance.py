@@ -99,7 +99,7 @@ def test_a1_pole_placement_reproduction(grid):
         if pole_rel.max() > 0.005:
             failures.append(f"bus {bus}: reference pair (b_ref, K_ref) misses "
                             f"the published poles (max rel {pole_rel.max():.3f})")
-        K = control.pole_place(sub.A_hat, sub.B, gen.poles)
+        K, = control.pole_place([sub.A_hat], [sub.B], [gen.poles])
         K_ref = reference_gain_in_model_units(sub, gen)
         rel = np.abs(K - K_ref) / np.abs(K_ref)
         if rel.max() > 0.005:
@@ -119,7 +119,7 @@ def test_a1_gain_convention_diagnosis(grid):
     missed = []
     for bus, sub in subs.items():
         gen = grid.generator(bus)
-        K = control.pole_place(sub.A_hat, sub.B, gen.poles)
+        K, = control.pole_place([sub.A_hat], [sub.B], [gen.poles])
         tt2 = gen.T_T ** 2
         # the rescaled pair (B*tt2, K/tt2) leaves A - B K^T unchanged
         assert np.allclose(sub.A_hat - np.outer(sub.B, K),
@@ -261,7 +261,7 @@ def test_a8_lyapunov_solver(rng):
         n = int(rng.integers(2, 7))
         A = random_hurwitz(rng, n)
         Q = random_spd(rng, n)
-        P = linalg.solve_lyapunov(A, Q)
+        P, = linalg.solve_lyapunov([A], Q)
         assert np.linalg.eigvalsh(P).min() > 0.0
         rel = np.linalg.norm(A.T @ P + P @ A + Q) / np.linalg.norm(Q)
         worst = max(worst, rel)
@@ -279,7 +279,7 @@ def test_a9_projection_optimality(rng):
         n = int(rng.integers(2, 6))
         Bt = rng.standard_normal(n)
         At = rng.standard_normal((n, n))
-        K = control.optimal_global_gain(Bt, At)
+        K, = control.optimal_global_gain([Bt], [At])
         resid = At - np.outer(Bt, K)
         worst_orth = max(worst_orth, float(np.abs(Bt @ resid).max()))
         base = np.linalg.norm(resid)

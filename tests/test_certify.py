@@ -29,20 +29,20 @@ PRE_ROWS = {1: (22.0, {2: 296.58, 3: 249.13}),
 
 class TestCertifyDecoupled:
     def test_trivial(self):
-        cert = certify.certify_decoupled(-np.eye(2), 2.0 * np.eye(2))
+        cert, = certify.certify_decoupled([-np.eye(2)], 2.0 * np.eye(2))
         assert np.allclose(cert.P, np.eye(2))
         assert cert.lambda_min_Q == pytest.approx(2.0)
         assert cert.lambda_max_P == pytest.approx(1.0)
 
     def test_hand_eigenvalue(self):
         # largest eigenvalue of [[1.25, .25], [.25, .25]] = (1.5 + sqrt(1.25)) / 2
-        cert = certify.certify_decoupled([[0.0, 1.0], [-2.0, -3.0]], np.eye(2))
+        cert, = certify.certify_decoupled([[[0.0, 1.0], [-2.0, -3.0]]], np.eye(2))
         assert cert.lambda_max_P == pytest.approx((1.5 + math.sqrt(1.25)) / 2.0)
         assert cert.lambda_max_P == pytest.approx(1.3090, abs=5e-5)
 
     def test_unstable_rejected_with_eigenvalue(self):
         with pytest.raises(CertificateInvalid) as exc:
-            certify.certify_decoupled(np.diag([1.0, -2.0]), np.eye(2))
+            certify.certify_decoupled([np.diag([1.0, -2.0])], np.eye(2))
         assert exc.value.offending_eigenvalue == pytest.approx(1.0)
 
     def test_stack_equals_members(self, rng):
@@ -52,7 +52,7 @@ class TestCertifyDecoupled:
             certs = certify.certify_decoupled(A, Q)
             assert len(certs) == len(A)
             for a, cert in zip(A, certs):
-                one = certify.certify_decoupled(a, Q)
+                one, = certify.certify_decoupled(a[None], Q)
                 assert np.array_equal(cert.P, one.P) and np.array_equal(cert.Q, one.Q)
                 assert cert.lambda_max_P == one.lambda_max_P
                 assert cert.lambda_min_Q == one.lambda_min_Q
@@ -67,16 +67,16 @@ class TestCertifyDecoupled:
 
 class TestBuildS:
     def test_decoupled_agents(self):
-        certs = {1: certify.certify_decoupled(-np.eye(2), np.eye(2)),
-                 2: certify.certify_decoupled(-2.0 * np.eye(2), np.eye(2))}
+        certs = {1: certify.certify_decoupled([-np.eye(2)], np.eye(2))[0],
+                 2: certify.certify_decoupled([-2.0 * np.eye(2)], np.eye(2))[0]}
         S, reports = certify.build_S(certs, {})
         assert np.allclose(S, np.diag([1.0, 1.0]))
         assert all(r.met for r in reports)
 
     def test_single_neighbor_row(self):
         # lambda_min(Q)=4, lambda_max(P)=1, coupling norm 1 -> off entry 2
-        certs = {1: certify.certify_decoupled(-2.0 * np.eye(2), 4.0 * np.eye(2)),
-                 2: certify.certify_decoupled(-np.eye(2), np.eye(2))}
+        certs = {1: certify.certify_decoupled([-2.0 * np.eye(2)], 4.0 * np.eye(2))[0],
+                 2: certify.certify_decoupled([-np.eye(2)], np.eye(2))[0]}
         S, reports = certify.build_S(certs, {(1, 2): np.array([[1.0, 0.0], [0.0, 0.0]])})
         r1 = reports[0]
         assert r1.offdiag == {2: pytest.approx(2.0)}
@@ -85,7 +85,7 @@ class TestBuildS:
         assert S[0, 1] == pytest.approx(-2.0)
 
     def test_missing_certificate(self):
-        certs = {1: certify.certify_decoupled(-np.eye(2), np.eye(2))}
+        certs = {1: certify.certify_decoupled([-np.eye(2)], np.eye(2))[0]}
         with pytest.raises(InvalidInput):
             certify.build_S(certs, {(2, 1): np.eye(2)})
 
@@ -100,7 +100,7 @@ class TestBuildS:
                 sub, gs = subs[rep.agent], res.gains[rep.agent]
                 assert bool(gs.global_) == use_global
                 A_cl = sub.A_hat - np.outer(sub.B, gs.local)
-                P = linalg.solve_lyapunov(A_cl, np.eye(3))
+                P, = linalg.solve_lyapunov([A_cl], np.eye(3))
                 lmax = np.linalg.eigvalsh(P).max()
                 assert rep.diagonal == pytest.approx(1.0)
                 for j, val in rep.offdiag.items():
@@ -132,7 +132,7 @@ class TestBuildSTilde:
         assert all(r.met for r in reports)
 
     def test_non_hurwitz_rejected(self):
-        mt = linalg.modal_decompose(np.diag([1.0, -2.0]))
+        mt, = linalg.modal_decompose([np.diag([1.0, -2.0])])
         assert mt.sigma_M < 0
         with pytest.raises(CertificateInvalid):
             certify.build_S_tilde({1: mt}, {})
@@ -216,12 +216,12 @@ class TestTransformedCertificate:
     def test_non_hurwitz_rejected(self):
         # the row kernel refuses a modal form with sigma_M <= 0 in both variants
         A = np.diag([0.5, -1.0])
-        mt = linalg.modal_decompose(A)
+        mt, = linalg.modal_decompose([A])
         for variant in (certify.VARIANT_TRANSFORMED, certify.VARIANT_ORIGINAL):
             sub = gridmodel.SubsystemModel(bus=1, A_hat=A, B=np.array([0.0, 1.0]),
                                            F=np.zeros(2), couplings={})
             with pytest.raises(CertificateInvalid) as exc:
-                certify.agent_row(sub, np.zeros(2), mt, {}, False, variant)
+                certify.agent_rows([sub], [np.zeros(2)], [mt], [{}], [False], variant)
             assert exc.value.offending_eigenvalue == pytest.approx(0.5)
 
     def test_no_alternative_pair_beats_ratio(self, rng):
@@ -229,7 +229,7 @@ class TestTransformedCertificate:
         best = 2.0 * mt.sigma_M
         for _ in range(50):
             Q = random_spd(rng, 3)
-            P = linalg.solve_lyapunov(mt.Lam, Q)
+            P, = linalg.solve_lyapunov([mt.Lam], Q)
             ratio = np.linalg.eigvalsh(Q).min() / np.linalg.eigvalsh(P).max()
             assert ratio <= best + 1e-8
 
@@ -260,7 +260,7 @@ class TestSoundnessSampling:
             orders, transforms, couplings = sample_met_transformed(rng)
             certs = {
                 i: certify.certify_decoupled(
-                    transforms[i].Lam, -(transforms[i].Lam + transforms[i].Lam.T))
+                    [transforms[i].Lam], -(transforms[i].Lam + transforms[i].Lam.T))[0]
                 for i in sorted(transforms)
             }
             _, rep_orig = certify.build_S(certs, couplings)
@@ -312,8 +312,8 @@ class TestAssessGrid:
             assert sorted(gs.global_) == sub.neighbors
             for j, k in gs.global_.items():
                 Tj = res.transforms[j].T
-                kt = control.optimal_global_gain(
-                    Bt, np.linalg.solve(T, line_block(sub.couplings[j]) @ Tj))
+                kt, = control.optimal_global_gain(
+                    [Bt], [np.linalg.solve(T, line_block(sub.couplings[j]) @ Tj)])
                 assert np.abs(kt - Tj.T @ k).max() <= 1e-8
 
 
@@ -329,7 +329,7 @@ def reference_rows(subs, designs, variant, escalate):
             C, Tj = line_block(c), designs[j][1].T
             At, k = np.linalg.solve(T, C @ Tj), np.zeros(3)
             if escalate:
-                kt = control.optimal_global_gain(Bt, At)
+                kt, = control.optimal_global_gain([Bt], [At])
                 At, k = At - np.outer(Bt, kt), np.linalg.solve(Tj.T, kt)
                 gains[(sub.bus, j)] = k
             couplings_t[(sub.bus, j)] = At
@@ -339,13 +339,13 @@ def reference_rows(subs, designs, variant, escalate):
                                            couplings_t)
     else:
         certs = {s.bus: certify.certify_decoupled(
-            s.A_hat - np.outer(s.B, designs[s.bus][0]), np.eye(3)) for s in subs}
+            [s.A_hat - np.outer(s.B, designs[s.bus][0])], np.eye(3))[0] for s in subs}
         _, reports = certify.build_S(certs, couplings)
     return reports, gains
 
 
 class TestRankOneKernel:
-    """``agent_row`` forms every row entry from line strengths and
+    """``agent_rows`` forms every row entry from line strengths and
     per-agent scalars; the stage-by-stage reference forms it from blocks."""
 
     @pytest.mark.parametrize("variant", [certify.VARIANT_TRANSFORMED,
@@ -355,14 +355,16 @@ class TestRankOneKernel:
         for _ in range(12):
             grid = make_grid(*random_grid_tuples(rng))
             subs = gridmodel.build_subsystems(grid)
-            designs = {s.bus: certify.design_agent(s, grid.generator(s.bus).poles)
-                       for s in subs}
+            designs = {}
+            for s in subs:
+                (K,), (mt,) = certify.design_agents([s], [grid.generator(s.bus).poles])
+                designs[s.bus] = K, mt
             want, want_gains = reference_rows(subs, designs, variant, escalate)
             for sub, ref in zip(subs, want):
                 K, mt = designs[sub.bus]
-                got, gains = certify.agent_row(
-                    sub, K, mt, {j: certify.share(designs[j][1]) for j in sub.neighbors},
-                    escalate, variant)
+                (got,), (gains,) = certify.agent_rows(
+                    [sub], [K], [mt], [{j: certify.share(designs[j][1]) for j in sub.neighbors}],
+                    [escalate], variant)
                 # the reference takes its gain back through inv(T_j^T), which
                 # loses up to cond(T_j) eps; the kernel never inverts T_j
                 tol = {j: max(1e-12, EPS * np.linalg.cond(designs[j][1].T))
@@ -392,13 +394,13 @@ class TestRankOneKernel:
         # the original row reads nothing of a neighbor; the transformed row
         # reads each neighbor's share and refuses to run without it
         sub = gridmodel.build_subsystems(three_bus)[0]
-        K, mt = certify.design_agent(sub, three_bus.generator(1).poles)
-        got, _ = certify.agent_row(sub, K, mt, {}, True, certify.VARIANT_ORIGINAL)
+        K, mt = certify.design_agents([sub], [three_bus.generator(1).poles])
+        (got,), _ = certify.agent_rows([sub], K, mt, [{}], [True], certify.VARIANT_ORIGINAL)
         res = certify.assess_grid(three_bus, use_global=True,
                                   variant=certify.VARIANT_ORIGINAL)
         assert got == res.reports[0]
         with pytest.raises(InvalidInput, match="agent 1: missing share from neighbor 2"):
-            certify.agent_row(sub, K, mt, {}, True, certify.VARIANT_TRANSFORMED)
+            certify.agent_rows([sub], K, mt, [{}], [True], certify.VARIANT_TRANSFORMED)
 
 
 def member_shares(subs, mts):
@@ -408,15 +410,16 @@ def member_shares(subs, mts):
 
 
 class TestStackedRows:
-    """``agent_rows`` evaluates every agent's row in one stacked pass;
-    ``agent_row`` is its one-agent case and must agree bit for bit."""
+    """``agent_rows`` evaluates every agent's row in one stacked pass; each
+    agent evaluated as a stack of one must agree bit for bit."""
 
     def assert_stack_equals_agents(self, subs, Ks, mts, shares, escalate, variant):
         reports, globals_ = certify.agent_rows(subs, Ks, mts, shares, escalate, variant)
         assert len(reports) == len(globals_) == len(subs)
         for k, sub in enumerate(subs):
-            report, global_ = certify.agent_row(sub, Ks[k], mts[k], shares[k],
-                                                escalate[k], variant)
+            (report,), (global_,) = certify.agent_rows([sub], Ks[k:k + 1], mts[k:k + 1],
+                                                       shares[k:k + 1], escalate[k:k + 1],
+                                                       variant)
             assert reports[k] == report and isinstance(reports[k].diagonal, float)
             assert all(type(v) is float for v in reports[k].offdiag.values())
             assert globals_[k].keys() == global_.keys()
@@ -453,7 +456,7 @@ class TestStackedRows:
         Ks, mts = certify.design_agents(subs, pole_specs(three_bus))
         shares = member_shares(subs, mts)
         shares[1] = {}
-        mts = [mts[0], mts[1], linalg.modal_decompose(np.diag([0.5, -1.0, -2.0]))]
+        mts = [mts[0], mts[1], linalg.modal_decompose([np.diag([0.5, -1.0, -2.0])])[0]]
         with pytest.raises(InvalidInput) as info:
             certify.agent_rows(subs, Ks, mts, shares, [False] * 3,
                                certify.VARIANT_TRANSFORMED)
@@ -471,14 +474,14 @@ PAIRED = [complex(-20.0, 6.0), complex(-20.0, -6.0), -40.0]
 
 
 class TestStackedDesign:
-    """``design_agents`` designs every bus in one stacked pass;
-    ``design_agent`` is its one-bus case and must agree bit for bit."""
+    """``design_agents`` designs every bus in one stacked pass; each bus
+    designed as a stack of one must agree bit for bit."""
 
     def assert_stack_equals_buses(self, subs, pole_sets):
         Ks, mts = certify.design_agents(subs, pole_sets)
         assert Ks.shape == (len(subs), 3) and len(mts) == len(subs)
         for sub, poles, K, mt in zip(subs, pole_sets, Ks, mts):
-            K1, mt1 = certify.design_agent(sub, poles)
+            (K1,), (mt1,) = certify.design_agents([sub], [poles])
             assert np.array_equal(K, K1)
             assert np.array_equal(mt.T, mt1.T)
             assert np.array_equal(mt.Lam, mt1.Lam)

@@ -411,6 +411,22 @@ class TestReport:
         assert code == 1
         assert "no run artifacts" in err
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("assess.json", "", "assess.json: Expecting value"),
+        ("assess.json", '{"variants": {"transformed": {"verdict": "stable"}}}',
+         "assess.json: missing key 'agents'"),
+        ("trace.jsonl", '{"round": 0, "kind": "ShareFactor"}\n{"round": 1,\n',
+         "trace.jsonl: Expecting property name"),
+    ], ids=["empty-assess", "assess-without-agents", "truncated-trace-line"])
+    def test_damaged_artifact_is_one_error_line(self, capsys, tmp_path, name, text, message):
+        out_dir = tmp_path / "o"
+        run(capsys, "protocol", three_bus_path(), "--out", str(out_dir))
+        (out_dir / name).write_text(text)
+        code, out, err = run(capsys, "report", "--out", str(out_dir))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not (out_dir / "report.md").exists()
+
 
 class TestErrorPaths:
     def test_missing_file(self, capsys, tmp_path):

@@ -37,42 +37,42 @@ THREE_BUS_POLES = {1: [-22.0, -39.0, -43.0],
 class TestPolePlace:
     def test_double_integrator_by_hand(self):
         # Ackermann by hand: C = [[0,1],[1,0]], p(A) = A^2 + 2A + I
-        K = control.pole_place([[0.0, 1.0], [0.0, 0.0]], [0.0, 1.0], [-1.0, -1.0])
+        K, = control.pole_place([[[0.0, 1.0], [0.0, 0.0]]], [[0.0, 1.0]], [[-1.0, -1.0]])
         assert np.allclose(K, [1.0, 2.0], atol=1e-12)
 
     def test_pole_already_in_place(self):
-        K = control.pole_place([[-2.0]], [1.0], [-2.0])
+        K, = control.pole_place([[[-2.0]]], [[1.0]], [[-2.0]])
         assert np.allclose(K, [0.0], atol=1e-12)
 
     def test_three_bus_placement(self, three_bus):
         for bus, sub in bus_models(three_bus).items():
-            K = control.pole_place(sub.A_hat, sub.B, THREE_BUS_POLES[bus])
+            K, = control.pole_place([sub.A_hat], [sub.B], [THREE_BUS_POLES[bus]])
             got = np.sort(np.linalg.eigvals(sub.A_hat - np.outer(sub.B, K)).real)
             assert np.allclose(got, sorted(THREE_BUS_POLES[bus]), rtol=1e-6)
 
     def test_complex_conjugate_poles(self):
         A = [[0.0, 1.0], [0.0, 0.0]]
-        K = control.pole_place(A, [0.0, 1.0], [complex(-1, 2), complex(-1, -2)])
+        K, = control.pole_place([A], [[0.0, 1.0]], [[complex(-1, 2), complex(-1, -2)]])
         got = _sorted(np.linalg.eigvals(np.array(A) - np.outer([0, 1], K)))
         assert np.allclose(got, _sorted([-1 - 2j, -1 + 2j]), atol=1e-9)
 
     def test_uncontrollable(self):
         with pytest.raises(Uncontrollable):
-            control.pole_place(np.diag([-1.0, -2.0]), [1.0, 0.0], [-3.0, -4.0])
+            control.pole_place([np.diag([-1.0, -2.0])], [[1.0, 0.0]], [[-3.0, -4.0]])
 
     def test_multi_input_unsupported(self):
         with pytest.raises(Unsupported):
-            control.pole_place(np.zeros((2, 2)), np.eye(2), [-1.0, -2.0])
+            control.pole_place(np.zeros((1, 2, 2)), [np.eye(2)], [[-1.0, -2.0]])
 
     def test_pole_validation(self):
-        A = [[0.0, 1.0], [0.0, 0.0]]
-        B = [0.0, 1.0]
+        A = [[[0.0, 1.0], [0.0, 0.0]]]
+        B = [[0.0, 1.0]]
         with pytest.raises(InvalidInput, match="negative real"):
-            control.pole_place(A, B, [1.0, -1.0])
+            control.pole_place(A, B, [[1.0, -1.0]])
         with pytest.raises(InvalidInput, match="conjugate-closed"):
-            control.pole_place(A, B, [complex(-1, 2), -1.0])
+            control.pole_place(A, B, [[complex(-1, 2), -1.0]])
         with pytest.raises(InvalidInput, match="expected 2 poles"):
-            control.pole_place(A, B, [-1.0])
+            control.pole_place(A, B, [[-1.0]])
 
     def test_random_placement_property(self, rng):
         done = 0
@@ -89,7 +89,7 @@ class TestPolePlace:
                 w = rng.uniform(0.5, 3.0)
                 poles[0] = complex(re[0], w)
                 poles[1] = complex(re[0], -w)
-            K = control.pole_place(A, B, poles)
+            K, = control.pole_place([A], [B], [poles])
             A_cl = A - np.outer(B, K)
             want = _sorted(poles)
             atol = 1e-6 * np.abs(want).max()
@@ -106,9 +106,9 @@ class TestPolePlace:
 def designed(grid, bus):
     """Bus model, local gain and modal form, plus every neighbor's transform."""
     models = bus_models(grid)
-    mts = {b: certify.design_agent(m, THREE_BUS_POLES[b]) for b, m in models.items()}
-    K, mt = mts[bus]
-    return models[bus], K, mt, {j: mts[j][1].T for j in models[bus].neighbors}
+    mts = {b: certify.design_agents([m], [THREE_BUS_POLES[b]]) for b, m in models.items()}
+    (K,), (mt,) = mts[bus]
+    return models[bus], K, mt, {j: mts[j][1][0].T for j in models[bus].neighbors}
 
 
 def with_T(mt, T):
@@ -120,7 +120,9 @@ def row(sub, mt, T_nbrs, escalate=False, K=None):
     transform's first row."""
     K = np.zeros(3) if K is None else K
     shares = {j: float(np.linalg.norm(T[0])) for j, T in T_nbrs.items()}
-    return certify.agent_row(sub, K, mt, shares, escalate, certify.VARIANT_TRANSFORMED)
+    (report,), (global_,) = certify.agent_rows([sub], [K], [mt], [shares], [escalate],
+                                               certify.VARIANT_TRANSFORMED)
+    return report, global_
 
 
 class TestTransform:
@@ -137,7 +139,7 @@ class TestTransform:
         rep, gains = row(sub, with_T(mt, np.eye(3)), eye, escalate=True)
         for j in sub.neighbors:
             C = line_block(sub.couplings[j])
-            k = control.optimal_global_gain(sub.B, C)
+            k, = control.optimal_global_gain([sub.B], [C])
             assert np.allclose(gains[j], k, rtol=1e-13, atol=0.0)
             assert rep.offdiag[j] == pytest.approx(
                 linalg.spectral_norm(C - np.outer(sub.B, k)), rel=1e-13)
@@ -165,7 +167,7 @@ class TestTransform:
 class TestOptimalGlobalGain:
     def test_axis_projection(self, rng):
         At = rng.standard_normal((3, 3))
-        K = control.optimal_global_gain(np.array([0.0, 0.0, 1.0]), At)
+        K, = control.optimal_global_gain([[0.0, 0.0, 1.0]], [At])
         assert np.allclose(K, At[2])
         resid = At - np.outer([0.0, 0.0, 1.0], K)
         assert np.allclose(resid[2], 0.0)
@@ -173,25 +175,25 @@ class TestOptimalGlobalGain:
     def test_exact_fit(self, rng):
         Bt = rng.standard_normal(3)
         v = rng.standard_normal(3)
-        K = control.optimal_global_gain(Bt, np.outer(Bt, v))
+        K, = control.optimal_global_gain([Bt], [np.outer(Bt, v)])
         assert np.allclose(K, v, atol=1e-12)
 
     def test_zero_input_degenerate(self):
         with pytest.raises(Degenerate):
-            control.optimal_global_gain(np.zeros(3), np.eye(3))
+            control.optimal_global_gain([np.zeros(3)], [np.eye(3)])
 
     def test_normal_equations(self, rng):
         for _ in range(25):
             Bt = rng.standard_normal(4)
             At = rng.standard_normal((4, 4))
-            K = control.optimal_global_gain(Bt, At)
+            K, = control.optimal_global_gain([Bt], [At])
             resid = At - np.outer(Bt, K)
             assert np.abs(Bt @ resid).max() <= 1e-10
 
     def test_perturbed_gains_never_better(self, rng):
         Bt = rng.standard_normal(3)
         At = rng.standard_normal((3, 3))
-        K = control.optimal_global_gain(Bt, At)
+        K, = control.optimal_global_gain([Bt], [At])
         base_f = np.linalg.norm(At - np.outer(Bt, K))
         base_s = linalg.spectral_norm(At - np.outer(Bt, K))
         for _ in range(100):
@@ -214,7 +216,7 @@ class TestCloseLoop:
     def test_three_bus_poles(self, three_bus):
         subs = gridmodel.build_subsystems(three_bus)
         gains = {s.bus: control.GainSet(local=control.pole_place(
-            s.A_hat, s.B, THREE_BUS_POLES[s.bus])) for s in subs}
+            [s.A_hat], [s.B], [THREE_BUS_POLES[s.bus]])[0]) for s in subs}
         A = gridmodel.assemble_full(subs, gains)
         got = np.sort(np.linalg.eigvals(A[0:3, 0:3]).real)
         assert np.allclose(got, [-43.0, -39.0, -22.0], rtol=1e-8)
@@ -233,7 +235,7 @@ class TestCloseLoop:
 
     def test_modal_form_of_designed_loop(self, three_bus):
         sub = bus_models(three_bus)[1]
-        _, mt = certify.design_agent(sub, THREE_BUS_POLES[1])
+        _, (mt,) = certify.design_agents([sub], [THREE_BUS_POLES[1]])
         assert np.allclose(mt.Lam, np.diag([-43.0, -39.0, -22.0]), atol=1e-8)
         assert mt.sigma_M == pytest.approx(22.0)
 
@@ -251,15 +253,15 @@ class TestCoordinateConsistency:
             sub = gridmodel.SubsystemModel(bus=1, A_hat=A, B=B, F=np.zeros(3),
                                            couplings={9: c})
             try:
-                mt = linalg.modal_decompose(A)
-                Tj = linalg.modal_decompose(random_hurwitz(rng, 3)).T
+                mt, = linalg.modal_decompose([A])
+                Tj = linalg.modal_decompose([random_hurwitz(rng, 3)])[0].T
             except (NotSemiSimple, IllConditionedTransform):
                 continue
             rep, gains = row(sub, mt, {9: Tj}, escalate=True)
             route1 = np.linalg.solve(mt.T, (C - np.outer(B, gains[9])) @ Tj)
             Bt = np.linalg.solve(mt.T, B)
             At = np.linalg.solve(mt.T, C @ Tj)
-            route2 = At - np.outer(Bt, control.optimal_global_gain(Bt, At))
+            route2 = At - np.outer(Bt, control.optimal_global_gain([Bt], [At])[0])
             scale = np.abs(At).max()
             assert np.abs(route1 - route2).max() <= 1e-10 * scale
             assert rep.offdiag[9] == pytest.approx(linalg.spectral_norm(route2), rel=1e-10)
@@ -287,6 +289,6 @@ class TestGainSet:
         gs = control.GainSet(local=K, global_=global_)
         Bt = np.linalg.solve(mt.T, sub.B)
         for j in sub.neighbors:
-            kt = control.optimal_global_gain(
-                Bt, np.linalg.solve(mt.T, line_block(sub.couplings[j]) @ T_nbrs[j]))
+            kt, = control.optimal_global_gain(
+                [Bt], [np.linalg.solve(mt.T, line_block(sub.couplings[j]) @ T_nbrs[j])])
             assert np.abs(kt - T_nbrs[j].T @ gs.global_[j]).max() <= 1e-8

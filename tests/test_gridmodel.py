@@ -148,7 +148,7 @@ class TestAssemble:
         gains = {}
         locals_ = {1: [-2.0, -3.0, -4.0], 2: [-1.0, -5.0, -6.0]}
         for sub in subs:
-            K = control.pole_place(sub.A_hat, sub.B, locals_[sub.bus])
+            K, = control.pole_place([sub.A_hat], [sub.B], [locals_[sub.bus]])
             gains[sub.bus] = control.GainSet(local=K)
         A = gridmodel.assemble_full(subs, gains)
         assert np.allclose(A[0:3, 3:6], 0.0)

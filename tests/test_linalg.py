@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from gridcert import linalg
+from gridcert import certify, control, linalg
 from gridcert.errors import (
     CertificateInvalid,
     IllConditionedTransform,
@@ -10,6 +12,29 @@ from gridcert.errors import (
     NotSemiSimple,
 )
 from sampling import random_hurwitz, random_spd
+
+# each stacked kernel, called with ``A`` in the place of its stack, and the
+# message that refuses an input of the wrong rank
+STACK_KERNELS = {
+    "solve_lyapunov": (lambda A: linalg.solve_lyapunov(A, np.eye(3)),
+                       "A must be a stack (N, n, n)"),
+    "modal_decompose": (linalg.modal_decompose, "A must be a stack (N, n, n)"),
+    "certify_decoupled": (lambda A: certify.certify_decoupled(A, np.eye(3)),
+                          "A must be a stack (N, n, n)"),
+    "pole_place": (lambda A: control.pole_place(A, [[0.0, 0.0, 1.0]], [[-1.0, -2.0, -3.0]]),
+                   "A_hat must be a stack (N, n, n)"),
+    "optimal_global_gain": (lambda A: control.optimal_global_gain([[0.0, 0.0, 1.0]], A),
+                            "At_ij must be a stack (N, n, m)"),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(STACK_KERNELS))
+@pytest.mark.parametrize("shape", [(3, 3), (1, 1, 3, 3)], ids=["2d", "4d"])
+def test_unstacked_input_refused(kernel, shape):
+    # the kernels take only stacks: one matrix is a stack of one
+    call, message = STACK_KERNELS[kernel]
+    with pytest.raises(InvalidInput, match=re.escape(f"{message}, got shape {shape}")):
+        call(-np.eye(3).reshape(shape))
 
 
 class TestEigenvalues:
@@ -71,25 +96,25 @@ class TestSpectralNorm:
 
 class TestSolveLyapunov:
     def test_identity_case(self):
-        P = linalg.solve_lyapunov(-np.eye(2), 2.0 * np.eye(2))
+        P, = linalg.solve_lyapunov([-np.eye(2)], 2.0 * np.eye(2))
         assert np.allclose(P, np.eye(2), atol=1e-12)
 
     def test_hand_solved_2x2(self):
         # symmetric 2x2 equation reduces to 3 unknowns; solved by hand
         A = np.array([[0.0, 1.0], [-2.0, -3.0]])
-        P = linalg.solve_lyapunov(A, np.eye(2))
+        P, = linalg.solve_lyapunov([A], np.eye(2))
         assert np.allclose(P, [[1.25, 0.25], [0.25, 0.25]], atol=1e-12)
 
     def test_singular_operator(self):
         with pytest.raises(NoUniqueSolution):
-            linalg.solve_lyapunov([[0.0, 1.0], [0.0, 0.0]], np.eye(2))
+            linalg.solve_lyapunov([[[0.0, 1.0], [0.0, 0.0]]], np.eye(2))
 
     def test_not_hurwitz_flagged(self):
         with pytest.raises(CertificateInvalid):
-            linalg.solve_lyapunov(np.eye(2), np.eye(2))
+            linalg.solve_lyapunov([np.eye(2)], np.eye(2))
 
     def test_rejects_bad_q(self):
-        A = -np.eye(2)
+        A = -np.eye(2)[None]
         with pytest.raises(InvalidInput):
             linalg.solve_lyapunov(A, [[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(InvalidInput):
@@ -100,21 +125,21 @@ class TestSolveLyapunov:
             n = int(rng.integers(2, 7))
             A = random_hurwitz(rng, n)
             Q = random_spd(rng, n)
-            P = linalg.solve_lyapunov(A, Q)
+            P, = linalg.solve_lyapunov([A], Q)
             assert np.allclose(P, P.T, atol=0.0)
             assert np.linalg.eigvalsh(P).min() > 0.0
             resid = np.linalg.norm(A.T @ P + P @ A + Q)
             assert resid <= 1e-9 * np.linalg.norm(Q)
 
     def test_stack_equals_members(self, rng):
-        # a stack is solved in one pass, each member bit for bit as alone
+        # a stack is solved in one pass, each member bit for bit as a stack of one
         for n in (1, 2, 3, 5):
             A = np.array([random_hurwitz(rng, n) for _ in range(7)])
             Q = random_spd(rng, n)
             P = linalg.solve_lyapunov(A, Q)
             assert P.shape == (7, n, n)
             for a, p in zip(A, P):
-                assert np.array_equal(p, linalg.solve_lyapunov(a, Q))
+                assert np.array_equal(p, linalg.solve_lyapunov(a[None], Q)[0])
 
     def test_stack_error_is_first_failing_member(self):
         A = np.array([-np.eye(2), np.diag([2.0, -1.0]), np.diag([3.0, -1.0])])
@@ -128,24 +153,24 @@ class TestSolveLyapunov:
 
 class TestModalDecompose:
     def test_real_diagonal(self):
-        mt = linalg.modal_decompose(np.diag([-1.0, -2.0]))
+        mt, = linalg.modal_decompose([np.diag([-1.0, -2.0])])
         assert np.allclose(mt.Lam, np.diag([-2.0, -1.0]))
         # T is the identity up to the ordering permutation
         assert np.allclose(np.abs(mt.T), np.eye(2)[:, [1, 0]])
         assert mt.sigma_M == pytest.approx(1.0)
 
     def test_complex_block(self):
-        mt = linalg.modal_decompose([[0.0, 1.0], [-2.0, -2.0]])
+        mt, = linalg.modal_decompose([[[0.0, 1.0], [-2.0, -2.0]]])
         assert np.allclose(mt.Lam, [[-1.0, 1.0], [-1.0, -1.0]], atol=1e-12)
         assert mt.sigma_M == pytest.approx(1.0)
 
     def test_columns_unit_norm_sign_fixed(self, rng):
         for _ in range(20):
             A = random_hurwitz(rng, 4)
-            mt = linalg.modal_decompose(A)
+            mt, = linalg.modal_decompose([A])
             assert np.allclose(np.linalg.norm(mt.T, axis=0), 1.0, atol=1e-12)
         # real eigenvector sign: largest-magnitude component positive
-        mt = linalg.modal_decompose(np.diag([-3.0, -1.0]))
+        mt, = linalg.modal_decompose([np.diag([-3.0, -1.0])])
         for col in mt.T.T:
             assert col[np.argmax(np.abs(col))] > 0
 
@@ -153,7 +178,7 @@ class TestModalDecompose:
         for _ in range(30):
             n = int(rng.integers(2, 7))
             A = random_hurwitz(rng, n)
-            mt = linalg.modal_decompose(A)
+            mt, = linalg.modal_decompose([A])
             err = np.linalg.norm(mt.T @ mt.Lam @ np.linalg.inv(mt.T) - A)
             assert err <= 1e-8 * np.linalg.norm(A)
             got = np.sort_complex(np.linalg.eigvals(mt.Lam))
@@ -168,19 +193,19 @@ class TestModalDecompose:
         A[4, 4] = -0.5
         R = rng.standard_normal((5, 5))
         A = R @ A @ np.linalg.inv(R)
-        mt = linalg.modal_decompose(A)
+        mt, = linalg.modal_decompose([A])
         assert np.allclose(mt.Lam[0:2, 0:2], [[-3.0, 1.0], [-1.0, -3.0]], atol=1e-8)
         assert np.allclose(mt.Lam[2:4, 2:4], [[-1.0, 2.0], [-2.0, -1.0]], atol=1e-8)
         assert mt.Lam[4, 4] == pytest.approx(-0.5)
 
     def test_defective(self):
         with pytest.raises(NotSemiSimple):
-            linalg.modal_decompose([[0.0, 1.0], [0.0, 0.0]])
+            linalg.modal_decompose([[[0.0, 1.0], [0.0, 0.0]]])
 
     def test_ill_conditioned(self):
         # distinct eigenvalues but nearly parallel eigenvectors
         with pytest.raises(IllConditionedTransform):
-            linalg.modal_decompose([[-1.0, 1e13], [0.0, -2.0]])
+            linalg.modal_decompose([[[-1.0, 1e13], [0.0, -2.0]]])
 
 
 class TestIsHurwitz:

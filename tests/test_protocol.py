@@ -130,7 +130,7 @@ class TestAgentStep:
     def test_designing_emits_share_pairs(self, three_bus):
         _, st = self._fresh(three_bus, 1)
         cfg = protocol.ProtocolConfig()
-        st2, out = protocol.agent_step(st, [], cfg, 0)
+        (st2,), (out,) = protocol.step_agents([st], [[]], cfg, 0)
         assert not st2.designing
         kinds = Counter(m.kind for m in out)
         assert kinds == {protocol.SHARE_FACTOR: 2}
@@ -142,11 +142,11 @@ class TestAgentStep:
     def test_missing_share_keeps_awaiting(self, three_bus):
         subs, st = self._fresh(three_bus, 1)
         cfg = protocol.ProtocolConfig()
-        st, _ = protocol.agent_step(st, [], cfg, 0)
-        mt2 = linalg.modal_decompose(np.diag([-1.0, -2.0, -3.0]))
+        (st,), _ = protocol.step_agents([st], [[]], cfg, 0)
+        mt2, = linalg.modal_decompose([np.diag([-1.0, -2.0, -3.0])])
         inbox = [protocol.Message(protocol.SHARE_FACTOR, 2, 1, 0,
                                   {"beta": certify.share(mt2)})]
-        st2, out = protocol.agent_step(st, inbox, cfg, 1)
+        (st2,), (out,) = protocol.step_agents([st], [inbox], cfg, 1)
         assert not st2.designing and st2.needs_evaluation
         assert out == []
 
@@ -157,11 +157,11 @@ class TestAgentStep:
             [(1, 2, 500.0)])   # enormous reactance: negligible coupling
         subs, st = self._fresh(grid, 1)
         cfg = protocol.ProtocolConfig()
-        st, _ = protocol.agent_step(st, [], cfg, 0)
-        mt2 = linalg.modal_decompose(np.diag([-1.0, -2.0, -3.0]))
+        (st,), _ = protocol.step_agents([st], [[]], cfg, 0)
+        mt2, = linalg.modal_decompose([np.diag([-1.0, -2.0, -3.0])])
         inbox = [protocol.Message(protocol.SHARE_FACTOR, 2, 1, 0,
                                   {"beta": certify.share(mt2)})]
-        st2, out = protocol.agent_step(st, inbox, cfg, 1)
+        (st2,), (out,) = protocol.step_agents([st], [inbox], cfg, 1)
         assert len(out) == 1
         assert out[0].kind == protocol.CONDITION_STATUS
         assert out[0].payload["met"] is True
@@ -173,16 +173,16 @@ class TestAgentStep:
         # snapshot keeps its own (empty) gain dictionaries
         subs, st = self._fresh(three_bus, 1)
         cfg = protocol.ProtocolConfig()
-        st, _ = protocol.agent_step(st, [], cfg, 0)
+        (st,), _ = protocol.step_agents([st], [[]], cfg, 0)
         inbox = []
         for j in (2, 3):
-            _, mt = certify.design_agent(subs[j], three_bus.generator(j).poles)
+            _, (mt,) = certify.design_agents([subs[j]], [three_bus.generator(j).poles])
             inbox.append(protocol.Message(protocol.SHARE_FACTOR, j, 1, 0,
                                           {"beta": certify.share(mt)}))
-        st_failed, out = protocol.agent_step(st, inbox, cfg, 1)
+        (st_failed,), (out,) = protocol.step_agents([st], [inbox], cfg, 1)
         assert out[0].payload["met"] is False
         assert st_failed.escalated and st_failed.gains.global_ == {}
-        st_after, out = protocol.agent_step(st_failed, [], cfg, 2)
+        (st_after,), (out,) = protocol.step_agents([st_failed], [[]], cfg, 2)
         assert out[0].payload["met"] is True
         assert set(st_after.gains.global_) == {2, 3}
         assert st_failed.gains.global_ == {}   # snapshot untouched
@@ -190,10 +190,10 @@ class TestAgentStep:
     def test_rejects_share_from_non_neighbor(self, three_bus):
         _, st = self._fresh(three_bus, 1)
         cfg = protocol.ProtocolConfig()
-        st, _ = protocol.agent_step(st, [], cfg, 0)
+        (st,), _ = protocol.step_agents([st], [[]], cfg, 0)
         bad = protocol.Message(protocol.SHARE_FACTOR, 99, 1, 0, {"beta": 1.0})
         with pytest.raises(ProtocolViolation):
-            protocol.agent_step(st, [bad], cfg, 1)
+            protocol.step_agents([st], [[bad]], cfg, 1)
 
     @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf, "1.0", 1])
     def test_rejects_malformed_share(self, three_bus, beta):
@@ -201,21 +201,21 @@ class TestAgentStep:
         # float > 0; a forged 0 or negative share would meet any row
         _, st = self._fresh(three_bus, 1)
         cfg = protocol.ProtocolConfig()
-        st, _ = protocol.agent_step(st, [], cfg, 0)
+        (st,), _ = protocol.step_agents([st], [[]], cfg, 0)
         bad = protocol.Message(protocol.SHARE_FACTOR, 2, 1, 0, {"beta": beta})
         with pytest.raises(ProtocolViolation, match="agent 1 got share .* from 2"):
-            protocol.agent_step(st, [bad], cfg, 1)
+            protocol.step_agents([st], [[bad]], cfg, 1)
 
     def test_rejects_share_coupling(self, three_bus):
         # an agent holds its own incoming couplings; a neighbor that ships
         # one breaks the protocol
         subs, st = self._fresh(three_bus, 1)
         cfg = protocol.ProtocolConfig()
-        st, _ = protocol.agent_step(st, [], cfg, 0)
+        (st,), _ = protocol.step_agents([st], [[]], cfg, 0)
         bad = protocol.Message("ShareCoupling", 2, 1, 0,
                                {"block": subs[1].couplings[2]})
         with pytest.raises(ProtocolViolation, match="cannot handle ShareCoupling"):
-            protocol.agent_step(st, [bad], cfg, 1)
+            protocol.step_agents([st], [[bad]], cfg, 1)
 
     @pytest.mark.parametrize("value", NOT_BOOL, ids=NOT_BOOL_IDS)
     def test_rejects_verdict_not_bool(self, three_bus, value):
@@ -224,14 +224,14 @@ class TestAgentStep:
         bad = protocol.Message(protocol.OPERATOR_VERDICT, protocol.OPERATOR,
                                protocol.BROADCAST, 1, flag_payload("stable", value))
         with pytest.raises(ProtocolViolation, match="agent 1 got stable .* not a bool"):
-            protocol.agent_step(st, [bad], protocol.ProtocolConfig(), 1)
+            protocol.step_agents([st], [[bad]], protocol.ProtocolConfig(), 1)
 
     def test_uncontrollable_aborts_with_agent_id(self, three_bus):
         _, st = self._fresh(three_bus, 1)
         st = replace(st, model=replace(st.model, B=np.zeros(3)))
         from gridcert.errors import Uncontrollable
         with pytest.raises(Uncontrollable, match="agent 1"):
-            protocol.agent_step(st, [], protocol.ProtocolConfig(), 0)
+            protocol.step_agents([st], [[]], protocol.ProtocolConfig(), 0)
 
     def test_rejects_malformed_kind(self, three_bus):
         _, st = self._fresh(three_bus, 1)
@@ -239,7 +239,7 @@ class TestAgentStep:
         bad = protocol.Message("StateSample", 2, 1, 0,
                                {"x": np.zeros(3), "t": 0.0})
         with pytest.raises(ProtocolViolation):
-            protocol.agent_step(st, [bad], cfg, 0)
+            protocol.step_agents([st], [[bad]], cfg, 0)
 
 
 class TestOperatorStep:
@@ -399,8 +399,8 @@ class TestScenarios:
 
 def sequential_dsa(grid, max_retries, allow_global, variant):
     """The one-agent-at-a-time scheduler: every agent, in ascending id
-    order, takes its own ``agent_step`` each round.  Returns ``(trace,
-    agents, rounds, verdict)`` as ``run_dsa`` would."""
+    order, is stepped alone, as a stack of one, each round.  Returns
+    ``(trace, agents, rounds, verdict)`` as ``run_dsa`` would."""
     config = protocol.ProtocolConfig(max_retries=max_retries, allow_global=allow_global,
                                      variant=variant)
     specs = certify.resolve_pole_specs(grid)
@@ -415,7 +415,8 @@ def sequential_dsa(grid, max_retries, allow_global, variant):
                 inboxes.setdefault(a, []).append(m)
         produced = []
         for a in sorted(states):
-            states[a], out = protocol.agent_step(states[a], inboxes.get(a, []), config, rnd)
+            (states[a],), (out,) = protocol.step_agents([states[a]], [inboxes.get(a, [])],
+                                                        config, rnd)
             produced.extend(out)
         produced.sort(key=protocol._msg_key)
         operator, op_out = protocol.operator_step(
@@ -471,15 +472,15 @@ class TestRoundStep:
     def test_round_equals_agents_stepped_alone(self, three_bus, variant):
         # one round whose row stack mixes an escalated agent with local-only ones
         cfg = protocol.ProtocolConfig(variant=variant)
-        stepped = [protocol.agent_step(self._fresh(three_bus, b), [], cfg, 0)
+        stepped = [protocol.step_agents([self._fresh(three_bus, b)], [[]], cfg, 0)
                    for b in three_bus.bus_ids]
-        mail = [m for _, out in stepped for m in out]
-        states = [st for st, _ in stepped]
+        mail = [m for _, (out,) in stepped for m in out]
+        states = [st for (st,), _ in stepped]
         states[1] = replace(states[1], escalated=True)
         inboxes = [[m for m in mail if m.to == st.id] for st in states]
         got, outs = protocol.step_agents(states, inboxes, cfg, 1)
         for st, inbox, g, out in zip(states, inboxes, got, outs):
-            want, want_out = protocol.agent_step(st, inbox, cfg, 1)
+            (want,), (want_out,) = protocol.step_agents([st], [inbox], cfg, 1)
             assert out == want_out and len(out) == 1
             assert g.report == want.report
             assert (g.escalated, g.needs_evaluation) == (want.escalated, want.needs_evaluation)
@@ -494,7 +495,7 @@ class TestRoundStep:
                                    poles=tuple(grid.generator(bus).poles))
 
     def _designed(self, grid, bus, cfg):
-        st, _ = protocol.agent_step(self._fresh(grid, bus), [], cfg, 0)
+        (st,), _ = protocol.step_agents([self._fresh(grid, bus)], [[]], cfg, 0)
         return st
 
     def assert_round_raises(self, states, inboxes, cfg, exc_type, text):
@@ -504,7 +505,7 @@ class TestRoundStep:
         assert str(info.value) == text
         with pytest.raises(exc_type) as first:
             for st, inbox in zip(states, inboxes):
-                protocol.agent_step(st, inbox, cfg, 1)
+                protocol.step_agents([st], [inbox], cfg, 1)
         assert str(first.value) == text
 
     def test_lower_ingest_error_wins_over_higher_design_error(self, three_bus):
@@ -525,7 +526,7 @@ class TestRoundStep:
     def test_lower_row_error_wins_over_higher_design_error(self, three_bus):
         from gridcert.errors import CertificateInvalid
         cfg = protocol.ProtocolConfig(variant=certify.VARIANT_ORIGINAL)
-        unstable = linalg.modal_decompose(np.diag([0.5, -1.0, -2.0]))
+        unstable, = linalg.modal_decompose([np.diag([0.5, -1.0, -2.0])])
         states = [self._designed(three_bus, 1, cfg),
                   replace(self._designed(three_bus, 2, cfg), transform=unstable),
                   self._fresh(three_bus, 3, B=np.zeros(3))]
