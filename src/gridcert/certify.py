@@ -188,10 +188,13 @@ def build_S_tilde(transforms, couplings_t):
     return _matrix(reports), reports
 
 
-def share(mt):
-    """What an agent sends each neighbor: ``beta = ||e1^T T||`` of its modal
-    transform ``T``, the one number of ``T`` a neighbor's row reads."""
-    return float(np.linalg.norm(mt.T[0]))
+def share(T):
+    """What each agent of a stack sends its neighbors: ``beta = ||e1^T T||``
+    of its modal transform ``T``, the one number of ``T`` a neighbor's row
+    reads.  ``T`` is the stack ``(N, n, n)`` of the agents' transforms; the
+    N shares come from one norm pass over the first rows."""
+    T = _as_matrix(T, "T", stack=True)
+    return _norms(T[:, 0])[:, 0]
 
 
 def _rows_stack(subs, Ks, mts, shares, escalate, variant):
@@ -431,7 +434,7 @@ def assess_grid(grid, use_global=False, variant=VARIANT_TRANSFORMED, poles_scale
     specs = resolve_pole_specs(grid, poles_scale)
     Ks, mts = design_agents(subsystems, [specs[sub.bus] for sub in subsystems])
     transforms = {sub.bus: mt for sub, mt in zip(subsystems, mts)}
-    shares = {bus: share(mt) for bus, mt in transforms.items()}
+    shares = dict(zip(transforms, share([mt.T for mt in mts]).tolist()))
     n = len(subsystems)
     reports, globals_ = agent_rows(subsystems, Ks, mts, [shares] * n, [use_global] * n,
                                    variant)

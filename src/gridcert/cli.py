@@ -358,7 +358,9 @@ def build_parser():
     _add_global_flags(p, default=True)
     p.add_argument("--poles-scale", type=float, default=1.0,
                    help="uniform scale applied to the desired poles")
-    p.add_argument("--dt", type=float, default=sim.DEFAULT_DT, help="step size, s")
+    p.add_argument("--dt", type=float, default=sim.DEFAULT_DT,
+                   help="step size, s (the dt that a step-size error names is the "
+                        "RK4 stability limit, not an accurate step)")
     p.add_argument("--t-end", type=float, default=sim.DEFAULT_T_END,
                    help="final time, s")
     p.add_argument("--step-pu", type=float, default=None,

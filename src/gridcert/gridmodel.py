@@ -81,7 +81,10 @@ class GridSpec:
 class SubsystemModel:
     """Open-loop model of one bus: ``xdot = A_hat x + sum_j c_j e2 e1^T x_j
     + F d + B u``.  A line couples only neighbor j's angle into this bus's
-    speed, so it is one float, its strength ``couplings[j] = c_j``."""
+    speed, so it is one float, its strength ``couplings[j] = c_j``.
+
+    :func:`build_subsystems` gives each bus read-only rows of arrays
+    stacked over the grid, so writing into one bus's model raises."""
 
     bus: int
     A_hat: np.ndarray                  # 3x3, mixed units
@@ -98,10 +101,21 @@ def _type_name(v):
     return type(v).__name__
 
 
-def _require(doc, key, typ, path):
+def _at(base, k):
+    """The path of item ``k`` of the list at ``base`` (``base`` itself when
+    ``k`` is None); formatted only for an error."""
+    return base if k is None else f"{base}[{k}]"
+
+
+def _require(doc, key, typ, base, k=None):
+    """``doc[key]`` checked as ``typ``; ``doc`` is at path ``_at(base, k)``."""
     if key not in doc:
-        raise GridFormatError(f"{path}.{key}", "missing required field")
+        raise GridFormatError(f"{_at(base, k)}.{key}", "missing required field")
     v = doc[key]
+    # the common case first: an exact float, int or list needs no further checks
+    if type(v) is typ and (typ is not float or math.isfinite(v)):
+        return v
+    path = _at(base, k)
     if typ is float:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise GridFormatError(f"{path}.{key}", f"expected number, got {_type_name(v)}")
@@ -128,7 +142,11 @@ def _optional_list(doc, key):
     return _require(doc, key, list, "$") if key in doc else []
 
 
-def _parse_pole(entry, path):
+def _parse_pole(entry, base, k, m):
+    """Pole ``m`` of the control list of generator ``k``."""
+    if type(entry) is float and math.isfinite(entry):
+        return complex(entry)
+    path = f"{_at(base, k)}.control[{m}]"
     try:
         if isinstance(entry, (int, float)) and not isinstance(entry, bool):
             if not math.isfinite(entry):
@@ -167,68 +185,69 @@ def parse_grid(text):
 
     generators = []
     seen_buses = set()
+    base = "$.generators"
     for k, item in enumerate(_require(doc, "generators", list, "$")):
-        path = f"$.generators[{k}]"
         if not isinstance(item, dict):
-            raise GridFormatError(path, "expected object")
-        bus = _require(item, "bus", int, path)
+            raise GridFormatError(_at(base, k), "expected object")
+        bus = _require(item, "bus", int, base, k)
         if bus in seen_buses:
-            raise GridFormatError(f"{path}.bus", f"duplicate generator at bus {bus}")
+            raise GridFormatError(f"{_at(base, k)}.bus", f"duplicate generator at bus {bus}")
         seen_buses.add(bus)
-        M = _require(item, "M", float, path)
-        D = _require(item, "D", float, path)
-        TT = _require(item, "T_T", float, path)
+        M = _require(item, "M", float, base, k)
+        D = _require(item, "D", float, base, k)
+        TT = _require(item, "T_T", float, base, k)
         if M <= 0:
-            raise GridFormatError(f"{path}.M", "nonpositive inertia")
+            raise GridFormatError(f"{_at(base, k)}.M", "nonpositive inertia")
         if TT <= 0:
-            raise GridFormatError(f"{path}.T_T", "nonpositive turbine time constant")
+            raise GridFormatError(f"{_at(base, k)}.T_T", "nonpositive turbine time constant")
         if D < 0:
-            raise GridFormatError(f"{path}.D", "negative damping")
+            raise GridFormatError(f"{_at(base, k)}.D", "negative damping")
         poles = None
         if "control" in item:
-            raw = _require(item, "control", list, path)
-            poles = [_parse_pole(p, f"{path}.control[{m}]") for m, p in enumerate(raw)]
+            raw = _require(item, "control", list, base, k)
+            poles = [_parse_pole(p, base, k, m) for m, p in enumerate(raw)]
             if len(poles) != SUBSYSTEM_ORDER:
-                raise GridFormatError(
-                    f"{path}.control", f"expected {SUBSYSTEM_ORDER} poles, got {len(poles)}")
+                raise GridFormatError(f"{_at(base, k)}.control",
+                                      f"expected {SUBSYSTEM_ORDER} poles, got {len(poles)}")
         generators.append(Generator(bus=bus, M=M, D=D, T_T=TT, poles=poles))
     if not generators:
         raise GridFormatError("$.generators", "at least one generator required")
 
     lines = []
     seen_pairs = set()
+    base = "$.lines"
     for k, item in enumerate(_optional_list(doc, "lines")):
-        path = f"$.lines[{k}]"
         if not isinstance(item, dict):
-            raise GridFormatError(path, "expected object")
-        fb = _require(item, "from", int, path)
-        tb = _require(item, "to", int, path)
-        X = _require(item, "X", float, path)
+            raise GridFormatError(_at(base, k), "expected object")
+        fb = _require(item, "from", int, base, k)
+        tb = _require(item, "to", int, base, k)
+        X = _require(item, "X", float, base, k)
         if X <= 0:
-            raise GridFormatError(f"{path}.X", "nonpositive reactance")
+            raise GridFormatError(f"{_at(base, k)}.X", "nonpositive reactance")
         if fb == tb:
-            raise GridFormatError(path, f"self-loop at bus {fb}")
+            raise GridFormatError(_at(base, k), f"self-loop at bus {fb}")
         for b in (fb, tb):
             if b not in seen_buses:
-                raise GridFormatError(path, f"line references unknown bus {b}")
+                raise GridFormatError(_at(base, k), f"line references unknown bus {b}")
         key = (min(fb, tb), max(fb, tb))
         if key in seen_pairs:
-            raise GridFormatError(path, f"duplicate line between buses {key[0]} and {key[1]}")
+            raise GridFormatError(_at(base, k),
+                                  f"duplicate line between buses {key[0]} and {key[1]}")
         seen_pairs.add(key)
         lines.append(Line(from_bus=fb, to_bus=tb, X=X))
 
     disturbances = []
+    base = "$.disturbances"
     for k, item in enumerate(_optional_list(doc, "disturbances")):
-        path = f"$.disturbances[{k}]"
         if not isinstance(item, dict):
-            raise GridFormatError(path, "expected object")
-        bus = _require(item, "bus", int, path)
+            raise GridFormatError(_at(base, k), "expected object")
+        bus = _require(item, "bus", int, base, k)
         if bus not in seen_buses:
-            raise GridFormatError(f"{path}.bus", f"unknown bus {bus}")
-        mag = _require(item, "delta_PL", float, path)
-        t0 = _require(item, "t_step", float, path)
+            raise GridFormatError(f"{_at(base, k)}.bus", f"unknown bus {bus}")
+        mag = _require(item, "delta_PL", float, base, k)
+        t0 = _require(item, "t_step", float, base, k)
         if t0 < 0:
-            raise GridFormatError(f"{path}.t_step", "negative step time")
+            raise GridFormatError(f"{_at(base, k)}.t_step", "negative step time")
         disturbances.append(Disturbance(bus=bus, delta_PL=mag, t_step=t0))
 
     return GridSpec(base_frequency_hz=freq, generators=generators,
@@ -251,22 +270,34 @@ def build_subsystems(grid):
                  [0,                      0,      -1/T_T  ]]
         B = [0, 0, 1/T_T],  F = [0, -wb/M, 0]
         coupling strength to neighbor j: c_j = (wb/M)/X_ij.
+
+    The matrices of all buses are formed at once, entry by entry over the
+    grid, as one read-only (N, 3, 3) stack and two (N, 3) stacks; each
+    model holds its bus's rows of them.
     """
     wb = grid.omega_b
-    out = []
-    for bus, g in grid._generator_at.items():
-        reactances = grid._adjacency[bus]
-        susceptance_sum = sum(1.0 / X for X in reactances.values())
-        A = np.array([
-            [0.0, 1.0, 0.0],
-            [-(wb / g.M) * susceptance_sum, -g.D / g.M, wb / g.M],
-            [0.0, 0.0, -1.0 / g.T_T],
-        ])
-        B = np.array([0.0, 0.0, 1.0 / g.T_T])
-        F = np.array([0.0, -wb / g.M, 0.0])
-        couplings = {j: (wb / g.M) / X for j, X in reactances.items()}
-        out.append(SubsystemModel(bus=bus, A_hat=A, B=B, F=F, couplings=couplings))
-    return out
+    gens = list(grid._generator_at.values())
+    adjacency = [grid._adjacency[g.bus] for g in gens]
+    M = np.array([g.M for g in gens])
+    D = np.array([g.D for g in gens])
+    T_T = np.array([g.T_T for g in gens])
+    susceptance_sum = np.array([sum(1.0 / X for X in r.values()) for r in adjacency])
+    wb_M = wb / M
+    A = np.zeros((len(gens), SUBSYSTEM_ORDER, SUBSYSTEM_ORDER))
+    A[:, 0, 1] = 1.0
+    A[:, 1, 0] = -wb_M * susceptance_sum
+    A[:, 1, 1] = -D / M
+    A[:, 1, 2] = wb_M
+    A[:, 2, 2] = -1.0 / T_T
+    B = np.zeros((len(gens), SUBSYSTEM_ORDER))
+    B[:, 2] = 1.0 / T_T
+    F = np.zeros((len(gens), SUBSYSTEM_ORDER))
+    F[:, 1] = -wb / M
+    for stack in (A, B, F):
+        stack.flags.writeable = False
+    return [SubsystemModel(bus=g.bus, A_hat=a, B=b, F=f,
+                           couplings={j: c / X for j, X in r.items()})
+            for g, r, a, b, f, c in zip(gens, adjacency, A, B, F, wb_M.tolist())]
 
 
 def _gain_vector(v, what):

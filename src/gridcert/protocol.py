@@ -56,6 +56,10 @@ OPERATOR_VERDICT = "OperatorVerdict"
 #: every desired pole is scaled by this factor on each local redesign
 RETRY_POLE_SCALE = 1.15
 
+#: the wire format's one JSON encoder, ``json.dumps(obj, sort_keys=True)``
+#: without building an encoder per call
+_encode = json.JSONEncoder(sort_keys=True).encode
+
 
 @dataclass
 class Message:
@@ -66,8 +70,7 @@ class Message:
     payload: dict
 
     def digest(self):
-        blob = json.dumps(self.payload, sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return hashlib.sha256(_encode(self.payload).encode()).hexdigest()
 
     def to_json_line(self, full=False):
         doc = {"round": self.round, "from": self.sender, "to": self.to,
@@ -76,7 +79,7 @@ class Message:
             doc["payload"] = self.payload
         else:
             doc["digest"] = self.digest()
-        return json.dumps(doc, sort_keys=True)
+        return _encode(doc)
 
 
 def _addr_key(addr):
@@ -123,6 +126,14 @@ class AgentState:
     def has_work(self):
         return self.designing or self.needs_evaluation
 
+    def copy(self):
+        """A copy with its own ``received_shares``, field by field (a
+        fraction of what ``dataclasses.replace`` costs per agent)."""
+        new = object.__new__(AgentState)
+        new.__dict__.update(self.__dict__)
+        new.received_shares = dict(self.received_shares)
+        return new
+
 
 @dataclass
 class OperatorState:
@@ -167,7 +178,7 @@ def _ingest(st, inbox):
 def _step_stack(states, inboxes, config, rnd):
     """One round for a stack of agents.  An error says that some agent
     fails, not which: :func:`step_agents` finds it."""
-    sts = [replace(st, received_shares=dict(st.received_shares)) for st in states]
+    sts = [st.copy() for st in states]
     outs = [[] for _ in sts]
     for st, inbox in zip(sts, inboxes):
         _ingest(st, inbox)
@@ -175,13 +186,15 @@ def _step_stack(states, inboxes, config, rnd):
     designing = [k for k, st in enumerate(sts) if st.designing]
     Ks, mts = certify.design_agents([sts[k].model for k in designing],
                                     [list(sts[k].poles) for k in designing])
-    for k, K, mt in zip(designing, Ks, mts):
+    betas = [None] * len(mts)
+    if config.exchanges_shares and mts:
+        betas = certify.share([mt.T for mt in mts]).tolist()
+    for k, K, mt, beta in zip(designing, Ks, mts, betas):
         st = sts[k]
         st.gains = control.GainSet(local=K)
         st.transform = mt
         st.escalated = False
-        if config.exchanges_shares:
-            beta = certify.share(mt)
+        if beta is not None:
             outs[k] = [Message(SHARE_FACTOR, st.id, j, rnd, {"beta": beta})
                        for j in st.model.neighbors]
         st.designing = False
@@ -237,12 +250,13 @@ def step_agents(states, inboxes, config, rnd):
 def operator_step(state, inbox, rnd):
     """Consume condition statuses; broadcast the verdict once unanimous."""
     st = replace(state, statuses=dict(state.statuses))
+    expected = set(st.expected)
     seen = {}
     for msg in inbox:
         if msg.kind != CONDITION_STATUS:
             raise ProtocolViolation(
                 f"operator cannot handle {msg.kind}", offending=msg)
-        if msg.sender not in st.expected:
+        if msg.sender not in expected:
             raise ProtocolViolation(
                 f"status from unknown agent {msg.sender}", offending=msg)
         met = _flag(msg, "met", "operator")

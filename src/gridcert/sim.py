@@ -139,15 +139,16 @@ def integrate(A, F, d, t, x0=None):
     step starting at ``t[k]``.  ``t`` must be uniform with step ``h``: one
     RK4 step is then the affine map ``x <- M x + h P F d[k]`` with
     ``P = I + hA/2 + (hA)^2/6 + (hA)^3/24`` and ``M = I + hA P``, built once.
-    Returns the (len(t), n) state history.
+    Returns the (len(t), n) state history; a history with a non-finite
+    state raises :class:`DivergedSimulation` naming its first such sample.
     """
     A = np.asarray(A, dtype=float)
     F = np.asarray(F, dtype=float)
     d = np.asarray(d, dtype=float)
     n = A.shape[0]
     states = np.zeros((t.size, n))
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    states[0] = x
+    if x0 is not None:
+        states[0] = x0
     if t.size < 2:
         return states
     h = (t[-1] - t[0]) / (t.size - 1)
@@ -161,11 +162,14 @@ def integrate(A, F, d, t, x0=None):
     g = d[:-1] @ (hP @ F).T
     with np.errstate(over="ignore", invalid="ignore"):   # divergence is detected below
         for k in range(t.size - 1):
-            x = M @ x + g[k]
-            if not np.all(np.isfinite(x)):
-                raise DivergedSimulation(
-                    f"non-finite state at t={t[k + 1]:.6g} s", time=float(t[k + 1]))
-            states[k + 1] = x
+            x = np.matmul(M, states[k], out=states[k + 1])
+            x += g[k]
+    # one check after the loop: the first non-finite row is where a check
+    # after every step would have stopped
+    bad = np.flatnonzero(~np.isfinite(states[1:]).all(axis=1))
+    if bad.size:
+        k = bad[0] + 1
+        raise DivergedSimulation(f"non-finite state at t={t[k]:.6g} s", time=float(t[k]))
     return states
 
 

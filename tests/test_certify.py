@@ -362,9 +362,9 @@ class TestRankOneKernel:
             want, want_gains = reference_rows(subs, designs, variant, escalate)
             for sub, ref in zip(subs, want):
                 K, mt = designs[sub.bus]
+                shares = {j: certify.share([designs[j][1].T]).item() for j in sub.neighbors}
                 (got,), (gains,) = certify.agent_rows(
-                    [sub], [K], [mt], [{j: certify.share(designs[j][1]) for j in sub.neighbors}],
-                    [escalate], variant)
+                    [sub], [K], [mt], [shares], [escalate], variant)
                 # the reference takes its gain back through inv(T_j^T), which
                 # loses up to cond(T_j) eps; the kernel never inverts T_j
                 tol = {j: max(1e-12, EPS * np.linalg.cond(designs[j][1].T))
@@ -405,8 +405,17 @@ class TestRankOneKernel:
 
 def member_shares(subs, mts):
     """What each agent holds: the share of each of its neighbors."""
-    by_bus = {sub.bus: mt for sub, mt in zip(subs, mts)}
-    return [{j: certify.share(by_bus[j]) for j in sub.neighbors} for sub in subs]
+    betas = certify.share([mt.T for mt in mts]).tolist()
+    by_bus = dict(zip((sub.bus for sub in subs), betas))
+    return [{j: by_bus[j] for j in sub.neighbors} for sub in subs]
+
+
+def test_share_is_the_norm_of_each_first_row(rng):
+    # one stacked pass, bit-equal to np.linalg.norm of each member's e1^T T
+    T = rng.normal(size=(50, 3, 3))
+    got = certify.share(T)
+    assert got.shape == (50,)
+    assert got.tolist() == [float(np.linalg.norm(t[0])) for t in T]
 
 
 class TestStackedRows:

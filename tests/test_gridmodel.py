@@ -120,6 +120,19 @@ class TestBuildSubsystems:
             for c in sub.couplings.values():
                 assert type(c) is float and c > 0.0
 
+    @pytest.mark.parametrize("attr", ["A_hat", "B", "F"])
+    def test_models_are_read_only(self, three_bus, attr):
+        # the buses' matrices are rows of one stack: a write into one bus's
+        # model raises instead of reaching another bus
+        subs = gridmodel.build_subsystems(three_bus)
+        before = [getattr(s, attr).copy() for s in subs]
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(subs[0], attr)[...] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(subs[1], attr)[0] += 1.0
+        for s, b in zip(subs, before):
+            assert np.array_equal(getattr(s, attr), b)
+
     def test_symmetric_coupling_magnitudes(self, three_bus):
         subs = {s.bus: s for s in gridmodel.build_subsystems(three_bus)}
         for ln in three_bus.lines:

@@ -25,6 +25,7 @@ STACK_KERNELS = {
                    "A_hat must be a stack (N, n, n)"),
     "optimal_global_gain": (lambda A: control.optimal_global_gain([[0.0, 0.0, 1.0]], A),
                             "At_ij must be a stack (N, n, m)"),
+    "share": (certify.share, "T must be a stack (N, n, n)"),
 }
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from collections import Counter
 from dataclasses import replace
@@ -75,7 +77,7 @@ class TestRunDsaThreeBus:
                 # one finite float: the sender's share of its own design
                 beta = m.payload["beta"]
                 assert type(beta) is float and math.isfinite(beta)
-                assert beta == certify.share(res.agents[m.sender].transform)
+                assert beta == certify.share([res.agents[m.sender].transform.T]).item()
         # each agent starts from its own bus model alone: the incoming line
         # strengths carry its own inertia and the line reactance, nothing
         # of a neighbor
@@ -121,6 +123,25 @@ class TestRunDsaThreeBus:
         assert linalg.is_hurwitz(A)
 
 
+class TestWireFormat:
+    """Every trace line is ``json.dumps(..., sort_keys=True)`` of its message,
+    the digest the sha256 of the payload in that form."""
+
+    @pytest.mark.parametrize("which", ["three_bus", "ring30"])
+    def test_lines_are_sorted_json_dumps(self, three_bus, rng, which):
+        grid = three_bus if which == "three_bus" else make_grid(*ring_grid_tuples(rng, 30))
+        res = protocol.run_dsa(grid, max_retries=2)
+        assert {m.kind for m in res.trace} == set(ALLOWED_PAYLOAD_KEYS)
+        lines, full = res.trace_lines(), res.trace_lines(full=True)
+        assert len(lines) == len(full) == len(res.trace)
+        for m, line, full_line in zip(res.trace, lines, full):
+            head = {"round": m.round, "from": m.sender, "to": m.to, "kind": m.kind}
+            blob = json.dumps(m.payload, sort_keys=True).encode()
+            digest = hashlib.sha256(blob).hexdigest()
+            assert line == json.dumps({**head, "digest": digest}, sort_keys=True)
+            assert full_line == json.dumps({**head, "payload": m.payload}, sort_keys=True)
+
+
 class TestAgentStep:
     def _fresh(self, grid, bus):
         subs = {s.bus: s for s in gridmodel.build_subsystems(grid)}
@@ -145,7 +166,7 @@ class TestAgentStep:
         (st,), _ = protocol.step_agents([st], [[]], cfg, 0)
         mt2, = linalg.modal_decompose([np.diag([-1.0, -2.0, -3.0])])
         inbox = [protocol.Message(protocol.SHARE_FACTOR, 2, 1, 0,
-                                  {"beta": certify.share(mt2)})]
+                                  {"beta": certify.share([mt2.T]).item()})]
         (st2,), (out,) = protocol.step_agents([st], [inbox], cfg, 1)
         assert not st2.designing and st2.needs_evaluation
         assert out == []
@@ -160,7 +181,7 @@ class TestAgentStep:
         (st,), _ = protocol.step_agents([st], [[]], cfg, 0)
         mt2, = linalg.modal_decompose([np.diag([-1.0, -2.0, -3.0])])
         inbox = [protocol.Message(protocol.SHARE_FACTOR, 2, 1, 0,
-                                  {"beta": certify.share(mt2)})]
+                                  {"beta": certify.share([mt2.T]).item()})]
         (st2,), (out,) = protocol.step_agents([st], [inbox], cfg, 1)
         assert len(out) == 1
         assert out[0].kind == protocol.CONDITION_STATUS
@@ -178,7 +199,7 @@ class TestAgentStep:
         for j in (2, 3):
             _, (mt,) = certify.design_agents([subs[j]], [three_bus.generator(j).poles])
             inbox.append(protocol.Message(protocol.SHARE_FACTOR, j, 1, 0,
-                                          {"beta": certify.share(mt)}))
+                                          {"beta": certify.share([mt.T]).item()}))
         (st_failed,), (out,) = protocol.step_agents([st], [inbox], cfg, 1)
         assert out[0].payload["met"] is False
         assert st_failed.escalated and st_failed.gains.global_ == {}
@@ -287,6 +308,17 @@ class TestOperatorStep:
                                flag_payload("met", value))
         with pytest.raises(ProtocolViolation, match="operator got met .* not a bool"):
             protocol.operator_step(op, [bad], 1)
+
+    def test_many_agents_broadcast_once(self):
+        expected = tuple(range(1, 2001))
+        op = protocol.OperatorState(expected=expected)
+        op, out = protocol.operator_step(op, [self._status(a, True) for a in expected], 1)
+        assert op.verdict is True
+        assert [m.payload for m in out] == [{"stable": True}]
+        op, out = protocol.operator_step(op, [self._status(a, True, 2) for a in expected], 2)
+        assert out == []
+        with pytest.raises(ProtocolViolation, match="^status from unknown agent 2001$"):
+            protocol.operator_step(op, [self._status(2001, True, 3)], 3)
 
     def test_rejects_bad_messages(self):
         op = protocol.OperatorState(expected=(1,))

@@ -99,6 +99,23 @@ class TestIntegrate:
             sim.integrate([[100.0]], [[1.0]], d, t)
         assert exc.value.time is not None and exc.value.time > 0.0
 
+    def test_divergence_named_at_first_nonfinite_sample(self):
+        # the history is checked once, after the loop: the error names the
+        # sample a check after every step would have stopped at
+        t = np.arange(8001) * 1e-3
+        d = np.ones((t.size, 1))
+        with pytest.raises(DivergedSimulation) as exc:
+            sim.integrate([[100.0]], [[1.0]], d, t)
+        k = int(np.flatnonzero(t == exc.value.time)[0])
+        assert str(exc.value) == f"non-finite state at t={t[k]:.6g} s"
+        assert np.isfinite(sim.integrate([[100.0]], [[1.0]], d[:k], t[:k])).all()
+        with pytest.raises(DivergedSimulation) as shorter:
+            sim.integrate([[100.0]], [[1.0]], d[:k + 1], t[:k + 1])
+        assert shorter.value.time == exc.value.time
+        # a non-finite initial state is stepped once, then named
+        with pytest.raises(DivergedSimulation, match=f"t={t[1]:.6g} s"):
+            sim.integrate([[-1.0]], [[1.0]], d, t, x0=[np.inf])
+
     def test_initial_state(self):
         t = np.arange(0, 2.0 + 1e-12, 1e-3)
         d = np.zeros((t.size, 1))
