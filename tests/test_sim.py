@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_grid
-from gridcert import certify, gridmodel, sim
+from gridcert import certify, cli, gridmodel, sim
+from gridcert.data import three_bus_path
 from gridcert.errors import DivergedSimulation, InvalidInput
 from sampling import random_hurwitz
 
@@ -395,23 +397,64 @@ class TestCsv:
             assert out.to_csv(fh) is None
         assert path.read_bytes() == csv_writer_reference(out).encode("utf-8")
 
+    def test_default_cli_run_matches_reference(self, three_bus, certified, tmp_path):
+        # the full 10 s run: zeros before the load step, then a settled RK4
+        # cycle through a few bit patterns, across several blocks
+        assert cli.main(["simulate", three_bus_path(), "--out", str(tmp_path)]) == 0
+        out = run_three_bus(three_bus, certified)
+        assert out.t.size == 10001
+        ref = csv_writer_reference(out)
+        assert (tmp_path / "sim.csv").read_bytes() == ref.encode("utf-8")
+
+        writes = []
+
+        class Counting:
+            def write(self, s):
+                writes.append(s)
+
+        out.to_csv(Counting())
+        assert "".join(writes) == ref
+        assert len(writes) == 1 + math.ceil(out.t.size / (sim.CSV_BLOCK_ROWS // 3))
+        assert max(s.count("\r\n") for s in writes) <= sim.CSV_BLOCK_ROWS
+
     @settings(max_examples=60, deadline=None, database=None)
     @given(st.data())
     def test_matches_csv_writer_reference(self, data):
+        # samples drawn from a small pool, so rows repeat back to back, apart
+        # and across block boundaries (the block shrunk to a few rows); a
+        # signed-zero twin must share text and NaN payload twins print nan
         buses = data.draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=6, unique=True))
-        n_t = data.draw(st.integers(1, 5))
+        n_b = len(buses)
+        block_rows = data.draw(st.integers(1, 24))
+        block = max(1, block_rows // n_b)
+        n_t = data.draw(st.integers(1, 3 * block + 1))
         value = st.one_of(
             st.floats(allow_nan=True, allow_infinity=True),
             st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-300,
                              1.7976931348623157e308, 0.1, 1e16, -1e-5]))
 
-        def column(shape):
-            return np.array(data.draw(st.lists(value, min_size=int(np.prod(shape)),
-                                               max_size=int(np.prod(shape))))).reshape(shape)
+        def column(size):
+            return np.array(data.draw(st.lists(value, min_size=size, max_size=size)))
 
-        n_b = len(buses)
+        def picks(n):
+            return np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=n_t,
+                                               max_size=n_t)))
+
+        pool = [column(6 * n_b) for _ in range(data.draw(st.integers(1, 3)))]
+        pool.append(np.where(pool[0] == 0.0, -pool[0], pool[0]))    # zeros with flipped sign
+        for payload in (0x7FF8000000000000, 0xFFF0000000000001):   # quiet; signalling
+            row = pool[0].copy()
+            row.view(np.uint64)[data.draw(st.integers(0, 6 * n_b - 1))] = payload
+            pool.append(row)
+        idx = picks(len(pool))
+        if n_t > block:
+            idx[block] = idx[block - 1]              # a repeat across the first boundary
+        rows = np.array(pool)[idx]
+        times = np.append(column(2), np.uint64(0x7FF0000000000001).view(np.float64))
         result = sim.SimResult(
-            bus_ids=buses, t=column((n_t,)), states=column((n_t, 3 * n_b)),
-            d=column((n_t, n_b)), u_local=column((n_t, n_b)), u_global=column((n_t, n_b)),
-            A_full=None, F_full=None)
-        assert csv_text(result) == csv_writer_reference(result)
+            bus_ids=buses, t=times[picks(3)], states=rows[:, :3 * n_b],
+            u_local=rows[:, 3 * n_b:4 * n_b], u_global=rows[:, 4 * n_b:5 * n_b],
+            d=rows[:, 5 * n_b:], A_full=None, F_full=None)
+        with mock.patch.object(sim, "CSV_BLOCK_ROWS", block_rows):
+            text = csv_text(result)
+        assert text == csv_writer_reference(result)
