@@ -26,6 +26,7 @@ SETTLE_THRESHOLD = 1e-4  # state-deviation bound of settling_time
 
 CSV_HEADER = ["t", "bus", "delta_rad", "omega_rad_s", "Pm_pu", "ul_pu", "ug_pu", "d_pu"]
 CSV_BLOCK_ROWS = 8192   # rows formatted per write; bounds the transient Python floats
+REPEAT_CHUNK = 256      # RK4 steps between two state compares, and the shortest run compared
 
 
 @dataclass
@@ -151,10 +152,25 @@ def integrate(A, F, d, t, x0=None):
 
     ``d`` has one row per time sample; row k is held constant over the
     step starting at ``t[k]``.  ``t`` must be uniform with step ``h``: one
-    RK4 step is then the affine map ``x <- M x + h P F d[k]`` with
-    ``P = I + hA/2 + (hA)^2/6 + (hA)^3/24`` and ``M = I + hA P``, built once.
+    RK4 step is then the affine map ``x <- M x + g[k]`` with
+    ``g[k] = h P F d[k]``, ``P = I + hA/2 + (hA)^2/6 + (hA)^3/24`` and
+    ``M = I + hA P``, built once.
     Returns the (len(t), n) state history; a history with a non-finite
     state raises :class:`DivergedSimulation` naming its first such sample.
+
+    Each distinct state is stepped once.  Over a run of steps whose rows
+    ``g[k]`` have the same bytes the step is one deterministic map of the
+    state, so a state whose bytes equal an earlier state of that run is
+    followed by the same states as the earlier one: the rest of the run is
+    periodic and is copied, not stepped (the zeros before a load step, a
+    settled rounding cycle).  The history is byte for byte that of
+    stepping every sample.  Each new state is compared with one reference
+    state of its run, moved at power-of-two distances (Brent's cycle
+    detection), so a cycle is found within about twice its start plus its
+    period, with no stored state besides the history.  A run shorter than
+    ``REPEAT_CHUNK`` steps is stepped without compares, which would cost
+    more there than its repeats can save (an input that changes every
+    step is stepped at the cost of the plain loop).
     """
     A = np.asarray(A, dtype=float)
     F = np.asarray(F, dtype=float)
@@ -169,15 +185,25 @@ def integrate(A, F, d, t, x0=None):
     tol = 8 * np.finfo(float).eps * np.abs(t).max()   # rounding of sample times of size |t|
     if not (h > 0.0 and np.abs(np.diff(t) - h).max() <= tol):
         raise InvalidInput("time grid must be uniform and increasing")
+    if n == 0:
+        return states                                 # no state to step
     hA = h * A
     eye = np.eye(n)
     hP = h * (eye + hA @ (0.5 * eye + hA @ (eye / 6.0 + hA / 24.0)))   # Horner
     M = eye + A @ hP
     g = d[:-1] @ (hP @ F).T
+    bits = g.view(np.uint64)
+    starts = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1
+    bounds = np.concatenate([[0], starts, [t.size - 1]])
+    long = np.diff(bounds) >= REPEAT_CHUNK
+    rows = states.view(np.dtype((np.void, 8 * n))).ravel()   # each state's bytes as one value
+    k = 0
     with np.errstate(over="ignore", invalid="ignore"):   # divergence is detected below
-        for k in range(t.size - 1):
-            x = np.matmul(M, states[k], out=states[k + 1])
-            x += g[k]
+        for s, e in zip(bounds[:-1][long].tolist(), bounds[1:][long].tolist()):
+            _step(M, g, states, k, s)
+            _step_run(M, g, states, rows, s, e)
+            k = e
+        _step(M, g, states, k, t.size - 1)
     # one check after the loop: the first non-finite row is where a check
     # after every step would have stopped
     bad = np.flatnonzero(~np.isfinite(states[1:]).all(axis=1))
@@ -185,6 +211,42 @@ def integrate(A, F, d, t, x0=None):
         k = bad[0] + 1
         raise DivergedSimulation(f"non-finite state at t={t[k]:.6g} s", time=float(t[k]))
     return states
+
+
+def _step(M, g, states, a, b):
+    """Step ``states[a]`` to ``states[b]``, one matvec per step."""
+    for k in range(a, b):
+        x = np.matmul(M, states[k], out=states[k + 1])
+        x += g[k]
+
+
+def _step_run(M, g, states, rows, s, e):
+    """Fill ``states[s + 1:e + 1]`` from ``states[s]`` by the steps ``s..e-1``,
+    whose input rows ``g[s:e]`` have the same bytes; ``rows`` views each
+    state as one void value.  The new states are compared with the
+    reference ``states[ref]`` every ``REPEAT_CHUNK`` steps at most; the
+    reference moves to the newest state after ``span`` steps and ``span``
+    doubles."""
+    ref, span, k = s, 1, s
+    while k < e:
+        stop = min(ref + span, e, k + REPEAT_CHUNK)
+        _step(M, g, states, k, stop)
+        hit = np.flatnonzero(rows[k + 1:stop + 1] == rows[ref])
+        if hit.size:
+            _repeat(states, stop + 1, e + 1, k + 1 + int(hit[0]) - ref)
+            return
+        k = stop
+        if k == ref + span:
+            ref, span = k, 2 * span
+
+
+def _repeat(states, a, b, period):
+    """Fill ``states[a:b]`` with the continuation of period ``period`` of
+    ``states[a - period:a]``: one broadcast copy of whole periods, one slice
+    copy of the rest, both into views of the history."""
+    q, rest = divmod(b - a, period)
+    states[a:a + q * period].reshape(q, period, states.shape[1])[...] = states[a - period:a]
+    states[a + q * period:b] = states[a - period:a - period + rest]
 
 
 def simulate(A_full, F_full, config, bus_ids, gains, eigenvalues=None):
@@ -210,7 +272,8 @@ def simulate(A_full, F_full, config, bus_ids, gains, eigenvalues=None):
     ------
     InvalidInput
         When ``A_full`` is Hurwitz but ``config.dt`` is outside the RK4
-        stability region of its spectrum (``rk4_radius > 1``).
+        stability region of its spectrum (``rk4_radius > 1``), or when the
+        histories of ``t_end / dt + 1`` samples cannot be allocated.
     DivergedSimulation
         On the first non-finite state or control input sample.
     """
@@ -235,13 +298,20 @@ def simulate(A_full, F_full, config, bus_ids, gains, eigenvalues=None):
                 f"system: the one-step propagator has spectral radius {rho:.4g} > 1; "
                 f"dt={_stable_dt(lam, config.dt)!r} s passes")
 
-    steps = int(round(config.t_end / config.dt))
-    t = np.arange(steps + 1) * config.dt
-    d = _disturbance_profile(config.disturbances, bus_ids, t)
-    states = integrate(A, F, d, t)
-
-    with np.errstate(over="ignore", invalid="ignore"):   # detected below
-        ul, ug = _control_series(states, bus_ids, gains)
+    steps = config.t_end / config.dt                 # inf when the quotient overflows
+    too_long = (f"t_end={config.t_end:g} s at dt={config.dt:g} s needs {steps + 1:.4g} "
+                "samples, more than can be allocated")
+    try:
+        t = np.arange(int(round(steps)) + 1) * config.dt
+    except (OverflowError, ValueError, MemoryError):   # inf steps; past the largest array
+        raise InvalidInput(too_long) from None
+    try:
+        d = _disturbance_profile(config.disturbances, bus_ids, t)
+        states = integrate(A, F, d, t)
+        with np.errstate(over="ignore", invalid="ignore"):   # detected below
+            ul, ug = _control_series(states, bus_ids, gains)
+    except MemoryError:
+        raise InvalidInput(too_long) from None
     bad = np.flatnonzero(~(np.isfinite(ul).all(axis=1) & np.isfinite(ug).all(axis=1)))
     if bad.size:
         raise DivergedSimulation(

@@ -361,6 +361,20 @@ class TestSimulate:
         assert code == 1
         assert err == "error: need 0 < dt <= t_end < inf, got dt=0.001, t_end=inf\n"
 
+    @pytest.mark.parametrize("argv,message", [
+        # each history would need far more memory than exists: the first
+        # allocation fails at once, before anything is written
+        (["--t-end", "1e9"], "t_end=1e+09 s at dt=0.001 s needs 1e+12 samples"),
+        (["--dt", "1e-300"], "t_end=10 s at dt=1e-300 s needs 1e+301 samples"),
+        (["--dt", "5e-324"], "t_end=10 s at dt=4.94066e-324 s needs inf samples"),
+    ])
+    def test_horizon_too_long_to_allocate_rejected(self, capsys, tmp_path, argv, message):
+        code, out, err = run(capsys, "simulate", three_bus_path(), *argv,
+                             "--out", str(tmp_path / "o"))
+        assert code == 1 and out == ""
+        assert err == f"error: {message}, more than can be allocated\n"
+        assert not (tmp_path / "o" / "sim.csv").exists()
+
 
 class TestReport:
     def test_renders_all_artifacts(self, capsys, tmp_path):

@@ -54,6 +54,66 @@ def rk4_stages(A, F, d, t, x0=None):
     return states
 
 
+def step_every_sample(A, F, d, t, x0=None):
+    """Reference: the loop that steps every sample, which ``sim.integrate``
+    replaced; it returns the history without checking it."""
+    A = np.asarray(A, dtype=float)
+    F = np.asarray(F, dtype=float)
+    d = np.asarray(d, dtype=float)
+    n = A.shape[0]
+    states = np.zeros((t.size, n))
+    if x0 is not None:
+        states[0] = x0
+    h = (t[-1] - t[0]) / (t.size - 1)
+    hA = h * A
+    eye = np.eye(n)
+    hP = h * (eye + hA @ (0.5 * eye + hA @ (eye / 6.0 + hA / 24.0)))
+    M = eye + A @ hP
+    g = d[:-1] @ (hP @ F).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(t.size - 1):
+            x = np.matmul(M, states[k], out=states[k + 1])
+            x += g[k]
+    return states
+
+
+def damped_oscillators(rng, n):
+    """A Hurwitz matrix of lightly damped modes (damping ratio 0.1, one real
+    mode when n is odd) in random coordinates: its RK4 runs settle into
+    rounding cycles of several states more often than those of
+    ``random_hurwitz``."""
+    D = np.zeros((n, n))
+    for i in range(0, n - 1, 2):
+        w = rng.uniform(0.5, 2.0)
+        D[i:i + 2, i:i + 2] = [[-0.1 * w, w], [-w, -0.1 * w]]
+    if n % 2:
+        D[-1, -1] = -rng.uniform(0.5, 2.0)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return Q @ D @ Q.T
+
+
+def integrate_history(A, F, d, t, x0=None):
+    """``sim.integrate``'s history and the text of its error, if any: the
+    history is the first array it allocates, kept also when it raises."""
+    made = []
+    zeros = np.zeros
+
+    def keep(*args, **kwargs):
+        made.append(zeros(*args, **kwargs))
+        return made[-1]
+
+    with mock.patch.object(sim.np, "zeros", keep):
+        try:
+            sim.integrate(A, F, d, t, x0=x0)
+        except DivergedSimulation as exc:
+            return made[0], str(exc)
+    return made[0], None
+
+
+def distinct_rows(states):
+    return np.unique(states.view(np.dtype((np.void, states.itemsize * states.shape[1])))).size
+
+
 def csv_text(result):
     buf = io.StringIO()
     result.to_csv(buf)
@@ -117,6 +177,14 @@ class TestIntegrate:
         # a non-finite initial state is stepped once, then named
         with pytest.raises(DivergedSimulation, match=f"t={t[1]:.6g} s"):
             sim.integrate([[-1.0]], [[1.0]], d, t, x0=[np.inf])
+
+    def test_empty_state(self):
+        A, F, d = np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((5, 1))
+        t = np.arange(5) * 0.1
+        assert sim.integrate(A, F, d, t).shape == (5, 0)
+        t[2] += 0.05
+        with pytest.raises(InvalidInput, match="uniform"):
+            sim.integrate(A, F, d, t)
 
     def test_initial_state(self):
         t = np.arange(0, 2.0 + 1e-12, 1e-3)
@@ -191,6 +259,105 @@ class TestPropagator:
                            x0=e)[1] for e in np.eye(n)])
             want = np.abs(np.linalg.eigvals(M)).max()
             assert sim.rk4_radius(np.linalg.eigvals(A), h) == pytest.approx(want, rel=1e-9)
+
+
+class TestRepeatedStates:
+    """A repeated state under an unchanged input row is copied, not stepped;
+    the history stays byte for byte that of stepping every sample."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_history_is_that_of_stepping_every_sample(self, data):
+        n = data.draw(st.sampled_from([1, 3, 9]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        A = data.draw(st.sampled_from([random_hurwitz, damped_oscillators]))(rng, n)
+        F = rng.standard_normal((n, 2))
+        # a step of 1 or 2 over the fastest mode: the state settles into a
+        # fixed point or a rounding cycle within several hundred steps
+        h = data.draw(st.sampled_from([1.0, 2.0])) / np.abs(np.linalg.eigvals(A)).max()
+        # piecewise-constant input from a small pool whose first row is
+        # zero; the third piece returns to the first one's value, so a
+        # repeat found in one run of equal rows must not carry into another
+        pool = np.vstack([np.zeros(2), rng.standard_normal((2, 2))])
+        picks = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=4))
+        if len(picks) > 2:
+            picks[2] = picks[0]
+        lengths = rng.integers(1, 1500, size=len(picks))
+        d = np.vstack([np.repeat(pool[[i]], m, axis=0) for i, m in zip(picks, lengths)]
+                      + [pool[[picks[-1]]]])
+        t = np.arange(d.shape[0]) * h
+        kind = data.draw(st.sampled_from(["none", "zero", "random", "nonfinite"]))
+        x0 = {"none": None, "zero": np.zeros(n)}.get(kind, rng.standard_normal(n))
+        if kind == "nonfinite":
+            x0[data.draw(st.integers(0, n - 1))] = data.draw(
+                st.sampled_from([np.inf, -np.inf, np.nan]))
+        chunk = data.draw(st.integers(1, 16))
+        with mock.patch.object(sim, "REPEAT_CHUNK", chunk):
+            got, err = integrate_history(A, F, d, t, x0=x0)
+        want = step_every_sample(A, F, d, t, x0=x0)
+        assert got.tobytes() == want.tobytes()
+        bad = np.flatnonzero(~np.isfinite(want[1:]).all(axis=1))
+        assert err == (f"non-finite state at t={t[bad[0] + 1]:.6g} s" if bad.size else None)
+
+    @pytest.mark.parametrize("chunk", [1, 5, 256])
+    def test_cycles_of_several_states_are_copied_exactly(self, rng, chunk):
+        # lightly damped modes under a load that steps, is released and
+        # returns: each nonzero run settles into a rounding cycle
+        periods = []
+        spy = mock.patch.object(sim, "_repeat", wraps=sim._repeat)
+        for _ in range(4):
+            A = damped_oscillators(rng, 9)
+            F = rng.standard_normal((9, 2))
+            h = 2.0 / np.abs(np.linalg.eigvals(A)).max()
+            v = rng.standard_normal(2)
+            d = np.vstack([np.zeros((300, 2)), np.tile(v, (1500, 1)),
+                           np.zeros((1500, 2)), np.tile(v, (1501, 1))])
+            t = np.arange(d.shape[0]) * h
+            with spy as repeat, mock.patch.object(sim, "REPEAT_CHUNK", chunk):
+                got = sim.integrate(A, F, d, t)
+            assert got.tobytes() == step_every_sample(A, F, d, t).tobytes()
+            periods += [c.args[3] for c in repeat.call_args_list]
+        assert max(periods) > 1
+
+    @pytest.mark.parametrize("use_global", [True, False])
+    def test_three_bus_default_run_is_that_of_stepping_every_sample(self, three_bus,
+                                                                    use_global):
+        res = certify.assess_grid(three_bus, use_global=use_global)
+        F = gridmodel.disturbance_matrix(res.subsystems)
+        t = np.arange(10001) * 1e-3
+        d = sim._disturbance_profile(three_bus.disturbances, three_bus.bus_ids, t)
+        got = sim.integrate(res.A_full, F, d, t)
+        assert got.tobytes() == step_every_sample(res.A_full, F, d, t).tobytes()
+
+    def test_settled_cycle_is_copied(self, three_bus, certified):
+        # zeros before the load step, then a rounding cycle through a few
+        # states: fewer than half of the steps run a matvec
+        with mock.patch.object(sim.np, "matmul", wraps=np.matmul) as matmul:
+            out = run_three_bus(three_bus, certified)
+        assert out.t.size == 10001
+        assert distinct_rows(out.states) < 3000
+        assert 0 < matmul.call_count < (out.t.size - 1) / 2
+
+    def test_state_that_never_repeats_is_stepped_every_sample(self, rng):
+        A = random_hurwitz(rng, 3)
+        F = rng.standard_normal((3, 1))
+        t = np.arange(3001) * 1e-3
+        d = np.ones((t.size, 1))
+        x0 = rng.standard_normal(3)
+        with mock.patch.object(sim.np, "matmul", wraps=np.matmul) as matmul:
+            states = sim.integrate(A, F, d, t, x0=x0)
+        assert distinct_rows(states) == t.size
+        assert matmul.call_count == t.size - 1
+
+    def test_input_that_changes_every_step_is_stepped_without_compares(self, rng):
+        A = random_hurwitz(rng, 3)
+        F = rng.standard_normal((3, 1))
+        t = np.arange(3001) * 1e-3
+        d = np.sin(t)[:, None]
+        with mock.patch.object(sim, "_step_run", wraps=sim._step_run) as run:
+            got = sim.integrate(A, F, d, t)
+        assert run.call_count == 0
+        assert got.tobytes() == step_every_sample(A, F, d, t).tobytes()
 
 
 class TestStepSizeCheck:
