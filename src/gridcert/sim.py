@@ -11,11 +11,13 @@ fixed point of the scheme, which keeps the steady-state checks sharp.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DivergedSimulation, InvalidInput
 
@@ -25,7 +27,8 @@ DEFAULT_T_END = 10.0  # s
 SETTLE_THRESHOLD = 1e-4  # state-deviation bound of settling_time
 
 CSV_HEADER = ["t", "bus", "delta_rad", "omega_rad_s", "Pm_pu", "ul_pu", "ug_pu", "d_pu"]
-CSV_BLOCK_ROWS = 8192   # rows formatted per write; bounds the transient Python floats
+CSV_BLOCK_ROWS = 8192   # rows formatted per write; bounds the transient text
+CSV_FORMAT_CHUNK = 8190  # values per call of the number formatter (whole rows); bounds its arrays
 REPEAT_CHUNK = 256      # RK4 steps between two state compares, and the shortest run compared
 
 
@@ -70,9 +73,14 @@ class SimResult:
         keyed by its bytes after the ``-0.0`` step.  ``repr`` depends only
         on a float's bits, so a repeated sample (the zeros before a load
         step, a settled RK4 cycle) reuses its text and the bytes are those
-        of formatting every cell."""
+        of formatting every cell.  The text of the numbers comes from
+        :func:`_repr_cells`, ``CSV_FORMAT_CHUNK`` values at a time."""
         n_b = len(self.bus_ids)
         fh.write(",".join(CSV_HEADER) + "\r\n")
+        prefixes = [f",{bus}," for bus in self.bus_ids]
+        width = max(map(len, prefixes))
+        prefixes = np.frombuffer("".join(p.ljust(width, "\0") for p in prefixes).encode(),
+                                 np.uint8).reshape(n_b, width)
         block = max(1, CSV_BLOCK_ROWS // n_b)
         for k in range(0, self.t.size, block):
             ks = slice(k, k + block)
@@ -80,18 +88,239 @@ class SimResult:
                               self.u_local[ks], self.u_global[ks], self.d[ks]])
             with np.errstate(invalid="ignore"):      # a signalling NaN still prints nan
                 vals += 0.0                          # normalizes -0.0
-                times = (self.t[ks] + 0.0).tolist()
-            seen = {}                                # sample bytes -> its per-bus row bodies
-            parts = []
-            for t, sample in zip(times, vals):
-                key = sample.tobytes()
-                if key not in seen:
-                    seen[key] = [
-                        f",{bus},{x!r},{w!r},{p!r},{ul!r},{ug!r},{d!r}\r\n"
-                        for bus, (x, w, p, ul, ug, d) in zip(self.bus_ids, sample.tolist())]
-                t = repr(t)
-                parts.append(t + t.join(seen[key]))
-            fh.write("".join(parts))
+                times = self.t[ks] + 0.0
+            seen = {}                                # sample bytes -> its rank among the distinct
+            rank = [seen.setdefault(sample.tobytes(), len(seen)) for sample in vals]
+            del seen                                 # freed before the formatter runs
+            first = np.unique(rank, return_index=True)[1]
+            bodies = _csv_bodies(vals[first].reshape(-1, 6), prefixes)
+            fh.write("".join(t + t.join(bodies[r * n_b:(r + 1) * n_b])
+                             for t, r in zip(_csv_times(times), rank)))
+
+
+def _csv_bodies(values, prefixes):
+    """Row bodies ``{prefix}{v0},...,{v5}\\r\\n``, one per row of the (rows, 6)
+    ``values``; row r takes the NUL-padded prefix ``prefixes[r % len(prefixes)]``."""
+    rows = CSV_FORMAT_CHUNK // 6
+    bodies = []
+    for r in range(0, len(values), rows):
+        chunk = values[r:r + rows]
+        cells = _repr_cells(chunk.ravel()).reshape(len(chunk), 6, -1)
+        cells[:, :, -1] = ord(",")
+        cells[:, -1, -2:] = np.frombuffer(b"\r\n", np.uint8)
+        pre = prefixes.take(np.arange(r, r + len(chunk)) % len(prefixes), axis=0)
+        text = _ascii(np.concatenate([pre, cells.reshape(len(chunk), -1)], axis=1))
+        bodies += text.splitlines(keepends=True)
+    return bodies
+
+
+def _csv_times(t):
+    """``repr`` of each sample time, as a list."""
+    texts = []
+    for r in range(0, t.size, CSV_FORMAT_CHUNK):
+        cells = _repr_cells(t[r:r + CSV_FORMAT_CHUNK])
+        cells[:, -1] = ord("\n")
+        texts += _ascii(cells).splitlines()
+    return texts
+
+
+def _ascii(cells):
+    """The ASCII text of the byte array ``cells`` in row order, NUL bytes left out."""
+    return str(cells[cells != 0].data, "ascii")
+
+
+# Shortest round-trip digits (Schubfach: R. Giulietti, "The Schubfach way to
+# render doubles", 2020; the steps follow its Java reference implementation,
+# DoubleToDecimal).  A normal double v = c 2**q lies in the rounding
+# interval of exactly the decimals between the midpoints to its neighbours.
+# With k = floor(log10(2**q)) (of 3/4 2**q at a power of two, where the lower
+# neighbour is closer), that interval holds one or two multiples of 10**k and
+# at most one of 10**(k+1); the shortest is the one of 10**(k+1) if present,
+# otherwise the one of 10**k closest to v, ties to even.  The bounds are
+# scaled by 10**-k with a 126-bit g ~ 10**-k 2**(125 - floor(log2 10**-k)),
+# rounded to odd, so every comparison is exact in 64-bit integers.  These
+# are the digits ``repr`` prints: the shortest that round-trip, nearest to v.
+
+_K_MIN, _K_MAX = -324, 292     # 10**k for the normal doubles
+_M32 = np.uint64(0xFFFFFFFF)
+_R = 35                        # byte of the digit source holding the units digit
+_SRC = 56                      # bytes per row of the digit source: windows start at 0..20
+_V16 = np.dtype((np.void, 16))
+_V20 = np.dtype((np.void, 20))
+
+
+@functools.cache
+def _tables():
+    """Read-only tables, built on first use: g for each k as its 63-bit limbs
+    g1, g0 (g = g1 2**63 + g0) with their 32-bit halves; the 4-digit groups
+    0000..9999 and, from index 10000, the same without leading zeros (NUL
+    bytes, none at all for 0); the exponent suffixes ``e-324``..``e+308``
+    in 8 NUL-padded bytes each, then 8 NUL bytes; and 10**0..10**16."""
+    g1, g0 = [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        e = -k
+        r = (10 ** e).bit_length() - 1 if e >= 0 else -(10 ** -e).bit_length()   # floor(log2)
+        if e >= 0:
+            g = (10 ** e << 125 - r if r <= 125 else 10 ** e >> r - 125) + 1
+        else:
+            g = (1 << 125 - r) // 10 ** -e + 1
+        g1.append(g >> 63)
+        g0.append(g & (1 << 63) - 1)
+    g1, g0 = np.array(g1, np.uint64), np.array(g0, np.uint64)
+    v = np.arange(10000, dtype=np.int16)
+    groups = np.empty((2, 10000, 4), np.uint8)
+    for j, place in enumerate((1000, 100, 10, 1)):
+        groups[:, :, j] = v // place % 10 + ord("0")
+        groups[1, :, j] *= v >= place
+    groups = groups.view(np.uint32).ravel()
+    suffix = b"".join(b"%-8s" % (b"e%+03d" % x) for x in range(-324, 309)).replace(b" ", b"\0")
+    tables = {"g": (g1 & _M32, g1 >> 32, g0 & _M32, g0 >> 32, g1, g0),
+              "groups": groups,
+              "suffix": np.frombuffer(suffix + b"\0" * 8, np.uint64),
+              "pow10": 10 ** np.arange(17, dtype=np.uint64)}
+    for a in (*tables["g"], groups, tables["pow10"]):
+        a.flags.writeable = False
+    return tables
+
+
+def _mul(a_lo, a_hi, b_lo, b_hi):
+    """The 128-bit product (hi, lo) of a = a_hi 2**32 + a_lo and b = b_hi 2**32 + b_lo."""
+    p00 = a_lo * b_lo
+    p01 = a_lo * b_hi
+    p10 = a_hi * b_lo
+    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
+    return a_hi * b_hi + (p01 >> 32) + (p10 >> 32) + (mid >> 32), (mid << 32) | (p00 & _M32)
+
+
+def _add(hi, lo, v, m, sign):
+    """The 128-bit (hi, lo) + sign * (v << m), for 0 < m < 64."""
+    d_lo, d_hi = v << m, v >> (np.uint64(64) - m)
+    if sign > 0:
+        s = lo + d_lo
+        return hi + d_hi + (s < lo), s
+    return hi - d_hi - (lo < d_lo), lo - d_lo
+
+
+def _rop(y1, y0, x1):
+    """Schubfach's rop: floor(g c / 2**127), odd when inexact, from the
+    products g1 c = (y1, y0) and the high word x1 of g0 c."""
+    z = (y0 >> 1) + x1
+    return (y1 + (z >> 63)) | ((z << 1) != 0)
+
+
+def _scaled_bounds(c, q, k, irregular, tables):
+    """Schubfach's vb, vbl, vbr: 4v and the interval ends 4v -/+ 2 (4v - 1
+    at a power of two) times 10**-k, each rounded to odd, for v = c 2**q;
+    the ends moved by one unit where an odd c excludes them."""
+    h = (q + ((-k * 913124641741) >> 38) + 2).astype(np.uint64)   # q + floor(log2 10**-k) + 2
+    g1_lo, g1_hi, g0_lo, g0_hi, g1, g0 = (a.take(k - _K_MIN) for a in tables["g"])
+    # vb is g (4c 2**h) / 2**127; the ends' products differ by g 2**(h+1) (g 2**h)
+    cp = c << (h + 2)
+    cp_lo, cp_hi = cp & _M32, cp >> 32
+    x1, x0 = _mul(g0_lo, g0_hi, cp_lo, cp_hi)
+    y1, y0 = _mul(g1_lo, g1_hi, cp_lo, cp_hi)
+    odd = c & 1
+    m = h + 1
+    vbr = _rop(*_add(y1, y0, g1, m, 1), _add(x1, x0, g0, m, 1)[0]) - odd
+    m = m - irregular
+    vbl = _rop(*_add(y1, y0, g1, m, -1), _add(x1, x0, g0, m, -1)[0]) + odd
+    return _rop(y1, y0, x1), vbl, vbr
+
+
+def _shortest(bits):
+    """(f, e, decpt): f 10**e is the shortest round-trip decimal of the
+    magnitude of each normal double with these bits, f without trailing
+    zeros, and 10**(decpt - 1) its first digit's place."""
+    biased = ((bits >> 52) & 0x7FF).astype(np.int64)
+    frac = bits & np.uint64((1 << 52) - 1)
+    q = biased - 1075
+    irregular = (frac == 0) & (biased > 1)           # lower neighbour at half the spacing
+    k = (q * 661971961083 - irregular * 274743187321) >> 41     # floor(log10(2**q or 3/4 2**q))
+    vb, vbl, vbr = _scaled_bounds(frac | np.uint64(1 << 52), q, k, irregular, _tables())
+    s = vb >> 2
+    s10 = s // 10
+    upin = vbl <= s10 * 40                           # 10 floor(s/10) 10**k is in the interval
+    wpin = s10 * 40 + 40 <= vbr                      # 10 (floor(s/10) + 1) 10**k is
+    short = upin != wpin
+    uin = vbl <= s << 2
+    win = (s << 2) + 4 <= vbr
+    mid = (s << 2) + 2
+    up = np.where(uin != win, win, (vb > mid) | ((vb == mid) & ((s & 1) != 0)))
+    f = np.where(short, s10 + wpin, s + up)           # 10**14 <= f < 10**17
+    e = k + short
+    decpt = e + 15 + (f >= 10 ** 15) + (f >= 10 ** 16)
+    # only a multiple of 10**(k+1) can end in zeros, at most 15 of them
+    z = np.flatnonzero(f // 10 * 10 == f)
+    if z.size:
+        fz, ez = f[z], e[z]
+        for p in (8, 4, 2, 1):
+            div = fz // 10 ** p
+            hit = div * 10 ** p == fz
+            fz = np.where(hit, div, fz)
+            ez += hit * p
+        f[z], e[z] = fz, ez
+    return f, e, decpt
+
+
+def _repr_cells(x):
+    """``repr`` of each float64 in ``x`` as a row of NUL-padded ASCII bytes:
+    row i with its NUL bytes left out is ``repr(float(x[i]))``, and its last
+    two bytes are NUL.
+
+    Zeros and normal values are laid out by place value: the sign, places
+    15..0, the point, places -1..-20, then the exponent suffix.  Fixed
+    notation is used for a decimal exponent ``decpt`` (the first digit's
+    place plus one) with -4 < decpt <= 16, ``d.ddde+XX`` otherwise, as
+    ``repr`` does.  NaN, infinities and subnormals are formatted by
+    ``repr``: Schubfach's reference keeps two digits there (``4.9e-324``
+    where ``repr`` gives ``5e-324``)."""
+    t = _tables()
+    n = x.size
+    cells = np.zeros((n, 48), np.uint8)
+    if n == 0:
+        return cells
+    bits = x.view(np.uint64)
+    biased = (bits >> 52) & 0x7FF
+    regular = (biased != 0) & (biased != 0x7FF)
+    f = np.zeros(n, np.uint64)                       # 0 for zeros and the values repr formats
+    e = np.zeros(n, np.int64)
+    decpt = np.zeros(n, np.int64)
+    normal = np.flatnonzero(regular)
+    f[normal], e[normal], decpt[normal] = _shortest(bits[normal])
+    expo = (decpt <= -4) | (decpt > 16)
+    fixed = ~expo
+    whole = np.flatnonzero(fixed & (e > 0))          # integers: their zeros before the point
+    if whole.size:
+        f[whole] *= t["pow10"][e[whole]]
+        e[whole] = 0
+    # the digits of f, NUL-led, end at byte _R of a row; the row's window
+    # that puts the units digit at place e (at 0 for the first digit in
+    # exponent notation) fills places 15..0 and -1..-20
+    src = np.zeros((n, _SRC), np.uint8)
+    src32 = src.view(np.uint32)
+    f = f.astype(np.int64)
+    for col in range(_R // 4, _R // 4 - 5, -1):
+        div = f // 10000
+        src32[:, col] = t["groups"].take(f - div * 10000 + (div == 0) * 10000)
+        f = div
+    window = sliding_window_view(src.ravel(), 20)
+    start = np.arange(0, src.size, _SRC) + (_R - 15) + np.where(expo, e - decpt + 1, e)
+    cells[:, 1:17].view(_V16)[:, 0] = window[:, :16].view(_V16)[start, 0]
+    cells[:, 18:38].view(_V20)[:, 0] = window.view(_V20)[start + 16, 0]
+    cells[:, 0] = (bits >> 63).astype(np.uint8) * np.uint8(ord("-"))
+    cells[:, 17] = (fixed | (cells[:, 18] != 0)) * np.uint8(ord("."))
+    # the zeros fixed notation adds: 0.000ddd and ddd.0
+    zero = np.uint8(ord("0"))
+    cells[:, 16] |= (fixed & (decpt <= 0)) * zero
+    cells[:, 18] |= (fixed & ((decpt <= -1) | (e >= 0))) * zero
+    cells[:, 19] |= (fixed & (decpt <= -2)) * zero
+    cells[:, 20] |= (fixed & (decpt <= -3)) * zero
+    cells.view(np.uint64)[:, 5] = t["suffix"].take(np.where(expo, decpt + 323, 633))
+    for r in np.flatnonzero(~regular & (bits << 1 != 0)).tolist():
+        text = repr(float(x[r])).encode()
+        cells[r] = 0
+        cells[r, :len(text)] = np.frombuffer(text, np.uint8)
+    return cells
 
 
 def _disturbance_profile(disturbances, bus_ids, t):

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import re
+import sys
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,7 @@ from conftest import make_grid
 from gridcert import certify, cli, gridmodel, sim
 from gridcert.data import three_bus_path
 from gridcert.errors import DivergedSimulation, InvalidInput
-from sampling import random_hurwitz
+from sampling import random_hurwitz, ring_grid_tuples
 
 
 @pytest.fixture
@@ -135,6 +136,22 @@ def csv_writer_reference(result):
                              fmt(result.u_local[k, b]), fmt(result.u_global[k, b]),
                              fmt(result.d[k, b])])
     return buf.getvalue()
+
+
+def repr_texts(x):
+    """The text of each row of ``sim._repr_cells``, NUL bytes left out, one
+    formatter call per ``CSV_FORMAT_CHUNK`` values."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    texts = []
+    for k in range(0, x.size, sim.CSV_FORMAT_CHUNK):
+        cells = sim._repr_cells(x[k:k + sim.CSV_FORMAT_CHUNK])
+        assert not cells[:, -2:].any()           # the writer's separator columns
+        texts += [bytes(row).replace(b"\0", b"").decode("ascii") for row in cells]
+    return texts
+
+
+def bits_to_floats(words):
+    return np.array(words, dtype=np.uint64).view(np.float64)
 
 
 def load_steps(rng, n_samples, n_inputs):
@@ -625,3 +642,85 @@ class TestCsv:
         with mock.patch.object(sim, "CSV_BLOCK_ROWS", block_rows):
             text = csv_text(result)
         assert text == csv_writer_reference(result)
+
+    def test_cli_run_with_three_digit_exponents_matches_reference(self, tmp_path):
+        # a real run whose values reach 1e300: exponent notation with three
+        # exponent digits, written by the CLI
+        runs = []
+        to_csv = sim.SimResult.to_csv
+
+        def keep(result, fh):
+            runs.append(result)
+            return to_csv(result, fh)
+
+        with mock.patch.object(sim.SimResult, "to_csv", keep):
+            assert cli.main(["simulate", three_bus_path(), "--step-pu", "1e300",
+                             "--t-end", "1", "--out", str(tmp_path)]) == 0
+        data = (tmp_path / "sim.csv").read_bytes()
+        assert data == csv_writer_reference(runs[0]).encode("utf-8")
+        assert re.search(rb",-?\d\.\d+e\+300,", data)
+
+    def test_ring_grid_matches_reference(self, rng):
+        # a seeded 30-bus ring: two-digit bus ids, and values in fixed and in
+        # exponent notation
+        grid = make_grid(*ring_grid_tuples(rng, 30), disturbances=[(1, 0.1, 0.5)])
+        res = certify.assess_grid(grid, use_global=True)
+        cfg = sim.SimConfig(t_end=1.0, disturbances=grid.disturbances)
+        out = sim.simulate(res.A_full, gridmodel.disturbance_matrix(res.subsystems), cfg,
+                           grid.bus_ids, gains=res.gains)
+        text = csv_text(out)
+        assert text == csv_writer_reference(out)
+        cells = [row.split(",") for row in text.splitlines()[1:]]
+        assert {row[1] for row in cells} >= {"10", "30"}
+        values = [v for row in cells for v in row[2:]]
+        assert any("e-" in v for v in values)
+        assert any("e" not in v and v != "0.0" for v in values)
+
+    def test_formatter_gets_at_most_one_chunk(self, three_bus, certified):
+        # whatever the block size, the number formatter sees at most
+        # CSV_FORMAT_CHUNK values per call, which bounds its arrays
+        out = run_three_bus(three_bus, certified)
+        sizes = []
+        repr_cells = sim._repr_cells
+
+        def spy(x):
+            sizes.append(x.size)
+            return repr_cells(x)
+
+        with mock.patch.object(sim, "CSV_BLOCK_ROWS", 10 ** 6), \
+                mock.patch.object(sim, "_repr_cells", spy):
+            text = csv_text(out)
+        assert text == csv_writer_reference(out)
+        assert sum(sizes) > sim.CSV_FORMAT_CHUNK      # one block, several calls
+        assert max(sizes) <= sim.CSV_FORMAT_CHUNK
+
+
+class TestReprCells:
+    """``sim._repr_cells`` against ``repr``, value by value."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+    def test_bit_patterns(self, words):
+        x = bits_to_floats(words)
+        assert repr_texts(x) == [repr(v) for v in x.tolist()]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=64))
+    def test_floats(self, values):
+        assert repr_texts(values) == [repr(v) for v in values]
+
+    def test_edge_values(self):
+        nan_bits = [0x7FF8000000000000, 0x7FF0000000000001, 0x7FF4000000000000]   # quiet, signalling
+        subnormal = [5e-324, 1e-323, 2.2250738585072009e-308, 1e-310, 1.5e-315,
+                     *bits_to_floats([1, 2, 3, 0xFFFFF, 0x000FFFFFFFFFFFFE]).tolist()]
+        powers_of_two = [2.0 ** p for p in range(-1022, 1024)]     # c = 2**52: the uneven spacing
+        powers_of_ten = [float(f"1e{k}") for k in range(-307, 309)]
+        switches = [v for b in (1e-4, 1e16) for v in (b, *np.nextafter(b, [0.0, np.inf]).tolist())]
+        large = [2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2, 9007199254740993.0, sys.float_info.max]
+        values = [0.0, math.inf, *bits_to_floats(nan_bits).tolist(), *subnormal,
+                  *powers_of_two, *powers_of_ten, *switches, *large]
+        x = np.array(values + [-v for v in values])
+        texts = repr_texts(x)
+        assert texts == [repr(v) for v in x.tolist()]
+        assert {"-0.0", "nan", "inf", "-inf", "5e-324", "1e-05", "0.0001", "1e+16",
+                "1000000000000000.0", "9007199254740991.0", "1.7976931348623157e+308"} <= set(texts)
