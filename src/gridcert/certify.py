@@ -50,6 +50,8 @@ INCONCLUSIVE = "inconclusive"
 
 VARIANT_ORIGINAL = "original"
 VARIANT_TRANSFORMED = "transformed"
+#: the row kinds, in the order ``assess --variant both`` evaluates them
+VARIANTS = (VARIANT_ORIGINAL, VARIANT_TRANSFORMED)
 
 
 @dataclass
@@ -266,11 +268,13 @@ def agent_rows(subs, Ks, mts, shares, escalate, variant):
 
     Returns ``(reports, globals_)``: the rows and the global gains
     ``{j: K_ij}`` of each agent (empty unless escalated).  ``assess_grid``
-    and the protocol rounds both evaluate rows here.  An error keeps its
-    type and text and is that of the lowest-numbered failing agent: when
-    the stack fails, the agents are evaluated one at a time and the first
-    error is raised.
+    evaluates rows of either variant here, the protocol rounds transformed
+    rows.  An error keeps its type and text and is that of the
+    lowest-numbered failing agent: when the stack fails, the agents are
+    evaluated one at a time and the first error is raised.
     """
+    if variant not in VARIANTS:
+        raise InvalidInput(f"unknown variant {variant!r}")
     if not subs:
         return [], []
     try:
@@ -419,33 +423,44 @@ def design_agents(subsystems, pole_sets):
         raise
 
 
-def assess_grid(grid, use_global=False, variant=VARIANT_TRANSFORMED, poles_scale=1.0):
-    """Design feedback for every bus and evaluate the chosen condition.
+@dataclass
+class GridDesign:
+    """The design half of :func:`assess_grid`: gains ``Ks[k]`` and modal
+    form ``mts[k]`` of ``subsystems[k]``'s closed loop and each bus's
+    :func:`share`, which the rows of every variant read."""
 
-    This is the centralized (no message passing) counterpart of the
-    distributed protocol: local pole placement for all buses in one
-    stacked pass, then every agent's row in one :func:`agent_rows` pass
-    with every neighbor's share at hand, escalated to coupling-minimizing global
-    gains when ``use_global``.
-    """
-    if variant not in (VARIANT_ORIGINAL, VARIANT_TRANSFORMED):
-        raise InvalidInput(f"unknown variant {variant!r}")
+    subsystems: list[gridmodel.SubsystemModel]
+    Ks: np.ndarray
+    mts: list[ModalTransform]
+    shares: dict[int, float]
+
+    def assess(self, use_global=False, variant=VARIANT_TRANSFORMED):
+        """The row half: every agent's row in one :func:`agent_rows` pass
+        with every neighbor's share at hand, escalated to
+        coupling-minimizing global gains when ``use_global``, and the verdict."""
+        subs, n = self.subsystems, len(self.subsystems)
+        reports, globals_ = agent_rows(subs, self.Ks, self.mts, [self.shares] * n,
+                                       [use_global] * n, variant)
+        gains = {sub.bus: control.GainSet(local=K, global_=global_)
+                 for sub, K, global_ in zip(subs, self.Ks, globals_)}
+        transforms = {sub.bus: mt for sub, mt in zip(subs, self.mts)}
+        return AssessmentResult(variant, reports, compositional_verdict(reports), gains,
+                                transforms, subs)
+
+
+def design_grid(grid, poles_scale=1.0):
+    """Local pole placement for every bus in one stacked
+    :func:`design_agents` pass, and every bus's share.  Nothing of it
+    depends on the variant: one design serves every :meth:`GridDesign.assess`."""
     subsystems = gridmodel.build_subsystems(grid)
     specs = resolve_pole_specs(grid, poles_scale)
     Ks, mts = design_agents(subsystems, [specs[sub.bus] for sub in subsystems])
-    transforms = {sub.bus: mt for sub, mt in zip(subsystems, mts)}
-    shares = dict(zip(transforms, share([mt.T for mt in mts]).tolist()))
-    n = len(subsystems)
-    reports, globals_ = agent_rows(subsystems, Ks, mts, [shares] * n, [use_global] * n,
-                                   variant)
-    gains = {sub.bus: control.GainSet(local=K, global_=global_)
-             for sub, K, global_ in zip(subsystems, Ks, globals_)}
+    shares = dict(zip((sub.bus for sub in subsystems), share([mt.T for mt in mts]).tolist()))
+    return GridDesign(subsystems, Ks, mts, shares)
 
-    return AssessmentResult(
-        variant=variant,
-        reports=reports,
-        verdict=compositional_verdict(reports),
-        gains=gains,
-        transforms=transforms,
-        subsystems=subsystems,
-    )
+
+def assess_grid(grid, use_global=False, variant=VARIANT_TRANSFORMED, poles_scale=1.0):
+    """Design feedback for every bus and evaluate the chosen condition: the
+    centralized (no message passing) counterpart of the distributed
+    protocol, :func:`design_grid` then :meth:`GridDesign.assess`."""
+    return design_grid(grid, poles_scale).assess(use_global, variant)

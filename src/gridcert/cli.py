@@ -127,13 +127,10 @@ def _warn_misplaced(grid, assessment, poles_scale):
 
 def cmd_assess(args):
     grid, data = _read_grid(args.grid)
-    variants = ([args.variant] if args.variant != "both"
-                else [certify.VARIANT_ORIGINAL, certify.VARIANT_TRANSFORMED])
-    results = [
-        certify.assess_grid(grid, use_global=args.use_global, variant=v,
-                            poles_scale=args.poles_scale)
-        for v in variants
-    ]
+    variants = certify.VARIANTS if args.variant == "both" else [args.variant]
+    # the design does not depend on the variant: one design, one row pass each
+    design = certify.design_grid(grid, args.poles_scale)
+    results = [design.assess(args.use_global, v) for v in variants]
     _warn_misplaced(grid, results[0], args.poles_scale)
     # with --variant both, certification by either condition suffices
     stable = any(r.verdict == certify.STABLE for r in results)
@@ -155,10 +152,8 @@ def cmd_assess(args):
 
 def cmd_protocol(args):
     grid, data = _read_grid(args.grid)
-    result = protocol.run_dsa(
-        grid, max_retries=args.max_retries, allow_global=args.use_global,
-        variant=args.variant,
-    )
+    result = protocol.run_dsa(grid, max_retries=args.max_retries,
+                              allow_global=args.use_global)
     trace_text = "\n".join(result.trace_lines(full=args.trace_full)) + "\n"
     _write(args.out, TRACE_JSONL, trace_text)
     doc = {
@@ -336,7 +331,7 @@ def build_parser():
     p = subs.add_parser("assess", help="design feedback and evaluate the per-agent conditions")
     _add_common(p)
     _add_global_flags(p, default=False)
-    p.add_argument("--variant", choices=["original", "transformed", "both"],
+    p.add_argument("--variant", choices=[*certify.VARIANTS, "both"],
                    default="transformed")
     p.add_argument("--poles-scale", type=float, default=1.0,
                    help="uniform scale applied to the desired poles")
@@ -345,8 +340,6 @@ def build_parser():
     p = subs.add_parser("protocol", help="run the distributed assessment protocol")
     _add_common(p)
     _add_global_flags(p, default=True)
-    p.add_argument("--variant", choices=["original", "transformed"],
-                   default="transformed")
     p.add_argument("--max-retries", type=int, default=0,
                    help="local redesign attempts before escalation")
     p.add_argument("--trace-full", action="store_true",

@@ -14,25 +14,24 @@ whose row is due, and each of those then takes its own report, retry and
 escalation step.  The result, errors included, is that of stepping the
 agents one at a time in ascending id order, each as a stack of one.
 
-An agent's lifecycle: design local gains and, in the transformed variant,
-send each neighbor its share (:func:`certify.share`); once every
-neighbor's share has arrived (the original row reads none), evaluate its
-row condition (:func:`certify.agent_rows`) and report the outcome to the
-operator.  On failure it either retries the local design with every pole
-scaled by ``RETRY_POLE_SCALE`` or, when retries are exhausted, escalates to
-global gains and re-evaluates.  The operator broadcasts a single stable
-verdict when every agent has reported "met"; if the system goes quiescent
-without unanimity the verdict is inconclusive.
+An agent's lifecycle: design local gains and send each neighbor its share
+(:func:`certify.share`); once every neighbor's share has arrived, evaluate
+its transformed row condition (:func:`certify.agent_rows`) and report the
+outcome to the operator.  On failure it either retries the local design
+with every pole scaled by ``RETRY_POLE_SCALE`` or, when retries are
+exhausted, escalates to global gains and re-evaluates.  The operator
+broadcasts a single stable verdict when every agent has reported "met"; if
+the system goes quiescent without unanimity the verdict is inconclusive.
 
 Privacy: each agent knows only its own bus model (``AgentState.model``),
 incoming line strengths included (they depend on its own inertia and the
 line reactances).  What an agent tells a neighbor about its design is one
-float, ``beta = ||e1^T T||`` of its modal transform, and only in the
-transformed variant; no message carries a matrix.  Local system matrices,
-gains, transforms and Lyapunov certificates never leave an agent.  The
-stacked passes are how this single-process simulator executes a round, not
-an information flow: each member of a stack reads only its own agent's
-model, gains, transform and received shares.
+float, ``beta = ||e1^T T||`` of its modal transform; no message carries a
+matrix.  Local system matrices, gains, transforms and Lyapunov
+certificates never leave an agent.  The stacked passes are how this
+single-process simulator executes a round, not an information flow: each
+member of a stack reads only its own agent's model, gains, transform and
+received shares.
 """
 
 from __future__ import annotations
@@ -94,18 +93,10 @@ def _msg_key(m):
 class ProtocolConfig:
     max_retries: int = 0
     allow_global: bool = True
-    variant: str = certify.VARIANT_TRANSFORMED
 
     def __post_init__(self):
         if self.max_retries < 0:
             raise InvalidInput(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.variant not in (certify.VARIANT_ORIGINAL, certify.VARIANT_TRANSFORMED):
-            raise InvalidInput(f"unknown variant {self.variant!r}")
-
-    @property
-    def exchanges_shares(self):
-        """Only the transformed row reads the neighbors' shares."""
-        return self.variant == certify.VARIANT_TRANSFORMED
 
 
 @dataclass
@@ -186,28 +177,25 @@ def _step_stack(states, inboxes, config, rnd):
     designing = [k for k, st in enumerate(sts) if st.designing]
     Ks, mts = certify.design_agents([sts[k].model for k in designing],
                                     [list(sts[k].poles) for k in designing])
-    betas = [None] * len(mts)
-    if config.exchanges_shares and mts:
-        betas = certify.share([mt.T for mt in mts]).tolist()
+    betas = certify.share([mt.T for mt in mts]).tolist() if mts else []
     for k, K, mt, beta in zip(designing, Ks, mts, betas):
         st = sts[k]
         st.gains = control.GainSet(local=K)
         st.transform = mt
         st.escalated = False
-        if beta is not None:
-            outs[k] = [Message(SHARE_FACTOR, st.id, j, rnd, {"beta": beta})
-                       for j in st.model.neighbors]
+        outs[k] = [Message(SHARE_FACTOR, st.id, j, rnd, {"beta": beta})
+                   for j in st.model.neighbors]
         st.designing = False
         st.needs_evaluation = True
 
     done = set(designing)
     evaluating = [k for k, st in enumerate(sts) if k not in done and st.needs_evaluation
-                  and not (config.exchanges_shares
-                           and set(st.model.couplings) - set(st.received_shares))]
+                  and not set(st.model.couplings) - set(st.received_shares)]
     ev = [sts[k] for k in evaluating]
     reports, globals_ = certify.agent_rows(
         [st.model for st in ev], [st.gains.local for st in ev], [st.transform for st in ev],
-        [st.received_shares for st in ev], [st.escalated for st in ev], config.variant)
+        [st.received_shares for st in ev], [st.escalated for st in ev],
+        certify.VARIANT_TRANSFORMED)
     for k, st, report, global_ in zip(evaluating, ev, reports, globals_):
         st.report = report
         st.gains = control.GainSet(local=st.gains.local, global_=global_)
@@ -231,13 +219,13 @@ def step_agents(states, inboxes, config, rnd):
 
     Every agent ingests its inbox; then one :func:`certify.design_agents`
     call designs the agents that design this round and one
-    :func:`certify.agent_rows` call evaluates those whose row is due (all
-    their neighbors' shares at hand, the original row reads none); then
-    each evaluated agent reports and takes its own retry or escalation
-    step.  Each agent's result equals that of the agent stepped alone.
-    An error keeps its type and text and is that of the first failing
-    agent in ``states``, whatever the phase: when the stack fails, the
-    agents are stepped one at a time and the first error is raised.
+    :func:`certify.agent_rows` call evaluates those whose transformed row
+    is due (all their neighbors' shares at hand); then each evaluated agent
+    reports and takes its own retry or escalation step.  Each agent's
+    result equals that of the agent stepped alone.  An error keeps its type
+    and text and is that of the first failing agent in ``states``, whatever
+    the phase: when the stack fails, the agents are stepped one at a time
+    and the first error is raised.
     """
     try:
         return _step_stack(states, inboxes, config, rnd)
@@ -302,8 +290,7 @@ class DsaResult:
         return [m.to_json_line(full=full) for m in self.trace]
 
 
-def run_dsa(grid, max_retries=0, allow_global=True,
-            variant=certify.VARIANT_TRANSFORMED):
+def run_dsa(grid, max_retries=0, allow_global=True):
     """Run the distributed assessment on a grid and return its trace.
 
     The run is deterministic: each round is one :func:`step_agents` call
@@ -318,8 +305,7 @@ def run_dsa(grid, max_retries=0, allow_global=True,
     deliver the verdict.  Running past the cap raises
     :class:`ProtocolViolation`.
     """
-    config = ProtocolConfig(max_retries=max_retries, allow_global=allow_global,
-                            variant=variant)
+    config = ProtocolConfig(max_retries=max_retries, allow_global=allow_global)
     subsystems = gridmodel.build_subsystems(grid)
     specs = certify.resolve_pole_specs(grid)
 

@@ -276,6 +276,31 @@ class TestAssessGrid:
         res = certify.assess_grid(three_bus, use_global=True)
         assert res.verdict == certify.STABLE
         assert res.hurwitz
+        # the original row meets no row here, even with global gains
+        res = certify.assess_grid(three_bus, use_global=True,
+                                  variant=certify.VARIANT_ORIGINAL)
+        assert res.verdict == certify.INCONCLUSIVE
+
+    def test_one_design_serves_every_variant(self, three_bus, rng):
+        # the design half runs once; each row half equals a whole assess_grid,
+        # and the gains, read from the shared design, are the same in every variant
+        for grid in (three_bus, make_grid(*ring_grid_tuples(rng, 30))):
+            design = certify.design_grid(grid)
+            for use_global in (False, True):
+                got = [design.assess(use_global, v) for v in certify.VARIANTS]
+                for res in got:
+                    want = certify.assess_grid(grid, use_global=use_global,
+                                               variant=res.variant)
+                    assert (res.reports, res.verdict) == (want.reports, want.verdict)
+                    assert res.transforms.keys() == want.transforms.keys()
+                for bus, gs in got[0].gains.items():
+                    other = got[1].gains[bus]
+                    assert np.array_equal(gs.local, other.local)
+                    assert gs.global_.keys() == other.global_.keys()
+                    for j, k in gs.global_.items():
+                        assert np.array_equal(k, other.global_[j])
+            with pytest.raises(InvalidInput, match="^unknown variant 'both'$"):
+                design.assess(True, "both")
 
     def test_missing_poles_rejected(self):
         g = make_grid([(1, 8.0, 1.0, 0.9)], [])
@@ -586,13 +611,9 @@ class TestDesignCost:
         assert counts[0] == counts[1]
         assert counts[0]["solve"] >= 1 and counts[0]["eigvalsh"] >= 1
 
-    @pytest.mark.parametrize("variant", [certify.VARIANT_TRANSFORMED,
-                                         certify.VARIANT_ORIGINAL])
-    def test_protocol_one_design_and_one_row_pass_per_round(self, rng, monkeypatch,
-                                                            variant):
+    def test_protocol_one_design_and_one_row_pass_per_round(self, rng, monkeypatch):
         calls = counting(monkeypatch, certify, ("design_agents", "agent_rows"))
-        res = protocol.run_dsa(make_grid(*ring_grid_tuples(rng, 50)), max_retries=2,
-                               variant=variant)
+        res = protocol.run_dsa(make_grid(*ring_grid_tuples(rng, 50)), max_retries=2)
         assert 0 < calls["design_agents"] <= res.rounds
         assert 0 < calls["agent_rows"] <= res.rounds
 

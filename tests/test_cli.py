@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import gridcert
-from gridcert import cli, gridmodel
+from gridcert import certify, cli, gridmodel
 from gridcert.data import three_bus_path
 
 # child interpreters import the same gridcert as this one, installed or not
@@ -93,8 +93,7 @@ class TestAssess:
 
     @pytest.mark.parametrize("argv,options", [
         (["protocol", "--max-retries", "2"],
-         {"global": True, "variant": "transformed", "max_retries": 2,
-          "trace_full": False}),
+         {"global": True, "max_retries": 2, "trace_full": False}),
         (["simulate", "--t-end", "0.5", "--no-global"],
          {"global": False, "poles_scale": 1.0, "dt": 1e-3,
           "t_end": 0.5, "step_pu": None, "force": False}),
@@ -110,13 +109,27 @@ class TestAssess:
             assert got.pop("disturbances") == three_bus_doc()["disturbances"]
         assert got == options
 
-    def test_variant_both_union(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "assess", three_bus_path(), "--global",
-                           "--variant", "both", "--out", str(tmp_path / "o"))
-        doc = json.loads(out)
+    def test_variant_both_union(self, capsys, tmp_path, monkeypatch):
+        # every --variant designs once; both's blocks are those of the single runs
+        calls = []
+        design = certify.design_agents
+        monkeypatch.setattr(certify, "design_agents",
+                            lambda *args: calls.append(1) or design(*args))
+        docs, codes = {}, {}
+        for variant in ("both", "original", "transformed"):
+            calls.clear()
+            codes[variant], out, _ = run(capsys, "assess", three_bus_path(), "--global",
+                                         "--variant", variant, "--out", str(tmp_path / variant))
+            assert len(calls) == 1
+            docs[variant] = json.loads(out)
+        doc = docs["both"]
         assert set(doc["variants"]) == {"original", "transformed"}
         assert doc["variants"]["transformed"]["verdict"] == "stable"
-        assert code == 0   # certified by at least one variant
+        assert codes == {"both": 0, "original": 2, "transformed": 0}   # either suffices
+        for variant in ("original", "transformed"):
+            single = docs[variant]
+            assert doc["variants"][variant] == single["variants"][variant]
+            assert (doc["gains"], doc["full_system"]) == (single["gains"], single["full_system"])
 
     def test_poles_scale_changes_diagonal(self, capsys, tmp_path):
         _, out, _ = run(capsys, "assess", three_bus_path(), "--poles-scale", "1.5",
@@ -493,6 +506,10 @@ class TestErrorPaths:
     def test_usage_error_exit_one(self, capsys):
         code, _, _ = run(capsys, "assess")   # missing grid argument
         assert code == 1
+        # --variant is assess's alone: the protocol evaluates transformed rows
+        code, _, err = run(capsys, "protocol", three_bus_path(), "--variant", "original")
+        assert code == 1
+        assert "unrecognized arguments: --variant original" in err
 
     def test_console_script(self, tmp_path):
         proc = subprocess.run(

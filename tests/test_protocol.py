@@ -364,24 +364,22 @@ class TestScenarios:
     def test_matches_centralized_assessment(self, three_bus):
         # the message-passing route and the centralized route evaluate rows
         # through the same kernel, so gains and row entries agree exactly
-        for variant in (certify.VARIANT_TRANSFORMED, certify.VARIANT_ORIGINAL):
-            dsa = protocol.run_dsa(three_bus, variant=variant)
-            cen = certify.assess_grid(three_bus, use_global=True, variant=variant)
-            for bus in three_bus.bus_ids:
-                assert dsa.agents[bus].escalated
-                assert_matches_centralized(dsa.agents[bus], cen)
+        dsa = protocol.run_dsa(three_bus)
+        cen = certify.assess_grid(three_bus, use_global=True)
+        for bus in three_bus.bus_ids:
+            assert dsa.agents[bus].escalated
+            assert_matches_centralized(dsa.agents[bus], cen)
 
     def test_matches_centralized_on_random_grids(self, rng):
         escalated = 0
         for _ in range(6):
             grid = make_grid(*random_grid_tuples(rng))
-            for variant in (certify.VARIANT_TRANSFORMED, certify.VARIANT_ORIGINAL):
-                dsa = protocol.run_dsa(grid, variant=variant)
-                cen = certify.assess_grid(grid, use_global=True, variant=variant)
-                for st in dsa.agents.values():
-                    if st.escalated:
-                        escalated += 1
-                        assert_matches_centralized(st, cen)
+            dsa = protocol.run_dsa(grid)
+            cen = certify.assess_grid(grid, use_global=True)
+            for st in dsa.agents.values():
+                if st.escalated:
+                    escalated += 1
+                    assert_matches_centralized(st, cen)
         assert escalated > 0
 
     def test_noncontiguous_bus_ids(self):
@@ -410,31 +408,12 @@ class TestScenarios:
                 assert linalg.is_hurwitz(A)
         assert stable_seen > 0
 
-    def test_original_variant_more_conservative(self, three_bus):
-        # the original-coordinates row test stays infeasible here even after
-        # escalation; the relaxed modal variant certifies the same grid
-        res = protocol.run_dsa(three_bus, variant="original")
-        assert res.verdict == certify.INCONCLUSIVE
-        assert all(r.variant == "original" for r in res.reports)
-        assert protocol.run_dsa(three_bus).verdict == certify.STABLE
 
-    def test_original_variant_sends_no_shares(self, three_bus):
-        # the original row reads nothing of a neighbor, so agents share
-        # nothing and evaluate in the round after they design
-        res = protocol.run_dsa(three_bus, variant="original")
-        assert not any(m.kind == protocol.SHARE_FACTOR for m in res.trace)
-        assert len(res.trace) == 7
-        counts = kind_counts(res.trace)
-        assert counts[(1, protocol.CONDITION_STATUS)] == 3
-        assert counts[(2, protocol.CONDITION_STATUS)] == 3
-        assert res.rounds == 5
-
-def sequential_dsa(grid, max_retries, allow_global, variant):
+def sequential_dsa(grid, max_retries, allow_global):
     """The one-agent-at-a-time scheduler: every agent, in ascending id
     order, is stepped alone, as a stack of one, each round.  Returns
     ``(trace, agents, rounds, verdict)`` as ``run_dsa`` would."""
-    config = protocol.ProtocolConfig(max_retries=max_retries, allow_global=allow_global,
-                                     variant=variant)
+    config = protocol.ProtocolConfig(max_retries=max_retries, allow_global=allow_global)
     specs = certify.resolve_pole_specs(grid)
     states = {s.bus: protocol.AgentState(id=s.bus, model=s, poles=tuple(specs[s.bus]))
               for s in gridmodel.build_subsystems(grid)}
@@ -470,21 +449,16 @@ class TestRoundStep:
     """A round runs as one stacked design pass and one stacked row pass;
     the run equals that of the one-agent-at-a-time scheduler."""
 
-    @pytest.mark.parametrize("variant", [certify.VARIANT_TRANSFORMED,
-                                         certify.VARIANT_ORIGINAL])
     @pytest.mark.parametrize("allow_global", [True, False])
     @pytest.mark.parametrize("retries", [0, 2, 10])
-    def test_matches_sequential_scheduler(self, three_bus, rng, variant, allow_global,
-                                          retries):
+    def test_matches_sequential_scheduler(self, three_bus, rng, allow_global, retries):
         # on the ring, agents that retry, escalate and re-evaluate on a
         # neighbor's new share meet in one round's stacks
         grids = [three_bus, make_grid(*ring_grid_tuples(rng, 30))]
         grids += [make_grid(*random_grid_tuples(rng)) for _ in range(4)]
         for grid in grids:
-            res = protocol.run_dsa(grid, max_retries=retries, allow_global=allow_global,
-                                   variant=variant)
-            trace, agents, rounds, verdict = sequential_dsa(grid, retries, allow_global,
-                                                            variant)
+            res = protocol.run_dsa(grid, max_retries=retries, allow_global=allow_global)
+            trace, agents, rounds, verdict = sequential_dsa(grid, retries, allow_global)
             assert res.trace_lines(full=True) == [m.to_json_line(full=True) for m in trace]
             assert res.trace_lines() == [m.to_json_line() for m in trace]
             assert (res.rounds, res.verdict) == (rounds, verdict)
@@ -499,11 +473,9 @@ class TestRoundStep:
                 for j, k in want.gains.global_.items():
                     assert np.array_equal(got.gains.global_[j], k)
 
-    @pytest.mark.parametrize("variant", [certify.VARIANT_TRANSFORMED,
-                                         certify.VARIANT_ORIGINAL])
-    def test_round_equals_agents_stepped_alone(self, three_bus, variant):
+    def test_round_equals_agents_stepped_alone(self, three_bus):
         # one round whose row stack mixes an escalated agent with local-only ones
-        cfg = protocol.ProtocolConfig(variant=variant)
+        cfg = protocol.ProtocolConfig()
         stepped = [protocol.step_agents([self._fresh(three_bus, b)], [[]], cfg, 0)
                    for b in three_bus.bus_ids]
         mail = [m for _, (out,) in stepped for m in out]
@@ -557,10 +529,12 @@ class TestRoundStep:
 
     def test_lower_row_error_wins_over_higher_design_error(self, three_bus):
         from gridcert.errors import CertificateInvalid
-        cfg = protocol.ProtocolConfig(variant=certify.VARIANT_ORIGINAL)
+        cfg = protocol.ProtocolConfig()
         unstable, = linalg.modal_decompose([np.diag([0.5, -1.0, -2.0])])
-        states = [self._designed(three_bus, 1, cfg),
-                  replace(self._designed(three_bus, 2, cfg), transform=unstable),
+        # agents 1 and 2 hold every neighbor's share, so their rows are due
+        due = [replace(st, received_shares=dict.fromkeys(st.model.couplings, 1.0))
+               for st in (self._designed(three_bus, b, cfg) for b in (1, 2))]
+        states = [due[0], replace(due[1], transform=unstable),
                   self._fresh(three_bus, 3, B=np.zeros(3))]
         self.assert_round_raises(states, [[], [], []], cfg, CertificateInvalid,
                                  "agent 2: modal form is not Hurwitz")
