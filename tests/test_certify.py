@@ -611,11 +611,19 @@ class TestDesignCost:
         assert counts[0] == counts[1]
         assert counts[0]["solve"] >= 1 and counts[0]["eigvalsh"] >= 1
 
-    def test_protocol_one_design_and_one_row_pass_per_round(self, rng, monkeypatch):
+    @pytest.mark.parametrize("variant", [certify.VARIANT_TRANSFORMED,
+                                         certify.VARIANT_ORIGINAL])
+    def test_protocol_one_design_and_one_row_pass_per_round(self, rng, monkeypatch,
+                                                            variant):
         calls = counting(monkeypatch, certify, ("design_agents", "agent_rows"))
-        res = protocol.run_dsa(make_grid(*ring_grid_tuples(rng, 50)), max_retries=2)
+        grid = make_grid(*ring_grid_tuples(rng, 50))
+        res = protocol.run_dsa(grid, max_retries=2)
         assert 0 < calls["design_agents"] <= res.rounds
         assert 0 < calls["agent_rows"] <= res.rounds
+        # the centralized assessment, in either row kind, is one round's work
+        calls.clear()
+        certify.assess_grid(grid, use_global=True, variant=variant)
+        assert calls == {"design_agents": 1, "agent_rows": 1}
 
     @pytest.mark.parametrize("variant", [certify.VARIANT_TRANSFORMED,
                                          certify.VARIANT_ORIGINAL])

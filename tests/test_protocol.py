@@ -46,6 +46,31 @@ def assert_matches_centralized(st, cen):
     assert st.report.offdiag == rep.offdiag
 
 
+def assert_rows_replay(got, want, escalate, variant):
+    """The row pass of ``variant`` over the designed agents ``got``, as one
+    stack with escalation flags ``escalate``, equals that over the agents
+    ``want``, each alone.  The global gains it gives are those the agents
+    hold, in either row kind; in the transformed kind, the protocol's own,
+    so are the reports."""
+    def rows(sts, esc):
+        return certify.agent_rows(
+            [st.model for st in sts], [st.gains.local for st in sts],
+            [st.transform for st in sts], [st.received_shares for st in sts], esc, variant)
+
+    reports, globals_ = rows(got, escalate)
+    assert len(reports) == len(got) == len(want)
+    for st, w, esc, report, global_ in zip(got, want, escalate, reports, globals_):
+        (w_report,), (w_global,) = rows([w], [esc])
+        assert report == w_report
+        assert (report.agent, report.variant) == (st.id, variant)
+        assert global_.keys() == w_global.keys() == st.gains.global_.keys()
+        for j, k in global_.items():
+            assert np.array_equal(k, w_global[j])
+            assert np.array_equal(k, st.gains.global_[j])
+        if variant == certify.VARIANT_TRANSFORMED:
+            assert report == st.report
+
+
 class TestRunDsaThreeBus:
     def test_message_sequence(self, three_bus):
         res = protocol.run_dsa(three_bus)
@@ -449,11 +474,15 @@ class TestRoundStep:
     """A round runs as one stacked design pass and one stacked row pass;
     the run equals that of the one-agent-at-a-time scheduler."""
 
+    @pytest.mark.parametrize("variant", [certify.VARIANT_TRANSFORMED,
+                                         certify.VARIANT_ORIGINAL])
     @pytest.mark.parametrize("allow_global", [True, False])
     @pytest.mark.parametrize("retries", [0, 2, 10])
-    def test_matches_sequential_scheduler(self, three_bus, rng, allow_global, retries):
+    def test_matches_sequential_scheduler(self, three_bus, rng, variant, allow_global,
+                                          retries):
         # on the ring, agents that retry, escalate and re-evaluate on a
-        # neighbor's new share meet in one round's stacks
+        # neighbor's new share meet in one round's stacks; the final designs
+        # carry what either row kind reads
         grids = [three_bus, make_grid(*ring_grid_tuples(rng, 30))]
         grids += [make_grid(*random_grid_tuples(rng)) for _ in range(4)]
         for grid in grids:
@@ -472,8 +501,13 @@ class TestRoundStep:
                 assert got.gains.global_.keys() == want.gains.global_.keys()
                 for j, k in want.gains.global_.items():
                     assert np.array_equal(got.gains.global_[j], k)
+            final = [res.agents[a] for a in sorted(agents)]
+            assert_rows_replay(final, [agents[a] for a in sorted(agents)],
+                               [st.escalated for st in final], variant)
 
-    def test_round_equals_agents_stepped_alone(self, three_bus):
+    @pytest.mark.parametrize("variant", [certify.VARIANT_TRANSFORMED,
+                                         certify.VARIANT_ORIGINAL])
+    def test_round_equals_agents_stepped_alone(self, three_bus, variant):
         # one round whose row stack mixes an escalated agent with local-only ones
         cfg = protocol.ProtocolConfig()
         stepped = [protocol.step_agents([self._fresh(three_bus, b)], [[]], cfg, 0)
@@ -483,8 +517,10 @@ class TestRoundStep:
         states[1] = replace(states[1], escalated=True)
         inboxes = [[m for m in mail if m.to == st.id] for st in states]
         got, outs = protocol.step_agents(states, inboxes, cfg, 1)
+        wants = []
         for st, inbox, g, out in zip(states, inboxes, got, outs):
             (want,), (want_out,) = protocol.step_agents([st], [inbox], cfg, 1)
+            wants.append(want)
             assert out == want_out and len(out) == 1
             assert g.report == want.report
             assert (g.escalated, g.needs_evaluation) == (want.escalated, want.needs_evaluation)
@@ -492,6 +528,8 @@ class TestRoundStep:
             assert bool(g.gains.global_) == (st.id == 2)
             for j, k in want.gains.global_.items():
                 assert np.array_equal(g.gains.global_[j], k)
+        # the rows were evaluated with the flags the agents held on entry
+        assert_rows_replay(got, wants, [st.escalated for st in states], variant)
 
     def _fresh(self, grid, bus, **model):
         sub = next(s for s in gridmodel.build_subsystems(grid) if s.bus == bus)
