@@ -213,7 +213,7 @@ def cmd_simulate(args):
 
 def _report_assess(doc, lines):
     lines.append("## Certification")
-    for variant, block in sorted(doc.get("variants", {}).items()):
+    for variant, block in sorted(doc["variants"].items()):
         lines.append(f"\nVariant: {variant} (verdict: {block['verdict']})\n")
         lines.append("| agent | diagonal | sum offdiag | margin | met |")
         lines.append("|---|---|---|---|---|")
@@ -222,7 +222,7 @@ def _report_assess(doc, lines):
             lines.append(
                 f"| {rep['agent']} | {rep['diagonal']:.4f} | {off:.4f} "
                 f"| {rep['margin']:.4f} | {'yes' if rep['met'] else 'no'} |")
-    fs = doc.get("full_system", {})
+    fs = doc["full_system"]
     if fs.get("eigenvalues"):
         lines.append("\n## Closed-loop eigenvalues")
         lines.append("\n| real (1/s) | imag (rad/s) |")

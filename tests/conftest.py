@@ -4,8 +4,12 @@ import hypothesis
 import numpy as np
 import pytest
 
+import gridcert
 from gridcert import gridmodel
 from gridcert.data import three_bus_path
+
+# child interpreters import the same gridcert as this one, installed or not
+SRC_DIR = os.path.dirname(os.path.dirname(gridcert.__file__))
 
 # GRIDCERT_SEED pins every randomized sampling in the suite
 SEED = int(os.environ.get("GRIDCERT_SEED", "20260809"))
@@ -32,6 +36,11 @@ def rng():
 @pytest.fixture
 def three_bus():
     return gridmodel.load_grid(three_bus_path())
+
+
+def child_env(**extra):
+    path = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def make_grid(gens, lines, disturbances=(), f=60.0):

@@ -9,17 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-import gridcert
+from conftest import child_env
 from gridcert import certify, cli, gridmodel
 from gridcert.data import three_bus_path
-
-# child interpreters import the same gridcert as this one, installed or not
-SRC_DIR = os.path.dirname(os.path.dirname(gridcert.__file__))
-
-
-def child_env(**extra):
-    path = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
-    return dict(os.environ, PYTHONPATH=path, **extra)
 
 UNSTABLE_DOC = {
     "base_frequency_hz": 60,
@@ -442,9 +434,12 @@ class TestReport:
         ("assess.json", "", "assess.json: Expecting value"),
         ("assess.json", '{"variants": {"transformed": {"verdict": "stable"}}}',
          "assess.json: missing key 'agents'"),
+        ("assess.json", "{}", "assess.json: missing key 'variants'"),
+        ("assess.json", '{"variants": {}}', "assess.json: missing key 'full_system'"),
         ("trace.jsonl", '{"round": 0, "kind": "ShareFactor"}\n{"round": 1,\n',
          "trace.jsonl: Expecting property name"),
-    ], ids=["empty-assess", "assess-without-agents", "truncated-trace-line"])
+    ], ids=["empty-assess", "assess-without-agents", "assess-without-variants",
+            "assess-without-full-system", "truncated-trace-line"])
     def test_damaged_artifact_is_one_error_line(self, capsys, tmp_path, name, text, message):
         out_dir = tmp_path / "o"
         run(capsys, "protocol", three_bus_path(), "--out", str(out_dir))
@@ -530,6 +525,42 @@ class TestErrorPaths:
             assert proc.returncode == 2
             out[module] = (tmp_path / module / "assess.json").read_bytes()
         assert out["gridcert.cli"] == out["gridcert"]
+
+
+# run under -W error, so a warning while the package loads its submodules, or
+# runpy's warning that gridcert.cli was imported before it ran, fails the test
+PACKAGE_SURFACE = """
+import sys
+import gridcert
+from gridcert import sim
+assert sim is sys.modules["gridcert.sim"]
+names = ("certify", "control", "gridmodel", "linalg", "protocol", "sim")
+for name in names:
+    assert getattr(gridcert, name) is sys.modules["gridcert." + name], name
+assert set(names) <= set(dir(gridcert))
+try:
+    gridcert.nope
+except AttributeError as exc:
+    assert "nope" in str(exc), exc
+else:
+    raise AssertionError("gridcert.nope resolved")
+assert gridcert.__version__ == "0.1.0"
+assert gridcert.GridcertError is sys.modules["gridcert.errors"].GridcertError
+"""
+
+
+class TestPackage:
+    def test_submodules_are_package_attributes(self):
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", PACKAGE_SURFACE],
+                              env=child_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
+    def test_cli_module_runs_without_warnings(self):
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "gridcert.cli", "--version"],
+                              env=child_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (proc.stdout, proc.stderr) == (f"{cli.__version__}\n", "")
 
 
 class TestReproducibility:

@@ -1,10 +1,13 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import make_grid
+from conftest import child_env, make_grid
 from gridcert import control, gridmodel
+from gridcert.data import three_bus_path
 from gridcert.errors import GridFormatError, InvalidInput
 from sampling import line_block
 
@@ -93,6 +96,15 @@ class TestParse:
         with pytest.raises(GridFormatError) as exc:
             gridmodel.parse_grid(text)
         assert str(exc.value).startswith(message)
+
+    def test_parse_loads_no_other_gridcert_module(self):
+        # a fresh interpreter parsing a grid compiles only what the parse uses
+        code = ("import sys, gridcert.gridmodel as gm; gm.load_grid(sys.argv[1]); "
+                "print(*(m for m in sys.modules if m.split('.')[0] == 'gridcert'))")
+        proc = subprocess.run([sys.executable, "-c", code, three_bus_path()],
+                              env=child_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert set(proc.stdout.split()) == {"gridcert", "gridcert.errors", "gridcert.gridmodel"}
 
 
 class TestBuildSubsystems:
