@@ -223,14 +223,13 @@ def _report_assess(doc, lines):
                 f"| {rep['agent']} | {rep['diagonal']:.4f} | {off:.4f} "
                 f"| {rep['margin']:.4f} | {'yes' if rep['met'] else 'no'} |")
     fs = doc["full_system"]
-    if fs.get("eigenvalues"):
-        lines.append("\n## Closed-loop eigenvalues")
-        lines.append("\n| real (1/s) | imag (rad/s) |")
-        lines.append("|---|---|")
-        for re_, im in fs["eigenvalues"]:
-            lines.append(f"| {re_:.4f} | {im:.4f} |")
-        lines.append(f"\nmax real part: {fs['max_real_part']:.6f}"
-                     f" (Hurwitz: {fs['hurwitz']})")
+    if not doc["variants"]:     # assess writes at least one variant and 3N eigenvalues
+        raise ValueError("'variants' is empty")
+    if not fs["eigenvalues"]:
+        raise ValueError("'eigenvalues' is empty")
+    lines += ["\n## Closed-loop eigenvalues", "\n| real (1/s) | imag (rad/s) |", "|---|---|"]
+    lines += [f"| {re_:.4f} | {im:.4f} |" for re_, im in fs["eigenvalues"]]
+    lines.append(f"\nmax real part: {fs['max_real_part']:.6f} (Hurwitz: {fs['hurwitz']})")
 
 
 def _round_counts(fh):

@@ -3,9 +3,10 @@
 Agents run in synchronous rounds under a single-threaded scheduler: each
 round every agent consumes the messages addressed to it in the previous
 round and emits new ones; the operator then consumes this round's
-condition statuses.  Messages produced within a round are ordered by
-(from, to, kind), so two runs with identical inputs yield identical
-traces.
+condition statuses.  Agents step in ascending id order, so a round's
+messages are produced in (from, to, kind) order, not sorted, and two runs
+with identical inputs yield identical traces.  Trace lines are written
+from one template, and each distinct payload is encoded and hashed once.
 
 A round is stepped as stacked passes (:func:`step_agents`): every agent
 with mail or work ingests its inbox, one stacked design pass designs the
@@ -40,6 +41,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 
 from . import certify, control, gridmodel
 from .errors import GridcertError, InvalidInput, ProtocolViolation
@@ -60,6 +62,29 @@ RETRY_POLE_SCALE = 1.15
 _encode = json.JSONEncoder(sort_keys=True).encode
 
 
+def _json_addr(addr):
+    return addr if type(addr) is int else encode_basestring_ascii(addr)
+
+
+def _json_lines(messages, full):
+    """The trace lines of ``messages``, each ``json.dumps`` of its message with
+    sorted keys, from one template.  Each distinct payload (told apart by its
+    ``repr``: ``0.0``/``-0.0``, ``1``/``1.0``/``True``) is encoded and hashed once."""
+    memo = {}
+    lines = []
+    for m in messages:
+        key = repr(m.payload)
+        fields = memo.get(key)
+        if fields is None:      # the payload's fields, before "from" and after "kind"
+            fields = memo[key] = (("", f'"payload": {_encode(m.payload)}, ') if full
+                                  else (f'"digest": "{m.digest()}", ', ""))
+        head, mid = fields
+        lines.append(f'{{{head}"from": {_json_addr(m.sender)}, "kind": '
+                     f'{encode_basestring_ascii(m.kind)}, {mid}"round": {m.round}, '
+                     f'"to": {_json_addr(m.to)}}}')
+    return lines
+
+
 @dataclass
 class Message:
     kind: str
@@ -72,21 +97,7 @@ class Message:
         return hashlib.sha256(_encode(self.payload).encode()).hexdigest()
 
     def to_json_line(self, full=False):
-        doc = {"round": self.round, "from": self.sender, "to": self.to,
-               "kind": self.kind}
-        if full:
-            doc["payload"] = self.payload
-        else:
-            doc["digest"] = self.digest()
-        return _encode(doc)
-
-
-def _addr_key(addr):
-    return (0, addr, "") if isinstance(addr, int) else (1, 0, str(addr))
-
-
-def _msg_key(m):
-    return (_addr_key(m.sender), _addr_key(m.to), m.kind)
+        return _json_lines([self], full)[0]
 
 
 @dataclass
@@ -175,6 +186,8 @@ def _step_stack(states, inboxes, config, rnd):
         _ingest(st, inbox)
 
     designing = [k for k, st in enumerate(sts) if st.designing]
+    evaluating = [k for k, st in enumerate(sts) if not st.designing and st.needs_evaluation
+                  and len(st.received_shares) == len(st.model.couplings)]
     Ks, mts = certify.design_agents([sts[k].model for k in designing],
                                     [list(sts[k].poles) for k in designing])
     betas = certify.share([mt.T for mt in mts]).tolist() if mts else []
@@ -188,9 +201,6 @@ def _step_stack(states, inboxes, config, rnd):
         st.designing = False
         st.needs_evaluation = True
 
-    done = set(designing)
-    evaluating = [k for k, st in enumerate(sts) if k not in done and st.needs_evaluation
-                  and not set(st.model.couplings) - set(st.received_shares)]
     ev = [sts[k] for k in evaluating]
     reports, globals_ = certify.agent_rows(
         [st.model for st in ev], [st.gains.local for st in ev], [st.transform for st in ev],
@@ -287,15 +297,15 @@ class DsaResult:
         return [self.agents[a].report for a in sorted(self.agents)]
 
     def trace_lines(self, full=False):
-        return [m.to_json_line(full=full) for m in self.trace]
+        return _json_lines(self.trace, full)
 
 
 def run_dsa(grid, max_retries=0, allow_global=True):
     """Run the distributed assessment on a grid and return its trace.
 
     The run is deterministic: each round is one :func:`step_agents` call
-    over the agents with mail or work, in ascending bus order, and
-    messages are canonically ordered within each round.
+    over the agents with mail or work, in ascending bus order, which
+    produces the round's messages in canonical order.
 
     The round cap follows from the retry budget R.  Each of the N agents
     designs at most R + 1 times and escalates at most once, so a run has at
@@ -309,35 +319,25 @@ def run_dsa(grid, max_retries=0, allow_global=True):
     subsystems = gridmodel.build_subsystems(grid)
     specs = certify.resolve_pole_specs(grid)
 
-    states = {}
-    for sub in subsystems:
-        states[sub.bus] = AgentState(id=sub.bus, model=sub, poles=tuple(specs[sub.bus]))
+    states = {sub.bus: AgentState(id=sub.bus, model=sub, poles=tuple(specs[sub.bus]))
+              for sub in subsystems}
     operator = OperatorState(expected=tuple(sorted(states)))
     max_rounds = 2 * len(states) * (config.max_retries + 2) + 2
 
     trace = []
     pending = []
-    rounds_used = 0
     for rnd in range(max_rounds):
-        rounds_used = rnd
         inboxes = {}
         for m in pending:
-            if m.to == BROADCAST:
-                for a in states:
-                    inboxes.setdefault(a, []).append(m)
-            else:
-                inboxes.setdefault(m.to, []).append(m)
-        pending = []
+            for a in (states if m.to == BROADCAST else (m.to,)):
+                inboxes.setdefault(a, []).append(m)
 
         # an agent with an empty inbox and no work would not change: not stepped
         active = [a for a in sorted(states) if a in inboxes or states[a].has_work()]
         stepped, outs = step_agents([states[a] for a in active],
                                     [inboxes.get(a, []) for a in active], config, rnd)
-        produced = []
-        for a, st, out in zip(active, stepped, outs):
-            states[a] = st
-            produced.extend(out)
-        produced.sort(key=_msg_key)
+        states.update(zip(active, stepped))
+        produced = [m for out in outs for m in out]
         operator, op_out = operator_step(
             operator, [m for m in produced if m.to == OPERATOR], rnd)
         produced.extend(op_out)
@@ -345,10 +345,9 @@ def run_dsa(grid, max_retries=0, allow_global=True):
         trace.extend(produced)
         pending = [m for m in produced if m.to != OPERATOR]
         if not pending:
-            idle = not any(st.has_work() for st in states.values())
             if operator.verdict is not None:
                 break
-            if idle and not produced:
+            if not produced and not any(st.has_work() for st in states.values()):
                 operator, op_out = _finalize_operator(operator, rnd)
                 trace.extend(op_out)
                 pending = op_out
@@ -357,5 +356,5 @@ def run_dsa(grid, max_retries=0, allow_global=True):
 
     verdict = certify.STABLE if operator.verdict else certify.INCONCLUSIVE
     return DsaResult(verdict=verdict, trace=trace, agents=states,
-                     rounds=rounds_used + 1, subsystems=subsystems)
+                     rounds=rnd + 1, subsystems=subsystems)
 

@@ -436,10 +436,18 @@ class TestReport:
          "assess.json: missing key 'agents'"),
         ("assess.json", "{}", "assess.json: missing key 'variants'"),
         ("assess.json", '{"variants": {}}', "assess.json: missing key 'full_system'"),
+        ("assess.json", '{"variants": {}, "full_system": {}}', "assess.json: 'variants' is empty"),
+        ("assess.json", '{"variants": {"transformed": {"verdict": "stable", "agents": []}}, '
+         '"full_system": {}}', "assess.json: missing key 'eigenvalues'"),
+        ("assess.json", '{"variants": {"transformed": {"verdict": "stable", "agents": []}}, '
+         '"full_system": {"eigenvalues": [], "max_real_part": -1.0, "hurwitz": true}}',
+         "assess.json: 'eigenvalues' is empty"),
         ("trace.jsonl", '{"round": 0, "kind": "ShareFactor"}\n{"round": 1,\n',
          "trace.jsonl: Expecting property name"),
     ], ids=["empty-assess", "assess-without-agents", "assess-without-variants",
-            "assess-without-full-system", "truncated-trace-line"])
+            "assess-without-full-system", "assess-with-empty-variants",
+            "assess-without-eigenvalues", "assess-with-empty-eigenvalues",
+            "truncated-trace-line"])
     def test_damaged_artifact_is_one_error_line(self, capsys, tmp_path, name, text, message):
         out_dir = tmp_path / "o"
         run(capsys, "protocol", three_bus_path(), "--out", str(out_dir))

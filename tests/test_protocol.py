@@ -148,6 +148,16 @@ class TestRunDsaThreeBus:
         assert linalg.is_hurwitz(A)
 
 
+def reference_line(m, full):
+    """``m``'s trace line as ``json.dumps(..., sort_keys=True)`` writes it."""
+    doc = {"round": m.round, "from": m.sender, "to": m.to, "kind": m.kind}
+    if full:
+        doc["payload"] = m.payload
+    else:
+        doc["digest"] = hashlib.sha256(json.dumps(m.payload, sort_keys=True).encode()).hexdigest()
+    return json.dumps(doc, sort_keys=True)
+
+
 class TestWireFormat:
     """Every trace line is ``json.dumps(..., sort_keys=True)`` of its message,
     the digest the sha256 of the payload in that form."""
@@ -157,14 +167,30 @@ class TestWireFormat:
         grid = three_bus if which == "three_bus" else make_grid(*ring_grid_tuples(rng, 30))
         res = protocol.run_dsa(grid, max_retries=2)
         assert {m.kind for m in res.trace} == set(ALLOWED_PAYLOAD_KEYS)
-        lines, full = res.trace_lines(), res.trace_lines(full=True)
-        assert len(lines) == len(full) == len(res.trace)
-        for m, line, full_line in zip(res.trace, lines, full):
-            head = {"round": m.round, "from": m.sender, "to": m.to, "kind": m.kind}
-            blob = json.dumps(m.payload, sort_keys=True).encode()
-            digest = hashlib.sha256(blob).hexdigest()
-            assert line == json.dumps({**head, "digest": digest}, sort_keys=True)
-            assert full_line == json.dumps({**head, "payload": m.payload}, sort_keys=True)
+        for full in (False, True):
+            lines = res.trace_lines(full=full)
+            assert lines == [reference_line(m, full) for m in res.trace]
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_equal_payloads_of_different_json_stay_apart(self, full):
+        # payloads that compare equal (0.0 == -0.0 == False, 1 == 1.0 == True)
+        # but are written differently, each seen twice; string addresses,
+        # one of them needing escapes
+        Msg = protocol.Message
+        payloads = [{"beta": 0.0}, {"beta": -0.0}, {"beta": 1}, {"beta": 1.0},
+                    {"met": True}, {"met": 1}, {"met": False}, {"met": 0.0}]
+        trace = [Msg(protocol.SHARE_FACTOR, 3, 12, rnd, p)
+                 for rnd in range(2) for p in payloads]
+        trace += [Msg(protocol.CONDITION_STATUS, 7, protocol.OPERATOR, 2, {"met": True}),
+                  Msg(protocol.OPERATOR_VERDICT, protocol.OPERATOR, protocol.BROADCAST, 3,
+                      {"stable": True}),
+                  Msg(protocol.SHARE_FACTOR, 'bus "é"\\', -1, 4, {"beta": -0.0})]
+        res = protocol.DsaResult(verdict=certify.INCONCLUSIVE, trace=trace, agents={},
+                                 rounds=5, subsystems=[])
+        lines = res.trace_lines(full=full)
+        assert lines == [reference_line(m, full) for m in trace]
+        assert lines == [m.to_json_line(full=full) for m in trace]
+        assert len(set(lines[:len(payloads)])) == len(payloads)
 
 
 class TestAgentStep:
@@ -434,6 +460,14 @@ class TestScenarios:
         assert stable_seen > 0
 
 
+def canonical_key(m):
+    """A message's place in its round: by sender, then addressee, then kind;
+    bus ids ascending, before the operator's string addresses."""
+    def addr(a):
+        return (0, a, "") if isinstance(a, int) else (1, 0, str(a))
+    return (addr(m.sender), addr(m.to), m.kind)
+
+
 def sequential_dsa(grid, max_retries, allow_global):
     """The one-agent-at-a-time scheduler: every agent, in ascending id
     order, is stepped alone, as a stack of one, each round.  Returns
@@ -454,7 +488,7 @@ def sequential_dsa(grid, max_retries, allow_global):
             (states[a],), (out,) = protocol.step_agents([states[a]], [inboxes.get(a, [])],
                                                         config, rnd)
             produced.extend(out)
-        produced.sort(key=protocol._msg_key)
+        produced.sort(key=canonical_key)
         operator, op_out = protocol.operator_step(
             operator, [m for m in produced if m.to == protocol.OPERATOR], rnd)
         produced.extend(op_out)
@@ -504,6 +538,25 @@ class TestRoundStep:
             final = [res.agents[a] for a in sorted(agents)]
             assert_rows_replay(final, [agents[a] for a in sorted(agents)],
                                [st.escalated for st in final], variant)
+
+    @pytest.mark.parametrize("retries", [0, 2, 10])
+    def test_rounds_are_produced_in_canonical_order(self, three_bus, rng, retries):
+        # run_dsa does not sort a round: agents step in ascending id order and
+        # each sends its shares to its neighbors in ascending order, or its
+        # one status; the operator's messages close the round
+        grids = [three_bus, make_grid(*ring_grid_tuples(rng, 30))]
+        grids += [make_grid(*random_grid_tuples(rng)) for _ in range(4)]
+        for grid in grids:
+            for allow_global in (True, False):
+                res = protocol.run_dsa(grid, max_retries=retries, allow_global=allow_global)
+                rounds = {}
+                for m in res.trace:
+                    rounds.setdefault(m.round, []).append(m)
+                for msgs in rounds.values():
+                    agents = [m for m in msgs if m.sender != protocol.OPERATOR]
+                    assert msgs[:len(agents)] == agents
+                    keys = [canonical_key(m) for m in agents]
+                    assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
     @pytest.mark.parametrize("variant", [certify.VARIANT_TRANSFORMED,
                                          certify.VARIANT_ORIGINAL])
