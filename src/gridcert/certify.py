@@ -37,11 +37,12 @@ from .errors import (
 from .linalg import (
     ModalTransform,
     _as_matrix,
+    _lyapunov,
+    _lyapunov_rhs,
     _modal_eigenvalues,
     _norms,
     is_hurwitz,
     modal_decompose,
-    solve_lyapunov,
     spectral_norm,
 )
 
@@ -113,13 +114,12 @@ def certify_decoupled(A, Q):
             f"subsystem matrix has eigenvalue {w:.6g} with nonnegative real part",
             offending_eigenvalue=complex(w),
         )
-    P = solve_lyapunov(A, Q)
-    Q = np.asarray(Q, dtype=float)
-    lambda_min_Q = float(np.linalg.eigvalsh(Q).min())
-    lambda_max_P = np.linalg.eigvalsh(P).max(axis=-1)
+    Q, lam_Q = _lyapunov_rhs(Q, A)
+    P, lam_P = _lyapunov(A, Q, lam)
+    lambda_min_Q = float(lam_Q.min())
     return [LyapunovCertificate(P=p, Q=Q, lambda_min_Q=lambda_min_Q,
                                 lambda_max_P=float(lmax))
-            for p, lmax in zip(P, lambda_max_P)]
+            for p, lmax in zip(P, lam_P.max(axis=-1))]
 
 
 def _require_hurwitz(agent, mt):

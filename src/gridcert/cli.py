@@ -282,11 +282,15 @@ def cmd_report(args):
     lines = ["# gridcert run report"]
     present = {name for name in (ASSESS_JSON, TRACE_JSONL, PROTOCOL_JSON, SIM_JSON)
                if os.path.exists(os.path.join(args.out, name))}
+    halves = {TRACE_JSONL, PROTOCOL_JSON}
+    if len(halves & present) == 1:                   # the protocol section needs both
+        (have,), (missing,) = halves & present, halves - present
+        raise GridcertError(f"{have}: no {missing} next to it in {args.out!r}")
     if ASSESS_JSON in present:
         with _artifact(args.out, ASSESS_JSON) as fh:
             _report_assess(json.load(fh), lines)
         found = True
-    if {TRACE_JSONL, PROTOCOL_JSON} <= present:
+    if halves <= present:
         with _artifact(args.out, TRACE_JSONL) as fh:
             counts = _round_counts(fh)
         with _artifact(args.out, PROTOCOL_JSON) as fh:

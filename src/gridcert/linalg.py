@@ -83,16 +83,28 @@ def solve_lyapunov(A, Q):
     The error is that of the first check any member fails.
     """
     A = _as_matrix(A, "A", stack=True)
+    Q, _ = _lyapunov_rhs(Q, A)
+    return _lyapunov(A, Q, np.linalg.eigvals(A))[0]
+
+
+def _lyapunov_rhs(Q, A):
+    """``Q`` checked as the symmetric positive definite right-hand side for
+    the stack ``A``, and the eigenvalues of its symmetric part."""
     Q = _as_matrix(Q, "Q")
-    n = A.shape[-1]
-    if Q.shape[0] != n:
+    if Q.shape[0] != A.shape[-1]:
         raise InvalidInput(f"Q must match A, got {Q.shape} vs {A.shape}")
     if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-12 * max(1.0, abs(Q).max())):
         raise InvalidInput("Q must be symmetric")
-    if np.linalg.eigvalsh(0.5 * (Q + Q.T)).min() <= 0.0:
+    lam_Q = np.linalg.eigvalsh(0.5 * (Q + Q.T))
+    if lam_Q.min() <= 0.0:
         raise InvalidInput("Q must be positive definite")
+    return Q, lam_Q
 
-    lam = np.linalg.eigvals(A)
+
+def _lyapunov(A, Q, lam):
+    """:func:`solve_lyapunov` of the checked stack ``A`` with spectrum ``lam``
+    and the checked ``Q``: ``P`` and the eigenvalues of each member."""
+    n = A.shape[-1]
     scale = np.maximum(1.0, np.abs(lam).max(axis=-1))
     pair_sums = np.abs(lam[:, :, None] + lam[:, None, :])
     if (pair_sums.min(axis=(-2, -1)) <= 1e-12 * scale).any():
@@ -110,14 +122,15 @@ def solve_lyapunov(A, Q):
     x = np.linalg.solve(op, np.broadcast_to(rhs[:, None], (len(A), n * n, 1)))
     P = np.swapaxes(x.reshape(-1, n, n), -1, -2)   # each member's x in column order
     P = 0.5 * (P + np.swapaxes(P, -1, -2))
-    bad = np.linalg.eigvalsh(P).min(axis=-1) <= 0.0
+    lam_P = np.linalg.eigvalsh(P)
+    bad = lam_P.min(axis=-1) <= 0.0
     if bad.any():
         b = lam[np.argmax(bad)]
         raise CertificateInvalid(
             "Lyapunov solution is not positive definite: A is not Hurwitz",
             offending_eigenvalue=complex(b[np.argmax(b.real)]),
         )
-    return P
+    return P, lam_P
 
 
 @dataclass

@@ -25,6 +25,7 @@ DEFAULT_DT = 1e-3     # s; fastest grid mode here is ~ -43 1/s, so dt*|lam| < 0.
 DEFAULT_T_END = 10.0  # s
 
 SETTLE_THRESHOLD = 1e-4  # state-deviation bound of settling_time
+SETTLE_BLOCK = 65536     # state values per block of settling_time; bounds its temporaries
 
 CSV_HEADER = ["t", "bus", "delta_rad", "omega_rad_s", "Pm_pu", "ul_pu", "ug_pu", "d_pu"]
 CSV_BLOCK_ROWS = 8192   # rows formatted per write; bounds the transient text
@@ -338,13 +339,14 @@ def _control_series(states, bus_ids, gains):
     n = states.shape[0]
     ul = np.zeros((n, len(bus_ids)))
     ug = np.zeros((n, len(bus_ids)))
+    column = {bus: b for b, bus in enumerate(bus_ids)}
     for b, bus in enumerate(bus_ids):
         gs = gains.get(bus)
         if gs is None:
             continue
         ul[:, b] = -(states[:, 3 * b:3 * b + 3] @ gs.local)
         for j, kj in gs.global_.items():
-            col = bus_ids.index(j)
+            col = column[j]
             ug[:, b] -= states[:, 3 * col:3 * col + 3] @ kj
     return ul, ug
 
@@ -383,7 +385,10 @@ def integrate(A, F, d, t, x0=None):
     step starting at ``t[k]``.  ``t`` must be uniform with step ``h``: one
     RK4 step is then the affine map ``x <- M x + g[k]`` with
     ``g[k] = h P F d[k]``, ``P = I + hA/2 + (hA)^2/6 + (hA)^3/24`` and
-    ``M = I + hA P``, built once.
+    ``M = I + hA P``, built once in at most three n x n arrays besides
+    ``A`` (:func:`_propagator`) before the history is allocated, and
+    ``g`` after it, from ``hP F``, which is then dropped: the steps hold
+    ``M``, ``g`` and the history.
     Returns the (len(t), n) state history; a history with a non-finite
     state raises :class:`DivergedSimulation` naming its first such sample.
 
@@ -405,22 +410,20 @@ def integrate(A, F, d, t, x0=None):
     F = np.asarray(F, dtype=float)
     d = np.asarray(d, dtype=float)
     n = A.shape[0]
-    states = np.zeros((t.size, n))
+    if t.size > 1:
+        h = (t[-1] - t[0]) / (t.size - 1)
+        tol = 8 * np.finfo(float).eps * np.abs(t).max()   # rounding of sample times of size |t|
+        if not (h > 0.0 and np.abs(np.diff(t) - h).max() <= tol):
+            raise InvalidInput("time grid must be uniform and increasing")
+        if n:
+            M, hPF = _propagator(A, F, h)
+    states = np.zeros((t.size, n))                    # after the build's temporaries are freed
     if x0 is not None:
         states[0] = x0
-    if t.size < 2:
-        return states
-    h = (t[-1] - t[0]) / (t.size - 1)
-    tol = 8 * np.finfo(float).eps * np.abs(t).max()   # rounding of sample times of size |t|
-    if not (h > 0.0 and np.abs(np.diff(t) - h).max() <= tol):
-        raise InvalidInput("time grid must be uniform and increasing")
-    if n == 0:
-        return states                                 # no state to step
-    hA = h * A
-    eye = np.eye(n)
-    hP = h * (eye + hA @ (0.5 * eye + hA @ (eye / 6.0 + hA / 24.0)))   # Horner
-    M = eye + A @ hP
-    g = d[:-1] @ (hP @ F).T
+    if t.size < 2 or n == 0:
+        return states                                 # no step to take
+    g = d[:-1] @ hPF.T        # after the history: in the other order a small run's
+    del hPF                   # peak RSS moved by 1.5 MB with the heap's layout
     bits = g.view(np.uint64)
     starts = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1
     bounds = np.concatenate([[0], starts, [t.size - 1]])
@@ -440,6 +443,30 @@ def integrate(A, F, d, t, x0=None):
         k = bad[0] + 1
         raise DivergedSimulation(f"non-finite state at t={t[k]:.6g} s", time=float(t[k]))
     return states
+
+
+def _propagator(A, F, h):
+    """``M`` and ``hP F`` of the RK4 step ``x <- M x + hP F d[k]``.
+
+    Horner's scheme for ``hP`` keeps at most three n x n arrays besides
+    ``A``: each ``c I + Z`` is formed in place, as ``Z += 0.0`` (which
+    turns ``-0.0`` into ``+0.0``, as ``0.0 + -0.0`` does) and ``c`` added to
+    the diagonal, so its bits are those of the dense ``c * eye + Z``; each
+    product is a new array and the previous one is dropped."""
+    hA = h * A
+    Z = hA @ _add_eye(hA / 24.0, 1.0 / 6.0)
+    Z = hA @ _add_eye(Z, 0.5)
+    del hA
+    hP = _add_eye(Z, 1.0)
+    hP *= h
+    return _add_eye(A @ hP, 1.0), hP @ F
+
+
+def _add_eye(Z, c):
+    """``c I + Z`` in place, with the bits of the dense sum."""
+    Z += 0.0
+    Z.reshape(-1)[::Z.shape[0] + 1] += c
+    return Z
 
 
 def _step(M, g, states, a, b):
@@ -582,13 +609,23 @@ def settling_time(result):
 
     Deviation from the final sample is used because a step disturbance
     leaves a nonzero equilibrium.  Returns None when the trajectory never
-    settles before the final sample.
+    settles before the final sample.  The deviation is taken in one
+    buffer, over blocks of whole samples of about ``SETTLE_BLOCK`` values
+    each, last block first, up to the last sample that has not settled.
     """
-    dev = np.abs(result.states - result.states[-1]).max(axis=1)
-    violations = np.nonzero(dev >= SETTLE_THRESHOLD)[0]
-    if violations.size == 0:
+    states = result.states
+    x_end = states[-1]
+    rows = max(1, SETTLE_BLOCK // max(1, x_end.size))
+    block = np.empty((min(rows, len(states)), x_end.size))   # one buffer for every block
+    for a in range(rows * ((len(states) - 1) // rows), -1, -rows):   # last block first
+        dev = block[:len(states) - a]
+        np.subtract(states[a:a + rows], x_end, out=dev)
+        violations = np.flatnonzero(np.abs(dev, out=dev).max(axis=1) >= SETTLE_THRESHOLD)
+        if violations.size:
+            break
+    else:
         return float(result.t[0])
-    k = int(violations[-1]) + 1
+    k = a + int(violations[-1]) + 1
     if k >= result.t.size - 1:
         # only the trivial final sample is below threshold: not settled
         return None

@@ -600,16 +600,18 @@ class TestDesignCost:
 
     def test_original_rows_fixed_solve_and_eigvalsh_calls(self, rng, monkeypatch):
         # the rows' solves and the stacked Lyapunov certificates run once
-        # per grid, not once per bus
-        calls = counting(monkeypatch, np.linalg, ("solve", "eigvalsh"))
-        counts = []
+        # per grid, not once per bus; the certificates are one eigvals, one
+        # Lyapunov solve, one eigvalsh of Q and one of the stack of P
+        calls = counting(monkeypatch, np.linalg, ("solve", "eigvalsh", "eigvals"))
         for n in (10, 50):
             calls.clear()
             certify.assess_grid(make_grid(*ring_grid_tuples(rng, n)), use_global=True,
                                 variant=certify.VARIANT_ORIGINAL)
-            counts.append(dict(calls))
-        assert counts[0] == counts[1]
-        assert counts[0]["solve"] >= 1 and counts[0]["eigvalsh"] >= 1
+            assert calls == {"solve": 3, "eigvals": 1, "eigvalsh": 2}
+            A = np.array([random_semisimple_hurwitz(rng, 3)[0] for _ in range(n)])
+            calls.clear()
+            certify.certify_decoupled(A, np.eye(3))
+            assert calls == {"solve": 1, "eigvals": 1, "eigvalsh": 2}
 
     @pytest.mark.parametrize("variant", [certify.VARIANT_TRANSFORMED,
                                          certify.VARIANT_ORIGINAL])

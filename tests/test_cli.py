@@ -457,6 +457,21 @@ class TestReport:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not (out_dir / "report.md").exists()
 
+    @pytest.mark.parametrize("with_assess", [False, True], ids=["alone", "with-assess"])
+    @pytest.mark.parametrize("kept, missing", [("protocol.json", "trace.jsonl"),
+                                               ("trace.jsonl", "protocol.json")])
+    def test_half_of_the_protocol_artifacts_is_one_error_line(self, capsys, tmp_path,
+                                                              kept, missing, with_assess):
+        out_dir = tmp_path / "o"
+        if with_assess:
+            run(capsys, "assess", three_bus_path(), "--global", "--out", str(out_dir))
+        run(capsys, "protocol", three_bus_path(), "--out", str(out_dir))
+        (out_dir / missing).unlink()
+        code, out, err = run(capsys, "report", "--out", str(out_dir))
+        assert code == 1 and out == ""
+        assert err == f"error: {kept}: no {missing} next to it in {str(out_dir)!r}\n"
+        assert not (out_dir / "report.md").exists()
+
 
 class TestErrorPaths:
     def test_missing_file(self, capsys, tmp_path):

@@ -3,6 +3,7 @@ import io
 import math
 import re
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -377,6 +378,73 @@ class TestRepeatedStates:
         assert got.tobytes() == step_every_sample(A, F, d, t).tobytes()
 
 
+class TestPropagatorBuild:
+    """The propagator built in place, in at most three n x n arrays besides
+    ``A``: the bits of the dense Horner formula, exact and signed zeros
+    included, and a working set bounded by n^2, the samples and ``g``."""
+
+    @pytest.mark.parametrize("c", [1.0 / 6.0, 0.5, 1.0])
+    def test_identity_added_in_place_has_the_bits_of_the_dense_sum(self, rng, c):
+        Z = np.where(rng.random((9, 9)) < 0.5, -0.0, rng.standard_normal((9, 9)))
+        Z[[0, 1, 2], [0, 1, 2]] = [-0.0, 0.0, -c]
+        want = c * np.eye(9) + Z
+        assert sim._add_eye(Z, c).tobytes() == want.tobytes()
+
+    def test_ring_grid_with_global_gains_is_that_of_stepping_every_sample(self, rng):
+        res = certify.assess_grid(make_grid(*ring_grid_tuples(rng, 30)), use_global=True)
+        A = res.A_full
+        assert (A == 0.0).mean() > 0.9                # mostly exact zeros
+        F = gridmodel.disturbance_matrix(res.subsystems)
+        t = np.arange(3001) * 1e-3
+        d = load_steps(rng, t.size, F.shape[1])
+        got, err = integrate_history(A, F, d, t)
+        assert err is None
+        assert got.tobytes() == step_every_sample(A, F, d, t).tobytes()
+
+    def test_negative_zeros_off_the_diagonal(self, rng):
+        n = 9
+        off = ~np.eye(n, dtype=bool)
+        # diagonally dominant, so Hurwitz whatever the seed (Gershgorin)
+        A = np.where(off, rng.uniform(-0.1, 0.1, (n, n)), -rng.uniform(1.0, 2.0, n))
+        A[off & (rng.random((n, n)) < 0.6)] = -0.0
+        F = np.where(rng.random((n, 2)) < 0.5, -0.0, rng.standard_normal((n, 2)))
+        t = np.arange(2001) * 1e-2
+        d = load_steps(rng, t.size, 2)
+        for x0 in (None, np.full(n, -0.0)):
+            got, err = integrate_history(A, F, d, t, x0=x0)
+            assert err is None
+            assert got.tobytes() == step_every_sample(A, F, d, t, x0=x0).tobytes()
+
+    @pytest.mark.parametrize("samples", [301, 2001])
+    def test_traced_peaks_are_bounded(self, rng, samples):
+        # integrate: three n x n arrays during the build, then M, hP F, g
+        # and the history, plus one-byte masks of the history's size;
+        # settling_time: one block of SETTLE_BLOCK values, whatever the samples
+        n, slack = 300, 64 * 1024
+        A = random_hurwitz(rng, n)
+        F = rng.standard_normal((n, 2))
+        t = np.arange(samples) * 2e-2
+        d = load_steps(rng, t.size, 2)
+        tracemalloc.start()
+        try:
+            states = sim.integrate(A, F, d, t)
+            integrate_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        g = (samples - 1) * n
+        assert integrate_peak <= (8 * max(3 * n * n, n * n + F.size + g + samples * n)
+                                  + 2 * samples * n + slack)
+        result = sim.SimResult(bus_ids=list(range(n // 3)), t=t, states=states, d=d,
+                               u_local=None, u_global=None, A_full=A, F_full=F)
+        tracemalloc.start()
+        try:
+            sim.settling_time(result)
+            settle_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert settle_peak <= 8 * sim.SETTLE_BLOCK + slack
+
+
 class TestStepSizeCheck:
     def test_unstable_dt_rejected_with_a_passing_dt(self, three_bus, certified):
         res, _ = certified
@@ -560,6 +628,25 @@ class TestSettlingTime:
     def test_not_settled_returns_none(self, three_bus, certified):
         out = run_three_bus(three_bus, certified, t_end=0.6)
         assert sim.settling_time(out) is None
+
+    @pytest.mark.parametrize("block", [1, 20, 50, 10**6])
+    def test_blocks_give_the_time_of_the_whole_history(self, three_bus, certified, block):
+        out = run_three_bus(three_bus, certified, t_end=2.0)
+        # the same run, settled from the first sample, and with a NaN state
+        # (whose deviation is no violation) before its last violation
+        settled = np.tile(out.states[-1], (out.t.size, 1))
+        nan = out.states.copy()
+        nan[100, 4] = np.nan
+        for states in (out.states, settled, nan, out.states[:1]):
+            run = sim.SimResult(bus_ids=out.bus_ids, t=out.t[:len(states)], states=states,
+                                d=out.d, u_local=out.u_local, u_global=out.u_global,
+                                A_full=out.A_full, F_full=out.F_full)
+            dev = np.abs(states - states[-1]).max(axis=1)
+            late = np.flatnonzero(dev >= sim.SETTLE_THRESHOLD)
+            k = int(late[-1]) + 1 if late.size else 0
+            want = None if late.size and k >= len(states) - 1 else float(run.t[k])
+            with mock.patch.object(sim, "SETTLE_BLOCK", block):
+                assert sim.settling_time(run) == want
 
 
 class TestCsv:
