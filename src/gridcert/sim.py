@@ -463,9 +463,10 @@ def _propagator(A, F, h):
 
 
 def _add_eye(Z, c):
-    """``c I + Z`` in place, with the bits of the dense sum."""
+    """``c I + Z`` in place, with the bits of the dense sum, for ``Z`` in
+    any memory layout (``flat`` indexes in C order whatever the strides)."""
     Z += 0.0
-    Z.reshape(-1)[::Z.shape[0] + 1] += c
+    Z.flat[::len(Z) + 1] += c
     return Z
 
 

@@ -383,12 +383,30 @@ class TestPropagatorBuild:
     ``A``: the bits of the dense Horner formula, exact and signed zeros
     included, and a working set bounded by n^2, the samples and ``g``."""
 
+    @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("c", [1.0 / 6.0, 0.5, 1.0])
-    def test_identity_added_in_place_has_the_bits_of_the_dense_sum(self, rng, c):
+    def test_identity_added_in_place_has_the_bits_of_the_dense_sum(self, rng, c, order):
         Z = np.where(rng.random((9, 9)) < 0.5, -0.0, rng.standard_normal((9, 9)))
         Z[[0, 1, 2], [0, 1, 2]] = [-0.0, 0.0, -c]
+        Z = np.asarray(Z, order=order)
         want = c * np.eye(9) + Z
-        assert sim._add_eye(Z, c).tobytes() == want.tobytes()
+        got = sim._add_eye(Z, c)
+        assert got is Z
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("layout", [np.asfortranarray,
+                                        lambda a: np.repeat(a, 2, axis=1)[:, ::2]])
+    def test_system_matrix_in_any_layout_is_that_of_stepping_every_sample(self, rng,
+                                                                          layout):
+        # the dense reference on the same arrays: products may round by layout
+        A = layout(random_hurwitz(rng, 9))
+        F = layout(rng.standard_normal((9, 2)))
+        assert not A.flags.c_contiguous and not F.flags.c_contiguous
+        t = np.arange(2001) * 1e-2
+        d = load_steps(rng, t.size, 2)
+        got, err = integrate_history(A, F, d, t)
+        assert err is None
+        assert got.tobytes() == step_every_sample(A, F, d, t).tobytes()
 
     def test_ring_grid_with_global_gains_is_that_of_stepping_every_sample(self, rng):
         res = certify.assess_grid(make_grid(*ring_grid_tuples(rng, 30)), use_global=True)
