@@ -422,8 +422,8 @@ def integrate(A, F, d, t, x0=None):
         states[0] = x0
     if t.size < 2 or n == 0:
         return states                                 # no step to take
-    g = d[:-1] @ hPF.T        # after the history: in the other order a small run's
-    del hPF                   # peak RSS moved by 1.5 MB with the heap's layout
+    g = d[:-1] @ hPF.T
+    del hPF                                           # the steps hold M, g and the history
     bits = g.view(np.uint64)
     starts = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1
     bounds = np.concatenate([[0], starts, [t.size - 1]])
