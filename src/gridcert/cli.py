@@ -90,13 +90,54 @@ def _gains_doc(gains):
     return doc
 
 
-def _eig_doc(lam):
-    order = np.lexsort((lam.imag, lam.real))
+def _eig_doc(lam, digest):
+    """The ``full_system`` block: the spectrum ``lam`` of the closed loop
+    whose ``_spectrum`` hash is ``digest``, in (real, imag) order."""
+    lam = lam[np.lexsort((lam.imag, lam.real))]
     return {
-        "eigenvalues": [[float(z.real), float(z.imag)] for z in lam[order]],
+        "eigenvalues": [[float(z.real), float(z.imag)] for z in lam],
+        "matrix_sha256": digest,
         "max_real_part": float(lam.real.max()),
         "hurwitz": bool(lam.real.max() < 0.0),
     }
+
+
+def _stored_spectrum(path, digest, n):
+    """The ``n`` eigenvalues in the ``full_system`` block of the artifact at
+    ``path`` when its ``matrix_sha256`` is ``digest``; None when there is no
+    such file, it is not JSON, or the block is another matrix's or is not
+    ``n`` finite ``[re, im]`` pairs."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError, RecursionError):
+        return None
+    fs = doc.get("full_system") if isinstance(doc, dict) else None
+    if not isinstance(fs, dict) or fs.get("matrix_sha256") != digest:
+        return None
+    pairs = fs.get("eigenvalues")
+    if not (type(pairs) is list and len(pairs) == n and all(
+            type(p) is list and len(p) == 2
+            and all(type(v) is float and math.isfinite(v) for v in p) for p in pairs)):
+        return None
+    lam = np.empty(n, dtype=complex)
+    # assigned by part: re + 1j*im would turn a -0.0 imaginary part into +0.0
+    lam.real, lam.imag = np.array(pairs).T
+    return lam
+
+
+def _spectrum(out_dir, A):
+    """The eigenvalues of the closed loop ``A`` and its key, the sha256 of
+    its C-order float64 bytes.  A spectrum that ``assess.json`` or else
+    ``sim_summary.json`` in ``out_dir`` holds under the same key is reused;
+    it is computed otherwise.  Every consumer is order-independent or sorts,
+    so either way the artifacts get the same bytes."""
+    digest = hashlib.sha256(np.ascontiguousarray(A, dtype=np.float64)).hexdigest()
+    for name in (ASSESS_JSON, SIM_JSON):
+        lam = _stored_spectrum(os.path.join(out_dir, name), digest, len(A))
+        if lam is not None:
+            return lam, digest
+    return np.linalg.eigvals(A), digest
 
 
 def _apply_step_override(grid, step_pu):
@@ -143,7 +184,7 @@ def cmd_assess(args):
             } for r in results
         },
         "verdict": certify.STABLE if stable else certify.INCONCLUSIVE,
-        "full_system": _eig_doc(np.linalg.eigvals(results[-1].A_full)),
+        "full_system": _eig_doc(*_spectrum(args.out, results[-1].A_full)),
         "gains": _gains_doc(results[-1].gains),
     }
     _emit(args.out, ASSESS_JSON, doc)
@@ -171,20 +212,21 @@ def cmd_protocol(args):
 def cmd_simulate(args):
     grid, data = _read_grid(args.grid)
     _apply_step_override(grid, args.step_pu)
+    # a bad horizon fails before any design or oracle work
+    config = sim.SimConfig(t_end=args.t_end, dt=args.dt,
+                           disturbances=grid.disturbances)
     assessment = certify.assess_grid(
         grid, use_global=args.use_global, poles_scale=args.poles_scale)
     _warn_misplaced(grid, assessment, args.poles_scale)
     # the one spectrum of this command: the artifact, the gate and simulate's checks
-    lam = np.linalg.eigvals(assessment.A_full)
-    full_system = _eig_doc(lam)
+    lam, digest = _spectrum(args.out, assessment.A_full)
+    full_system = _eig_doc(lam, digest)
     if not full_system["hurwitz"]:
         if not args.force:
             raise GridcertError(
                 "assembled closed loop is not Hurwitz; rerun with --force to simulate anyway")
         sys.stderr.write("warning: assembled closed loop is not Hurwitz\n")
 
-    config = sim.SimConfig(t_end=args.t_end, dt=args.dt,
-                           disturbances=grid.disturbances)
     F_full = gridmodel.disturbance_matrix(assessment.subsystems)
     with warnings.catch_warnings():
         # the Hurwitz gate above already reported on stderr
@@ -358,7 +400,7 @@ def build_parser():
                    help="step size, s (the dt that a step-size error names is the "
                         "RK4 stability limit, not an accurate step)")
     p.add_argument("--t-end", type=float, default=sim.DEFAULT_T_END,
-                   help="final time, s")
+                   help="final time, s: a whole number of steps")
     p.add_argument("--step-pu", type=float, default=None,
                    help="override the magnitude of every configured load step")
     p.add_argument("--force", action="store_true",

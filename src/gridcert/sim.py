@@ -35,6 +35,9 @@ REPEAT_CHUNK = 256      # RK4 steps between two state compares, and the shortest
 
 @dataclass
 class SimConfig:
+    """The horizon ``t_end`` (s), a whole number of steps ``dt`` (s), and the
+    load steps ``disturbances``."""
+
     t_end: float = DEFAULT_T_END
     dt: float = DEFAULT_DT
     disturbances: list = field(default_factory=list)   # gridmodel.Disturbance
@@ -44,6 +47,15 @@ class SimConfig:
         if not (0.0 < self.dt <= self.t_end < math.inf):
             raise InvalidInput(
                 f"need 0 < dt <= t_end < inf, got dt={self.dt}, t_end={self.t_end}")
+        # decimals that divide give a quotient within 1.5 eps (relative) of a
+        # whole count; an overflowed (inf) count is left to simulate's allocation check
+        steps = self.t_end / self.dt
+        off = math.remainder(steps, 1.0) if steps < math.inf else 0.0
+        if abs(off) > 4 * np.finfo(float).eps * steps:
+            whole = math.floor(steps)
+            raise InvalidInput(
+                f"t_end={self.t_end:g} s is {steps:.6g} steps of dt={self.dt:g} s, not a "
+                f"whole number: use t_end={whole * self.dt:g} or {(whole + 1) * self.dt:g}")
 
 
 @dataclass

@@ -253,6 +253,23 @@ class TestSoundnessSampling:
                                    couplings)
             assert linalg.is_hurwitz(full)
 
+    @pytest.mark.parametrize("n", [4, 10, 30, 100])
+    def test_stable_grid_verdict_implies_hurwitz(self, rng, n):
+        # ring grids with reactances scaled from the benchmark's (1) to weak
+        # lines (1000): with global gains the transformed rows certify from a
+        # scale of about 3 on, with local gains alone at 100 or 1000
+        gens, lines = ring_grid_tuples(rng, n)
+        stable = Counter()
+        for scale in (0.3, 1.0, 10.0, 100.0, 1000.0):
+            design = certify.design_grid(make_grid(gens, [(i, j, X * scale) for i, j, X in lines]))
+            for use_global in (False, True):
+                for variant in certify.VARIANTS:
+                    res = design.assess(use_global, variant)
+                    if res.verdict == certify.STABLE:
+                        assert np.linalg.eigvals(res.A_full).real.max() < 0.0
+                        stable[use_global] += 1
+        assert stable[False] > 0 and stable[True] > 0
+
     def test_row_condition_on_transformed_pair_agrees(self, rng):
         # evaluating the original-form row test with the (theta*I, Q) pair on
         # the modal system must reproduce the transformed verdicts

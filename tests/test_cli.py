@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -33,6 +34,51 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+SIM_ARTIFACTS = ["sim_summary.json", "sim.csv"]
+
+
+def count_eigvals(monkeypatch):
+    """The shapes of every ``np.linalg.eigvals`` argument from now on."""
+    eigvals = np.linalg.eigvals
+    orders = []
+
+    def counting(a, *args, **kwargs):
+        orders.append(np.shape(a))
+        return eigvals(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    return orders
+
+
+def assert_same_files(want_dir, got_dir, names):
+    for name in names:
+        assert (got_dir / name).read_bytes() == (want_dir / name).read_bytes(), name
+
+
+def _edited(change):
+    """A damage of ``assess.json`` that replaces its ``full_system`` block
+    ``fs`` by ``change(fs)``."""
+    def damage(text):
+        doc = json.loads(text)
+        doc["full_system"] = change(doc["full_system"])
+        return json.dumps(doc)
+    return damage
+
+
+# ways an assess.json in --out can fail to hold the spectrum of simulate's loop
+SPECTRUM_DAMAGE = {
+    "not-json": lambda text: text[:len(text) // 2],
+    "full-system-a-list": _edited(lambda fs: [fs]),
+    "too-few-eigenvalues": _edited(lambda fs: {**fs, "eigenvalues": fs["eigenvalues"][1:]}),
+    "nan-eigenvalue": _edited(
+        lambda fs: {**fs, "eigenvalues": [[math.nan, 0.0], *fs["eigenvalues"][1:]]}),
+    "string-eigenvalue": _edited(
+        lambda fs: {**fs, "eigenvalues": [["-1.0", "0.0"], *fs["eigenvalues"][1:]]}),
+    "hash-missing": _edited(lambda fs: {k: v for k, v in fs.items() if k != "matrix_sha256"}),
+    "hash-different": _edited(lambda fs: {**fs, "matrix_sha256": "0" * 64}),
+}
 
 
 @pytest.fixture
@@ -347,18 +393,96 @@ class TestSimulate:
         assert not (tmp_path / "o" / "sim.csv").exists()
 
     def test_one_spectrum_per_simulate(self, capsys, tmp_path, monkeypatch):
-        eigvals = np.linalg.eigvals
-        orders = []
+        # (what ran in --out before, simulate's options, spectra simulate computes)
+        for case, (before, argv, spectra) in enumerate([
+            (None, [], 1),
+            (["--global"], [], 0),
+            ([], [], 1),                             # local gains alone: another loop
+            (["--global"], ["--poles-scale", "1.1"], 1),
+        ]):
+            sim_argv = ["simulate", three_bus_path(), "--t-end", "0.5", *argv]
+            fresh, out_dir = tmp_path / f"fresh{case}", tmp_path / f"o{case}"
+            want = run(capsys, *sim_argv, "--out", str(fresh))
+            if before is not None:
+                run(capsys, "assess", three_bus_path(), *before, "--out", str(out_dir))
+            orders = count_eigvals(monkeypatch)
+            assert run(capsys, *sim_argv, "--out", str(out_dir)) == want, case
+            assert want[0] == 0
+            assert orders.count((9, 9)) == spectra, case
+            assert_same_files(fresh, out_dir, SIM_ARTIFACTS)
+            monkeypatch.undo()
 
-        def counting(a, *args, **kwargs):
-            orders.append(np.shape(a))
-            return eigvals(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvals", counting)
-        code, _, _ = run(capsys, "simulate", three_bus_path(), "--t-end", "0.5",
-                         "--out", str(tmp_path / "o"))
-        assert code == 0
+    @pytest.mark.parametrize("damage", SPECTRUM_DAMAGE.values(), ids=SPECTRUM_DAMAGE.keys())
+    def test_damaged_spectrum_is_computed_again(self, capsys, tmp_path, monkeypatch, damage):
+        sim_argv = ["simulate", three_bus_path(), "--t-end", "0.5"]
+        run(capsys, *sim_argv, "--out", str(tmp_path / "fresh"))
+        out_dir = tmp_path / "o"
+        run(capsys, "assess", three_bus_path(), "--global", "--out", str(out_dir))
+        path = out_dir / "assess.json"
+        path.write_text(damage(path.read_text()))
+        orders = count_eigvals(monkeypatch)
+        code, _, err = run(capsys, *sim_argv, "--out", str(out_dir))
+        assert (code, err) == (0, "")
         assert orders.count((9, 9)) == 1
+        assert_same_files(tmp_path / "fresh", out_dir, SIM_ARTIFACTS)
+
+    def test_stored_spectrum_round_trips_signed_zeros_and_ties(self, tmp_path):
+        # exact ties, and real eigenvalues whose zero imaginary part has either sign
+        lam = np.array([complex(-2.0, 0.0), complex(-1.0, -0.0), complex(-2.0, -0.0),
+                        complex(-1.0, 0.0), complex(-1.0, -0.0), complex(-3.0, 1.5),
+                        complex(-3.0, -1.5), complex(-3.0, 1.5)])
+        assert (np.signbit(lam.imag) & (lam.imag == 0.0)).sum() == 3
+        doc = {"full_system": cli._eig_doc(lam, "key")}
+        path = tmp_path / "assess.json"
+        path.write_text(json.dumps(doc))
+        got = cli._stored_spectrum(str(path), "key", lam.size)
+        assert json.dumps(cli._eig_doc(got, "key")) == json.dumps(doc["full_system"])
+        # a spectrum built as re + 1j*im loses the -0.0 parts, so the check can fail
+        pairs = np.array(doc["full_system"]["eigenvalues"])
+        summed = pairs[:, 0] + 1j * pairs[:, 1]
+        assert json.dumps(cli._eig_doc(summed, "key")) != json.dumps(doc["full_system"])
+        assert cli._stored_spectrum(str(path), "other", lam.size) is None
+        assert cli._stored_spectrum(str(path), "key", lam.size + 1) is None
+
+    def test_assess_reuses_the_simulate_spectrum(self, capsys, tmp_path, monkeypatch):
+        assess_argv = ["assess", three_bus_path(), "--global", "--variant", "both"]
+        want = run(capsys, *assess_argv, "--out", str(tmp_path / "fresh"))
+        out_dir = tmp_path / "o"
+        run(capsys, "simulate", three_bus_path(), "--t-end", "0.5", "--out", str(out_dir))
+        orders = count_eigvals(monkeypatch)
+        assert run(capsys, *assess_argv, "--out", str(out_dir)) == want
+        assert orders.count((9, 9)) == 0
+        assert_same_files(tmp_path / "fresh", out_dir, ["assess.json"])
+
+    def test_unstable_dt_message_through_the_reused_spectrum(self, capsys, tmp_path,
+                                                             monkeypatch):
+        sim_argv = ["simulate", three_bus_path(), "--dt", "0.3", "--t-end", "3"]
+        want = run(capsys, *sim_argv, "--out", str(tmp_path / "fresh"))
+        out_dir = tmp_path / "o"
+        run(capsys, "assess", three_bus_path(), "--global", "--out", str(out_dir))
+        orders = count_eigvals(monkeypatch)
+        assert run(capsys, *sim_argv, "--out", str(out_dir)) == want
+        assert orders.count((9, 9)) == 0
+        assert "dt=0.058 s passes" in want[2]
+        assert not (out_dir / "sim.csv").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--dt", "0.04", "--t-end", "0.1"],
+         "t_end=0.1 s is 2.5 steps of dt=0.04 s, not a whole number: use t_end=0.08 or 0.12"),
+        (["--dt", "0.04", "--t-end", "0.14"],
+         "t_end=0.14 s is 3.5 steps of dt=0.04 s, not a whole number: use t_end=0.12 or 0.16"),
+        (["--dt", "1e-3", "--t-end", "0.0025"],
+         "t_end=0.0025 s is 2.5 steps of dt=0.001 s, not a whole number: "
+         "use t_end=0.002 or 0.003"),
+    ], ids=["ends-early", "runs-over", "below-the-step"])
+    def test_horizon_of_a_fraction_of_a_step_rejected(self, capsys, tmp_path, monkeypatch,
+                                                      argv, message):
+        # rejected before the design and the spectrum: nothing is computed
+        monkeypatch.setattr(cli.certify, "assess_grid", None)
+        code, out, err = run(capsys, "simulate", three_bus_path(), *argv,
+                             "--out", str(tmp_path / "o"))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not (tmp_path / "o").exists()
 
     def test_infinite_horizon_rejected(self, capsys, tmp_path):
         code, _, err = run(capsys, "simulate", three_bus_path(), "--t-end", "inf",

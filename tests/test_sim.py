@@ -471,7 +471,9 @@ class TestStepSizeCheck:
         suggested = float(re.search(r"; dt=(\S+) s passes", str(exc.value)).group(1))
         assert 0.0 < suggested < 0.3
         assert sim.rk4_radius(np.linalg.eigvals(res.A_full), suggested) <= 1.0
-        out = run_three_bus(three_bus, certified, t_end=3.0, dt=suggested)
+        # the horizon nearest 3 s that is a whole number of the suggested steps
+        out = run_three_bus(three_bus, certified, t_end=round(3.0 / suggested) * suggested,
+                            dt=suggested)
         assert np.all(np.isfinite(out.states))
 
     def test_mode_too_slow_to_resolve_is_not_rejected(self):
@@ -592,6 +594,22 @@ class TestSimulate:
     def test_non_finite_horizon_rejected(self, t_end, dt):
         with pytest.raises(InvalidInput, match="t_end < inf"):
             sim.SimConfig(t_end=t_end, dt=dt)
+
+    @pytest.mark.parametrize("t_end,dt,steps", [
+        (0.1, 0.04, "2.5"), (0.14, 0.04, "3.5"), (0.0025, 1e-3, "2.5"),
+        (1.0005, 1e-3, "1000.5"), (1.0 + 1e-9, 1e-3, "1000"),
+    ])
+    def test_horizon_of_a_fraction_of_a_step_rejected(self, t_end, dt, steps):
+        with pytest.raises(InvalidInput, match=rf" is {steps} steps of dt=.* not a whole number"):
+            sim.SimConfig(t_end=t_end, dt=dt)
+
+    @pytest.mark.parametrize("t_end,dt", [
+        (0.5, 1e-3), (1.0, 1e-3), (3.0, 1e-3), (10.0, 1e-3), (12.0, 1e-3), (0.14, 1e-3),
+        (3.0, 5e-4), (1e9, 1e-3), (3.0, 0.3), (0.6, 0.3),
+        (0.3, 0.1), (0.7, 0.1), (10.0, 1e-300),     # quotients an ulp or so off a whole count
+    ])
+    def test_whole_horizon_within_rounding_accepted(self, t_end, dt):
+        assert sim.SimConfig(t_end=t_end, dt=dt).t_end == t_end
 
 
 class TestSteadyState:
