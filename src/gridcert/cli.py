@@ -104,16 +104,20 @@ def _eig_doc(lam, digest):
 
 def _stored_spectrum(path, digest, n):
     """The ``n`` eigenvalues in the ``full_system`` block of the artifact at
-    ``path`` when its ``matrix_sha256`` is ``digest``; None when there is no
-    such file, it is not JSON, or the block is another matrix's or is not
-    ``n`` finite ``[re, im]`` pairs."""
+    ``path`` when its ``matrix_sha256`` is ``digest`` and its manifest's
+    ``toolkit_version`` is this one; None when there is no such file, it is
+    not JSON, or the block is another matrix's or release's or is not ``n``
+    finite ``[re, im]`` pairs."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, ValueError, RecursionError):
         return None
-    fs = doc.get("full_system") if isinstance(doc, dict) else None
-    if not isinstance(fs, dict) or fs.get("matrix_sha256") != digest:
+    if not isinstance(doc, dict):
+        return None
+    fs, manifest = doc.get("full_system"), doc.get("manifest")
+    if not (isinstance(fs, dict) and fs.get("matrix_sha256") == digest
+            and isinstance(manifest, dict) and manifest.get("toolkit_version") == __version__):
         return None
     pairs = fs.get("eigenvalues")
     if not (type(pairs) is list and len(pairs) == n and all(

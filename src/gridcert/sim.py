@@ -47,15 +47,27 @@ class SimConfig:
         if not (0.0 < self.dt <= self.t_end < math.inf):
             raise InvalidInput(
                 f"need 0 < dt <= t_end < inf, got dt={self.dt}, t_end={self.t_end}")
-        # decimals that divide give a quotient within 1.5 eps (relative) of a
-        # whole count; an overflowed (inf) count is left to simulate's allocation check
-        steps = self.t_end / self.dt
-        off = math.remainder(steps, 1.0) if steps < math.inf else 0.0
-        if abs(off) > 4 * np.finfo(float).eps * steps:
-            whole = math.floor(steps)
+        if not _whole_steps(self.t_end, self.dt):
+            whole = math.floor(self.t_end / self.dt)
             raise InvalidInput(
-                f"t_end={self.t_end:g} s is {steps:.6g} steps of dt={self.dt:g} s, not a "
-                f"whole number: use t_end={whole * self.dt:g} or {(whole + 1) * self.dt:g}")
+                f"t_end={self.t_end!r} s is {self.t_end / self.dt!r} steps of dt={self.dt!r} s, "
+                f"not a whole number: use t_end={_whole_horizon(whole, self.dt)!r} or "
+                f"{_whole_horizon(whole + 1, self.dt)!r}")
+
+
+def _whole_steps(t_end, dt):
+    """Whether ``t_end / dt`` is within rounding (a relative 4 eps) of a whole
+    number; decimals that divide give a quotient within 1.5 eps of one.  An
+    overflowed (inf) count passes: simulate's allocation check rejects it."""
+    steps = t_end / dt
+    return steps == math.inf or abs(math.remainder(steps, 1.0)) <= 4 * np.finfo(float).eps * steps
+
+
+def _whole_horizon(k, dt):
+    """``k >= 1`` steps of ``dt`` as a horizon that passes :class:`SimConfig`:
+    in 15 significant digits when those still pass (0.12, not 3 * 0.04)."""
+    short = float(f"{k * dt:.15g}")
+    return short if dt <= short and _whole_steps(short, dt) else k * dt
 
 
 @dataclass
@@ -375,9 +387,15 @@ def rk4_radius(eigenvalues, dt):
     return float(np.abs(1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))).max())
 
 
-def _stable_dt(eigenvalues, dt):
-    """A step below ``dt`` with ``rk4_radius <= 1``, two significant digits,
-    found by bisection on ``(0, dt)`` (steps small enough always pass)."""
+def _stable_dt(eigenvalues, dt, t_end):
+    """A step below ``dt`` with ``rk4_radius <= 1`` that divides ``t_end``
+    into whole steps.  The largest passing step is found by bisection on
+    ``(0, dt)`` (steps small enough always pass); the largest step below it
+    of two significant digits that passes and divides ``t_end`` is named,
+    else ``t_end / k`` for the least such ``k``."""
+    def passes(h):
+        return rk4_radius(eigenvalues, h) <= 1.0 and _whole_steps(t_end, h)
+
     lo, hi = 0.0, dt
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -386,8 +404,14 @@ def _stable_dt(eigenvalues, dt):
         else:
             hi = mid
     scale = 10.0 ** (math.floor(math.log10(lo)) - 1)
-    short = float(f"{math.floor(lo / scale) * scale:.2g}")
-    return short if rk4_radius(eigenvalues, short) <= 1.0 else lo
+    for m in range(math.floor(lo / scale), 9, -1):
+        short = float(f"{m * scale:.2g}")
+        if passes(short):
+            return short
+    k = math.ceil(t_end / lo)
+    while not passes(t_end / k):
+        k += 1
+    return t_end / k
 
 
 def integrate(A, F, d, t, x0=None):
@@ -565,7 +589,7 @@ def simulate(A_full, F_full, config, bus_ids, gains, eigenvalues=None):
             raise InvalidInput(
                 f"dt={config.dt:g} s is outside the RK4 stability region of this "
                 f"system: the one-step propagator has spectral radius {rho:.4g} > 1; "
-                f"dt={_stable_dt(lam, config.dt)!r} s passes")
+                f"dt={_stable_dt(lam, config.dt, config.t_end)!r} s passes")
 
     steps = config.t_end / config.dt                 # inf when the quotient overflows
     too_long = (f"t_end={config.t_end:g} s at dt={config.dt:g} s needs {steps + 1:.4g} "

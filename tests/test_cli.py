@@ -57,12 +57,12 @@ def assert_same_files(want_dir, got_dir, names):
         assert (got_dir / name).read_bytes() == (want_dir / name).read_bytes(), name
 
 
-def _edited(change):
-    """A damage of ``assess.json`` that replaces its ``full_system`` block
-    ``fs`` by ``change(fs)``."""
+def _edited(change, block="full_system"):
+    """A damage of ``assess.json`` that replaces its block ``block`` (by
+    default ``full_system``, ``fs`` below) by ``change(block)``."""
     def damage(text):
         doc = json.loads(text)
-        doc["full_system"] = change(doc["full_system"])
+        doc[block] = change(doc[block])
         return json.dumps(doc)
     return damage
 
@@ -78,6 +78,9 @@ SPECTRUM_DAMAGE = {
         lambda fs: {**fs, "eigenvalues": [["-1.0", "0.0"], *fs["eigenvalues"][1:]]}),
     "hash-missing": _edited(lambda fs: {k: v for k, v in fs.items() if k != "matrix_sha256"}),
     "hash-different": _edited(lambda fs: {**fs, "matrix_sha256": "0" * 64}),
+    # written by another release, whose spectrum need not have these bits
+    "another-toolkit-version": _edited(lambda m: {**m, "toolkit_version": "0.0.0"}, "manifest"),
+    "manifest-a-string": _edited(lambda m: "manifest", "manifest"),
 }
 
 
@@ -389,7 +392,7 @@ class TestSimulate:
         assert out == ""
         assert err == ("error: dt=0.3 s is outside the RK4 stability region of this "
                        "system: the one-step propagator has spectral radius 1386 > 1; "
-                       "dt=0.058 s passes\n")
+                       "dt=0.05 s passes\n")
         assert not (tmp_path / "o" / "sim.csv").exists()
 
     def test_one_spectrum_per_simulate(self, capsys, tmp_path, monkeypatch):
@@ -432,7 +435,8 @@ class TestSimulate:
                         complex(-1.0, 0.0), complex(-1.0, -0.0), complex(-3.0, 1.5),
                         complex(-3.0, -1.5), complex(-3.0, 1.5)])
         assert (np.signbit(lam.imag) & (lam.imag == 0.0)).sum() == 3
-        doc = {"full_system": cli._eig_doc(lam, "key")}
+        doc = {"manifest": {"toolkit_version": cli.__version__},
+               "full_system": cli._eig_doc(lam, "key")}
         path = tmp_path / "assess.json"
         path.write_text(json.dumps(doc))
         got = cli._stored_spectrum(str(path), "key", lam.size)
@@ -463,14 +467,15 @@ class TestSimulate:
         orders = count_eigvals(monkeypatch)
         assert run(capsys, *sim_argv, "--out", str(out_dir)) == want
         assert orders.count((9, 9)) == 0
-        assert "dt=0.058 s passes" in want[2]
+        assert "dt=0.05 s passes" in want[2]
         assert not (out_dir / "sim.csv").exists()
 
     @pytest.mark.parametrize("argv, message", [
         (["--dt", "0.04", "--t-end", "0.1"],
          "t_end=0.1 s is 2.5 steps of dt=0.04 s, not a whole number: use t_end=0.08 or 0.12"),
         (["--dt", "0.04", "--t-end", "0.14"],
-         "t_end=0.14 s is 3.5 steps of dt=0.04 s, not a whole number: use t_end=0.12 or 0.16"),
+         "t_end=0.14 s is 3.5000000000000004 steps of dt=0.04 s, not a whole number: "
+         "use t_end=0.12 or 0.16"),
         (["--dt", "1e-3", "--t-end", "0.0025"],
          "t_end=0.0025 s is 2.5 steps of dt=0.001 s, not a whole number: "
          "use t_end=0.002 or 0.003"),

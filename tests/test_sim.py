@@ -471,9 +471,20 @@ class TestStepSizeCheck:
         suggested = float(re.search(r"; dt=(\S+) s passes", str(exc.value)).group(1))
         assert 0.0 < suggested < 0.3
         assert sim.rk4_radius(np.linalg.eigvals(res.A_full), suggested) <= 1.0
-        # the horizon nearest 3 s that is a whole number of the suggested steps
-        out = run_three_bus(three_bus, certified, t_end=round(3.0 / suggested) * suggested,
-                            dt=suggested)
+        out = run_three_bus(three_bus, certified, t_end=3.0, dt=suggested)
+        assert np.all(np.isfinite(out.states))
+
+    @pytest.mark.parametrize("t_end,dt,suggested", [
+        (3.0, 0.3, 0.05),                # 0.058 passes the RK4 check but does not divide 3
+        (7.0, 0.35, 0.056),
+        (3.14159, 0.314159, 3.14159 / 55),   # no step of two digits divides it
+    ])
+    def test_passing_dt_divides_the_horizon(self, three_bus, certified, t_end, dt,
+                                            suggested):
+        with pytest.raises(InvalidInput, match=r"spectral radius") as exc:
+            run_three_bus(three_bus, certified, t_end=t_end, dt=dt)
+        assert str(exc.value).endswith(f"; dt={suggested!r} s passes")
+        out = run_three_bus(three_bus, certified, t_end=t_end, dt=suggested)
         assert np.all(np.isfinite(out.states))
 
     def test_mode_too_slow_to_resolve_is_not_rejected(self):
@@ -595,13 +606,28 @@ class TestSimulate:
         with pytest.raises(InvalidInput, match="t_end < inf"):
             sim.SimConfig(t_end=t_end, dt=dt)
 
-    @pytest.mark.parametrize("t_end,dt,steps", [
-        (0.1, 0.04, "2.5"), (0.14, 0.04, "3.5"), (0.0025, 1e-3, "2.5"),
-        (1.0005, 1e-3, "1000.5"), (1.0 + 1e-9, 1e-3, "1000"),
+    @pytest.mark.parametrize("t_end,dt,message", [
+        (0.1, 0.04, "t_end=0.1 s is 2.5 steps of dt=0.04 s, not a whole number: "
+                    "use t_end=0.08 or 0.12"),
+        (0.0025, 1e-3, "t_end=0.0025 s is 2.5 steps of dt=0.001 s, not a whole number: "
+                       "use t_end=0.002 or 0.003"),
+        (1.0005, 1e-3, "t_end=1.0005 s is 1000.4999999999999 steps of dt=0.001 s, not a "
+                       "whole number: use t_end=1.0 or 1.001"),
+        # each number in full: a fraction of a step, or a horizon, that 6 digits round away
+        (1.0 + 1e-9, 1e-3, "t_end=1.000000001 s is 1000.0000010000001 steps of dt=0.001 s, "
+                           "not a whole number: use t_end=1.0 or 1.001"),
+        (1.0, 0.0012345678, "t_end=1.0 s is 810.0000664200054 steps of dt=0.0012345678 s, "
+                            "not a whole number: use t_end=0.999999918 or 1.0012344858"),
+        (0.14, 0.04, "t_end=0.14 s is 3.5000000000000004 steps of dt=0.04 s, not a whole "
+                     "number: use t_end=0.12 or 0.16"),
     ])
-    def test_horizon_of_a_fraction_of_a_step_rejected(self, t_end, dt, steps):
-        with pytest.raises(InvalidInput, match=rf" is {steps} steps of dt=.* not a whole number"):
+    def test_horizon_of_a_fraction_of_a_step_rejected(self, t_end, dt, message):
+        with pytest.raises(InvalidInput) as exc:
             sim.SimConfig(t_end=t_end, dt=dt)
+        assert str(exc.value) == message
+        # either horizon the message names passes as printed
+        for horizon in re.search(r"use t_end=(\S+) or (\S+)$", message).groups():
+            assert sim.SimConfig(t_end=float(horizon), dt=dt).dt == dt
 
     @pytest.mark.parametrize("t_end,dt", [
         (0.5, 1e-3), (1.0, 1e-3), (3.0, 1e-3), (10.0, 1e-3), (12.0, 1e-3), (0.14, 1e-3),
