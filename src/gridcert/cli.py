@@ -216,9 +216,9 @@ def cmd_protocol(args):
 def cmd_simulate(args):
     grid, data = _read_grid(args.grid)
     _apply_step_override(grid, args.step_pu)
-    # a bad horizon fails before any design or oracle work
-    config = sim.SimConfig(t_end=args.t_end, dt=args.dt,
-                           disturbances=grid.disturbances)
+    # a bad horizon, or one too long to allocate, fails before any design or oracle work
+    config = sim.SimConfig(t_end=args.t_end, dt=args.dt, disturbances=grid.disturbances)
+    config.time_grid()
     assessment = certify.assess_grid(
         grid, use_global=args.use_global, poles_scale=args.poles_scale)
     _warn_misplaced(grid, assessment, args.poles_scale)

@@ -54,11 +54,22 @@ class SimConfig:
                 f"not a whole number: use t_end={_whole_horizon(whole, self.dt)!r} or "
                 f"{_whole_horizon(whole + 1, self.dt)!r}")
 
+    def time_grid(self):
+        """The sample times ``0, dt, ..., t_end``; InvalidInput if they cannot be allocated."""
+        try:
+            return np.arange(int(round(self.t_end / self.dt)) + 1) * self.dt
+        except (OverflowError, ValueError, MemoryError):   # inf steps; past the largest array
+            raise InvalidInput(self._too_long()) from None
+
+    def _too_long(self):
+        return (f"t_end={self.t_end:g} s at dt={self.dt:g} s needs "
+                f"{self.t_end / self.dt + 1:.4g} samples, more than can be allocated")
+
 
 def _whole_steps(t_end, dt):
     """Whether ``t_end / dt`` is within rounding (a relative 4 eps) of a whole
     number; decimals that divide give a quotient within 1.5 eps of one.  An
-    overflowed (inf) count passes: simulate's allocation check rejects it."""
+    overflowed (inf) count passes: :meth:`SimConfig.time_grid` rejects it."""
     steps = t_end / dt
     return steps == math.inf or abs(math.remainder(steps, 1.0)) <= 4 * np.finfo(float).eps * steps
 
@@ -434,13 +445,11 @@ def integrate(A, F, d, t, x0=None):
     followed by the same states as the earlier one: the rest of the run is
     periodic and is copied, not stepped (the zeros before a load step, a
     settled rounding cycle).  The history is byte for byte that of
-    stepping every sample.  Each new state is compared with one reference
-    state of its run, moved at power-of-two distances (Brent's cycle
-    detection), so a cycle is found within about twice its start plus its
-    period, with no stored state besides the history.  A run shorter than
-    ``REPEAT_CHUNK`` steps is stepped without compares, which would cost
-    more there than its repeats can save (an input that changes every
-    step is stepped at the cost of the plain loop).
+    stepping every sample.  A run of at least ``REPEAT_CHUNK`` steps is
+    stepped at most ``REPEAT_CHUNK - 1`` steps past its first repeat
+    (:func:`_step_run`); a shorter one is stepped without lookups, which
+    would cost more there than its repeats save (an input that changes
+    every step is stepped at the cost of the plain loop).
     """
     A = np.asarray(A, dtype=float)
     F = np.asarray(F, dtype=float)
@@ -464,12 +473,11 @@ def integrate(A, F, d, t, x0=None):
     starts = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1
     bounds = np.concatenate([[0], starts, [t.size - 1]])
     long = np.diff(bounds) >= REPEAT_CHUNK
-    rows = states.view(np.dtype((np.void, 8 * n))).ravel()   # each state's bytes as one value
     k = 0
     with np.errstate(over="ignore", invalid="ignore"):   # divergence is detected below
         for s, e in zip(bounds[:-1][long].tolist(), bounds[1:][long].tolist()):
             _step(M, g, states, k, s)
-            _step_run(M, g, states, rows, s, e)
+            _step_run(M, g, states, s, e)
             k = e
         _step(M, g, states, k, t.size - 1)
     # one check after the loop: the first non-finite row is where a check
@@ -508,29 +516,37 @@ def _add_eye(Z, c):
 
 def _step(M, g, states, a, b):
     """Step ``states[a]`` to ``states[b]``, one matvec per step."""
-    for k in range(a, b):
-        x = np.matmul(M, states[k], out=states[k + 1])
-        x += g[k]
+    for x, y, gk in zip(states[a:b], states[a + 1:b + 1], g[a:b]):
+        M.dot(x, out=y)
+        y += gk
 
 
-def _step_run(M, g, states, rows, s, e):
+def _step_run(M, g, states, s, e):
     """Fill ``states[s + 1:e + 1]`` from ``states[s]`` by the steps ``s..e-1``,
-    whose input rows ``g[s:e]`` have the same bytes; ``rows`` views each
-    state as one void value.  The new states are compared with the
-    reference ``states[ref]`` every ``REPEAT_CHUNK`` steps at most; the
-    reference moves to the newest state after ``span`` steps and ``span``
-    doubles."""
-    ref, span, k = s, 1, s
-    while k < e:
-        stop = min(ref + span, e, k + REPEAT_CHUNK)
-        _step(M, g, states, k, stop)
-        hit = np.flatnonzero(rows[k + 1:stop + 1] == rows[ref])
-        if hit.size:
-            _repeat(states, stop + 1, e + 1, k + 1 + int(hit[0]) - ref)
-            return
-        k = stop
-        if k == ref + span:
-            ref, span = k, 2 * span
+    whose rows ``g[s:e]`` have the same bytes, in chunks of 1, 2, 4, ... up to
+    ``REPEAT_CHUNK`` steps.  Each state is looked up in ``first``, the run's first
+    sample per key (:func:`_keys`; ``key + 1`` past a key another state holds):
+    the first state equal byte for byte to an earlier one ends the stepping."""
+    first, a, k, chunk = {}, s, s, 1                 # a..k: the states not yet looked up
+    while a <= e:
+        for j, key in enumerate(_keys(states[a:k + 1]), a):
+            while (i := first.setdefault(key, j)) != j:
+                if states[i].tobytes() == states[j].tobytes():
+                    return _repeat(states, k + 1, e + 1, j - i)
+                key += 1
+        a, k, chunk = k + 1, min(k + chunk, e), min(2 * chunk, REPEAT_CHUNK)
+        _step(M, g, states, a - 1, k)
+
+
+def _keys(x):
+    """A 64-bit key of the bytes of each row of ``x``, as ints: its uint64
+    words times fixed odd multipliers, summed with wraparound."""
+    return (x.view(np.uint64) @ _multipliers(x.shape[1])).tolist()
+
+
+@functools.cache
+def _multipliers(n):
+    return np.frombuffer(np.random.default_rng(n).bytes(8 * n), np.uint64) | np.uint64(1)
 
 
 def _repeat(states, a, b, period):
@@ -591,20 +607,14 @@ def simulate(A_full, F_full, config, bus_ids, gains, eigenvalues=None):
                 f"system: the one-step propagator has spectral radius {rho:.4g} > 1; "
                 f"dt={_stable_dt(lam, config.dt, config.t_end)!r} s passes")
 
-    steps = config.t_end / config.dt                 # inf when the quotient overflows
-    too_long = (f"t_end={config.t_end:g} s at dt={config.dt:g} s needs {steps + 1:.4g} "
-                "samples, more than can be allocated")
-    try:
-        t = np.arange(int(round(steps)) + 1) * config.dt
-    except (OverflowError, ValueError, MemoryError):   # inf steps; past the largest array
-        raise InvalidInput(too_long) from None
+    t = config.time_grid()
     try:
         d = _disturbance_profile(config.disturbances, bus_ids, t)
         states = integrate(A, F, d, t)
         with np.errstate(over="ignore", invalid="ignore"):   # detected below
             ul, ug = _control_series(states, bus_ids, gains)
     except MemoryError:
-        raise InvalidInput(too_long) from None
+        raise InvalidInput(config._too_long()) from None
     bad = np.flatnonzero(~(np.isfinite(ul).all(axis=1) & np.isfinite(ug).all(axis=1)))
     if bad.size:
         raise DivergedSimulation(

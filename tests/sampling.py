@@ -138,14 +138,15 @@ def random_grid_tuples(rng):
 
 
 def ring_grid_tuples(rng, n):
-    """Generators and lines of an n-bus ring with n // 3 chords, for
-    make_grid: inertias, turbine constants, reactances and three distinct
-    real desired poles per bus in the ranges of the benchmark's grids."""
+    """Generators and lines of an n-bus ring with n // 3 chords (fewer when
+    the bus pairs run out, below n = 4), for make_grid: inertias, turbine
+    constants, reactances and three distinct real desired poles per bus in
+    the ranges of the benchmark's grids."""
     gens = [(b, rng.uniform(6.0, 14.0), 1.0, rng.uniform(0.8, 1.2),
              [rng.uniform(-26.0, -21.0), rng.uniform(-40.0, -36.0), rng.uniform(-45.0, -41.0)])
             for b in range(1, n + 1)]
     pairs = {(min(b, b % n + 1), max(b, b % n + 1)) for b in range(1, n + 1)}
-    while len(pairs) < n + n // 3:
+    while len(pairs) < min(n + n // 3, n * (n - 1) // 2):
         i, j = sorted(int(b) for b in rng.choice(np.arange(1, n + 1), 2, replace=False))
         pairs.add((i, j))
     return gens, [(i, j, rng.uniform(0.4, 0.6)) for i, j in sorted(pairs)]

@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -269,6 +271,21 @@ class TestSoundnessSampling:
                         assert np.linalg.eigvals(res.A_full).real.max() < 0.0
                         stable[use_global] += 1
         assert stable[False] > 0 and stable[True] > 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_ring_of_few_buses_is_drawn_at_once(self, rng, n):
+        # a cap on the draws turns a loop that never ends into a failure
+        draws = itertools.count()
+
+        def choice(*args, **kwargs):
+            assert next(draws) < 1000, "ring_grid_tuples draws without end"
+            return rng.choice(*args, **kwargs)
+
+        gens, lines = ring_grid_tuples(mock.Mock(wraps=rng, choice=choice), n)
+        pairs = [(i, j) for i, j, _ in lines]
+        assert len(gens) == n and len(set(pairs)) == len(pairs)
+        assert all(i < j for i, j in pairs)
+        assert {tuple(sorted((b, b % n + 1))) for b in range(1, n + 1)} <= set(pairs)
 
     def test_row_condition_on_transformed_pair_agrees(self, rng):
         # evaluating the original-form row test with the (theta*I, Q) pair on

@@ -502,9 +502,14 @@ class TestSimulate:
         (["--dt", "1e-300"], "t_end=10 s at dt=1e-300 s needs 1e+301 samples"),
         (["--dt", "5e-324"], "t_end=10 s at dt=4.94066e-324 s needs inf samples"),
     ])
-    def test_horizon_too_long_to_allocate_rejected(self, capsys, tmp_path, argv, message):
+    def test_horizon_too_long_to_allocate_rejected(self, capsys, tmp_path, monkeypatch,
+                                                  argv, message):
+        # rejected before the design and the spectrum: nothing is computed
+        monkeypatch.setattr(cli.certify, "assess_grid", None)
+        orders = count_eigvals(monkeypatch)
         code, out, err = run(capsys, "simulate", three_bus_path(), *argv,
                              "--out", str(tmp_path / "o"))
+        assert orders == []
         assert code == 1 and out == ""
         assert err == f"error: {message}, more than can be allocated\n"
         assert not (tmp_path / "o" / "sim.csv").exists()

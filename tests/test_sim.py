@@ -112,6 +112,11 @@ def integrate_history(A, F, d, t, x0=None):
     return made[0], None
 
 
+def matvecs(step):
+    """The matvec steps of the calls recorded by a mock wrapping ``sim._step``."""
+    return sum(c.args[4] - c.args[3] for c in step.call_args_list)
+
+
 def distinct_rows(states):
     return np.unique(states.view(np.dtype((np.void, states.itemsize * states.shape[1])))).size
 
@@ -348,13 +353,14 @@ class TestRepeatedStates:
         assert got.tobytes() == step_every_sample(res.A_full, F, d, t).tobytes()
 
     def test_settled_cycle_is_copied(self, three_bus, certified):
-        # zeros before the load step, then a rounding cycle through a few
-        # states: fewer than half of the steps run a matvec
-        with mock.patch.object(sim.np, "matmul", wraps=np.matmul) as matmul:
+        # one step of the zeros before the load step at t = 0.5 s, then the
+        # steps to states[2950], the first repeat of the load run's rounding
+        # cycle (of states[2688]), and at most the rest of its chunk
+        with mock.patch.object(sim, "_step", wraps=sim._step) as step:
             out = run_three_bus(three_bus, certified)
         assert out.t.size == 10001
         assert distinct_rows(out.states) < 3000
-        assert 0 < matmul.call_count < (out.t.size - 1) / 2
+        assert 0 < matvecs(step) <= 1 + 2450 + sim.REPEAT_CHUNK - 1
 
     def test_state_that_never_repeats_is_stepped_every_sample(self, rng):
         A = random_hurwitz(rng, 3)
@@ -362,10 +368,36 @@ class TestRepeatedStates:
         t = np.arange(3001) * 1e-3
         d = np.ones((t.size, 1))
         x0 = rng.standard_normal(3)
-        with mock.patch.object(sim.np, "matmul", wraps=np.matmul) as matmul:
+        with mock.patch.object(sim, "_step", wraps=sim._step) as step:
             states = sim.integrate(A, F, d, t, x0=x0)
         assert distinct_rows(states) == t.size
-        assert matmul.call_count == t.size - 1
+        assert matvecs(step) == t.size - 1
+
+    def test_fixed_point_costs_one_matvec(self, rng):
+        A = random_hurwitz(rng, 3)
+        F = rng.standard_normal((3, 1))
+        t = np.arange(501) * 1e-3
+        with mock.patch.object(sim, "_step", wraps=sim._step) as step:
+            states = sim.integrate(A, F, np.zeros((t.size, 1)), t)
+        assert matvecs(step) == 1
+        assert states.tobytes() == np.zeros_like(states).tobytes()
+
+    def test_equal_keys_still_find_the_first_repeat(self, rng):
+        # every state collides with every other: the lookup probes on and
+        # compares bytes, so it copies from the same repeat as real keys do
+        A = damped_oscillators(rng, 9)
+        F = rng.standard_normal((9, 2))
+        h = 2.0 / np.abs(np.linalg.eigvals(A)).max()
+        d = np.tile(rng.standard_normal(2), (1001, 1))
+        t = np.arange(d.shape[0]) * h
+        calls = []
+        for keys in (sim._keys, lambda x: [0] * len(x)):
+            with mock.patch.object(sim, "_repeat", wraps=sim._repeat) as repeat, \
+                    mock.patch.object(sim, "_keys", keys):
+                got = sim.integrate(A, F, d, t)
+            assert got.tobytes() == step_every_sample(A, F, d, t).tobytes()
+            calls.append([c.args[1:] for c in repeat.call_args_list])
+        assert len(calls[0]) == 1 and calls[1] == calls[0]
 
     def test_input_that_changes_every_step_is_stepped_without_compares(self, rng):
         A = random_hurwitz(rng, 3)
