@@ -122,10 +122,10 @@ def certify_decoupled(A, Q):
             for p, lmax in zip(P, lam_P.max(axis=-1))]
 
 
-def _require_hurwitz(agent, mt):
+def _require_hurwitz(mt, where=""):
     if mt.sigma_M <= 0:
         raise CertificateInvalid(
-            f"agent {agent}: modal form is not Hurwitz",
+            f"{where}modal form is not Hurwitz",
             offending_eigenvalue=-mt.sigma_M,
         )
 
@@ -183,7 +183,7 @@ def build_S_tilde(transforms, couplings_t):
     closed-loop transformed block ``At_ij``.
     """
     for a, mt in sorted(transforms.items()):
-        _require_hurwitz(a, mt)
+        _require_hurwitz(mt, f"agent {a}: ")
     norms = _norms_by_agent(transforms, couplings_t)
     reports = [_row(a, mt.sigma_M, 1.0, norms.get(a, {}), VARIANT_TRANSFORMED)
                for a, mt in sorted(transforms.items())]
@@ -202,8 +202,8 @@ def share(T):
 def _rows_stack(subs, Ks, mts, shares, escalate, variant):
     """The rows of a stack of agents.  An error says that some agent fails,
     not which: :func:`agent_rows` finds it."""
-    for sub, mt in zip(subs, mts):
-        _require_hurwitz(sub.bus, mt)
+    for mt in mts:
+        _require_hurwitz(mt)
     transformed = variant == VARIANT_TRANSFORMED
     esc = np.array(escalate, dtype=bool)
     B = np.array([sub.B for sub in subs])
@@ -220,7 +220,7 @@ def _rows_stack(subs, Ks, mts, shares, escalate, variant):
         for sub, received in zip(subs, shares):
             for j in sub.couplings:
                 if j not in received:
-                    raise InvalidInput(f"agent {sub.bus}: missing share from neighbor {j}")
+                    raise InvalidInput(f"missing share from neighbor {j}")
         own = _norms(u - s[:, None] * Bt)[:, 0]
         diagonal = [mt.sigma_M for mt in mts]
         nbrs = shares
@@ -269,9 +269,9 @@ def agent_rows(subs, Ks, mts, shares, escalate, variant):
     Returns ``(reports, globals_)``: the rows and the global gains
     ``{j: K_ij}`` of each agent (empty unless escalated).  ``assess_grid``
     evaluates rows of either variant here, the protocol rounds transformed
-    rows.  An error keeps its type and text and is that of the
-    lowest-numbered failing agent: when the stack fails, the agents are
-    evaluated one at a time and the first error is raised.
+    rows.  An error keeps its type and names the lowest-numbered failing
+    agent, whichever stage it fails at: when the stack fails, the agents
+    are evaluated one at a time and the first error is raised.
     """
     if variant not in VARIANTS:
         raise InvalidInput(f"unknown variant {variant!r}")
@@ -280,9 +280,12 @@ def agent_rows(subs, Ks, mts, shares, escalate, variant):
     try:
         return _rows_stack(subs, Ks, mts, shares, escalate, variant)
     except GridcertError:
-        for k in range(len(subs)):
-            _rows_stack(subs[k:k + 1], Ks[k:k + 1], mts[k:k + 1], shares[k:k + 1],
-                        escalate[k:k + 1], variant)
+        for k, sub in enumerate(subs):
+            try:
+                _rows_stack(subs[k:k + 1], Ks[k:k + 1], mts[k:k + 1], shares[k:k + 1],
+                            escalate[k:k + 1], variant)
+            except GridcertError as exc:
+                raise _located(exc, sub.bus)
         raise
 
 
@@ -419,8 +422,15 @@ def design_agents(subsystems, pole_sets):
             try:
                 _design_stack(A[k:k + 1], B[k:k + 1], pole_sets[k:k + 1])
             except GridcertError as exc:
-                raise type(exc)(f"agent {sub.bus}: {exc}") from exc
+                raise _located(exc, sub.bus)
         raise
+
+
+def _located(exc, bus):
+    """``exc`` with ``agent <bus>: `` before its text, its type and
+    attributes kept."""
+    exc.args = (f"agent {bus}: {exc}",)
+    return exc
 
 
 @dataclass

@@ -107,7 +107,8 @@ def pole_place(A_hat, B, poles):
     Uncontrollable
         If the controllability matrix is rank deficient.
     InvalidInput
-        If the desired characteristic polynomial overflows at ``A_hat``.
+        If the controllability matrix overflows, or the desired
+        characteristic polynomial overflows at ``A_hat``.
 
     The error is that of the first check any member fails.
     """
@@ -118,7 +119,10 @@ def pole_place(A_hat, B, poles):
     if len(P) != N:
         raise InvalidInput(f"expected {N} pole sets, got {len(P)}")
 
-    C = _krylov(A, B)
+    with np.errstate(over="ignore", invalid="ignore"):   # overflow is reported below
+        C = _krylov(A, B)
+    if not np.isfinite(C).all():
+        raise InvalidInput("controllability matrix overflows: A_hat or B is too large")
     # rank < n: the least singular value within n eps of the largest (np.linalg.matrix_rank)
     s = np.linalg.svd(C, compute_uv=False)
     if (s[:, -1] <= s[:, 0] * (n * np.finfo(float).eps)).any():

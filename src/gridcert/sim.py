@@ -104,13 +104,19 @@ class SimResult:
         ``-0.0`` written as ``0.0``, rows ended by ``\\r\\n`` (the bytes
         ``csv.writer`` gives for the same cells).
 
-        Each distinct sample is formatted once per block: ``t`` once per
-        sample, and the per-bus row bodies once per distinct value row,
-        keyed by its bytes after the ``-0.0`` step.  ``repr`` depends only
-        on a float's bits, so a repeated sample (the zeros before a load
-        step, a settled RK4 cycle) reuses its text and the bytes are those
-        of formatting every cell.  The text of the numbers comes from
-        :func:`_repr_cells`, ``CSV_FORMAT_CHUNK`` values at a time."""
+        Each distinct sample is formatted once per block, or not at all when
+        the previous block had it: ``t`` once per sample, and the per-bus
+        row bodies once per distinct value row.  ``repr`` depends only on a
+        float's bits, so a repeated sample (the zeros before a load step, a
+        settled RK4 cycle) reuses its text and the bytes are those of
+        formatting every cell.  A block's rows, after the ``-0.0`` step, are
+        keyed by :func:`_keys` and compared word for word with the first row
+        of their key, then with the previous block's row of that key (whose
+        text is kept until this block is written); a row that differs (a key
+        collision) is formatted as its own.  The block's text is one join of
+        time texts and row bodies gathered by array indexing; the text of
+        the numbers comes from :func:`_repr_cells`,
+        ``CSV_FORMAT_CHUNK`` values at a time."""
         n_b = len(self.bus_ids)
         fh.write(",".join(CSV_HEADER) + "\r\n")
         prefixes = [f",{bus}," for bus in self.bus_ids]
@@ -118,6 +124,8 @@ class SimResult:
         prefixes = np.frombuffer("".join(p.ljust(width, "\0") for p in prefixes).encode(),
                                  np.uint8).reshape(n_b, width)
         block = max(1, CSV_BLOCK_ROWS // n_b)
+        # the previous block's first row of each key: the keys (sorted), words and bodies
+        kept_keys, kept_words, kept_bodies = np.empty(0, np.uint64), None, None
         for k in range(0, self.t.size, block):
             ks = slice(k, k + block)
             vals = np.dstack([self.states[ks].reshape(-1, n_b, 3),
@@ -125,13 +133,26 @@ class SimResult:
             with np.errstate(invalid="ignore"):      # a signalling NaN still prints nan
                 vals += 0.0                          # normalizes -0.0
                 times = self.t[ks] + 0.0
-            seen = {}                                # sample bytes -> its rank among the distinct
-            rank = [seen.setdefault(sample.tobytes(), len(seen)) for sample in vals]
-            del seen                                 # freed before the formatter runs
-            first = np.unique(rank, return_index=True)[1]
-            bodies = _csv_bodies(vals[first].reshape(-1, 6), prefixes)
-            fh.write("".join(t + t.join(bodies[r * n_b:(r + 1) * n_b])
-                             for t, r in zip(_csv_times(times), rank)))
+            words = vals.reshape(len(vals), -1).view(np.uint64)
+            row_keys = _keys(words)
+            keys, first, inverse = np.unique(row_keys, return_index=True, return_inverse=True)
+            source = first[inverse]                  # the first row of each row's key
+            own = np.flatnonzero((words != words[source]).any(axis=1))
+            source[own] = own                        # a key collision: a text of its own
+            distinct, rank = np.unique(source, return_inverse=True)
+            bodies = np.empty((len(distinct), n_b), object)
+            new = np.ones(len(distinct), bool)
+            if kept_keys.size:
+                at = np.searchsorted(kept_keys, row_keys[distinct]).clip(max=kept_keys.size - 1)
+                new = (kept_words[at] != words[distinct]).any(axis=1)
+                bodies[~new] = kept_bodies[at[~new]]
+            bodies[new] = np.array(_csv_bodies(vals[distinct[new]].reshape(-1, 6), prefixes),
+                                   object).reshape(-1, n_b)
+            kept_keys, kept_words, kept_bodies = keys, words[first], bodies[rank[first]]
+            parts = np.empty((len(vals), n_b, 2), object)   # (time, body) of each row
+            parts[:, :, 0] = np.array(_csv_times(times), object)[:, None]
+            parts[:, :, 1] = bodies[rank]
+            fh.write("".join(parts.ravel().tolist()))
 
 
 def _csv_bodies(values, prefixes):
@@ -529,7 +550,7 @@ def _step_run(M, g, states, s, e):
     the first state equal byte for byte to an earlier one ends the stepping."""
     first, a, k, chunk = {}, s, s, 1                 # a..k: the states not yet looked up
     while a <= e:
-        for j, key in enumerate(_keys(states[a:k + 1]), a):
+        for j, key in enumerate(_keys(states[a:k + 1]).tolist(), a):
             while (i := first.setdefault(key, j)) != j:
                 if states[i].tobytes() == states[j].tobytes():
                     return _repeat(states, k + 1, e + 1, j - i)
@@ -539,9 +560,9 @@ def _step_run(M, g, states, s, e):
 
 
 def _keys(x):
-    """A 64-bit key of the bytes of each row of ``x``, as ints: its uint64
-    words times fixed odd multipliers, summed with wraparound."""
-    return (x.view(np.uint64) @ _multipliers(x.shape[1])).tolist()
+    """A 64-bit key of the bytes of each row of ``x``, as a uint64 array: its
+    uint64 words times fixed odd multipliers, summed with wraparound."""
+    return x.view(np.uint64) @ _multipliers(x.shape[1])
 
 
 @functools.cache

@@ -37,6 +37,7 @@ def run(capsys, *argv):
 
 
 SIM_ARTIFACTS = ["sim_summary.json", "sim.csv"]
+KRYLOV_OVERFLOW = "controllability matrix overflows: A_hat or B is too large"
 
 
 def count_eigvals(monkeypatch):
@@ -654,6 +655,34 @@ class TestErrorPaths:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: $: invalid JSON: ")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("field,value,argv,message", [
+        # the controllability matrix overflows: caught before its rank test,
+        # with no numpy warning and no LAPACK message
+        ("T_T", 1e-300, ["assess"], KRYLOV_OVERFLOW),
+        ("T_T", 1e-300, ["protocol"], KRYLOV_OVERFLOW),
+        ("T_T", 1e-300, ["simulate"], KRYLOV_OVERFLOW),
+        ("M", 1e-300, ["assess"], KRYLOV_OVERFLOW),
+        ("M", 1e-300, ["simulate"], KRYLOV_OVERFLOW),
+        # B^T B underflows to zero in the global gain of the row pass
+        ("T_T", 1e300, ["assess", "--global"], "input column is zero"),
+        ("T_T", 1e300, ["protocol"], "input column is zero"),
+    ], ids=["tiny-T_T-assess", "tiny-T_T-protocol", "tiny-T_T-simulate", "tiny-M-assess",
+            "tiny-M-simulate", "huge-T_T-assess-global", "huge-T_T-protocol"])
+    def test_extreme_generator_constant_is_one_located_line(self, tmp_path, field, value,
+                                                            argv, message):
+        # in a child process: LAPACK prints to the process's own stdout
+        doc = three_bus_doc()
+        doc["generators"][0][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gridcert", argv[0], str(bad), *argv[1:],
+             "--out", str(tmp_path / "o")],
+            env=child_env(), capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: agent 1: {message}\n"
 
     def test_usage_error_exit_one(self, capsys):
         code, _, _ = run(capsys, "assess")   # missing grid argument

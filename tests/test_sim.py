@@ -144,6 +144,21 @@ def csv_writer_reference(result):
     return buf.getvalue()
 
 
+def equal_keys(x):
+    """A key function under which every row collides with every other."""
+    return np.zeros(len(x), np.uint64)
+
+
+def result_of_rows(buses, rows, times=None):
+    """A SimResult whose sample k has the (len(buses) * 6,) value row
+    ``rows[k]``: states, then u_local, u_global and d."""
+    n_b = len(buses)
+    t = np.arange(len(rows)) * 0.25 if times is None else times
+    return sim.SimResult(bus_ids=buses, t=t, states=rows[:, :3 * n_b],
+                         u_local=rows[:, 3 * n_b:4 * n_b], u_global=rows[:, 4 * n_b:5 * n_b],
+                         d=rows[:, 5 * n_b:], A_full=None, F_full=None)
+
+
 def repr_texts(x):
     """The text of each row of ``sim._repr_cells``, NUL bytes left out, one
     formatter call per ``CSV_FORMAT_CHUNK`` values."""
@@ -391,7 +406,7 @@ class TestRepeatedStates:
         d = np.tile(rng.standard_normal(2), (1001, 1))
         t = np.arange(d.shape[0]) * h
         calls = []
-        for keys in (sim._keys, lambda x: [0] * len(x)):
+        for keys in (sim._keys, equal_keys):
             with mock.patch.object(sim, "_repeat", wraps=sim._repeat) as repeat, \
                     mock.patch.object(sim, "_keys", keys):
                 got = sim.integrate(A, F, d, t)
@@ -787,7 +802,8 @@ class TestCsv:
     def test_matches_csv_writer_reference(self, data):
         # samples drawn from a small pool, so rows repeat back to back, apart
         # and across block boundaries (the block shrunk to a few rows); a
-        # signed-zero twin must share text and NaN payload twins print nan
+        # signed-zero twin must share text and NaN payload twins print nan;
+        # with every key equal, each row is told apart by its words alone
         buses = data.draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=6, unique=True))
         n_b = len(buses)
         block_rows = data.draw(st.integers(1, 24))
@@ -816,13 +832,48 @@ class TestCsv:
             idx[block] = idx[block - 1]              # a repeat across the first boundary
         rows = np.array(pool)[idx]
         times = np.append(column(2), np.uint64(0x7FF0000000000001).view(np.float64))
-        result = sim.SimResult(
-            bus_ids=buses, t=times[picks(3)], states=rows[:, :3 * n_b],
-            u_local=rows[:, 3 * n_b:4 * n_b], u_global=rows[:, 4 * n_b:5 * n_b],
-            d=rows[:, 5 * n_b:], A_full=None, F_full=None)
-        with mock.patch.object(sim, "CSV_BLOCK_ROWS", block_rows):
+        result = result_of_rows(buses, rows, times[picks(3)])
+        keys = data.draw(st.sampled_from([sim._keys, equal_keys]))
+        with mock.patch.object(sim, "CSV_BLOCK_ROWS", block_rows), \
+                mock.patch.object(sim, "_keys", keys):
             text = csv_text(result)
         assert text == csv_writer_reference(result)
+
+    def test_repeat_across_blocks_reuses_the_previous_block(self):
+        # blocks of two samples A B | B A | A C | B B: a sample of the
+        # previous block is not formatted again, one of two blocks back is
+        a, b, c = (np.full((1, 18), v) for v in (0.5, -0.0, 1e-300))
+        result = result_of_rows([0, 2, 5], np.vstack([a, b, b, a, a, c, b, b]))
+        with mock.patch.object(sim, "CSV_BLOCK_ROWS", 6), \
+                mock.patch.object(sim, "_csv_bodies", wraps=sim._csv_bodies) as bodies:
+            text = csv_text(result)
+        assert text == csv_writer_reference(result)
+        formatted = [call.args[0].reshape(-1, 3, 6)[:, 0, 0].tolist()
+                     for call in bodies.call_args_list]
+        assert formatted == [[0.5, 0.0], [], [1e-300], [0.0]]
+
+    @pytest.mark.parametrize("keys", [sim._keys, equal_keys], ids=["keys", "equal_keys"])
+    def test_nan_payloads_and_signed_zeros_match_reference(self, keys):
+        # rows that differ only in a NaN payload or a zero's sign, within a
+        # block and across its boundary: distinct words, the same text
+        nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000002,
+                         0x7FF0000000000001, 0xFFF0000000000003], np.uint64).view(np.float64)
+        rows = np.zeros((12, 12))
+        rows[1::2, 3] = -0.0
+        rows[:, 7] = nans[np.arange(12) % len(nans)]
+        rows[::3, 0] = -0.0
+        result = result_of_rows([7, 11], rows)
+        for block_rows in (2, 4, 6, 8192):
+            with mock.patch.object(sim, "CSV_BLOCK_ROWS", block_rows), \
+                    mock.patch.object(sim, "_keys", keys):
+                assert csv_text(result) == csv_writer_reference(result)
+
+    def test_default_run_with_equal_keys_matches_reference(self, three_bus, certified):
+        # every key collides: the writer formats more, never a wrong byte
+        out = run_three_bus(three_bus, certified, t_end=3.0)
+        with mock.patch.object(sim, "_keys", equal_keys):
+            text = csv_text(out)
+        assert text == csv_writer_reference(out)
 
     def test_cli_run_with_three_digit_exponents_matches_reference(self, tmp_path):
         # a real run whose values reach 1e300: exponent notation with three
