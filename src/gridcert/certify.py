@@ -277,16 +277,8 @@ def agent_rows(subs, Ks, mts, shares, escalate, variant):
         raise InvalidInput(f"unknown variant {variant!r}")
     if not subs:
         return [], []
-    try:
-        return _rows_stack(subs, Ks, mts, shares, escalate, variant)
-    except GridcertError:
-        for k, sub in enumerate(subs):
-            try:
-                _rows_stack(subs[k:k + 1], Ks[k:k + 1], mts[k:k + 1], shares[k:k + 1],
-                            escalate[k:k + 1], variant)
-            except GridcertError as exc:
-                raise _located(exc, sub.bus)
-        raise
+    return _first_failure(functools.partial(_rows_stack, variant=variant),
+                          [sub.bus for sub in subs], subs, Ks, mts, shares, escalate)
 
 
 def compositional_verdict(reports):
@@ -415,22 +407,24 @@ def design_agents(subsystems, pole_sets):
         return np.empty((0, gridmodel.SUBSYSTEM_ORDER)), []
     A = np.array([s.A_hat for s in subsystems])
     B = np.array([s.B for s in subsystems])
+    return _first_failure(_design_stack, [s.bus for s in subsystems], A, B, pole_sets)
+
+
+def _first_failure(run, buses, *stacks):
+    """``run(*stacks)``, member k of each stack being bus ``buses[k]``'s.
+    When it fails, the first error of a member run alone, in bus order, is
+    raised with ``agent <bus>: `` before its text, its type and attributes
+    kept; else the stack's own error."""
     try:
-        return _design_stack(A, B, pole_sets)
+        return run(*stacks)
     except GridcertError:
-        for k, sub in enumerate(subsystems):
+        for k, bus in enumerate(buses):
             try:
-                _design_stack(A[k:k + 1], B[k:k + 1], pole_sets[k:k + 1])
+                run(*(stack[k:k + 1] for stack in stacks))
             except GridcertError as exc:
-                raise _located(exc, sub.bus)
+                exc.args = (f"agent {bus}: {exc}",)
+                raise
         raise
-
-
-def _located(exc, bus):
-    """``exc`` with ``agent <bus>: `` before its text, its type and
-    attributes kept."""
-    exc.args = (f"agent {bus}: {exc}",)
-    return exc
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Small dense linear-algebra kernels.
 
 Everything here is deterministic and operates on plain ``numpy`` arrays:
-spectral norms, Lyapunov solves, the real block-diagonal modal
+spectral norms, the stacked Lyapunov solve, the real block-diagonal modal
 decomposition and Hurwitz checks.
 Matrices are small (subsystems are order 3, assembled systems order 3N), so
 simplicity wins over asymptotic speed throughout.
@@ -53,40 +53,6 @@ def spectral_norm(A):
     return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
-def solve_lyapunov(A, Q):
-    """Solve the continuous Lyapunov equation ``A^T P + P A = -Q`` for each
-    member of a stack ``(N, n, n)`` in one pass.
-
-    Uses the stacked n^2-dimensional linear system, which is entirely
-    adequate at the orders handled here.  The result is symmetrized before
-    being returned.
-
-    Parameters
-    ----------
-    A : (N, n, n) array_like
-    Q : (n, n) array_like
-        Symmetric positive definite right-hand side, shared by the stack.
-
-    Returns
-    -------
-    (N, n, n) ndarray
-        Symmetric positive definite solution ``P``, one per member.
-
-    Raises
-    ------
-    NoUniqueSolution
-        If some eigenvalue pair of ``A`` sums to zero.
-    CertificateInvalid
-        If the solution is not positive definite, which signals that ``A``
-        is not Hurwitz.
-
-    The error is that of the first check any member fails.
-    """
-    A = _as_matrix(A, "A", stack=True)
-    Q, _ = _lyapunov_rhs(Q, A)
-    return _lyapunov(A, Q, np.linalg.eigvals(A))[0]
-
-
 def _lyapunov_rhs(Q, A):
     """``Q`` checked as the symmetric positive definite right-hand side for
     the stack ``A``, and the eigenvalues of its symmetric part."""
@@ -102,8 +68,13 @@ def _lyapunov_rhs(Q, A):
 
 
 def _lyapunov(A, Q, lam):
-    """:func:`solve_lyapunov` of the checked stack ``A`` with spectrum ``lam``
-    and the checked ``Q``: ``P`` and the eigenvalues of each member."""
+    """``P`` with ``A^T P + P A = -Q`` and its eigenvalues, for each member
+    of the checked stack ``A`` (N, n, n) with spectrum ``lam`` and the
+    checked ``Q`` in one pass: the stacked n^2-dimensional linear system,
+    each ``P`` symmetrized.  Raises :class:`NoUniqueSolution` when an
+    eigenvalue pair sums to zero and :class:`CertificateInvalid` when some
+    ``P`` is not positive definite (``A`` is not Hurwitz), for the first
+    member that fails."""
     n = A.shape[-1]
     scale = np.maximum(1.0, np.abs(lam).max(axis=-1))
     pair_sums = np.abs(lam[:, :, None] + lam[:, None, :])

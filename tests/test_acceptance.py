@@ -261,7 +261,8 @@ def test_a8_lyapunov_solver(rng):
         n = int(rng.integers(2, 7))
         A = random_hurwitz(rng, n)
         Q = random_spd(rng, n)
-        P, = linalg.solve_lyapunov([A], Q)
+        P = certify.certify_decoupled([A], Q)[0].P
+        assert np.array_equal(P, P.T)
         assert np.linalg.eigvalsh(P).min() > 0.0
         rel = np.linalg.norm(A.T @ P + P @ A + Q) / np.linalg.norm(Q)
         worst = max(worst, rel)

@@ -15,6 +15,7 @@ from sampling import (
     assemble_blocks,
     line_block,
     random_grid_tuples,
+    random_hurwitz,
     ring_grid_tuples,
     random_semisimple_hurwitz,
     random_spd,
@@ -39,6 +40,8 @@ class TestCertifyDecoupled:
     def test_hand_eigenvalue(self):
         # largest eigenvalue of [[1.25, .25], [.25, .25]] = (1.5 + sqrt(1.25)) / 2
         cert, = certify.certify_decoupled([[[0.0, 1.0], [-2.0, -3.0]]], np.eye(2))
+        # symmetric 2x2 equation reduces to 3 unknowns; solved by hand
+        assert np.allclose(cert.P, [[1.25, 0.25], [0.25, 0.25]], atol=1e-12)
         assert cert.lambda_max_P == pytest.approx((1.5 + math.sqrt(1.25)) / 2.0)
         assert cert.lambda_max_P == pytest.approx(1.3090, abs=5e-5)
 
@@ -48,8 +51,12 @@ class TestCertifyDecoupled:
         assert exc.value.offending_eigenvalue == pytest.approx(1.0)
 
     def test_stack_equals_members(self, rng):
-        for n in (2, 3):
-            A = np.array([random_semisimple_hurwitz(rng, n)[0] for _ in range(6)])
+        # a stack is certified in one pass, each member bit for bit as a stack of one
+        stacks = [(n, [random_semisimple_hurwitz(rng, n)[0] for _ in range(6)])
+                  for n in (2, 3)]
+        stacks += [(n, [random_hurwitz(rng, n) for _ in range(7)]) for n in (1, 2, 3, 5)]
+        for n, A in stacks:
+            A = np.array(A)
             Q = random_spd(rng, n)
             certs = certify.certify_decoupled(A, Q)
             assert len(certs) == len(A)
@@ -65,6 +72,19 @@ class TestCertifyDecoupled:
                 "^subsystem matrix has eigenvalue 2 with nonnegative real part$")) as exc:
             certify.certify_decoupled(A, np.eye(2))
         assert exc.value.offending_eigenvalue == 2.0
+        # a member whose Lyapunov operator is singular fails the Hurwitz check
+        A[1] = [[0.0, 1.0], [0.0, 0.0]]
+        with pytest.raises(CertificateInvalid, match=(
+                "^subsystem matrix has eigenvalue 0 with nonnegative real part$")) as exc:
+            certify.certify_decoupled(A, np.eye(2))
+        assert exc.value.offending_eigenvalue == 0.0
+
+    def test_rejects_bad_q(self):
+        A = -np.eye(2)[None]
+        with pytest.raises(InvalidInput, match="^Q must be symmetric$"):
+            certify.certify_decoupled(A, [[1.0, 0.5], [0.0, 1.0]])
+        with pytest.raises(InvalidInput, match="^Q must be positive definite$"):
+            certify.certify_decoupled(A, -np.eye(2))
 
 
 class TestBuildS:
@@ -102,8 +122,8 @@ class TestBuildS:
                 sub, gs = subs[rep.agent], res.gains[rep.agent]
                 assert bool(gs.global_) == use_global
                 A_cl = sub.A_hat - np.outer(sub.B, gs.local)
-                P, = linalg.solve_lyapunov([A_cl], np.eye(3))
-                lmax = np.linalg.eigvalsh(P).max()
+                cert, = certify.certify_decoupled([A_cl], np.eye(3))
+                lmax = np.linalg.eigvalsh(cert.P).max()
                 assert rep.diagonal == pytest.approx(1.0)
                 for j, val in rep.offdiag.items():
                     block = line_block(sub.couplings[j]) - np.outer(
@@ -231,7 +251,7 @@ class TestTransformedCertificate:
         best = 2.0 * mt.sigma_M
         for _ in range(50):
             Q = random_spd(rng, 3)
-            P, = linalg.solve_lyapunov([mt.Lam], Q)
+            P = certify.certify_decoupled([mt.Lam], Q)[0].P
             ratio = np.linalg.eigvalsh(Q).min() / np.linalg.eigvalsh(P).max()
             assert ratio <= best + 1e-8
 

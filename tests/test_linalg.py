@@ -11,13 +11,11 @@ from gridcert.errors import (
     NoUniqueSolution,
     NotSemiSimple,
 )
-from sampling import random_hurwitz, random_spd
+from sampling import random_hurwitz
 
 # each stacked kernel, called with ``A`` in the place of its stack, and the
 # message that refuses an input of the wrong rank
 STACK_KERNELS = {
-    "solve_lyapunov": (lambda A: linalg.solve_lyapunov(A, np.eye(3)),
-                       "A must be a stack (N, n, n)"),
     "modal_decompose": (linalg.modal_decompose, "A must be a stack (N, n, n)"),
     "certify_decoupled": (lambda A: certify.certify_decoupled(A, np.eye(3)),
                           "A must be a stack (N, n, n)"),
@@ -96,60 +94,19 @@ class TestSpectralNorm:
 
 
 class TestSolveLyapunov:
-    def test_identity_case(self):
-        P, = linalg.solve_lyapunov([-np.eye(2)], 2.0 * np.eye(2))
-        assert np.allclose(P, np.eye(2), atol=1e-12)
-
-    def test_hand_solved_2x2(self):
-        # symmetric 2x2 equation reduces to 3 unknowns; solved by hand
-        A = np.array([[0.0, 1.0], [-2.0, -3.0]])
-        P, = linalg.solve_lyapunov([A], np.eye(2))
-        assert np.allclose(P, [[1.25, 0.25], [0.25, 0.25]], atol=1e-12)
+    """The stacked solve ``_lyapunov`` behind ``certify_decoupled``, whose
+    Hurwitz check fails first on every input that reaches these errors."""
 
     def test_singular_operator(self):
+        A = np.array([[[0.0, 1.0], [0.0, 0.0]]])
         with pytest.raises(NoUniqueSolution):
-            linalg.solve_lyapunov([[[0.0, 1.0], [0.0, 0.0]]], np.eye(2))
+            linalg._lyapunov(A, np.eye(2), np.linalg.eigvals(A))
 
     def test_not_hurwitz_flagged(self):
-        with pytest.raises(CertificateInvalid):
-            linalg.solve_lyapunov([np.eye(2)], np.eye(2))
-
-    def test_rejects_bad_q(self):
-        A = -np.eye(2)[None]
-        with pytest.raises(InvalidInput):
-            linalg.solve_lyapunov(A, [[1.0, 0.5], [0.0, 1.0]])
-        with pytest.raises(InvalidInput):
-            linalg.solve_lyapunov(A, -np.eye(2))
-
-    def test_roundtrip_property(self, rng):
-        for _ in range(50):
-            n = int(rng.integers(2, 7))
-            A = random_hurwitz(rng, n)
-            Q = random_spd(rng, n)
-            P, = linalg.solve_lyapunov([A], Q)
-            assert np.allclose(P, P.T, atol=0.0)
-            assert np.linalg.eigvalsh(P).min() > 0.0
-            resid = np.linalg.norm(A.T @ P + P @ A + Q)
-            assert resid <= 1e-9 * np.linalg.norm(Q)
-
-    def test_stack_equals_members(self, rng):
-        # a stack is solved in one pass, each member bit for bit as a stack of one
-        for n in (1, 2, 3, 5):
-            A = np.array([random_hurwitz(rng, n) for _ in range(7)])
-            Q = random_spd(rng, n)
-            P = linalg.solve_lyapunov(A, Q)
-            assert P.shape == (7, n, n)
-            for a, p in zip(A, P):
-                assert np.array_equal(p, linalg.solve_lyapunov(a[None], Q)[0])
-
-    def test_stack_error_is_first_failing_member(self):
-        A = np.array([-np.eye(2), np.diag([2.0, -1.0]), np.diag([3.0, -1.0])])
+        A = np.array([-np.eye(2), np.eye(2)])
         with pytest.raises(CertificateInvalid) as exc:
-            linalg.solve_lyapunov(A, np.eye(2))
-        assert exc.value.offending_eigenvalue == 2.0
-        A[1] = [[0.0, 1.0], [0.0, 0.0]]
-        with pytest.raises(NoUniqueSolution):
-            linalg.solve_lyapunov(A, np.eye(2))
+            linalg._lyapunov(A, np.eye(2), np.linalg.eigvals(A))
+        assert exc.value.offending_eigenvalue == 1.0
 
 
 class TestModalDecompose:
