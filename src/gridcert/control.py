@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Degenerate, InvalidInput, Uncontrollable, Unsupported
+from .errors import Degenerate, InvalidInput, Uncontrollable
 from .linalg import ModalTransform, _as_matrix
 
 __all__ = ["GainSet", "ModalTransform", "pole_place", "optimal_global_gain"]
@@ -37,10 +37,6 @@ def _as_column(v, n, name, N):
     if np.iscomplexobj(v):
         raise InvalidInput(f"{name} must be real-valued")
     v = v.astype(float, copy=False)
-    if v.ndim == 3:
-        if 1 not in v.shape[-2:]:
-            raise Unsupported(f"{name} must be a single column, got shape {v.shape}")
-        v = v.reshape(len(v), -1)
     if v.shape != (N, n):
         raise InvalidInput(f"{name} must have shape ({N}, {n}), got shape {v.shape}")
     if not np.isfinite(v).all():

@@ -41,10 +41,6 @@ class Uncontrollable(GridcertError):
     """The controllability matrix of (A, B) is rank deficient."""
 
 
-class Unsupported(GridcertError):
-    """The request falls outside the supported problem class."""
-
-
 class Degenerate(GridcertError):
     """A required quantity vanishes (e.g. zero input column)."""
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +29,7 @@ SETTLE_BLOCK = 65536     # state values per block of settling_time; bounds its t
 CSV_HEADER = ["t", "bus", "delta_rad", "omega_rad_s", "Pm_pu", "ul_pu", "ug_pu", "d_pu"]
 CSV_BLOCK_ROWS = 8192   # rows formatted per write; bounds the transient text
 CSV_FORMAT_CHUNK = 8190  # values per call of the number formatter (whole rows); bounds its arrays
-REPEAT_CHUNK = 256      # RK4 steps between two state compares, and the shortest run compared
+REPEAT_CHUNK = 256      # the most RK4 steps between two state compares
 
 
 @dataclass
@@ -466,11 +465,8 @@ def integrate(A, F, d, t, x0=None):
     followed by the same states as the earlier one: the rest of the run is
     periodic and is copied, not stepped (the zeros before a load step, a
     settled rounding cycle).  The history is byte for byte that of
-    stepping every sample.  A run of at least ``REPEAT_CHUNK`` steps is
-    stepped at most ``REPEAT_CHUNK - 1`` steps past its first repeat
-    (:func:`_step_run`); a shorter one is stepped without lookups, which
-    would cost more there than its repeats save (an input that changes
-    every step is stepped at the cost of the plain loop).
+    stepping every sample.  Every run is stepped at most
+    ``REPEAT_CHUNK - 1`` steps past its first repeat (:func:`_step_run`).
     """
     A = np.asarray(A, dtype=float)
     F = np.asarray(F, dtype=float)
@@ -492,15 +488,10 @@ def integrate(A, F, d, t, x0=None):
     del hPF                                           # the steps hold M, g and the history
     bits = g.view(np.uint64)
     starts = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1
-    bounds = np.concatenate([[0], starts, [t.size - 1]])
-    long = np.diff(bounds) >= REPEAT_CHUNK
-    k = 0
+    bounds = np.concatenate([[0], starts, [t.size - 1]]).tolist()
     with np.errstate(over="ignore", invalid="ignore"):   # divergence is detected below
-        for s, e in zip(bounds[:-1][long].tolist(), bounds[1:][long].tolist()):
-            _step(M, g, states, k, s)
+        for s, e in zip(bounds[:-1], bounds[1:]):
             _step_run(M, g, states, s, e)
-            k = e
-        _step(M, g, states, k, t.size - 1)
     # one check after the loop: the first non-finite row is where a check
     # after every step would have stopped
     bad = np.flatnonzero(~np.isfinite(states[1:]).all(axis=1))
@@ -579,13 +570,13 @@ def _repeat(states, a, b, period):
     states[a + q * period:b] = states[a - period:a - period + rest]
 
 
-def simulate(A_full, F_full, config, bus_ids, gains, eigenvalues=None):
+def simulate(A_full, F_full, config, bus_ids, gains, eigenvalues):
     """Integrate the assembled system under the configured load steps.
 
     Parameters
     ----------
     A_full : (3N, 3N) array_like
-        Closed-loop system matrix (a Hurwitz matrix is recommended).
+        Closed-loop system matrix; a non-Hurwitz one is integrated as given.
     F_full : (3N, N) array_like
         Stacked disturbance columns.
     config : SimConfig
@@ -594,9 +585,8 @@ def simulate(A_full, F_full, config, bus_ids, gains, eigenvalues=None):
     gains : dict
         Bus id -> GainSet for reconstructing the local and global control
         series; a bus without one has zero series (``{}`` for the open loop).
-    eigenvalues : array_like, optional
-        The spectrum of ``A_full`` when the caller has computed it; it is
-        computed here otherwise, with the same results.
+    eigenvalues : array_like
+        The spectrum of ``A_full``, for the step-size check.
 
     Raises
     ------
@@ -616,11 +606,8 @@ def simulate(A_full, F_full, config, bus_ids, gains, eigenvalues=None):
     if F.shape != (n, len(bus_ids)):
         raise InvalidInput(f"F_full must be ({n}, {len(bus_ids)}), got {F.shape}")
 
-    lam = np.linalg.eigvals(A) if eigenvalues is None else np.asarray(eigenvalues)
-    if lam.real.max() >= 0.0:
-        warnings.warn("system matrix is not Hurwitz; trajectories may diverge",
-                      stacklevel=2)
-    else:
+    lam = np.asarray(eigenvalues)
+    if lam.real.max() < 0.0:
         rho = rk4_radius(lam, config.dt)
         if rho > 1.0:
             raise InvalidInput(

@@ -214,7 +214,8 @@ def test_a5_simulation_equilibrium(grid, global_assessment):
     config = sim.SimConfig(t_end=10.0, dt=1e-3, disturbances=grid.disturbances)
     F = gridmodel.disturbance_matrix(global_assessment.subsystems)
     out = sim.simulate(global_assessment.A_full, F, config, grid.bus_ids,
-                       gains=global_assessment.gains)
+                       gains=global_assessment.gains,
+                       eigenvalues=np.linalg.eigvals(global_assessment.A_full))
     omega_worst = max(abs(out.omega(b)[-1]) for b in grid.bus_ids)
     balance = abs(float(out.states[-1, 2::3].sum()) - 0.1)
     ok = omega_worst < 1e-6 and balance < 1e-6

@@ -378,7 +378,7 @@ class TestSimulate:
         code, out, err = run(capsys, "simulate", unstable_grid, "--no-global",
                              "--t-end", "0.2", "--force", "--out", str(tmp_path / "o2"))
         assert code == 0
-        assert "warning" in err
+        assert err == "warning: assembled closed loop is not Hurwitz\n"
 
     def test_diverged_exit_code(self, capsys, tmp_path, unstable_grid):
         code, _, err = run(capsys, "simulate", unstable_grid, "--no-global",

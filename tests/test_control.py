@@ -8,7 +8,6 @@ from gridcert.errors import (
     InvalidInput,
     NotSemiSimple,
     Uncontrollable,
-    Unsupported,
 )
 from sampling import line_block, random_hurwitz
 
@@ -61,7 +60,7 @@ class TestPolePlace:
             control.pole_place([np.diag([-1.0, -2.0])], [[1.0, 0.0]], [[-3.0, -4.0]])
 
     def test_multi_input_unsupported(self):
-        with pytest.raises(Unsupported):
+        with pytest.raises(InvalidInput, match=r"B must have shape \(1, 2\), got"):
             control.pole_place(np.zeros((1, 2, 2)), [np.eye(2)], [[-1.0, -2.0]])
 
     def test_pole_validation(self):
