@@ -30,6 +30,7 @@ CSV_HEADER = ["t", "bus", "delta_rad", "omega_rad_s", "Pm_pu", "ul_pu", "ug_pu",
 CSV_BLOCK_ROWS = 8192   # rows formatted per write; bounds the transient text
 CSV_FORMAT_CHUNK = 8190  # values per call of the number formatter (whole rows); bounds its arrays
 REPEAT_CHUNK = 256      # the most RK4 steps between two state compares
+SPARSE_FILL = 0.008     # A's nonzeros per entry below which RK4 steps the nonzeros, not M
 
 
 @dataclass
@@ -114,8 +115,8 @@ class SimResult:
         text is kept until this block is written); a row that differs (a key
         collision) is formatted as its own.  The block's text is one join of
         time texts and row bodies gathered by array indexing; the text of
-        the numbers comes from :func:`_repr_cells`,
-        ``CSV_FORMAT_CHUNK`` values at a time."""
+        the numbers comes from :func:`_repr_cells`, ``CSV_FORMAT_CHUNK``
+        values at a time (a chunk of times spans blocks)."""
         n_b = len(self.bus_ids)
         fh.write(",".join(CSV_HEADER) + "\r\n")
         prefixes = [f",{bus}," for bus in self.bus_ids]
@@ -125,13 +126,16 @@ class SimResult:
         block = max(1, CSV_BLOCK_ROWS // n_b)
         # the previous block's first row of each key: the keys (sorted), words and bodies
         kept_keys, kept_words, kept_bodies = np.empty(0, np.uint64), None, None
+        times, formatted = "", 0                     # the time texts not yet written
         for k in range(0, self.t.size, block):
             ks = slice(k, k + block)
+            while formatted < min(k + block, self.t.size):   # a chunk of times spans blocks
+                times += _csv_times(self.t[formatted:formatted + CSV_FORMAT_CHUNK])
+                formatted += CSV_FORMAT_CHUNK
             vals = np.dstack([self.states[ks].reshape(-1, n_b, 3),
                               self.u_local[ks], self.u_global[ks], self.d[ks]])
             with np.errstate(invalid="ignore"):      # a signalling NaN still prints nan
                 vals += 0.0                          # normalizes -0.0
-                times = self.t[ks] + 0.0
             words = vals.reshape(len(vals), -1).view(np.uint64)
             row_keys = _keys(words)
             keys, first, inverse = np.unique(row_keys, return_index=True, return_inverse=True)
@@ -149,7 +153,8 @@ class SimResult:
                                    object).reshape(-1, n_b)
             kept_keys, kept_words, kept_bodies = keys, words[first], bodies[rank[first]]
             parts = np.empty((len(vals), n_b, 2), object)   # (time, body) of each row
-            parts[:, :, 0] = np.array(_csv_times(times), object)[:, None]
+            *texts, times = times.split("\n", len(vals))
+            parts[:, :, 0] = np.array(texts, object)[:, None]
             parts[:, :, 1] = bodies[rank]
             fh.write("".join(parts.ravel().tolist()))
 
@@ -171,13 +176,11 @@ def _csv_bodies(values, prefixes):
 
 
 def _csv_times(t):
-    """``repr`` of each sample time, as a list."""
-    texts = []
-    for r in range(0, t.size, CSV_FORMAT_CHUNK):
-        cells = _repr_cells(t[r:r + CSV_FORMAT_CHUNK])
-        cells[:, -1] = ord("\n")
-        texts += _ascii(cells).splitlines()
-    return texts
+    """``repr`` of each sample time, ``-0.0`` as ``0.0``, each ended by ``\\n``."""
+    with np.errstate(invalid="ignore"):              # a signalling NaN still prints nan
+        cells = _repr_cells(t + 0.0)
+    cells[:, -1] = ord("\n")
+    return _ascii(cells)
 
 
 def _ascii(cells):
@@ -449,13 +452,17 @@ def integrate(A, F, d, t, x0=None):
     """Classical RK4 for ``xdot = A x + F d(t)`` with zero-order-hold input.
 
     ``d`` has one row per time sample; row k is held constant over the
-    step starting at ``t[k]``.  ``t`` must be uniform with step ``h``: one
-    RK4 step is then the affine map ``x <- M x + g[k]`` with
-    ``g[k] = h P F d[k]``, ``P = I + hA/2 + (hA)^2/6 + (hA)^3/24`` and
+    step starting at ``t[k]``.  ``t`` must be uniform with step ``h``.
+    The step is chosen once, from A's order n and nonzero count.  With at
+    least ``SPARSE_FILL * n * n`` nonzeros (every dense A) one RK4 step is
+    ``x <- M x + g[k]``, ``g[k] = h P F d[k]``, ``P = I + hA/2 + (hA)^2/6 + (hA)^3/24`` and
     ``M = I + hA P``, built once in at most three n x n arrays besides
     ``A`` (:func:`_propagator`) before the history is allocated, and
     ``g`` after it, from ``hP F``, which is then dropped: the steps hold
-    ``M``, ``g`` and the history.
+    ``M``, ``g`` and the history.  With fewer (a large grid's closed loop)
+    it is the four stages on A's nonzeros, one sparse product each, with
+    ``g[k] = F d[k]`` (:func:`_step`): no n x n array is built, and the
+    states differ from the propagator's in their last bits.
     Returns the (len(t), n) state history; a history with a non-finite
     state raises :class:`DivergedSimulation` naming its first such sample.
 
@@ -477,15 +484,18 @@ def integrate(A, F, d, t, x0=None):
         tol = 8 * np.finfo(float).eps * np.abs(t).max()   # rounding of sample times of size |t|
         if not (h > 0.0 and np.abs(np.diff(t) - h).max() <= tol):
             raise InvalidInput("time grid must be uniform and increasing")
-        if n:
-            M, hPF = _propagator(A, F, h)
+        if np.count_nonzero(A) < SPARSE_FILL * n * n:
+            rows, cols = np.nonzero(A)
+            M, G = (rows, cols, A[rows, cols], h), F
+        elif n:
+            M, G = _propagator(A, F, h)
     states = np.zeros((t.size, n))                    # after the build's temporaries are freed
     if x0 is not None:
         states[0] = x0
     if t.size < 2 or n == 0:
         return states                                 # no step to take
-    g = d[:-1] @ hPF.T
-    del hPF                                           # the steps hold M, g and the history
+    g = d[:-1] @ G.T
+    del G                                             # the steps hold M, g and the history
     bits = g.view(np.uint64)
     starts = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1
     bounds = np.concatenate([[0], starts, [t.size - 1]]).tolist()
@@ -527,10 +537,24 @@ def _add_eye(Z, c):
 
 
 def _step(M, g, states, a, b):
-    """Step ``states[a]`` to ``states[b]``, one matvec per step."""
-    for x, y, gk in zip(states[a:b], states[a + 1:b + 1], g[a:b]):
-        M.dot(x, out=y)
-        y += gk
+    """Step ``states[a]`` to ``states[b]``: one matvec per step by a dense
+    propagator ``M``, or, for ``M = (rows, cols, vals, h)`` (A's nonzeros and
+    the step) and ``g[k] = F d[k]``, the stages ``k1..k4`` of classical RK4,
+    each one product by the nonzeros."""
+    if isinstance(M, np.ndarray):
+        for x, y, gk in zip(states[a:b], states[a + 1:b + 1], g[a:b]):
+            M.dot(x, out=y)
+            y += gk
+        return
+    rows, cols, vals, h = M
+    for x, y, f in zip(states[a:b], states[a + 1:b + 1], g[a:b]):
+        z, y[:] = x, 0.0
+        for c, w in ((0.5 * h, 1.0), (0.5 * h, 2.0), (h, 2.0), (0.0, 1.0)):
+            k = np.bincount(rows, vals * z[cols], len(x)) + f
+            y += w * k                                # k1 + 2 k2 + 2 k3 + k4
+            z = x + c * k
+        y *= h / 6.0
+        y += x
 
 
 def _step_run(M, g, states, s, e):

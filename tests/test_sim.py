@@ -547,6 +547,83 @@ class TestPropagatorBuild:
         assert settle_peak <= 8 * sim.SETTLE_BLOCK + slack
 
 
+def sparse_ring(rng, buses=200):
+    """A ring grid's closed loop with global gains, past ``sim.SPARSE_FILL``,
+    and its disturbance columns."""
+    res = certify.assess_grid(make_grid(*ring_grid_tuples(rng, buses)), use_global=True)
+    A = res.A_full
+    assert np.count_nonzero(A) < sim.SPARSE_FILL * A.size
+    return A, gridmodel.disturbance_matrix(res.subsystems)
+
+
+def stages_every_sample(A, F, d, t, x0=None):
+    """Reference: every sample stepped by the sparse stages of ``sim._step``,
+    with no repeat lookup; it returns the history without checking it."""
+    states = np.zeros((t.size, A.shape[0]))
+    if x0 is not None:
+        states[0] = x0
+    rows, cols = np.nonzero(A)
+    M = (rows, cols, A[rows, cols], (t[-1] - t[0]) / (t.size - 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sim._step(M, d[:-1] @ F.T, states, 0, t.size - 1)
+    return states
+
+
+class TestSparseStep:
+    """Closed loops with fewer than ``SPARSE_FILL`` nonzeros per entry take
+    the RK4 stages on A's nonzeros, no propagator: the stage-by-stage
+    scheme to rounding, the repeat lookup exact, the same divergence; a
+    dense A of any order keeps the propagator's bits."""
+
+    def test_matches_stages_on_a_ring_grid(self, rng):
+        A, F = sparse_ring(rng)
+        t = np.arange(1001) * 1e-3
+        d = load_steps(rng, t.size, F.shape[1])
+        x0 = 1e-3 * rng.standard_normal(A.shape[0])
+        with mock.patch.object(sim, "_propagator", wraps=sim._propagator) as build:
+            got = sim.integrate(A, F, d, t, x0=x0)
+        assert not build.called
+        want = rk4_stages(A, F, d, t, x0=x0)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_history_with_load_steps_is_that_of_stepping_every_sample(self, rng):
+        A, F = sparse_ring(rng)
+        t = np.arange(3001) * 1e-3
+        d = np.zeros((t.size, F.shape[1]))
+        d[500:, :3] = rng.standard_normal(3)            # zeros first: a repeat to copy
+        d[1700:, 5] = rng.standard_normal()
+        with mock.patch.object(sim, "_repeat", wraps=sim._repeat) as repeat, \
+                mock.patch.object(sim, "_step", wraps=sim._step) as step:
+            got, err = integrate_history(A, F, d, t)
+        assert err is None
+        assert repeat.called
+        assert matvecs(step) < t.size - 1
+        assert got.tobytes() == stages_every_sample(A, F, d, t).tobytes()
+
+    def test_same_divergence_step(self, rng):
+        # a step outside the stability region: the state overflows in a few steps
+        A, F = sparse_ring(rng)
+        t = np.arange(501) * 0.3
+        d = np.zeros((t.size, F.shape[1]))
+        d[:, 0] = 0.1
+        with pytest.raises(DivergedSimulation) as want:
+            rk4_stages(A, F, d, t)
+        with pytest.raises(DivergedSimulation) as got:
+            sim.integrate(A, F, d, t)
+        assert got.value.time == want.value.time
+        assert str(got.value) == str(want.value)
+
+    def test_dense_matrix_of_a_sparse_ring_order_keeps_the_propagator(self, rng):
+        n = 600                                          # sparse_ring's order
+        A = random_hurwitz(rng, n)
+        F = rng.standard_normal((n, 2))
+        t = np.arange(201) * 1e-2
+        d = load_steps(rng, t.size, 2)
+        got, err = integrate_history(A, F, d, t)
+        assert err is None
+        assert got.tobytes() == step_every_sample(A, F, d, t).tobytes()
+
+
 class TestStepSizeCheck:
     def test_unstable_dt_rejected_with_a_passing_dt(self, three_bus, certified):
         res, _ = certified
@@ -954,6 +1031,16 @@ class TestCsv:
         assert sum(sizes) > sim.CSV_FORMAT_CHUNK      # one block, several calls
         assert max(sizes) <= sim.CSV_FORMAT_CHUNK
 
+
+    def test_times_are_formatted_in_chunks_that_span_blocks(self, three_bus, certified):
+        # 101 blocks of 100 samples; their times in two calls of the formatter
+        out = run_three_bus(three_bus, certified)
+        with mock.patch.object(sim, "CSV_BLOCK_ROWS", 300), \
+                mock.patch.object(sim, "_csv_times", wraps=sim._csv_times) as times:
+            text = csv_text(out)
+        assert text == csv_writer_reference(out)
+        sizes = [c.args[0].size for c in times.call_args_list if c.args[0].size]
+        assert sizes == [sim.CSV_FORMAT_CHUNK, out.t.size - sim.CSV_FORMAT_CHUNK]
 
 class TestReprCells:
     """``sim._repr_cells`` against ``repr``, value by value."""
