@@ -10,11 +10,10 @@ negative verdict is "inconclusive", never "unstable".
 Two variants exist: the original-coordinates matrix (diagonal
 ``lambda_min(Q_i)``, off-diagonal ``-2 lambda_max(P_i) ||A_ij||``) and the
 relaxed transformed variant in modal coordinates (diagonal ``sigma_M_i``,
-off-diagonal ``-||At_ij||``).  :func:`build_S` and :func:`build_S_tilde`
-form either matrix from arbitrary blocks.  :func:`agent_rows` evaluates
-the rows of many agents of a designed grid in one stacked pass, where every
-line coupling is rank one, each row from the line strengths, the agent's
-own factor and its neighbors' :func:`share`; the centralized
+off-diagonal ``-||At_ij||``).  :func:`agent_rows` evaluates the rows of
+many agents of a designed grid in one stacked pass, where every line
+coupling is rank one, each row from the line strengths, the agent's own
+factor and its neighbors' :func:`share`; the centralized
 :func:`assess_grid` and the protocol rounds both go through it.
 """
 
@@ -43,7 +42,6 @@ from .linalg import (
     _norms,
     is_hurwitz,
     modal_decompose,
-    spectral_norm,
 )
 
 STABLE = "stable"
@@ -122,74 +120,6 @@ def certify_decoupled(A, Q):
             for p, lmax in zip(P, lam_P.max(axis=-1))]
 
 
-def _require_hurwitz(mt, where=""):
-    if mt.sigma_M <= 0:
-        raise CertificateInvalid(
-            f"{where}modal form is not Hurwitz",
-            offending_eigenvalue=-mt.sigma_M,
-        )
-
-
-def _row(agent, diagonal, own, strengths, variant, nbr=None):
-    """Row whose off-diagonal magnitude for neighbor j is
-    ``own * strengths[j] * nbr[j]``: the receiving agent's own factor, the
-    coupling strength, and the neighbor's factor (1 when ``nbr`` is None)."""
-    nbr = dict.fromkeys(strengths, 1.0) if nbr is None else nbr
-    return ConditionReport(
-        agent=agent, diagonal=diagonal,
-        offdiag={j: own * strength * nbr[j] for j, strength in strengths.items()},
-        variant=variant)
-
-
-def _norms_by_agent(agents, couplings):
-    """Spectral norms of ``(i, j) -> block`` couplings, grouped by the
-    receiving agent i."""
-    norms = {}
-    for (i, j), block in couplings.items():
-        if i not in agents or j not in agents:
-            raise InvalidInput(f"coupling ({i}, {j}) references unknown agent")
-        norms.setdefault(i, {})[j] = spectral_norm(block)
-    return norms
-
-
-def _matrix(reports):
-    index = {r.agent: k for k, r in enumerate(reports)}
-    S = np.diag([float(r.diagonal) for r in reports])
-    for r in reports:
-        for j, v in r.offdiag.items():
-            S[index[r.agent], index[j]] = -v
-    return S
-
-
-def build_S(certificates, couplings):
-    """Original-coordinates test matrix and per-agent reports.
-
-    ``certificates`` maps agent id to :class:`LyapunovCertificate`;
-    ``couplings`` maps ordered pairs ``(i, j)`` to the closed-loop block
-    ``A_ij`` through which neighbor j drives agent i.
-    """
-    norms = _norms_by_agent(certificates, couplings)
-    reports = [_row(a, c.lambda_min_Q, 2.0 * c.lambda_max_P, norms.get(a, {}),
-                    VARIANT_ORIGINAL)
-               for a, c in sorted(certificates.items())]
-    return _matrix(reports), reports
-
-
-def build_S_tilde(transforms, couplings_t):
-    """Transformed-coordinates test matrix and per-agent reports.
-
-    ``transforms`` maps agent id to :class:`ModalTransform` (all must be
-    Hurwitz); ``couplings_t`` maps ordered pairs ``(i, j)`` to the
-    closed-loop transformed block ``At_ij``.
-    """
-    for a, mt in sorted(transforms.items()):
-        _require_hurwitz(mt, f"agent {a}: ")
-    norms = _norms_by_agent(transforms, couplings_t)
-    reports = [_row(a, mt.sigma_M, 1.0, norms.get(a, {}), VARIANT_TRANSFORMED)
-               for a, mt in sorted(transforms.items())]
-    return _matrix(reports), reports
-
-
 def share(T):
     """What each agent of a stack sends its neighbors: ``beta = ||e1^T T||``
     of its modal transform ``T``, the one number of ``T`` a neighbor's row
@@ -203,7 +133,9 @@ def _rows_stack(subs, Ks, mts, shares, escalate, variant):
     """The rows of a stack of agents.  An error says that some agent fails,
     not which: :func:`agent_rows` finds it."""
     for mt in mts:
-        _require_hurwitz(mt)
+        if mt.sigma_M <= 0:
+            raise CertificateInvalid("modal form is not Hurwitz",
+                                     offending_eigenvalue=-mt.sigma_M)
     transformed = variant == VARIANT_TRANSFORMED
     esc = np.array(escalate, dtype=bool)
     B = np.array([sub.B for sub in subs])
@@ -231,14 +163,16 @@ def _rows_stack(subs, Ks, mts, shares, escalate, variant):
         lambda_max_P = np.array([c.lambda_max_P for c in certs])
         own = 2.0 * lambda_max_P * _norms(e2 - s[:, None] * B)[:, 0]
         diagonal = [c.lambda_min_Q for c in certs]
-        nbrs = [None] * len(subs)
+        nbrs = [dict.fromkeys(sub.couplings, 1.0) for sub in subs]   # no share: a factor of 1
 
     reports, globals_ = [], []
     for sub, d, o, sk, e, nbr in zip(subs, diagonal, own.tolist(), s.tolist(), esc, nbrs):
         c = sub.couplings
         globals_.append({j: np.array([c[j] * sk, 0.0, 0.0]) for j in c} if e else {})
-        strengths = {j: abs(cj) for j, cj in c.items()}
-        reports.append(_row(sub.bus, d, o, strengths, variant, nbr))
+        # own factor, coupling strength, neighbor's factor
+        reports.append(ConditionReport(
+            agent=sub.bus, diagonal=d, variant=variant,
+            offdiag={j: o * abs(cj) * nbr[j] for j, cj in c.items()}))
     return reports, globals_
 
 

@@ -1,8 +1,8 @@
 """Small dense linear-algebra kernels.
 
 Everything here is deterministic and operates on plain ``numpy`` arrays:
-spectral norms, the stacked Lyapunov solve, the real block-diagonal modal
-decomposition and Hurwitz checks.
+the stacked Lyapunov solve, the real block-diagonal modal decomposition
+and Hurwitz checks.
 Matrices are small (subsystems are order 3, assembled systems order 3N), so
 simplicity wins over asymptotic speed throughout.
 """
@@ -45,12 +45,6 @@ def _as_matrix(A, name="matrix", square=True, stack=False):
     if not np.isfinite(A).all():
         raise InvalidInput(f"{name} has non-finite entries")
     return A
-
-
-def spectral_norm(A):
-    """Largest singular value of ``A`` (rectangular allowed)."""
-    A = _as_matrix(A, "A", square=False)
-    return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
 def _lyapunov_rhs(Q, A):

@@ -1,4 +1,5 @@
-"""Random-system generators shared by the property and acceptance tests."""
+"""Random-system generators shared by the property and acceptance tests,
+and the reference row conditions on arbitrary coupling blocks."""
 
 import numpy as np
 
@@ -55,6 +56,35 @@ def assemble_blocks(orders, diag_blocks, couplings):
     for (i, j), blk in couplings.items():
         A[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = blk
     return A
+
+
+def _rows(diagonal, own, couplings, variant):
+    """One report per agent, in id order: diagonal ``diagonal[i]`` and, for
+    each block ``couplings[(i, j)]``, the off-diagonal magnitude
+    ``own[i] * ||block||_2``."""
+    offdiag = {i: {} for i in diagonal}
+    for (i, j), block in couplings.items():
+        offdiag[i][j] = own[i] * np.linalg.norm(block, 2)
+    return [certify.ConditionReport(agent=i, diagonal=d, offdiag=offdiag[i], variant=variant)
+            for i, d in sorted(diagonal.items())]
+
+
+def build_S(certs, couplings):
+    """Reference original-coordinates rows on arbitrary blocks: agent i with
+    certificate ``certs[i]`` has diagonal ``lambda_min(Q_i)`` and, for the
+    block ``couplings[(i, j)] = A_ij`` through which j drives it, the entry
+    ``2 lambda_max(P_i) ||A_ij||``."""
+    return _rows({i: c.lambda_min_Q for i, c in certs.items()},
+                 {i: 2.0 * c.lambda_max_P for i, c in certs.items()},
+                 couplings, certify.VARIANT_ORIGINAL)
+
+
+def build_S_tilde(transforms, couplings_t):
+    """Reference transformed rows on arbitrary blocks: agent i with modal
+    form ``transforms[i]`` has diagonal ``sigma_M_i`` and, for the modal
+    block ``couplings_t[(i, j)] = At_ij``, the entry ``||At_ij||``."""
+    return _rows({i: mt.sigma_M for i, mt in transforms.items()},
+                 dict.fromkeys(transforms, 1.0), couplings_t, certify.VARIANT_TRANSFORMED)
 
 
 def sample_met_original(rng):

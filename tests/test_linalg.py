@@ -52,47 +52,6 @@ class TestEigenvalues:
             linalg.is_hurwitz(np.eye(2) * (1 + 1j))
 
 
-class TestSpectralNorm:
-    def test_identity(self):
-        assert linalg.spectral_norm(np.eye(3)) == pytest.approx(1.0)
-
-    def test_rank_one_single_entry(self):
-        C = np.zeros((3, 3))
-        C[1, 0] = -7.5
-        assert linalg.spectral_norm(C) == pytest.approx(7.5)
-
-    def test_diagonal(self):
-        assert linalg.spectral_norm(np.diag([3.0, -4.0])) == pytest.approx(4.0)
-
-    def test_rectangular(self):
-        assert linalg.spectral_norm([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]) == pytest.approx(2.0)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(InvalidInput):
-            linalg.spectral_norm([[np.inf]])
-
-    def test_permutation_signflip_invariance(self, rng):
-        A = rng.standard_normal((4, 4))
-        base = linalg.spectral_norm(A)
-        for _ in range(20):
-            P = np.eye(4)[rng.permutation(4)]
-            S = np.diag(rng.choice([-1.0, 1.0], size=4))
-            for M in (P @ S @ A, A @ P @ S, P @ A @ S):
-                assert abs(linalg.spectral_norm(M) - base) <= 1e-12 * max(1.0, base)
-
-    def test_random_unit_vector_bound(self, rng):
-        A = rng.standard_normal((3, 3))
-        sigma = linalg.spectral_norm(A)
-        best = 0.0
-        for _ in range(1000):
-            v = rng.standard_normal(3)
-            v /= np.linalg.norm(v)
-            nv = np.linalg.norm(A @ v)
-            assert nv <= sigma * (1.0 + 1e-12)
-            best = max(best, nv)
-        assert best >= 0.99 * sigma
-
-
 class TestSolveLyapunov:
     """The stacked solve ``_lyapunov`` behind ``certify_decoupled``, whose
     Hurwitz check fails first on every input that reaches these errors."""

@@ -572,8 +572,9 @@ def stages_every_sample(A, F, d, t, x0=None):
 class TestSparseStep:
     """Closed loops with fewer than ``SPARSE_FILL`` nonzeros per entry take
     the RK4 stages on A's nonzeros, no propagator: the stage-by-stage
-    scheme to rounding, the repeat lookup exact, the same divergence; a
-    dense A of any order keeps the propagator's bits."""
+    scheme to rounding, the repeat lookup exact, the same divergence, a
+    working set with no n x n array; a dense A of any order keeps the
+    propagator's bits."""
 
     def test_matches_stages_on_a_ring_grid(self, rng):
         A, F = sparse_ring(rng)
@@ -612,6 +613,24 @@ class TestSparseStep:
             sim.integrate(A, F, d, t)
         assert got.value.time == want.value.time
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("samples", [301, 2001])
+    def test_traced_peak_is_bounded(self, rng, samples):
+        # the history, g and one-byte masks of the history's size, plus A's
+        # nonzeros with their rows and columns and the two nnz-sized
+        # temporaries of each product: no n x n array
+        A, F = sparse_ring(rng)
+        n, nnz, slack = A.shape[0], np.count_nonzero(A), 64 * 1024
+        t = np.arange(samples) * 1e-3
+        d = load_steps(rng, t.size, F.shape[1])
+        tracemalloc.start()
+        try:
+            sim.integrate(A, F, d, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        g = (samples - 1) * n
+        assert peak <= 8 * (g + samples * n + 5 * nnz) + 2 * samples * n + slack
 
     def test_dense_matrix_of_a_sparse_ring_order_keeps_the_propagator(self, rng):
         n = 600                                          # sparse_ring's order
