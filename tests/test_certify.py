@@ -172,6 +172,60 @@ class TestBuildSTilde:
                 assert abs(val - base[rep.agent][j]) <= 1e-9
 
 
+class TestSpectralNorm:
+    """The reference rows' off-diagonal entry, which the rank-one kernel and
+    the soundness samplings are checked against, is the largest singular
+    value of the coupling block."""
+
+    @staticmethod
+    def entry(block):
+        mt, = linalg.modal_decompose([-np.eye(2)])
+        reports = build_S_tilde({1: mt, 2: mt}, {(1, 2): np.asarray(block, dtype=float)})
+        return reports[0].offdiag[2]
+
+    def test_identity(self):
+        assert self.entry(np.eye(3)) == pytest.approx(1.0)
+
+    def test_rank_one_single_entry(self):
+        C = np.zeros((3, 3))
+        C[1, 0] = -7.5
+        assert self.entry(C) == pytest.approx(7.5)
+
+    def test_diagonal(self):
+        assert self.entry(np.diag([3.0, -4.0])) == pytest.approx(4.0)
+
+    def test_rectangular(self):
+        assert self.entry([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]) == pytest.approx(2.0)
+
+    def test_rejects_nonfinite(self):
+        # a nonfinite block never meets its row
+        mt, = linalg.modal_decompose([-np.eye(2)])
+        for blocks in ({(1, 2): np.array([[np.inf]])}, {(1, 2): np.array([[-np.inf]])}):
+            reports = build_S_tilde({1: mt, 2: mt}, blocks)
+            assert not reports[0].met
+
+    def test_permutation_signflip_invariance(self, rng):
+        A = rng.standard_normal((4, 4))
+        base = self.entry(A)
+        for _ in range(20):
+            P = np.eye(4)[rng.permutation(4)]
+            S = np.diag(rng.choice([-1.0, 1.0], size=4))
+            for M in (P @ S @ A, A @ P @ S, P @ A @ S):
+                assert abs(self.entry(M) - base) <= 1e-12 * max(1.0, base)
+
+    def test_random_unit_vector_bound(self, rng):
+        A = rng.standard_normal((3, 3))
+        sigma = self.entry(A)
+        best = 0.0
+        for _ in range(1000):
+            v = rng.standard_normal(3)
+            v /= np.linalg.norm(v)
+            nv = np.linalg.norm(A @ v)
+            assert nv <= sigma * (1.0 + 1e-12)
+            best = max(best, nv)
+        assert best >= 0.99 * sigma
+
+
 class TestVerdict:
     def test_all_met(self):
         reports = [certify.ConditionReport(agent=k, diagonal=2.0, offdiag={9: 1.0})
