@@ -12,6 +12,7 @@ import argparse
 import collections
 import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -205,6 +206,9 @@ def cmd_protocol(args):
         "verdict": result.verdict,
         "rounds": result.rounds,
         "messages": len(result.trace),
+        # the trace is in round order: one entry per round that sent messages
+        "per_round": [{"round": rnd, "messages": collections.Counter(m.kind for m in msgs)}
+                      for rnd, msgs in itertools.groupby(result.trace, lambda m: m.round)],
         "agents": [r.to_dict() for r in result.reports],
         "gains": _gains_doc(result.gains),
     }
@@ -274,20 +278,15 @@ def _report_assess(doc, lines):
     lines.append(f"\nmax real part: {fs['max_real_part']:.6f} (Hurwitz: {fs['hurwitz']})")
 
 
-def _round_counts(fh):
-    """``((round, kind), count)`` for the messages of a trace, ascending."""
-    msgs = map(json.loads, filter(None, fh.read().splitlines()))
-    return sorted(collections.Counter((m["round"], m["kind"]) for m in msgs).items())
-
-
-def _report_protocol(counts, summary, lines):
+def _report_protocol(summary, lines):
     lines.append("\n## Protocol")
     lines.append(f"\nverdict: {summary['verdict']} after {summary['rounds']} rounds, "
                  f"{summary['messages']} messages")
     lines.append("\n| round | kind | count |")
     lines.append("|---|---|---|")
-    for (rnd, kind), count in counts:
-        lines.append(f"| {rnd} | {kind} | {count} |")
+    for entry in summary["per_round"]:
+        for kind, count in sorted(entry["messages"].items()):
+            lines.append(f"| {entry['round']} | {kind} | {count} |")
 
 
 def _report_sim(summary, lines):
@@ -322,26 +321,12 @@ def _artifact(out_dir, name):
 def cmd_report(args):
     found = False
     lines = ["# gridcert run report"]
-    present = {name for name in (ASSESS_JSON, TRACE_JSONL, PROTOCOL_JSON, SIM_JSON)
-               if os.path.exists(os.path.join(args.out, name))}
-    halves = {TRACE_JSONL, PROTOCOL_JSON}
-    if len(halves & present) == 1:                   # the protocol section needs both
-        (have,), (missing,) = halves & present, halves - present
-        raise GridcertError(f"{have}: no {missing} next to it in {args.out!r}")
-    if ASSESS_JSON in present:
-        with _artifact(args.out, ASSESS_JSON) as fh:
-            _report_assess(json.load(fh), lines)
-        found = True
-    if halves <= present:
-        with _artifact(args.out, TRACE_JSONL) as fh:
-            counts = _round_counts(fh)
-        with _artifact(args.out, PROTOCOL_JSON) as fh:
-            _report_protocol(counts, json.load(fh), lines)
-        found = True
-    if SIM_JSON in present:
-        with _artifact(args.out, SIM_JSON) as fh:
-            _report_sim(json.load(fh), lines)
-        found = True
+    for name, render in ((ASSESS_JSON, _report_assess), (PROTOCOL_JSON, _report_protocol),
+                         (SIM_JSON, _report_sim)):
+        if os.path.exists(os.path.join(args.out, name)):
+            with _artifact(args.out, name) as fh:
+                render(json.load(fh), lines)
+            found = True
     if not found:
         sys.stderr.write(f"error: no run artifacts in {args.out!r}\n")
         return 1

@@ -164,18 +164,15 @@ def _parse_pole(entry, base, k, m):
 def parse_grid(text):
     """Parse and validate a grid document.
 
-    Accepts a JSON string (or an already-decoded dict) following the schema
-    documented in the README.  Raises :class:`GridFormatError` with a
-    path-qualified message on any violation.
+    Accepts JSON text (str or bytes) following the schema documented in the
+    README.  Raises :class:`GridFormatError` with a path-qualified message
+    on any violation.
     """
-    if isinstance(text, (bytes, str)):
-        try:
-            doc = json.loads(text)
-        except (ValueError, RecursionError) as exc:
-            # ValueError: syntax, undecodable bytes, or an over-long integer
-            raise GridFormatError("$", f"invalid JSON: {exc}") from exc
-    else:
-        doc = text
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # ValueError: syntax, undecodable bytes, or an over-long integer
+        raise GridFormatError("$", f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise GridFormatError("$", "document root must be an object")
 

@@ -1,3 +1,4 @@
+import json
 import os
 
 import hypothesis
@@ -55,4 +56,4 @@ def make_grid(gens, lines, disturbances=(), f=60.0):
         doc["lines"].append({"from": i, "to": j, "X": X})
     for bus, mag, t0 in disturbances:
         doc["disturbances"].append({"bus": bus, "delta_PL": mag, "t_step": t0})
-    return gridmodel.parse_grid(doc)
+    return gridmodel.parse_grid(json.dumps(doc))

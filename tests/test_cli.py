@@ -264,6 +264,22 @@ class TestProtocol:
         assert len(lines) == doc["messages"]
         assert lines[-1]["kind"] == "OperatorVerdict"
 
+    @pytest.mark.parametrize("argv", [[], ["--no-global", "--max-retries", "10"],
+                                      ["--trace-full"]])
+    def test_per_round_counts_the_trace(self, capsys, tmp_path, argv):
+        code, out, _ = run(capsys, "protocol", three_bus_path(), *argv,
+                           "--out", str(tmp_path / "o"))
+        assert code == (2 if "--no-global" in argv else 0)
+        doc = json.loads(out)
+        with open(tmp_path / "o" / "trace.jsonl") as fh:
+            lines = [json.loads(ln) for ln in fh.read().splitlines()]
+        counts = {}
+        for m in lines:
+            kinds = counts.setdefault(m["round"], {})
+            kinds[m["kind"]] = kinds.get(m["kind"], 0) + 1
+        assert doc["per_round"] == [{"round": r, "messages": counts[r]} for r in sorted(counts)]
+        assert sum(sum(e["messages"].values()) for e in doc["per_round"]) == doc["messages"]
+
     def test_no_options_inconclusive(self, capsys, tmp_path):
         code, _, _ = run(capsys, "protocol", three_bus_path(),
                          "--max-retries", "0", "--no-global",
@@ -577,35 +593,34 @@ class TestReport:
         ("assess.json", '{"variants": {"transformed": {"verdict": "stable", "agents": []}}, '
          '"full_system": {"eigenvalues": [], "max_real_part": -1.0, "hurwitz": true}}',
          "assess.json: 'eigenvalues' is empty"),
-        ("trace.jsonl", '{"round": 0, "kind": "ShareFactor"}\n{"round": 1,\n',
-         "trace.jsonl: Expecting property name"),
+        ("protocol.json", None, "protocol.json: missing key 'per_round'"),
     ], ids=["empty-assess", "assess-without-agents", "assess-without-variants",
             "assess-without-full-system", "assess-with-empty-variants",
             "assess-without-eigenvalues", "assess-with-empty-eigenvalues",
-            "truncated-trace-line"])
+            "protocol-without-per-round"])
     def test_damaged_artifact_is_one_error_line(self, capsys, tmp_path, name, text, message):
         out_dir = tmp_path / "o"
-        run(capsys, "protocol", three_bus_path(), "--out", str(out_dir))
+        _, out, _ = run(capsys, "protocol", three_bus_path(), "--out", str(out_dir))
+        if text is None:    # protocol.json as written before it had per_round
+            doc = json.loads(out)
+            del doc["per_round"]
+            text = json.dumps(doc)
         (out_dir / name).write_text(text)
         code, out, err = run(capsys, "report", "--out", str(out_dir))
         assert code == 1 and out == ""
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not (out_dir / "report.md").exists()
 
-    @pytest.mark.parametrize("with_assess", [False, True], ids=["alone", "with-assess"])
-    @pytest.mark.parametrize("kept, missing", [("protocol.json", "trace.jsonl"),
-                                               ("trace.jsonl", "protocol.json")])
-    def test_half_of_the_protocol_artifacts_is_one_error_line(self, capsys, tmp_path,
-                                                              kept, missing, with_assess):
+    def test_protocol_section_does_not_read_the_trace(self, capsys, tmp_path):
         out_dir = tmp_path / "o"
-        if with_assess:
-            run(capsys, "assess", three_bus_path(), "--global", "--out", str(out_dir))
         run(capsys, "protocol", three_bus_path(), "--out", str(out_dir))
-        (out_dir / missing).unlink()
-        code, out, err = run(capsys, "report", "--out", str(out_dir))
-        assert code == 1 and out == ""
-        assert err == f"error: {kept}: no {missing} next to it in {str(out_dir)!r}\n"
-        assert not (out_dir / "report.md").exists()
+        code, with_trace, _ = run(capsys, "report", "--out", str(out_dir))
+        assert code == 0 and "| round | kind | count |" in with_trace
+        (out_dir / "trace.jsonl").unlink()
+        (out_dir / "report.md").unlink()
+        code, without_trace, _ = run(capsys, "report", "--out", str(out_dir))
+        assert code == 0
+        assert without_trace == with_trace == (out_dir / "report.md").read_text()
 
 
 class TestErrorPaths:

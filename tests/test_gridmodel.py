@@ -1,3 +1,4 @@
+import json
 import math
 import subprocess
 import sys
@@ -56,22 +57,22 @@ class TestParse:
         with pytest.raises(GridFormatError, match="root must be an object"):
             gridmodel.parse_grid("[1]")
         with pytest.raises(GridFormatError, match=r"\$\.generators\[0\]\.M: missing"):
-            gridmodel.parse_grid(
-                {"base_frequency_hz": 60, "generators": [{"bus": 1, "D": 1, "T_T": 1}]})
+            gridmodel.parse_grid(json.dumps(
+                {"base_frequency_hz": 60, "generators": [{"bus": 1, "D": 1, "T_T": 1}]}))
         with pytest.raises(GridFormatError, match="expected number"):
-            gridmodel.parse_grid(
+            gridmodel.parse_grid(json.dumps(
                 {"base_frequency_hz": 60,
-                 "generators": [{"bus": 1, "M": "big", "D": 1, "T_T": 1}]})
+                 "generators": [{"bus": 1, "M": "big", "D": 1, "T_T": 1}]}))
         with pytest.raises(GridFormatError, match="pole must be"):
-            gridmodel.parse_grid(
+            gridmodel.parse_grid(json.dumps(
                 {"base_frequency_hz": 60,
                  "generators": [{"bus": 1, "M": 1, "D": 1, "T_T": 1,
-                                 "control": ["fast"]}]})
+                                 "control": ["fast"]}]}))
         with pytest.raises(GridFormatError, match="unknown bus"):
-            gridmodel.parse_grid(
+            gridmodel.parse_grid(json.dumps(
                 {"base_frequency_hz": 60,
                  "generators": [{"bus": 1, "M": 1, "D": 1, "T_T": 1}],
-                 "disturbances": [{"bus": 2, "delta_PL": 0.1, "t_step": 0.0}]})
+                 "disturbances": [{"bus": 2, "delta_PL": 0.1, "t_step": 0.0}]}))
 
     def test_nonfinite_numbers_rejected(self):
         with pytest.raises(GridFormatError, match="non-finite"):

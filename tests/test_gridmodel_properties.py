@@ -80,7 +80,7 @@ def outcome(fn, *args):
 @SETTINGS
 @given(grid_docs())
 def test_index_agrees_with_scan(doc):
-    grid = gridmodel.parse_grid(doc)
+    grid = gridmodel.parse_grid(json.dumps(doc))
     assert grid.bus_ids == sorted(g.bus for g in grid.generators)
     probe = grid.bus_ids + [max(grid.bus_ids) + 1]   # plus one unknown bus
     for i in probe:
@@ -90,7 +90,7 @@ def test_index_agrees_with_scan(doc):
 @SETTINGS
 @given(grid_docs())
 def test_subsystems_match_scanned_formula(doc):
-    grid = gridmodel.parse_grid(doc)
+    grid = gridmodel.parse_grid(json.dumps(doc))
     wb = grid.omega_b
     for sub in gridmodel.build_subsystems(grid):
         g = scan_generator(grid, sub.bus)
