@@ -16,9 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Degenerate, InvalidInput, Uncontrollable
-from .linalg import ModalTransform, _as_matrix
-
-__all__ = ["GainSet", "ModalTransform", "pole_place", "optimal_global_gain"]
+from .linalg import _as_matrix
 
 
 @dataclass
@@ -75,19 +73,15 @@ def _krylov(A, B):
 
 def _char_poly(P):
     """Real coefficients, highest power first, of the monic polynomials
-    whose roots are the rows of ``P``, as ``np.poly`` gives them: its
-    recurrence run on all rows at once, which for real roots is ``np.poly``
-    step for step, then ``np.poly`` itself on the rows that hold a complex
-    pair (its complex products round differently)."""
+    whose roots are the rows of ``P``: ``np.poly``'s recurrence run on all
+    rows at once in complex arithmetic.  A product with a real root
+    ``x + 0j`` is exact, so real rows get ``np.poly``'s bits."""
     N, n = P.shape
-    roots = P.real
-    c = np.zeros((N, n + 1))
+    c = np.zeros((N, n + 1), dtype=complex)
     c[:, 0] = 1.0
     for k in range(n):
-        c[:, 1:k + 2] -= c[:, :k + 1] * roots[:, k:k + 1]
-    for m in np.flatnonzero(P.imag.any(axis=-1)):
-        c[m] = np.real(np.poly(P[m]))
-    return c
+        c[:, 1:k + 2] -= c[:, :k + 1] * P[:, k:k + 1]
+    return c.real
 
 
 def pole_place(A_hat, B, poles):

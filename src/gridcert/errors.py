@@ -10,10 +10,9 @@ class InvalidInput(GridcertError):
 
 
 class GridFormatError(InvalidInput):
-    """A grid document failed validation; ``path`` locates the offending field."""
+    """A grid document failed validation; the message opens with the field's path."""
 
     def __init__(self, path, message):
-        self.path = path
         super().__init__(f"{path}: {message}")
 
 
@@ -46,11 +45,7 @@ class Degenerate(GridcertError):
 
 
 class ProtocolViolation(GridcertError):
-    """A message broke the protocol rules; carries the offending message."""
-
-    def __init__(self, message, offending=None):
-        self.offending = offending
-        super().__init__(message)
+    """A message broke the protocol rules."""
 
 
 class DivergedSimulation(GridcertError):

@@ -149,8 +149,7 @@ def _flag(msg, key, receiver):
     included, breaks the protocol (``bool("false")`` would read true)."""
     value = msg.payload.get(key)
     if not isinstance(value, bool):
-        raise ProtocolViolation(
-            f"{receiver} got {key} {value!r} from {msg.sender}, not a bool", offending=msg)
+        raise ProtocolViolation(f"{receiver} got {key} {value!r} from {msg.sender}, not a bool")
     return value
 
 
@@ -158,14 +157,11 @@ def _ingest(st, inbox):
     for msg in inbox:
         if msg.kind == SHARE_FACTOR:
             if msg.sender not in st.model.couplings:
-                raise ProtocolViolation(
-                    f"agent {st.id} got share from non-neighbor {msg.sender}",
-                    offending=msg)
+                raise ProtocolViolation(f"agent {st.id} got share from non-neighbor {msg.sender}")
             beta = msg.payload.get("beta")
             # the norm of a row of an invertible T: a forged 0 or -1 would meet any row
             if not (isinstance(beta, float) and math.isfinite(beta) and beta > 0.0):
-                raise ProtocolViolation(
-                    f"agent {st.id} got share {beta!r} from {msg.sender}", offending=msg)
+                raise ProtocolViolation(f"agent {st.id} got share {beta!r} from {msg.sender}")
             st.received_shares[msg.sender] = beta
             st.needs_evaluation = True
         elif msg.kind == OPERATOR_VERDICT:
@@ -173,8 +169,7 @@ def _ingest(st, inbox):
             st.designing = False
             st.needs_evaluation = False
         else:
-            raise ProtocolViolation(
-                f"agent {st.id} cannot handle {msg.kind}", offending=msg)
+            raise ProtocolViolation(f"agent {st.id} cannot handle {msg.kind}")
 
 
 def _step_stack(states, inboxes, config, rnd):
@@ -252,16 +247,13 @@ def operator_step(state, inbox, rnd):
     seen = {}
     for msg in inbox:
         if msg.kind != CONDITION_STATUS:
-            raise ProtocolViolation(
-                f"operator cannot handle {msg.kind}", offending=msg)
+            raise ProtocolViolation(f"operator cannot handle {msg.kind}")
         if msg.sender not in expected:
-            raise ProtocolViolation(
-                f"status from unknown agent {msg.sender}", offending=msg)
+            raise ProtocolViolation(f"status from unknown agent {msg.sender}")
         met = _flag(msg, "met", "operator")
         if msg.sender in seen and seen[msg.sender] != met:
             raise ProtocolViolation(
-                f"conflicting statuses from agent {msg.sender} in round {rnd}",
-                offending=msg)
+                f"conflicting statuses from agent {msg.sender} in round {rnd}")
         seen[msg.sender] = met
         st.statuses[msg.sender] = met
     out = []

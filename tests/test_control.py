@@ -55,6 +55,28 @@ class TestPolePlace:
         got = _sorted(np.linalg.eigvals(np.array(A) - np.outer([0, 1], K)))
         assert np.allclose(got, _sorted([-1 - 2j, -1 + 2j]), atol=1e-9)
 
+    def test_mixed_stack_without_np_poly(self, three_bus, monkeypatch):
+        # real rows and complex-pair rows share the one stacked recurrence
+        def no_poly(*args, **kwargs):
+            raise AssertionError("np.poly called")
+
+        monkeypatch.setattr(np, "poly", no_poly)
+        subs = list(bus_models(three_bus).values())
+        pair = [complex(-20.0, 6.0), complex(-20.0, -6.0), -40.0]
+        specs = [THREE_BUS_POLES[1], pair, THREE_BUS_POLES[3]]
+        Ks = control.pole_place([s.A_hat for s in subs], [s.B for s in subs], specs)
+        for sub, K, poles in zip(subs, Ks, specs):
+            got = _sorted(np.linalg.eigvals(sub.A_hat - np.outer(sub.B, K)))
+            assert np.allclose(got, _sorted(poles), rtol=1e-6)
+
+    def test_char_poly_of_real_rows_is_np_poly(self, rng):
+        # a product with a root x + 0j is exact: real pole sets keep np.poly's bits
+        for n in (1, 2, 3, 5):
+            P = -rng.uniform(0.01, 1e3, size=(500, n))
+            c = control._char_poly(P.astype(complex))
+            assert c.dtype == float
+            assert np.array_equal(c, [np.real(np.poly(row)) for row in P])
+
     def test_uncontrollable(self):
         with pytest.raises(Uncontrollable):
             control.pole_place([np.diag([-1.0, -2.0])], [[1.0, 0.0]], [[-3.0, -4.0]])
