@@ -240,7 +240,7 @@ def cmd_simulate(args):
     with _open_artifact(args.out, SIM_CSV) as fh:
         result.to_csv(fh)    # streamed: the CSV text is tens of MB on large grids
 
-    steady = sim.steady_state_check(result, grid)
+    steady = sim.steady_state_check(result)
     settle = sim.settling_time(result)
     peaks = np.abs(result.states[:, 1::3]).max(axis=0)
     doc = {

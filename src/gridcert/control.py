@@ -31,36 +31,22 @@ class GainSet:
 
 def _as_column(v, n, name, N):
     """The (N, n) input columns of a stack of N members."""
-    v = np.asarray(v)
-    if np.iscomplexobj(v):
-        raise InvalidInput(f"{name} must be real-valued")
-    v = v.astype(float, copy=False)
-    if v.shape != (N, n):
-        raise InvalidInput(f"{name} must have shape ({N}, {n}), got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise InvalidInput(f"{name} has non-finite entries")
-    return v
+    if np.shape(v) != (N, n):
+        raise InvalidInput(f"{name} must have shape ({N}, {n}), got shape {np.shape(v)}")
+    return _as_matrix(v, name, square=False)
 
 
 def _pole_sets(pole_sets, n):
-    """The (N, n) complex array of N desired pole sets, each of length n,
-    all stable and conjugate-closed."""
-    sets = [[complex(p) for p in poles] for poles in pole_sets]
-    for poles in sets:
+    """The (N, n) complex array of N desired pole sets of length n, all stable."""
+    for poles in pole_sets:
         if len(poles) != n:
             raise InvalidInput(f"expected {n} poles, got {len(poles)}")
-    P = np.array(sets, dtype=complex).reshape(len(sets), n)
+    try:
+        P = np.array(pole_sets, dtype=complex).reshape(len(pole_sets), n)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"desired poles must be numeric: {exc}") from exc
     if (P.real >= 0).any():
         raise InvalidInput("desired poles must have negative real parts")
-    for k in np.flatnonzero(P.imag.any(axis=-1)):
-        remaining = [p for p in sets[k] if p.imag != 0.0]
-        while remaining:
-            p = remaining.pop()
-            match = next((j for j, q in enumerate(remaining)
-                          if abs(q - p.conjugate()) <= 1e-9 * max(1.0, abs(p))), None)
-            if match is None:
-                raise InvalidInput(f"pole set is not conjugate-closed at {p}")
-            remaining.pop(match)
     return P
 
 
@@ -72,16 +58,16 @@ def _krylov(A, B):
 
 
 def _char_poly(P):
-    """Real coefficients, highest power first, of the monic polynomials
-    whose roots are the rows of ``P``: ``np.poly``'s recurrence run on all
-    rows at once in complex arithmetic.  A product with a real root
-    ``x + 0j`` is exact, so real rows get ``np.poly``'s bits."""
+    """Complex coefficients, highest power first, of the monic polynomials
+    whose roots are the rows of ``P``: ``np.poly``'s recurrence on all rows
+    at once.  A product with a real root ``x + 0j`` is exact, so real rows
+    get ``np.poly``'s bits; a row's coefficients are real iff it is conjugate-closed."""
     N, n = P.shape
     c = np.zeros((N, n + 1), dtype=complex)
     c[:, 0] = 1.0
     for k in range(n):
         c[:, 1:k + 2] -= c[:, :k + 1] * P[:, k:k + 1]
-    return c.real
+    return c
 
 
 def pole_place(A_hat, B, poles):
@@ -97,8 +83,9 @@ def pole_place(A_hat, B, poles):
     Uncontrollable
         If the controllability matrix is rank deficient.
     InvalidInput
-        If the controllability matrix overflows, or the desired
-        characteristic polynomial overflows at ``A_hat``.
+        If the controllability matrix overflows, the desired characteristic
+        polynomial overflows at ``A_hat``, or a pole set is not conjugate-closed
+        (a coefficient's imaginary part exceeds ``1e-9`` of its real part).
 
     The error is that of the first check any member fails.
     """
@@ -120,7 +107,8 @@ def pole_place(A_hat, B, poles):
 
     # desired characteristic polynomial evaluated at A_hat
     with np.errstate(over="ignore", invalid="ignore"):   # overflow is reported below
-        coeffs = _char_poly(P)[:, :, None, None]
+        c = _char_poly(P)
+        coeffs = c.real[:, :, None, None]
         pA = coeffs[:, -1] * np.eye(n)
         Ak = np.eye(n)
         for k in range(1, n + 1):
@@ -128,6 +116,9 @@ def pole_place(A_hat, B, poles):
             pA = pA + coeffs[:, n - k] * Ak
     if not np.isfinite(pA).all():
         raise InvalidInput("desired characteristic polynomial overflows at these poles")
+    unclosed = np.flatnonzero((np.abs(c.imag) > 1e-9 * np.abs(c.real)).any(axis=-1))
+    if unclosed.size:
+        raise InvalidInput(f"pole set {P[unclosed[0]].tolist()} is not conjugate-closed")
     return np.linalg.solve(C, pA)[:, -1]   # e_n^T inv(C) p(A_hat)
 
 

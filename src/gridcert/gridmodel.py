@@ -298,10 +298,12 @@ def build_subsystems(grid):
 
 
 def _gain_vector(v, what):
-    v = np.asarray(v, dtype=float)
+    v = np.asarray(v)
+    if v.dtype.kind not in "biuf" or not np.isfinite(v).all():
+        raise InvalidInput(f"{what} must be finite real numbers, got {v.tolist()!r}")
     if v.shape != (SUBSYSTEM_ORDER,):
         raise InvalidInput(f"{what} has shape {v.shape}, want ({SUBSYSTEM_ORDER},)")
-    return v
+    return v.astype(float, copy=False)
 
 
 def assemble_full(subsystems, gains):

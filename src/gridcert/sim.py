@@ -610,7 +610,7 @@ def simulate(A_full, F_full, config, bus_ids, gains, eigenvalues):
         Bus id -> GainSet for reconstructing the local and global control
         series; a bus without one has zero series (``{}`` for the open loop).
     eigenvalues : array_like
-        The spectrum of ``A_full``, for the step-size check.
+        The 3N finite eigenvalues of ``A_full``, for the step-size check.
 
     Raises
     ------
@@ -631,6 +631,9 @@ def simulate(A_full, F_full, config, bus_ids, gains, eigenvalues):
         raise InvalidInput(f"F_full must be ({n}, {len(bus_ids)}), got {F.shape}")
 
     lam = np.asarray(eigenvalues)
+    if lam.shape != (n,) or not np.isfinite(lam).all():
+        raise InvalidInput(f"eigenvalues must be {n} finite values, got {lam.size}, "
+                           f"{np.isfinite(lam).sum()} finite")
     if lam.real.max() < 0.0:
         rho = rk4_radius(lam, config.dt)
         if rho > 1.0:
@@ -655,11 +658,11 @@ def simulate(A_full, F_full, config, bus_ids, gains, eigenvalues):
                      u_local=ul, u_global=ug, A_full=A, F_full=F)
 
 
-def steady_state_check(result, grid):
+def steady_state_check(result):
     """Settling residuals at the final sample, as the ``steady_state`` block
     of ``sim_summary.json``: ``omega_end`` (|d_omega(t_end)| per bus, rad/s),
     ``max_state_derivative`` (inf-norm of xdot(t_end)),
-    ``power_balance_residual`` (|sum dPm(t_end) - sum active dPL|, pu) and
+    ``power_balance_residual`` (|sum dPm(t_end) - sum of the held load d(t_end)|, pu) and
     ``pm_sum`` (sum of dPm(t_end), pu).
 
     At equilibrium the speed deviations vanish and the mechanical power
@@ -670,9 +673,7 @@ def steady_state_check(result, grid):
     with np.errstate(over="ignore", invalid="ignore"):   # overflow: the JSON artifact rejects it
         xdot = result.A_full @ x_end + result.F_full @ result.d[-1]
         pm_sum = float(x_end[2::3].sum())
-    active_load = sum(
-        dist.delta_PL for dist in grid.disturbances
-        if result.t[-1] >= dist.t_step - 1e-12)
+        active_load = float(result.d[-1].sum())
     return {
         "omega_end": {str(bus): float(abs(result.omega(bus)[-1]))
                       for bus in sorted(result.bus_ids)},

@@ -74,8 +74,8 @@ class TestPolePlace:
         for n in (1, 2, 3, 5):
             P = -rng.uniform(0.01, 1e3, size=(500, n))
             c = control._char_poly(P.astype(complex))
-            assert c.dtype == float
-            assert np.array_equal(c, [np.real(np.poly(row)) for row in P])
+            assert np.array_equal(c.real, [np.real(np.poly(row)) for row in P])
+            assert np.all(c.imag == 0.0)
 
     def test_uncontrollable(self):
         with pytest.raises(Uncontrollable):
@@ -84,6 +84,33 @@ class TestPolePlace:
     def test_multi_input_unsupported(self):
         with pytest.raises(InvalidInput, match=r"B must have shape \(1, 2\), got"):
             control.pole_place(np.zeros((1, 2, 2)), [np.eye(2)], [[-1.0, -2.0]])
+
+    def test_non_numeric_B_rejected(self):
+        with pytest.raises(InvalidInput, match="B must be numeric"):
+            control.pole_place(np.zeros((1, 3, 3)), [["a", "b", "c"]], [[-1.0, -2.0, -3.0]])
+
+    def test_non_numeric_pole_rejected(self):
+        with pytest.raises(InvalidInput, match="poles must be numeric"):
+            control.pole_place([[[0.0, 1.0], [0.0, 0.0]]], [[0.0, 1.0]], [["x", -1.0]])
+
+    @pytest.mark.parametrize("poles,closed", [
+        ([-1 + 2j, -1.0000000001 - 2j, -5.0], True),     # real parts within rounding
+        ([-1 + 2j, -1.000001 - 2j, -5.0], False),
+        ([-1 + 1j, -1 + 1j, -3.0], False),
+        ([-1 + 2j, -1 - 2j, -1 + 2j, -1 - 2j, -5.0], True),
+        ([-1 + 2j, -1 + 2j, -1 - 2j, -3.0, -4.0], False),
+        ([-1 + 1e-12j, -2.0, -3.0], True),               # real to rounding
+    ])
+    def test_conjugate_closure_boundary(self, poles, closed):
+        # the companion form of s^n is controllable from the last state
+        n = len(poles)
+        A, B = [np.eye(n, k=1)], [np.eye(n)[-1]]
+        if closed:
+            K, = control.pole_place(A, B, [poles])
+            assert np.allclose(K[::-1], np.real(np.poly(poles))[1:], rtol=1e-8)
+        else:
+            with pytest.raises(InvalidInput, match="conjugate-closed"):
+                control.pole_place(A, B, [poles])
 
     def test_pole_validation(self):
         A = [[[0.0, 1.0], [0.0, 0.0]]]

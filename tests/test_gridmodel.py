@@ -216,6 +216,16 @@ class TestAssemble:
         with pytest.raises(InvalidInput, match=r"global gain 1->3 has shape \(3, 1\)"):
             gridmodel.assemble_full(subs, gains)
 
+    @pytest.mark.parametrize("bad", [[0.0, np.nan, 0.0], [0.0, np.inf, 0.0], [0.0, "a", 0.0],
+                                     [0.0, 1j, 0.0]])
+    def test_non_finite_or_non_real_gain_located(self, three_bus, bad):
+        subs = gridmodel.build_subsystems(three_bus)
+        with pytest.raises(InvalidInput, match=r"local gain for bus 2 must be finite real"):
+            gridmodel.assemble_full(subs, {2: control.GainSet(local=bad)})
+        gains = {1: control.GainSet(local=np.zeros(3), global_={3: bad})}
+        with pytest.raises(InvalidInput, match=r"global gain 1->3 must be finite real"):
+            gridmodel.assemble_full(subs, gains)
+
     def test_disturbance_matrix(self, three_bus):
         subs = gridmodel.build_subsystems(three_bus)
         F = gridmodel.disturbance_matrix(subs)

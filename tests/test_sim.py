@@ -679,6 +679,17 @@ class TestStepSizeCheck:
                            cfg, [1], {}, eigenvalues=lam)
         assert np.all(np.isfinite(out.states))
 
+    @pytest.mark.parametrize("spectrum", [
+        lambda lam: np.where(np.arange(lam.size) == 0, np.nan, lam),   # the check would be skipped
+        lambda lam: lam[:-1],
+        lambda lam: np.concatenate([lam, lam]),
+    ], ids=["nan", "short", "long"])
+    def test_spectrum_of_n_finite_values_required(self, three_bus, certified, spectrum):
+        res, F = certified
+        with pytest.raises(InvalidInput, match=r"eigenvalues must be 9 finite values"):
+            sim.simulate(res.A_full, F, sim.SimConfig(t_end=3.0, dt=0.3), three_bus.bus_ids, {},
+                         eigenvalues=spectrum(np.linalg.eigvals(res.A_full)))
+
     def test_non_hurwitz_is_not_rejected_at_any_dt(self):
         g1 = make_grid([(1, 8.0, 1.0, 0.9)], [])
         sub = gridmodel.build_subsystems(g1)[0]
@@ -812,17 +823,14 @@ class TestSteadyState:
         cfg = sim.SimConfig(t_end=1.0, disturbances=[])
         out = sim.simulate(res.A_full, F, cfg, three_bus.bus_ids, {},
                            eigenvalues=np.linalg.eigvals(res.A_full))
-        grid_nod = make_grid(
-            [(g.bus, g.M, g.D, g.T_T) for g in three_bus.generators],
-            [(l.from_bus, l.to_bus, l.X) for l in three_bus.lines])
-        rep = sim.steady_state_check(out, grid_nod)
+        rep = sim.steady_state_check(out)
         assert rep["power_balance_residual"] == 0.0
         assert rep["max_state_derivative"] == 0.0
         assert all(v == 0.0 for v in rep["omega_end"].values())
 
     def test_power_balance_after_step(self, three_bus, certified):
         out = run_three_bus(three_bus, certified)
-        rep = sim.steady_state_check(out, three_bus)
+        rep = sim.steady_state_check(out)
         assert rep["power_balance_residual"] < 1e-6
         assert rep["pm_sum"] == pytest.approx(0.1, abs=1e-6)
 
@@ -836,8 +844,8 @@ class TestSteadyState:
         cfg = sim.SimConfig(t_end=5.0, disturbances=doubled_grid.disturbances)
         out = sim.simulate(res.A_full, F, cfg, three_bus.bus_ids, {},
                            eigenvalues=np.linalg.eigvals(res.A_full))
-        a = sim.steady_state_check(base, three_bus)["pm_sum"]
-        b = sim.steady_state_check(out, doubled_grid)["pm_sum"]
+        a = sim.steady_state_check(base)["pm_sum"]
+        b = sim.steady_state_check(out)["pm_sum"]
         assert b / a == pytest.approx(2.0, abs=1e-9)
 
     def test_overflow_is_a_value_not_a_warning(self, three_bus, certified):
@@ -845,7 +853,7 @@ class TestSteadyState:
         # summary carries it as non-finite (the CLI then rejects the artifact)
         out = run_three_bus(three_bus, certified, t_end=0.01)
         out.states[-1] = 1e308
-        rep = sim.steady_state_check(out, three_bus)
+        rep = sim.steady_state_check(out)
         assert not math.isfinite(rep["max_state_derivative"])
         assert not math.isfinite(rep["pm_sum"])
 
