@@ -382,8 +382,8 @@ def build_parser():
     p.add_argument("--poles-scale", type=float, default=1.0,
                    help="uniform scale applied to the desired poles")
     p.add_argument("--dt", type=float, default=sim.DEFAULT_DT,
-                   help="step size, s (the dt that a step-size error names is the "
-                        "RK4 stability limit, not an accurate step)")
+                   help="step size, s (a step-size error names the default step, "
+                        "halved until RK4 is stable)")
     p.add_argument("--t-end", type=float, default=sim.DEFAULT_T_END,
                    help="final time, s: a whole number of steps")
     p.add_argument("--step-pu", type=float, default=None,

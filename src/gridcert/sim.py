@@ -421,31 +421,25 @@ def rk4_radius(eigenvalues, dt):
     return float(np.abs(1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))).max())
 
 
-def _stable_dt(eigenvalues, dt, t_end):
-    """A step below ``dt`` with ``rk4_radius <= 1`` that divides ``t_end``
-    into whole steps.  The largest passing step is found by bisection on
-    ``(0, dt)`` (steps small enough always pass); the largest step below it
-    of two significant digits that passes and divides ``t_end`` is named,
-    else ``t_end / k`` for the least such ``k``."""
-    def passes(h):
-        return rk4_radius(eigenvalues, h) <= 1.0 and _whole_steps(t_end, h)
+def _stable_dt(eigenvalues, t_end):
+    """``t_end / k`` for the least ``k`` with ``t_end / k <= DEFAULT_DT`` (to
+    rounding, as :func:`_whole_steps` reads it), halved until ``rk4_radius <=
+    1``: the default step when it passes, else within a factor of 2 of the RK4
+    limit.  Halving is exact, so the step is ``t_end / (2**j k)`` and divides
+    ``t_end``."""
+    steps = min(t_end / DEFAULT_DT, np.finfo(float).max)   # inf: every step is whole
+    dt = t_end / (round(steps) if _whole_steps(t_end, DEFAULT_DT) else math.ceil(steps))
+    while rk4_radius(eigenvalues, dt) > 1.0:
+        dt /= 2
+    return dt
 
-    lo, hi = 0.0, dt
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if rk4_radius(eigenvalues, mid) <= 1.0:
-            lo = mid
-        else:
-            hi = mid
-    scale = 10.0 ** (math.floor(math.log10(lo)) - 1)
-    for m in range(math.floor(lo / scale), 9, -1):
-        short = float(f"{m * scale:.2g}")
-        if passes(short):
-            return short
-    k = math.ceil(t_end / lo)
-    while not passes(t_end / k):
-        k += 1
-    return t_end / k
+
+def _numeric(a, name, dtype=float):
+    """``a`` as an array of ``dtype``; InvalidInput naming it when it is not numeric."""
+    try:
+        return np.asarray(a, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"{name} must be numeric: {exc}") from exc
 
 
 def integrate(A, F, d, t, x0=None):
@@ -475,9 +469,7 @@ def integrate(A, F, d, t, x0=None):
     stepping every sample.  Every run is stepped at most
     ``REPEAT_CHUNK - 1`` steps past its first repeat (:func:`_step_run`).
     """
-    A = np.asarray(A, dtype=float)
-    F = np.asarray(F, dtype=float)
-    d = np.asarray(d, dtype=float)
+    A, F, d = _numeric(A, "A"), _numeric(F, "F"), _numeric(d, "d")
     n = A.shape[0]
     if t.size > 1:
         h = (t[-1] - t[0]) / (t.size - 1)
@@ -621,8 +613,7 @@ def simulate(A_full, F_full, config, bus_ids, gains, eigenvalues):
     DivergedSimulation
         On the first non-finite state or control input sample.
     """
-    A = np.asarray(A_full, dtype=float)
-    F = np.asarray(F_full, dtype=float)
+    A, F = _numeric(A_full, "A_full"), _numeric(F_full, "F_full")
     bus_ids = list(bus_ids)
     n = A.shape[0]
     if A.shape != (n, n) or n != 3 * len(bus_ids):
@@ -630,7 +621,7 @@ def simulate(A_full, F_full, config, bus_ids, gains, eigenvalues):
     if F.shape != (n, len(bus_ids)):
         raise InvalidInput(f"F_full must be ({n}, {len(bus_ids)}), got {F.shape}")
 
-    lam = np.asarray(eigenvalues)
+    lam = _numeric(eigenvalues, "eigenvalues", complex)
     if lam.shape != (n,) or not np.isfinite(lam).all():
         raise InvalidInput(f"eigenvalues must be {n} finite values, got {lam.size}, "
                            f"{np.isfinite(lam).sum()} finite")
@@ -640,7 +631,7 @@ def simulate(A_full, F_full, config, bus_ids, gains, eigenvalues):
             raise InvalidInput(
                 f"dt={config.dt:g} s is outside the RK4 stability region of this "
                 f"system: the one-step propagator has spectral radius {rho:.4g} > 1; "
-                f"dt={_stable_dt(lam, config.dt, config.t_end)!r} s passes")
+                f"dt={_stable_dt(lam, config.t_end)!r} s passes")
 
     t = config.time_grid()
     try:

@@ -409,8 +409,24 @@ class TestSimulate:
         assert out == ""
         assert err == ("error: dt=0.3 s is outside the RK4 stability region of this "
                        "system: the one-step propagator has spectral radius 1386 > 1; "
-                       "dt=0.05 s passes\n")
+                       "dt=0.001 s passes\n")
         assert not (tmp_path / "o" / "sim.csv").exists()
+
+    def test_failing_default_step_is_halved(self, capsys, tmp_path):
+        doc = three_bus_doc()
+        for gen in doc["generators"]:
+            gen["control"] = [-1000, -2000, -6000]   # RK4 limit near 2.79 / 6000 = 4.6e-4 s
+        path = tmp_path / "stiff.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "simulate", str(path), "--t-end", "0.1",
+                             "--out", str(tmp_path / "o"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: dt=0.001 s is outside the RK4 stability region")
+        assert err.endswith("; dt=0.00025 s passes\n")
+        code, _, err = run(capsys, "simulate", str(path), "--t-end", "0.1", "--dt", "0.00025",
+                           "--out", str(tmp_path / "o"))
+        assert (code, err) == (0, "")
+        assert (tmp_path / "o" / "sim.csv").exists()
 
     def test_one_spectrum_per_simulate(self, capsys, tmp_path, monkeypatch):
         # (what ran in --out before, simulate's options, spectra simulate computes)
@@ -484,7 +500,7 @@ class TestSimulate:
         orders = count_eigvals(monkeypatch)
         assert run(capsys, *sim_argv, "--out", str(out_dir)) == want
         assert orders.count((9, 9)) == 0
-        assert "dt=0.05 s passes" in want[2]
+        assert "dt=0.001 s passes" in want[2]
         assert not (out_dir / "sim.csv").exists()
 
     @pytest.mark.parametrize("argv, message", [
@@ -751,6 +767,14 @@ assert gridcert.GridcertError is sys.modules["gridcert.errors"].GridcertError
 
 
 class TestPackage:
+    @pytest.mark.parametrize("command", ["assess", "protocol", "simulate", "report"])
+    def test_help(self, capsys, command):
+        code, out, err = run(capsys, command, "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: gridcert {command} ")
+        if command == "simulate":
+            assert "halved until RK4 is stable" in " ".join(out.split())
+
     def test_submodules_are_package_attributes(self):
         proc = subprocess.run([sys.executable, "-W", "error", "-c", PACKAGE_SURFACE],
                               env=child_env(), capture_output=True, text=True)

@@ -225,6 +225,14 @@ class TestIntegrate:
         with pytest.raises(InvalidInput, match="uniform"):
             sim.integrate(A, F, d, t)
 
+    @pytest.mark.parametrize("name", ["A", "F", "d"])
+    def test_non_numeric_input_named(self, name):
+        t = np.arange(5) * 0.1
+        args = {"A": [[-1.0]], "F": [[1.0]], "d": np.zeros((t.size, 1))}
+        args[name] = [["a"]] * len(args[name])
+        with pytest.raises(InvalidInput, match=f"^{name} must be numeric"):
+            sim.integrate(args["A"], args["F"], args["d"], t)
+
     def test_initial_state(self):
         t = np.arange(0, 2.0 + 1e-12, 1e-3)
         d = np.zeros((t.size, 1))
@@ -655,9 +663,9 @@ class TestStepSizeCheck:
         assert np.all(np.isfinite(out.states))
 
     @pytest.mark.parametrize("t_end,dt,suggested", [
-        (3.0, 0.3, 0.05),                # 0.058 passes the RK4 check but does not divide 3
-        (7.0, 0.35, 0.056),
-        (3.14159, 0.314159, 3.14159 / 55),   # no step of two digits divides it
+        (3.0, 0.3, 0.001),               # the default step passes
+        (7.0, 0.35, 0.001),
+        (3.14159, 0.314159, 3.14159 / 3142),   # 1e-3 does not divide it: 3142 whole steps
     ])
     def test_passing_dt_divides_the_horizon(self, three_bus, certified, t_end, dt,
                                             suggested):
@@ -689,6 +697,49 @@ class TestStepSizeCheck:
         with pytest.raises(InvalidInput, match=r"eigenvalues must be 9 finite values"):
             sim.simulate(res.A_full, F, sim.SimConfig(t_end=3.0, dt=0.3), three_bus.bus_ids, {},
                          eigenvalues=spectrum(np.linalg.eigvals(res.A_full)))
+
+    @pytest.mark.parametrize("name", ["A_full", "F_full", "eigenvalues"])
+    def test_non_numeric_input_named(self, three_bus, certified, name):
+        res, F = certified
+        args = {"A_full": res.A_full, "F_full": F,
+                "eigenvalues": np.linalg.eigvals(res.A_full)}
+        args[name] = np.array(["a", "b", "c"])
+        with pytest.raises(InvalidInput, match=f"^{name} must be numeric"):
+            sim.simulate(args["A_full"], args["F_full"], sim.SimConfig(t_end=3.0, dt=0.3),
+                         three_bus.bus_ids, {}, eigenvalues=args["eigenvalues"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_named_step_is_the_default_halved_until_it_passes(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        kind = data.draw(st.sampled_from(["real", "complex", "stiff"]))
+        top = {"real": 3.0, "complex": 3.0, "stiff": 6.0}[kind]   # |lambda| up to 10**top
+        lam = -10.0 ** rng.uniform(-3.0, top, size=rng.integers(1, 7))
+        if kind == "complex":
+            im = lam * rng.uniform(0.0, 5.0, size=lam.size)
+            lam = np.concatenate([lam + 1j * im, lam - 1j * im])
+        t_end = data.draw(st.one_of(st.sampled_from([3.0, 7.0, 3.14159, 0.1, 1e-4, 0.0025]),
+                                    st.floats(1e-4, 1e3)))
+        named = sim._stable_dt(lam, t_end)
+        assert sim.rk4_radius(lam, named) <= 1.0
+        sim.SimConfig(t_end=t_end, dt=named)            # divides t_end as it stands
+        # the default step: the least k whose t_end / k is DEFAULT_DT or below, to rounding
+        k = math.ceil(t_end / sim.DEFAULT_DT * (1.0 - 4 * np.finfo(float).eps))
+        assert t_end / k <= sim.DEFAULT_DT * (1.0 + 4 * np.finfo(float).eps)
+        assert k == 1 or t_end / (k - 1) > sim.DEFAULT_DT
+        if sim.rk4_radius(lam, t_end / k) <= 1.0:
+            assert named == t_end / k
+        else:
+            assert named < t_end / k
+            assert sim.rk4_radius(lam, 2.0 * named) > 1.0
+
+    @pytest.mark.parametrize("t_end", [1e306, sys.float_info.max])
+    def test_named_step_of_an_overflowed_step_count(self, t_end):
+        # t_end / DEFAULT_DT is inf: every step is a whole number of them
+        lam = np.array([-6000.0, -1.0 + 2.0j, -1.0 - 2.0j])
+        named = sim._stable_dt(lam, t_end)
+        assert 0.0 < named and sim.rk4_radius(lam, named) <= 1.0 < sim.rk4_radius(lam, 2 * named)
+        sim.SimConfig(t_end=t_end, dt=named)
 
     def test_non_hurwitz_is_not_rejected_at_any_dt(self):
         g1 = make_grid([(1, 8.0, 1.0, 0.9)], [])
