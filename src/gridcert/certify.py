@@ -38,7 +38,6 @@ from .linalg import (
     _as_matrix,
     _lyapunov,
     _lyapunov_rhs,
-    _modal_eigenvalues,
     _norms,
     is_hurwitz,
     modal_decompose,
@@ -271,15 +270,15 @@ def misplaced_poles(transforms, specs):
     with the pole the bus misses worst and the placed pole nearest it.
 
     ``transforms`` maps bus to the :class:`ModalTransform` of its closed
-    loop, whose spectrum the design already computed; ``specs`` maps bus
-    to its requested poles.  Rounding moves the poles of a loop whose
-    gains are large against its requested poles; the design raises only
-    when the loop is no longer stable or well-conditioned.
+    loop, which carries its spectrum; ``specs`` maps bus to its requested
+    poles.  Rounding moves the poles of a loop whose gains are large
+    against its requested poles; the design raises only when the loop is
+    no longer stable or well-conditioned.
     """
     buses = sorted(transforms)
     if not buses:
         return []
-    placed = _modal_eigenvalues(np.array([transforms[b].Lam for b in buses]))
+    placed = np.array([transforms[b].eigenvalues for b in buses])
     wanted = np.array([specs[b] for b in buses], dtype=complex)
     dist = np.abs(wanted[:, :, None] - placed[:, None, :])
     nearest = dist.argmin(axis=-1)
@@ -293,12 +292,11 @@ def misplaced_poles(transforms, specs):
     return out
 
 
-def _unresolved(A_hat, poles, A_cl):
+def _unresolved(A_hat, poles, lam):
     """The error for a placement that failed to resolve ``poles``: when the
-    spectrum of the placed loop ``A_cl`` misses some requested pole by
+    spectrum ``lam`` of the placed loop misses some requested pole by
     more than that pole's distance to the imaginary axis, the worst such
     pole; else None."""
-    lam = np.linalg.eigvals(A_cl)
     misses = [(float(np.abs(lam - p).min()), complex(p)) for p in poles]
     miss, p = max(misses, key=lambda mp: mp[0] / -mp[1].real)
     if miss < -p.real:
@@ -316,13 +314,13 @@ def _design_stack(A, B, pole_sets):
     try:
         mts = modal_decompose(A_cl)
     except (IllConditionedTransform, NotSemiSimple) as exc:
-        bad = next(filter(None, map(_unresolved, A, pole_sets, A_cl)), None)
+        bad = next(filter(None, map(_unresolved, A, pole_sets, np.linalg.eigvals(A_cl))), None)
         if bad is None:
             raise
         raise bad from exc
-    for a, poles, a_cl, mt in zip(A, pole_sets, A_cl, mts):
+    for a, poles, mt in zip(A, pole_sets, mts):
         # every requested pole is stable, so only rounding can leave the loop unstable
-        bad = _unresolved(a, poles, a_cl) if mt.sigma_M <= 0 else None
+        bad = _unresolved(a, poles, mt.eigenvalues) if mt.sigma_M <= 0 else None
         if bad is not None:
             raise bad
     return K, mts

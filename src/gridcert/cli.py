@@ -294,10 +294,10 @@ def _report_sim(summary, lines):
     steady = summary["steady_state"]
     lines.append(f"\nmax |d_omega(t_end)|: {summary['max_abs_omega_end']:.3e} rad/s")
     lines.append(f"power balance residual: {steady['power_balance_residual']:.3e} pu")
-    settle = summary.get("settling_time_s")
+    settle = summary["settling_time_s"]
     lines.append("settling time (||x - x_end|| < 1e-4): "
                  + (f"{settle:.3f} s" if settle is not None else "not settled"))
-    peaks = summary.get("peak_abs_omega")
+    peaks = summary["peak_abs_omega"]
     if peaks:
         lines.append("\n| bus | peak |d_omega| (rad/s) |")
         lines.append("|---|---|")

@@ -270,7 +270,8 @@ def build_subsystems(grid):
 
     The matrices of all buses are formed at once, entry by entry over the
     grid, as one read-only (N, 3, 3) stack and two (N, 3) stacks; each
-    model holds its bus's rows of them.
+    model holds its bus's rows of them.  An entry that overflows raises
+    :class:`InvalidInput` naming the first such bus and the entry.
     """
     wb = grid.omega_b
     gens = list(grid._generator_at.values())
@@ -279,17 +280,23 @@ def build_subsystems(grid):
     D = np.array([g.D for g in gens])
     T_T = np.array([g.T_T for g in gens])
     susceptance_sum = np.array([sum(1.0 / X for X in r.values()) for r in adjacency])
-    wb_M = wb / M
     A = np.zeros((len(gens), SUBSYSTEM_ORDER, SUBSYSTEM_ORDER))
-    A[:, 0, 1] = 1.0
-    A[:, 1, 0] = -wb_M * susceptance_sum
-    A[:, 1, 1] = -D / M
-    A[:, 1, 2] = wb_M
-    A[:, 2, 2] = -1.0 / T_T
     B = np.zeros((len(gens), SUBSYSTEM_ORDER))
-    B[:, 2] = 1.0 / T_T
     F = np.zeros((len(gens), SUBSYSTEM_ORDER))
-    F[:, 1] = -wb / M
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below, entry by entry
+        wb_M = wb / M
+        A[:, 0, 1] = 1.0
+        A[:, 1, 0] = -wb_M * susceptance_sum
+        A[:, 1, 1] = -D / M
+        A[:, 1, 2] = wb_M
+        A[:, 2, 2] = -1.0 / T_T
+        B[:, 2] = 1.0 / T_T
+        F[:, 1] = -wb / M
+    for entry, values in (("wb/M", wb_M), ("D/M", A[:, 1, 1]), ("1/T_T", B[:, 2]),
+                          ("(wb/M) sum_j(1/X_ij)", A[:, 1, 0])):
+        if not np.isfinite(values).all():
+            raise InvalidInput(f"bus {gens[np.argmin(np.isfinite(values))].bus}: "
+                               f"{entry} overflows")
     for stack in (A, B, F):
         stack.flags.writeable = False
     return [SubsystemModel(bus=g.bus, A_hat=a, B=b, F=f,

@@ -104,13 +104,15 @@ class ModalTransform:
 
     ``T`` has unit-norm columns; ``Lam`` is block diagonal with one 2x2
     block ``[[s, w], [-w, s]]`` per complex pair ``s +/- iw`` (complex
-    blocks first) and one 1x1 block per real eigenvalue.  ``sigma_M`` is
-    the negated largest eigenvalue real part, positive iff ``A`` is
-    Hurwitz.
+    blocks first) and one 1x1 block per real eigenvalue.  ``eigenvalues``
+    is the spectrum in modal order: each pair's ``s + iw``, the real
+    eigenvalues, then each pair's ``s - iw``.  ``sigma_M`` is the negated
+    largest eigenvalue real part, positive iff ``A`` is Hurwitz.
     """
 
     T: np.ndarray
     Lam: np.ndarray
+    eigenvalues: np.ndarray
     sigma_M: float
 
 
@@ -178,17 +180,6 @@ def _pair_rows(lam, W, member):
     return rows, lam[member, src], in_pair & (o % 2 == 0)
 
 
-def _modal_eigenvalues(Lam):
-    """The eigenvalues of modal forms ``Lam`` (n, n) or (N, n, n), read
-    off their blocks in modal order: ``s + iw`` and ``s - iw`` for a block
-    ``[[s, w], [-w, s]]``, the diagonal entry of a 1x1 block."""
-    d = np.diagonal
-    imag = np.zeros(Lam.shape[:-1])
-    imag[..., :-1] += d(Lam, 1, -2, -1)
-    imag[..., 1:] += d(Lam, -1, -2, -1)
-    return d(Lam, 0, -2, -1) + 1j * imag
-
-
 def modal_decompose(A):
     """Real block-diagonalization of each semi-simple member of a stack
     ``(N, n, n)`` in one pass: one :class:`ModalTransform` each, in a list.
@@ -220,8 +211,8 @@ def modal_decompose(A):
     # stable, so ties go by index); the -imag members last
     order = np.lexsort((np.where(plus, lam.imag, 0.0), lam.real,
                         minus.view(np.int8) - plus), axis=-1)
-    rows, lam_T, first = _pair_rows(lam[member, order],
-                                    np.swapaxes(V, -1, -2)[member, order], member)
+    modal = lam[member, order]
+    rows, lam_T, first = _pair_rows(modal, np.swapaxes(V, -1, -2)[member, order], member)
     first = first[:, :-1]
     Lam = np.zeros((N, n, n))
     diag = np.arange(n)
@@ -237,7 +228,7 @@ def modal_decompose(A):
         raise _ill_conditioned(A[b], lam[b], np.linalg.cond(T[b]))
 
     sigma_M = -lam.real.max(axis=-1)
-    return [ModalTransform(T=T[b], Lam=Lam[b], sigma_M=float(sigma_M[b])) for b in range(N)]
+    return [ModalTransform(T[b], Lam[b], modal[b], float(sigma_M[b])) for b in range(N)]
 
 
 def is_hurwitz(A):

@@ -417,8 +417,10 @@ def rk4_radius(eigenvalues, dt):
     ``lambda`` of ``A``; above 1 the discrete trajectory grows.  A mode
     slower than about ``eps / dt`` rounds to exactly 1: neutral, not growing.
     """
-    z = dt * np.asarray(eigenvalues)
-    return float(np.abs(1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))).max())
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is inf, or nan: read as inf
+        z = dt * np.asarray(eigenvalues)
+        rho = float(np.abs(1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))).max())
+    return math.inf if math.isnan(rho) else rho
 
 
 def _stable_dt(eigenvalues, t_end):
@@ -435,8 +437,10 @@ def _stable_dt(eigenvalues, t_end):
 
 
 def _numeric(a, name, dtype=float):
-    """``a`` as an array of ``dtype``; InvalidInput naming it when it is not numeric."""
+    """``a`` as a ``dtype`` array; InvalidInput naming it if not numeric, or complex for float."""
     try:
+        if dtype is float and np.iscomplexobj(a):
+            raise InvalidInput(f"{name} must be real-valued")
         return np.asarray(a, dtype=dtype)
     except (TypeError, ValueError) as exc:
         raise InvalidInput(f"{name} must be numeric: {exc}") from exc
@@ -483,7 +487,7 @@ def integrate(A, F, d, t, x0=None):
             M, G = _propagator(A, F, h)
     states = np.zeros((t.size, n))                    # after the build's temporaries are freed
     if x0 is not None:
-        states[0] = x0
+        states[0] = _numeric(x0, "x0")
     if t.size < 2 or n == 0:
         return states                                 # no step to take
     g = d[:-1] @ G.T

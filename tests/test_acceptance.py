@@ -165,7 +165,8 @@ def test_a2_pre_escalation_rows(grid, local_assessment, rng):
             for b, mt in local_assessment.transforms.items():
                 P = np.eye(3)[:, rng.permutation(3)] * rng.choice([-1.0, 1.0], size=3)
                 twisted[b] = linalg.ModalTransform(
-                    T=mt.T @ P, Lam=P.T @ mt.Lam @ P, sigma_M=mt.sigma_M)
+                    T=mt.T @ P, Lam=P.T @ mt.Lam @ P, eigenvalues=mt.eigenvalues,
+                    sigma_M=mt.sigma_M)
             coup = {(b, j): np.linalg.solve(twisted[b].T,
                                             line_block(s.couplings[j]) @ twisted[j].T)
                     for b, s in subs.items() for j in s.neighbors}

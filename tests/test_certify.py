@@ -160,7 +160,8 @@ class TestBuildSTilde:
         for b, mt in res.transforms.items():
             P = np.eye(3)[:, rng.permutation(3)] * rng.choice([-1.0, 1.0], size=3)
             twisted[b] = linalg.ModalTransform(
-                T=mt.T @ P, Lam=P.T @ mt.Lam @ P, sigma_M=mt.sigma_M)
+                T=mt.T @ P, Lam=P.T @ mt.Lam @ P, eigenvalues=mt.eigenvalues,
+                sigma_M=mt.sigma_M)
         coup = {}
         for b, sub in subs.items():
             for j in sub.neighbors:
@@ -643,8 +644,8 @@ class TestStackedDesign:
             Lam = mts[bus - 1].Lam
             assert np.allclose(np.diag(Lam), [-20.0, -20.0, -40.0])
             assert Lam[0, 1] == pytest.approx(6.0) and Lam[1, 0] == -Lam[0, 1]
-            # the placed spectrum, read off the blocks in modal order
-            assert np.allclose(linalg._modal_eigenvalues(Lam), PAIRED)
+            # the placed spectrum in modal order: s + iw, the real pole, s - iw
+            assert np.allclose(mts[bus - 1].eigenvalues, [PAIRED[0], PAIRED[2], PAIRED[1]])
 
     def test_random_pair_stacks(self, rng):
         # stacks of random plants whose closed loops mix complex pairs and real spectra

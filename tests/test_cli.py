@@ -239,6 +239,15 @@ class TestAssess:
         assert re.fullmatch(r"warning: agent [123]: pole -\S+ placed at -\S+ \(3 of 3 buses "
                             r"miss a requested pole by more than 1%\)\n", err), err
 
+    def test_misplaced_pole_tie_names_the_upper_pair_member(self, capsys, tmp_path):
+        # the real pole -0.00011 is equally near both members of a placed
+        # conjugate pair: the warning names the +iw member, which comes first
+        code, _, err = run(capsys, "assess", three_bus_path(), "--poles-scale", "5e-6",
+                           "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert err == ("warning: agent 1: pole -0.00011 placed at -0.000125505+6.12709e-05j "
+                       "(3 of 3 buses miss a requested pole by more than 1%)\n")
+
     @pytest.mark.parametrize("argv", [["assess", "--global", "--variant", "both"],
                                       ["simulate", "--t-end", "0.1"]])
     def test_closed_loop_assembled_once(self, capsys, tmp_path, monkeypatch, argv):
@@ -412,6 +421,21 @@ class TestSimulate:
                        "dt=0.001 s passes\n")
         assert not (tmp_path / "o" / "sim.csv").exists()
 
+    def test_overflowing_rk4_radius_fails_the_step_check(self, tmp_path):
+        # dt * lambda overflows: the radius reads inf, and the check names a
+        # step; in a child process, so a numpy warning under the default
+        # filters would show on stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "gridcert", "simulate", three_bus_path(), "--t-end", "1e307",
+             "--dt", "1e306", "--out", str(tmp_path / "o")],
+            env=child_env(), capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith(
+            "error: dt=1e+306 s is outside the RK4 stability region of this system: "
+            "the one-step propagator has spectral radius inf > 1; dt=")
+        assert not (tmp_path / "o" / "sim.csv").exists()
+
     def test_failing_default_step_is_halved(self, capsys, tmp_path):
         doc = three_bus_doc()
         for gen in doc["generators"]:
@@ -580,17 +604,17 @@ class TestReport:
         table += [f"| {bus} | {peaks[bus]:.4e} |" for bus in sorted(peaks)]
         assert out.endswith("\n".join(table) + "\n")
 
-    def test_summary_without_peaks_has_no_peak_table(self, capsys, tmp_path):
+    def test_null_settling_time_renders_not_settled(self, capsys, tmp_path):
         out_dir = tmp_path / "o"
         run(capsys, "simulate", three_bus_path(), "--t-end", "1", "--out", str(out_dir))
         path = out_dir / "sim_summary.json"
         summary = json.loads(path.read_text())
-        del summary["peak_abs_omega"]
+        summary["settling_time_s"] = None
         path.write_text(json.dumps(summary))
         code, out, _ = run(capsys, "report", "--out", str(out_dir))
         assert code == 0
-        assert "## Simulation" in out
-        assert "peak |d_omega|" not in out
+        assert "settling time (||x - x_end|| < 1e-4): not settled\n" in out
+        assert "| bus | peak |d_omega| (rad/s) |" in out
 
     def test_empty_dir_fails(self, capsys, tmp_path):
         code, _, err = run(capsys, "report", "--out", str(tmp_path / "nothing"))
@@ -610,10 +634,16 @@ class TestReport:
          '"full_system": {"eigenvalues": [], "max_real_part": -1.0, "hurwitz": true}}',
          "assess.json: 'eigenvalues' is empty"),
         ("protocol.json", None, "protocol.json: missing key 'per_round'"),
+        ("sim_summary.json", '{"max_abs_omega_end": 0.0, "steady_state": '
+         '{"power_balance_residual": 0.0}, "peak_abs_omega": {"1": 0.1}}',
+         "sim_summary.json: missing key 'settling_time_s'"),
+        ("sim_summary.json", '{"max_abs_omega_end": 0.0, "steady_state": '
+         '{"power_balance_residual": 0.0}, "settling_time_s": null}',
+         "sim_summary.json: missing key 'peak_abs_omega'"),
     ], ids=["empty-assess", "assess-without-agents", "assess-without-variants",
             "assess-without-full-system", "assess-with-empty-variants",
             "assess-without-eigenvalues", "assess-with-empty-eigenvalues",
-            "protocol-without-per-round"])
+            "protocol-without-per-round", "sim-without-settling-time", "sim-without-peaks"])
     def test_damaged_artifact_is_one_error_line(self, capsys, tmp_path, name, text, message):
         out_dir = tmp_path / "o"
         _, out, _ = run(capsys, "protocol", three_bus_path(), "--out", str(out_dir))
@@ -714,6 +744,27 @@ class TestErrorPaths:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == f"error: agent 1: {message}\n"
+
+    @pytest.mark.parametrize("section, field, value, message", [
+        ("generators", "M", 5e-324, "bus 1: wb/M overflows"),
+        ("generators", "T_T", 5e-324, "bus 1: 1/T_T overflows"),
+        ("lines", "X", 5e-324, "bus 1: (wb/M) sum_j(1/X_ij) overflows"),
+        (None, "base_frequency_hz", sys.float_info.max, "bus 1: wb/M overflows"),
+    ], ids=["subnormal-M", "subnormal-T_T", "subnormal-X", "largest-base-frequency"])
+    @pytest.mark.parametrize("argv", [["assess", "--global"], ["protocol"],
+                                      ["simulate", "--t-end", "0.1"]],
+                             ids=["assess", "protocol", "simulate"])
+    def test_overflowing_model_entry_is_one_located_line(self, capsys, tmp_path, section,
+                                                         field, value, message, argv):
+        # the entry is named by the fields it reads, with no numpy warning
+        # (which the test run turns into an error)
+        doc = three_bus_doc()
+        (doc[section][0] if section else doc)[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, argv[0], str(bad), *argv[1:], "--out", str(tmp_path / "o"))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
 
     def test_usage_error_exit_one(self, capsys):
         code, _, _ = run(capsys, "assess")   # missing grid argument

@@ -160,7 +160,8 @@ def designed(grid, bus):
 
 
 def with_T(mt, T):
-    return linalg.ModalTransform(T=T, Lam=mt.Lam, sigma_M=mt.sigma_M)
+    return linalg.ModalTransform(T=T, Lam=mt.Lam, eigenvalues=mt.eigenvalues,
+                                 sigma_M=mt.sigma_M)
 
 
 def row(sub, mt, T_nbrs, escalate=False, K=None):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -145,6 +146,19 @@ class TestBuildSubsystems:
             getattr(subs[1], attr)[0] += 1.0
         for s, b in zip(subs, before):
             assert np.array_equal(getattr(s, attr), b)
+
+    @pytest.mark.parametrize("gens, lines, message", [
+        ([(1, 5e-324, 1.0, 0.9), (2, 8.0, 1.0, 0.9)], [(1, 2, 0.4)], "bus 1: wb/M overflows"),
+        ([(1, 8.0, 1.0, 0.9), (2, 1e-300, 1e10, 0.9)], [(1, 2, 0.4)], "bus 2: D/M overflows"),
+        ([(1, 8.0, 1.0, 0.9), (2, 8.0, 1.0, 5e-324)], [(1, 2, 0.4)], "bus 2: 1/T_T overflows"),
+        ([(1, 8.0, 1.0, 0.9), (2, 8.0, 1.0, 0.9)], [(1, 2, 5e-324)],
+         "bus 1: (wb/M) sum_j(1/X_ij) overflows"),
+        ([(1, 1e-300, 0.0, 0.9), (2, 8.0, 1.0, 0.9)], [(1, 2, 1e-6)],
+         "bus 1: (wb/M) sum_j(1/X_ij) overflows"),   # each factor is finite
+    ], ids=["M", "D", "T_T", "X", "M-and-X"])
+    def test_overflowing_entry_named(self, gens, lines, message):
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            gridmodel.build_subsystems(make_grid(gens, lines))
 
     def test_symmetric_coupling_magnitudes(self, three_bus):
         subs = {s.bus: s for s in gridmodel.build_subsystems(three_bus)}

@@ -233,6 +233,22 @@ class TestIntegrate:
         with pytest.raises(InvalidInput, match=f"^{name} must be numeric"):
             sim.integrate(args["A"], args["F"], args["d"], t)
 
+    @pytest.mark.parametrize("name", ["A", "F", "d"])
+    def test_complex_input_rejected(self, name):
+        t = np.arange(5) * 0.1
+        args = {"A": [[-1.0]], "F": [[1.0]], "d": np.zeros((t.size, 1))}
+        args[name] = np.array([[1j]] * len(args[name]))
+        with pytest.raises(InvalidInput, match=f"^{name} must be real-valued$"):
+            sim.integrate(args["A"], args["F"], args["d"], t)
+
+    @pytest.mark.parametrize("x0", ["a", ["a"], np.array([1j])],
+                             ids=["string", "string-list", "complex"])
+    def test_initial_state_converted(self, x0):
+        t = np.arange(5) * 0.1
+        want = "^x0 must be real-valued$" if np.iscomplexobj(x0) else "^x0 must be numeric"
+        with pytest.raises(InvalidInput, match=want):
+            sim.integrate([[-1.0]], [[1.0]], np.zeros((t.size, 1)), t, x0=x0)
+
     def test_initial_state(self):
         t = np.arange(0, 2.0 + 1e-12, 1e-3)
         d = np.zeros((t.size, 1))
@@ -707,6 +723,26 @@ class TestStepSizeCheck:
         with pytest.raises(InvalidInput, match=f"^{name} must be numeric"):
             sim.simulate(args["A_full"], args["F_full"], sim.SimConfig(t_end=3.0, dt=0.3),
                          three_bus.bus_ids, {}, eigenvalues=args["eigenvalues"])
+
+    @pytest.mark.parametrize("name", ["A_full", "F_full"])
+    def test_complex_input_rejected(self, three_bus, certified, name):
+        res, F = certified
+        args = {"A_full": res.A_full, "F_full": F}
+        args[name] = args[name] + 1j
+        with pytest.raises(InvalidInput, match=f"^{name} must be real-valued$"):
+            sim.simulate(args["A_full"], args["F_full"], sim.SimConfig(t_end=3.0),
+                         three_bus.bus_ids, {}, eigenvalues=np.linalg.eigvals(res.A_full))
+
+    def test_overflowing_radius_fails_the_check(self, three_bus, certified):
+        # dt * lambda overflows to inf, or to nan in complex arithmetic: the
+        # radius reads inf, with no numpy warning, and the check names a step
+        res, _ = certified
+        lam = np.linalg.eigvals(res.A_full)
+        assert sim.rk4_radius(lam, 1e306) == math.inf
+        assert sim.rk4_radius(lam.real, 1e306) == math.inf
+        want = r"^dt=1e\+306 s is outside the RK4 .* radius inf > 1; dt=\S+ s passes$"
+        with pytest.raises(InvalidInput, match=want):
+            run_three_bus(three_bus, certified, t_end=1e307, dt=1e306)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
