@@ -13,13 +13,16 @@ relaxed transformed variant in modal coordinates (diagonal ``sigma_M_i``,
 off-diagonal ``-||At_ij||``).  :func:`agent_rows` evaluates the rows of
 many agents of a designed grid in one stacked pass, where every line
 coupling is rank one, each row from the line strengths, the agent's own
-factor and its neighbors' :func:`share`; the centralized
-:func:`assess_grid` and the protocol rounds both go through it.
+factor and its neighbors' :func:`share`, and returns them as one array
+record, :class:`Rows`, from which each agent's :class:`ConditionReport` is
+built only when read; the centralized :func:`assess_grid` and the protocol
+rounds both go through it.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -128,51 +131,100 @@ def share(T):
     return _norms(T[:, 0])[:, 0]
 
 
+def line_ends(subs):
+    """The line ends of the agents ``subs``, agent by agent, each agent's in
+    coupling order, as ``(i, j, c, start)``: end e is agent ``i[e]``'s line
+    to bus ``j[e]`` of strength ``c[e]``, agent k's ends ``start[k]:start[k + 1]``."""
+    deg = [len(sub.couplings) for sub in subs]
+    return (np.arange(len(subs)).repeat(deg), [j for sub in subs for j in sub.couplings],
+            np.array([c for sub in subs for c in sub.couplings.values()], dtype=float),
+            [0, *itertools.accumulate(deg)])
+
+
+@dataclass
+class Rows:
+    """The rows of a stack of agents as one array record.  Agent k is bus
+    ``bus[k]``, with diagonal entry ``diagonal[k]``, own factor ``own[k]``,
+    escalation coefficient ``s[k]`` (0 unless ``escalate[k]``), ``margin[k]``
+    (the diagonal less its off-diagonal entries, summed in coupling order)
+    and ``met[k]``.  Line end e (:func:`line_ends`) carries the off-diagonal
+    magnitude ``offdiag[e]`` and ``K[e]``, the one nonzero entry of the
+    global gain ``K_ij = c_ij s_i e1``.  The per-agent objects are built
+    only when read."""
+
+    variant: str
+    bus: list[int]
+    diagonal: list[float]
+    own: np.ndarray
+    s: np.ndarray
+    escalate: list[bool]
+    i: np.ndarray
+    j: list[int]
+    c: np.ndarray
+    start: list[int]
+    offdiag: np.ndarray
+    margin: list[float]
+    met: list[bool]
+    K: np.ndarray
+
+    def _ends(self, k, values):
+        a, b = self.start[k], self.start[k + 1]
+        return zip(self.j[a:b], values[a:b].tolist())
+
+    def report(self, k):
+        return ConditionReport(self.bus[k], self.diagonal[k], dict(self._ends(k, self.offdiag)),
+                               self.variant)
+
+    def global_gains(self, k):
+        """Agent k's ``{j: K_ij}``, empty unless escalated."""
+        ends = self._ends(k, self.K) if self.escalate[k] else ()
+        return {j: np.array([g, 0.0, 0.0]) for j, g in ends}
+
+
 def _rows_stack(subs, Ks, mts, shares, escalate, variant):
-    """The rows of a stack of agents.  An error says that some agent fails,
-    not which: :func:`agent_rows` finds it."""
+    """The :class:`Rows` of a stack of agents.  An error says that some
+    agent fails, not which: :func:`agent_rows` finds it."""
     for mt in mts:
         if mt.sigma_M <= 0:
             raise CertificateInvalid("modal form is not Hurwitz",
                                      offending_eigenvalue=-mt.sigma_M)
+    i, j, c, start = line_ends(subs)
     transformed = variant == VARIANT_TRANSFORMED
-    esc = np.array(escalate, dtype=bool)
     B = np.array([sub.B for sub in subs])
     e2 = np.array([0.0, 1.0, 0.0])
     s = np.zeros(len(subs))
-    if transformed or esc.any():
+    if transformed or any(escalate):
         T = np.array([mt.T for mt in mts])
-        rhs = np.stack([np.broadcast_to(e2, B.shape), B], axis=-1)
+        rhs = np.empty(B.shape + (2,))   # the columns e2 and B of each agent
+        rhs[..., 0], rhs[..., 1] = e2, B
         X = np.linalg.solve(T, rhs)
         u, Bt = X[..., 0], X[..., 1]
-        if esc.any():
+        if any(escalate):
+            esc = np.array(escalate, dtype=bool)
             s[esc] = control.optimal_global_gain(Bt[esc], u[esc][..., None])[:, 0]
     if transformed:
-        for sub, received in zip(subs, shares):
-            for j in sub.couplings:
-                if j not in received:
-                    raise InvalidInput(f"missing share from neighbor {j}")
+        try:
+            nbr = [shares[k][nb] for k, nb in zip(i.tolist(), j)]
+        except KeyError as exc:
+            raise InvalidInput(f"missing share from neighbor {exc.args[0]}") from None
         own = _norms(u - s[:, None] * Bt)[:, 0]
         diagonal = [mt.sigma_M for mt in mts]
-        nbrs = shares
+        # own factor, coupling strength, neighbor's factor
+        offdiag = own[i] * np.abs(c) * nbr
     else:
+        # the certificates of the closed loops the design decomposed, on their spectra
         A_cl = (np.array([sub.A_hat for sub in subs])
                 - B[:, :, None] * np.asarray(Ks, dtype=float)[:, None, :])
-        certs = certify_decoupled(A_cl, np.eye(A_cl.shape[-1]))
-        lambda_max_P = np.array([c.lambda_max_P for c in certs])
-        own = 2.0 * lambda_max_P * _norms(e2 - s[:, None] * B)[:, 0]
-        diagonal = [c.lambda_min_Q for c in certs]
-        nbrs = [dict.fromkeys(sub.couplings, 1.0) for sub in subs]   # no share: a factor of 1
-
-    reports, globals_ = [], []
-    for sub, d, o, sk, e, nbr in zip(subs, diagonal, own.tolist(), s.tolist(), esc, nbrs):
-        c = sub.couplings
-        globals_.append({j: np.array([c[j] * sk, 0.0, 0.0]) for j in c} if e else {})
-        # own factor, coupling strength, neighbor's factor
-        reports.append(ConditionReport(
-            agent=sub.bus, diagonal=d, variant=variant,
-            offdiag={j: o * abs(cj) * nbr[j] for j, cj in c.items()}))
-    return reports, globals_
+        Q, lam_Q = _lyapunov_rhs(np.eye(A_cl.shape[-1]), A_cl)
+        _, lam_P = _lyapunov(A_cl, Q, np.array([mt.eigenvalues for mt in mts]))
+        own = 2.0 * lam_P.max(axis=-1) * _norms(e2 - s[:, None] * B)[:, 0]
+        diagonal = [float(lam_Q.min())] * len(subs)
+        offdiag = own[i] * np.abs(c)    # no share: a neighbor factor of 1
+    off = offdiag.tolist()
+    # Python's sum in coupling order, as ConditionReport.margin takes it
+    margin = [d - sum(off[a:b]) for d, a, b in zip(diagonal, start, start[1:])]
+    return Rows(variant, [sub.bus for sub in subs], diagonal, own, s, list(escalate),
+                i, j, c, start, offdiag, margin, [m > 0.0 for m in margin], c * s[i])
 
 
 def agent_rows(subs, Ks, mts, shares, escalate, variant):
@@ -196,42 +248,55 @@ def agent_rows(subs, Ks, mts, shares, escalate, variant):
 
     with ``s = 0`` unless ``escalate[k]``.  The solves for ``u`` and
     ``Bt``, the projections, the norms and the original variant's Lyapunov
-    certificates each run once over the stack; row k reads only agent k's
-    inputs and equals that of agent k evaluated alone.
+    certificates each run once over the stack, and the certificates reuse
+    the spectra ``mts`` carry; row k reads only agent k's inputs and equals
+    that of agent k evaluated alone.
 
-    Returns ``(reports, globals_)``: the rows and the global gains
-    ``{j: K_ij}`` of each agent (empty unless escalated).  ``assess_grid``
-    evaluates rows of either variant here, the protocol rounds transformed
-    rows.  An error keeps its type and names the lowest-numbered failing
-    agent, whichever stage it fails at: when the stack fails, the agents
-    are evaluated one at a time and the first error is raised.
+    Returns the :class:`Rows` record, or None for no agents.
+    ``assess_grid`` evaluates rows of either variant here, the protocol
+    rounds transformed rows.  An error keeps its type and names the
+    lowest-numbered failing agent, whichever stage it fails at: when the
+    stack fails, the agents are evaluated one at a time and the first error
+    is raised.
     """
     if variant not in VARIANTS:
         raise InvalidInput(f"unknown variant {variant!r}")
     if not subs:
-        return [], []
+        return None
     return _first_failure(functools.partial(_rows_stack, variant=variant),
                           [sub.bus for sub in subs], subs, Ks, mts, shares, escalate)
 
 
-def compositional_verdict(reports):
-    """``stable`` iff every agent met its row condition, else ``inconclusive``."""
-    return STABLE if all(r.met for r in reports) else INCONCLUSIVE
+def compositional_verdict(met):
+    """``stable`` iff every agent met its row condition (each of ``met``
+    true), else ``inconclusive``."""
+    return STABLE if all(met) else INCONCLUSIVE
 
 
 @dataclass
 class AssessmentResult:
-    """Outcome of a centralized design-and-certify pass over a grid.
+    """Outcome of a centralized design-and-certify pass over a grid: the
+    :class:`Rows` ``rows``, with local gains ``Ks[k]`` for agent k.
 
-    ``A_full``, the dense closed loop of order 3N, is assembled on first
-    read and kept: a pass that reads no oracle never holds it."""
+    ``reports``, ``gains`` and ``A_full``, the dense closed loop of order
+    3N, are built on first read and kept: a pass that reads none of them
+    never holds them."""
 
     variant: str
-    reports: list[ConditionReport]
+    rows: Rows
     verdict: str
-    gains: dict[int, control.GainSet]
+    Ks: np.ndarray
     transforms: dict[int, ModalTransform]
     subsystems: list[gridmodel.SubsystemModel]
+
+    @functools.cached_property
+    def reports(self):
+        return [self.rows.report(k) for k in range(len(self.rows.bus))]
+
+    @functools.cached_property
+    def gains(self):
+        return {bus: control.GainSet(local=K, global_=self.rows.global_gains(k))
+                for k, (bus, K) in enumerate(zip(self.rows.bus, self.Ks))}
 
     @functools.cached_property
     def A_full(self):
@@ -292,6 +357,10 @@ def misplaced_poles(transforms, specs):
     return out
 
 
+def _floats(v):
+    return ", ".join(f"{x:.3g}" for x in v)
+
+
 def _unresolved(A_hat, poles, lam):
     """The error for a placement that failed to resolve ``poles``: when the
     spectrum ``lam`` of the placed loop misses some requested pole by
@@ -310,7 +379,13 @@ def _design_stack(A, B, pole_sets):
     """The gains and closed-loop modal forms of a stack of buses.  An error
     says that some bus fails, not which: :func:`design_agents` finds it."""
     K = control.pole_place(A, B, pole_sets)
-    A_cl = A - B[:, :, None] * K[:, None, :]
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        A_cl = A - B[:, :, None] * K[:, None, :]
+    if not np.isfinite(A_cl).all():
+        k, r, c = np.argwhere(~np.isfinite(A_cl))[0]
+        raise InvalidInput(
+            f"entry ({r + 1}, {c + 1}) of the closed loop A_hat - B K^T is not finite: placing "
+            f"these poles takes the gain K = [{_floats(K[k])}] at B = [{_floats(B[k])}]")
     try:
         mts = modal_decompose(A_cl)
     except (IllConditionedTransform, NotSemiSimple) as exc:
@@ -375,12 +450,10 @@ class GridDesign:
         with every neighbor's share at hand, escalated to
         coupling-minimizing global gains when ``use_global``, and the verdict."""
         subs, n = self.subsystems, len(self.subsystems)
-        reports, globals_ = agent_rows(subs, self.Ks, self.mts, [self.shares] * n,
-                                       [use_global] * n, variant)
-        gains = {sub.bus: control.GainSet(local=K, global_=global_)
-                 for sub, K, global_ in zip(subs, self.Ks, globals_)}
+        rows = agent_rows(subs, self.Ks, self.mts, [self.shares] * n, [use_global] * n,
+                          variant)
         transforms = {sub.bus: mt for sub, mt in zip(subs, self.mts)}
-        return AssessmentResult(variant, reports, compositional_verdict(reports), gains,
+        return AssessmentResult(variant, rows, compositional_verdict(rows.met), self.Ks,
                                 transforms, subs)
 
 

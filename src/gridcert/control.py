@@ -102,8 +102,15 @@ def pole_place(A_hat, B, poles):
         raise InvalidInput("controllability matrix overflows: A_hat or B is too large")
     # rank < n: the least singular value within n eps of the largest (np.linalg.matrix_rank)
     s = np.linalg.svd(C, compute_uv=False)
-    if (s[:, -1] <= s[:, 0] * (n * np.finfo(float).eps)).any():
-        raise Uncontrollable("controllability matrix is rank deficient")
+    bad = s[:, -1] <= s[:, 0] * (n * np.finfo(float).eps)
+    if bad.any():
+        k = np.argmax(bad)
+        r, c = divmod(int(np.abs(A[k]).argmax()), n)
+        raise Uncontrollable("controllability matrix is rank deficient" + (
+            f" to working precision: its least singular value {s[k, -1]:.3g} is within {n} eps"
+            f" of its largest, {s[k, 0]:.3g}, with A_hat's largest entry {A[k, r, c]:.3g} at"
+            f" ({r + 1}, {c + 1}) and B = [{', '.join(f'{b:.3g}' for b in B[k])}]"
+            if s[k, 0] else ""))      # B = 0: C is exactly zero
 
     # desired characteristic polynomial evaluated at A_hat
     with np.errstate(over="ignore", invalid="ignore"):   # overflow is reported below

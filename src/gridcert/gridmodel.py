@@ -321,30 +321,41 @@ def assemble_full(subsystems, gains):
     blocks are ``A_hat_i - B_i K_i^T``; the (i, j) block is
     ``c_ij e2 e1^T - B_i K_ij^T`` for each line coupling of i, and zero
     otherwise.  A global gain on a bus that is not a line neighbor raises
-    :class:`InvalidInput`.
+    :class:`InvalidInput`.  The gains are checked bus by bus; the diagonal
+    blocks, the line entries and the global gains are then written with
+    one indexed assignment each.
     """
     subs = sorted(subsystems, key=lambda s: s.bus)
     index = {s.bus: k for k, s in enumerate(subs)}
-    n = SUBSYSTEM_ORDER
-    A = np.zeros((n * len(subs), n * len(subs)))
+    n, N = SUBSYSTEM_ORDER, len(subs)
+    Ks, lines, globals_ = [], [], []    # local gains; (i, j, c) per line end; (i, j, K_ij)
     for bi, s in enumerate(subs):
-        rows = slice(n * bi, n * bi + n)
         gs = gains.get(s.bus)
-        K = np.zeros(n) if gs is None else _gain_vector(gs.local, f"local gain for bus {s.bus}")
+        Ks.append(np.zeros(n) if gs is None
+                  else _gain_vector(gs.local, f"local gain for bus {s.bus}"))
         global_ = {} if gs is None else gs.global_
         stray = sorted(set(global_) - set(s.couplings))
         if stray:
             raise InvalidInput(f"global gain {s.bus}->{stray[0]} is not on a line of bus {s.bus}")
-        A[rows, rows] = s.A_hat - np.outer(s.B, K)
         for j, c in s.couplings.items():
             if j not in index:
                 raise InvalidInput(f"bus {s.bus} references unknown neighbor {j}")
-            bj = n * index[j]
-            A[n * bi + 1, bj] = c     # the line's one entry, (2, 1) of the block
+            lines.append((bi, index[j], c))
             if j in global_:
-                A[rows, bj:bj + n] -= np.outer(
-                    s.B, _gain_vector(global_[j], f"global gain {s.bus}->{j}"))
-    return A
+                globals_.append((bi, index[j],
+                                 _gain_vector(global_[j], f"global gain {s.bus}->{j}")))
+    B = np.reshape([s.B for s in subs], (N, n))
+    A = np.zeros((N, n, N, n))          # A[i, :, j, :] is the (i, j) block
+    k = np.arange(N)
+    A[k, :, k, :] = (np.reshape([s.A_hat for s in subs], (N, n, n))
+                     - B[:, :, None] * np.reshape(Ks, (N, n))[:, None, :])
+    if lines:
+        i, j, c = zip(*lines)
+        A[i, 1, j, 0] = c               # the line's one entry, (2, 1) of the block
+    if globals_:
+        i, j, K = zip(*globals_)
+        A[i, :, j, :] -= B[list(i), :, None] * np.array(K)[:, None, :]
+    return A.reshape(N * n, N * n)
 
 
 def disturbance_matrix(subsystems):

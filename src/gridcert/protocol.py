@@ -43,6 +43,8 @@ import math
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
+
 from . import certify, control, gridmodel
 from .errors import GridcertError, InvalidInput, ProtocolViolation
 from .linalg import ModalTransform
@@ -118,12 +120,25 @@ class AgentState:
     retry_count: int = 0
     poles: tuple[complex, ...] = ()
     escalated: bool = False
-    gains: control.GainSet | None = None
+    local: np.ndarray | None = None     # its local gain, from its last design
     transform: ModalTransform | None = None
     received_shares: dict[int, float] = field(default_factory=dict)
-    report: certify.ConditionReport | None = None
+    row: tuple[certify.Rows, int] | None = None   # its last row: a record and its index there
     needs_evaluation: bool = False
     verdict: bool | None = None
+
+    @property
+    def report(self):
+        return None if self.row is None else self.row[0].report(self.row[1])
+
+    @property
+    def gains(self):
+        """Its last design's local gain and its last row's global gains (a
+        redesign follows only a row that was not escalated, which has none)."""
+        if self.local is None:
+            return None
+        global_ = {} if self.row is None else self.row[0].global_gains(self.row[1])
+        return control.GainSet(self.local, global_)
 
     def has_work(self):
         return self.designing or self.needs_evaluation
@@ -188,7 +203,7 @@ def _step_stack(states, inboxes, config, rnd):
     betas = certify.share([mt.T for mt in mts]).tolist() if mts else []
     for k, K, mt, beta in zip(designing, Ks, mts, betas):
         st = sts[k]
-        st.gains = control.GainSet(local=K)
+        st.local = K
         st.transform = mt
         st.escalated = False
         outs[k] = [Message(SHARE_FACTOR, st.id, j, rnd, {"beta": beta})
@@ -197,16 +212,16 @@ def _step_stack(states, inboxes, config, rnd):
         st.needs_evaluation = True
 
     ev = [sts[k] for k in evaluating]
-    reports, globals_ = certify.agent_rows(
-        [st.model for st in ev], [st.gains.local for st in ev], [st.transform for st in ev],
+    rows = certify.agent_rows(
+        [st.model for st in ev], [st.local for st in ev], [st.transform for st in ev],
         [st.received_shares for st in ev], [st.escalated for st in ev],
         certify.VARIANT_TRANSFORMED)
-    for k, st, report, global_ in zip(evaluating, ev, reports, globals_):
-        st.report = report
-        st.gains = control.GainSet(local=st.gains.local, global_=global_)
+    for n, (k, st) in enumerate(zip(evaluating, ev)):
+        st.row = (rows, n)
         st.needs_evaluation = False
-        outs[k] = [Message(CONDITION_STATUS, st.id, OPERATOR, rnd, {"met": report.met})]
-        if report.met:
+        met = rows.met[n]
+        outs[k] = [Message(CONDITION_STATUS, st.id, OPERATOR, rnd, {"met": met})]
+        if met:
             continue
         if st.retry_count < config.max_retries:
             st.retry_count += 1

@@ -475,6 +475,8 @@ def integrate(A, F, d, t, x0=None):
     """
     A, F, d = _numeric(A, "A"), _numeric(F, "F"), _numeric(d, "d")
     n = A.shape[0]
+    if x0 is not None and (x0 := _numeric(x0, "x0")).shape != (n,):
+        raise InvalidInput(f"x0 must have shape ({n},), got {x0.shape}")
     if t.size > 1:
         h = (t[-1] - t[0]) / (t.size - 1)
         tol = 8 * np.finfo(float).eps * np.abs(t).max()   # rounding of sample times of size |t|
@@ -487,7 +489,7 @@ def integrate(A, F, d, t, x0=None):
             M, G = _propagator(A, F, h)
     states = np.zeros((t.size, n))                    # after the build's temporaries are freed
     if x0 is not None:
-        states[0] = _numeric(x0, "x0")
+        states[0] = x0
     if t.size < 2 or n == 0:
         return states                                 # no step to take
     g = d[:-1] @ G.T
@@ -632,10 +634,15 @@ def simulate(A_full, F_full, config, bus_ids, gains, eigenvalues):
     if lam.real.max() < 0.0:
         rho = rk4_radius(lam, config.dt)
         if rho > 1.0:
+            dt = _stable_dt(lam, config.t_end)
+            try:   # the passing step's time grid, allocated but never written
+                np.empty(int(round(config.t_end / dt)) + 1)
+                passes = f"dt={dt!r} s passes"
+            except (OverflowError, ValueError, MemoryError):
+                passes = "no step that passes gives a time grid that can be allocated"
             raise InvalidInput(
                 f"dt={config.dt:g} s is outside the RK4 stability region of this "
-                f"system: the one-step propagator has spectral radius {rho:.4g} > 1; "
-                f"dt={_stable_dt(lam, config.t_end)!r} s passes")
+                f"system: the one-step propagator has spectral radius {rho:.4g} > 1; {passes}")
 
     t = config.time_grid()
     try:

@@ -430,10 +430,10 @@ class TestSimulate:
              "--dt", "1e306", "--out", str(tmp_path / "o")],
             env=child_env(), capture_output=True, text=True)
         assert (proc.returncode, proc.stdout) == (1, "")
-        assert proc.stderr.count("\n") == 1
-        assert proc.stderr.startswith(
+        assert proc.stderr == (
             "error: dt=1e+306 s is outside the RK4 stability region of this system: "
-            "the one-step propagator has spectral radius inf > 1; dt=")
+            "the one-step propagator has spectral radius inf > 1; no step that passes "
+            "gives a time grid that can be allocated\n")
         assert not (tmp_path / "o" / "sim.csv").exists()
 
     def test_failing_default_step_is_halved(self, capsys, tmp_path):
@@ -744,6 +744,29 @@ class TestErrorPaths:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == f"error: agent 1: {message}\n"
+
+    @pytest.mark.parametrize("field, value, message", [
+        # 1/T_T is subnormal: the gain that places the poles overflows
+        ("T_T", 1.7e308, r"entry \(1, 1\) of the closed loop A_hat - B K\^T is not finite: "
+                         r"placing these poles takes the gain K = \[.+\] "
+                         r"at B = \[0, 0, 5\.88e-309\]"),
+        # D/M = 1.25e299 swamps the Krylov columns of a plant controllable for any finite D
+        ("D", 1e300, r"controllability matrix is rank deficient to working precision: its least "
+                     r"singular value \S+ is within 3 eps of its largest, \S+, with A_hat's "
+                     r"largest entry -1\.25e\+299 at \(2, 2\) and B = \[0, 0, 1\.11\]"),
+    ], ids=["largest-T_T", "huge-D"])
+    @pytest.mark.parametrize("argv", [["assess"], ["protocol"], ["simulate", "--t-end", "0.1"]],
+                             ids=["assess", "protocol", "simulate"])
+    def test_design_failure_names_the_entry(self, capsys, tmp_path, field, value, message, argv):
+        # one located line and no numpy warning (which the test run turns
+        # into an error); the singular values and gains are left to LAPACK
+        doc = three_bus_doc()
+        doc["generators"][0][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, argv[0], str(bad), *argv[1:], "--out", str(tmp_path / "o"))
+        assert (code, out) == (1, "")
+        assert re.fullmatch(f"error: agent 1: {message}\n", err)
 
     @pytest.mark.parametrize("section, field, value, message", [
         ("generators", "M", 5e-324, "bus 1: wb/M overflows"),

@@ -169,9 +169,9 @@ def row(sub, mt, T_nbrs, escalate=False, K=None):
     transform's first row."""
     K = np.zeros(3) if K is None else K
     shares = {j: float(np.linalg.norm(T[0])) for j, T in T_nbrs.items()}
-    (report,), (global_,) = certify.agent_rows([sub], [K], [mt], [shares], [escalate],
-                                               certify.VARIANT_TRANSFORMED)
-    return report, global_
+    rows = certify.agent_rows([sub], [K], [mt], [shares], [escalate],
+                              certify.VARIANT_TRANSFORMED)
+    return rows.report(0), rows.global_gains(0)
 
 
 class TestTransform:

@@ -57,10 +57,12 @@ def assert_rows_replay(got, want, escalate, variant):
             [st.model for st in sts], [st.gains.local for st in sts],
             [st.transform for st in sts], [st.received_shares for st in sts], esc, variant)
 
-    reports, globals_ = rows(got, escalate)
-    assert len(reports) == len(got) == len(want)
-    for st, w, esc, report, global_ in zip(got, want, escalate, reports, globals_):
-        (w_report,), (w_global,) = rows([w], [esc])
+    stack = rows(got, escalate)
+    assert len(stack.bus) == len(got) == len(want)
+    for k, (st, w, esc) in enumerate(zip(got, want, escalate)):
+        report, global_ = stack.report(k), stack.global_gains(k)
+        alone = rows([w], [esc])
+        w_report, w_global = alone.report(0), alone.global_gains(0)
         assert report == w_report
         assert (report.agent, report.variant) == (st.id, variant)
         assert global_.keys() == w_global.keys() == st.gains.global_.keys()

@@ -249,6 +249,11 @@ class TestIntegrate:
         with pytest.raises(InvalidInput, match=want):
             sim.integrate([[-1.0]], [[1.0]], np.zeros((t.size, 1)), t, x0=x0)
 
+    def test_initial_state_shape_checked(self):
+        t = np.arange(5) * 0.1
+        with pytest.raises(InvalidInput, match=r"^x0 must have shape \(1,\), got \(2,\)$"):
+            sim.integrate([[-1.0]], [[1.0]], np.zeros((t.size, 1)), t, x0=[1.0, 2.0])
+
     def test_initial_state(self):
         t = np.arange(0, 2.0 + 1e-12, 1e-3)
         d = np.zeros((t.size, 1))
@@ -735,14 +740,24 @@ class TestStepSizeCheck:
 
     def test_overflowing_radius_fails_the_check(self, three_bus, certified):
         # dt * lambda overflows to inf, or to nan in complex arithmetic: the
-        # radius reads inf, with no numpy warning, and the check names a step
+        # radius reads inf, with no numpy warning; the step that passes,
+        # 1e307 / 1.8e308 s, needs more samples than any array holds
         res, _ = certified
         lam = np.linalg.eigvals(res.A_full)
         assert sim.rk4_radius(lam, 1e306) == math.inf
         assert sim.rk4_radius(lam.real, 1e306) == math.inf
-        want = r"^dt=1e\+306 s is outside the RK4 .* radius inf > 1; dt=\S+ s passes$"
+        want = (r"^dt=1e\+306 s is outside the RK4 .* radius inf > 1; "
+                r"no step that passes gives a time grid that can be allocated$")
         with pytest.raises(InvalidInput, match=want):
             run_three_bus(three_bus, certified, t_end=1e307, dt=1e306)
+
+    def test_no_step_named_when_its_grid_cannot_be_allocated(self, three_bus, certified):
+        # the radius at dt = 1e13 s is finite; the step that passes, 1e-3 s,
+        # needs 1e17 samples over 1e14 s, a grid no machine allocates
+        want = (r"^dt=1e\+13 s is outside the RK4 .* > 1; "
+                r"no step that passes gives a time grid that can be allocated$")
+        with pytest.raises(InvalidInput, match=want):
+            run_three_bus(three_bus, certified, t_end=1e14, dt=1e13)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
