@@ -13,10 +13,9 @@ relaxed transformed variant in modal coordinates (diagonal ``sigma_M_i``,
 off-diagonal ``-||At_ij||``).  :func:`agent_rows` evaluates the rows of
 many agents of a designed grid in one stacked pass, where every line
 coupling is rank one, each row from the line strengths, the agent's own
-factor and its neighbors' :func:`share`, and returns them as one array
-record, :class:`Rows`, from which each agent's :class:`ConditionReport` is
-built only when read; the centralized :func:`assess_grid` and the protocol
-rounds both go through it.
+factor and its neighbors' :func:`share`, into one array record,
+:class:`Rows`, that builds each agent's :class:`ConditionReport`; the
+centralized :func:`assess_grid` and the protocol rounds both go through it.
 """
 
 from __future__ import annotations
@@ -131,26 +130,16 @@ def share(T):
     return _norms(T[:, 0])[:, 0]
 
 
-def line_ends(subs):
-    """The line ends of the agents ``subs``, agent by agent, each agent's in
-    coupling order, as ``(i, j, c, start)``: end e is agent ``i[e]``'s line
-    to bus ``j[e]`` of strength ``c[e]``, agent k's ends ``start[k]:start[k + 1]``."""
-    deg = [len(sub.couplings) for sub in subs]
-    return (np.arange(len(subs)).repeat(deg), [j for sub in subs for j in sub.couplings],
-            np.array([c for sub in subs for c in sub.couplings.values()], dtype=float),
-            [0, *itertools.accumulate(deg)])
-
-
 @dataclass
 class Rows:
     """The rows of a stack of agents as one array record.  Agent k is bus
     ``bus[k]``, with diagonal entry ``diagonal[k]``, own factor ``own[k]``,
     escalation coefficient ``s[k]`` (0 unless ``escalate[k]``), ``margin[k]``
     (the diagonal less its off-diagonal entries, summed in coupling order)
-    and ``met[k]``.  Line end e (:func:`line_ends`) carries the off-diagonal
-    magnitude ``offdiag[e]`` and ``K[e]``, the one nonzero entry of the
-    global gain ``K_ij = c_ij s_i e1``.  The per-agent objects are built
-    only when read."""
+    and ``met[k]``.  Agent k's line ends are ``start[k]:start[k + 1]``, in
+    coupling order: end e, the line to bus ``j[e]``, carries the
+    off-diagonal magnitude ``offdiag[e]`` and the global gain
+    ``K_ij = c_ij s_i e1``, row ``K[e]``."""
 
     variant: str
     bus: list[int]
@@ -158,18 +147,16 @@ class Rows:
     own: np.ndarray
     s: np.ndarray
     escalate: list[bool]
-    i: np.ndarray
     j: list[int]
-    c: np.ndarray
     start: list[int]
-    offdiag: np.ndarray
+    offdiag: list[float]
     margin: list[float]
     met: list[bool]
     K: np.ndarray
 
     def _ends(self, k, values):
         a, b = self.start[k], self.start[k + 1]
-        return zip(self.j[a:b], values[a:b].tolist())
+        return zip(self.j[a:b], values[a:b])
 
     def report(self, k):
         return ConditionReport(self.bus[k], self.diagonal[k], dict(self._ends(k, self.offdiag)),
@@ -177,8 +164,7 @@ class Rows:
 
     def global_gains(self, k):
         """Agent k's ``{j: K_ij}``, empty unless escalated."""
-        ends = self._ends(k, self.K) if self.escalate[k] else ()
-        return {j: np.array([g, 0.0, 0.0]) for j, g in ends}
+        return dict(self._ends(k, self.K)) if self.escalate[k] else {}
 
 
 def _rows_stack(subs, Ks, mts, shares, escalate, variant):
@@ -188,7 +174,11 @@ def _rows_stack(subs, Ks, mts, shares, escalate, variant):
         if mt.sigma_M <= 0:
             raise CertificateInvalid("modal form is not Hurwitz",
                                      offending_eigenvalue=-mt.sigma_M)
-    i, j, c, start = line_ends(subs)
+    deg = [len(sub.couplings) for sub in subs]
+    start = [0, *itertools.accumulate(deg)]
+    i = np.arange(len(subs)).repeat(deg)    # the agent of each line end
+    j = [nb for sub in subs for nb in sub.couplings]
+    c = np.array([cj for sub in subs for cj in sub.couplings.values()], dtype=float)
     transformed = variant == VARIANT_TRANSFORMED
     B = np.array([sub.B for sub in subs])
     e2 = np.array([0.0, 1.0, 0.0])
@@ -220,11 +210,13 @@ def _rows_stack(subs, Ks, mts, shares, escalate, variant):
         own = 2.0 * lam_P.max(axis=-1) * _norms(e2 - s[:, None] * B)[:, 0]
         diagonal = [float(lam_Q.min())] * len(subs)
         offdiag = own[i] * np.abs(c)    # no share: a neighbor factor of 1
+    K = np.zeros((len(c), 3))
+    K[:, 0] = c * s[i]
     off = offdiag.tolist()
     # Python's sum in coupling order, as ConditionReport.margin takes it
     margin = [d - sum(off[a:b]) for d, a, b in zip(diagonal, start, start[1:])]
     return Rows(variant, [sub.bus for sub in subs], diagonal, own, s, list(escalate),
-                i, j, c, start, offdiag, margin, [m > 0.0 for m in margin], c * s[i])
+                j, start, off, margin, [m > 0.0 for m in margin], K)
 
 
 def agent_rows(subs, Ks, mts, shares, escalate, variant):
@@ -275,28 +267,17 @@ def compositional_verdict(met):
 
 @dataclass
 class AssessmentResult:
-    """Outcome of a centralized design-and-certify pass over a grid: the
-    :class:`Rows` ``rows``, with local gains ``Ks[k]`` for agent k.
+    """Outcome of a centralized design-and-certify pass over a grid.
 
-    ``reports``, ``gains`` and ``A_full``, the dense closed loop of order
-    3N, are built on first read and kept: a pass that reads none of them
-    never holds them."""
+    ``A_full``, the dense closed loop of order 3N, is assembled on first
+    read and kept: a pass that reads no oracle never holds it."""
 
     variant: str
-    rows: Rows
+    reports: list[ConditionReport]
     verdict: str
-    Ks: np.ndarray
+    gains: dict[int, control.GainSet]
     transforms: dict[int, ModalTransform]
     subsystems: list[gridmodel.SubsystemModel]
-
-    @functools.cached_property
-    def reports(self):
-        return [self.rows.report(k) for k in range(len(self.rows.bus))]
-
-    @functools.cached_property
-    def gains(self):
-        return {bus: control.GainSet(local=K, global_=self.rows.global_gains(k))
-                for k, (bus, K) in enumerate(zip(self.rows.bus, self.Ks))}
 
     @functools.cached_property
     def A_full(self):
@@ -357,10 +338,6 @@ def misplaced_poles(transforms, specs):
     return out
 
 
-def _floats(v):
-    return ", ".join(f"{x:.3g}" for x in v)
-
-
 def _unresolved(A_hat, poles, lam):
     """The error for a placement that failed to resolve ``poles``: when the
     spectrum ``lam`` of the placed loop misses some requested pole by
@@ -385,7 +362,8 @@ def _design_stack(A, B, pole_sets):
         k, r, c = np.argwhere(~np.isfinite(A_cl))[0]
         raise InvalidInput(
             f"entry ({r + 1}, {c + 1}) of the closed loop A_hat - B K^T is not finite: placing "
-            f"these poles takes the gain K = [{_floats(K[k])}] at B = [{_floats(B[k])}]")
+            f"these poles takes the gain K = [{', '.join(f'{x:.3g}' for x in K[k])}] at "
+            f"B = [{', '.join(f'{x:.3g}' for x in B[k])}]")
     try:
         mts = modal_decompose(A_cl)
     except (IllConditionedTransform, NotSemiSimple) as exc:
@@ -452,9 +430,11 @@ class GridDesign:
         subs, n = self.subsystems, len(self.subsystems)
         rows = agent_rows(subs, self.Ks, self.mts, [self.shares] * n, [use_global] * n,
                           variant)
+        gains = {sub.bus: control.GainSet(K, rows.global_gains(k))
+                 for k, (sub, K) in enumerate(zip(subs, self.Ks))}
         transforms = {sub.bus: mt for sub, mt in zip(subs, self.mts)}
-        return AssessmentResult(variant, rows, compositional_verdict(rows.met), self.Ks,
-                                transforms, subs)
+        return AssessmentResult(variant, [rows.report(k) for k in range(n)],
+                                compositional_verdict(rows.met), gains, transforms, subs)
 
 
 def design_grid(grid, poles_scale=1.0):

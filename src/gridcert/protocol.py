@@ -43,8 +43,6 @@ import math
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 
-import numpy as np
-
 from . import certify, control, gridmodel
 from .errors import GridcertError, InvalidInput, ProtocolViolation
 from .linalg import ModalTransform
@@ -120,25 +118,12 @@ class AgentState:
     retry_count: int = 0
     poles: tuple[complex, ...] = ()
     escalated: bool = False
-    local: np.ndarray | None = None     # its local gain, from its last design
+    gains: control.GainSet | None = None
     transform: ModalTransform | None = None
     received_shares: dict[int, float] = field(default_factory=dict)
-    row: tuple[certify.Rows, int] | None = None   # its last row: a record and its index there
+    report: certify.ConditionReport | None = None
     needs_evaluation: bool = False
     verdict: bool | None = None
-
-    @property
-    def report(self):
-        return None if self.row is None else self.row[0].report(self.row[1])
-
-    @property
-    def gains(self):
-        """Its last design's local gain and its last row's global gains (a
-        redesign follows only a row that was not escalated, which has none)."""
-        if self.local is None:
-            return None
-        global_ = {} if self.row is None else self.row[0].global_gains(self.row[1])
-        return control.GainSet(self.local, global_)
 
     def has_work(self):
         return self.designing or self.needs_evaluation
@@ -203,7 +188,7 @@ def _step_stack(states, inboxes, config, rnd):
     betas = certify.share([mt.T for mt in mts]).tolist() if mts else []
     for k, K, mt, beta in zip(designing, Ks, mts, betas):
         st = sts[k]
-        st.local = K
+        st.gains = control.GainSet(local=K)
         st.transform = mt
         st.escalated = False
         outs[k] = [Message(SHARE_FACTOR, st.id, j, rnd, {"beta": beta})
@@ -213,15 +198,15 @@ def _step_stack(states, inboxes, config, rnd):
 
     ev = [sts[k] for k in evaluating]
     rows = certify.agent_rows(
-        [st.model for st in ev], [st.local for st in ev], [st.transform for st in ev],
+        [st.model for st in ev], [st.gains.local for st in ev], [st.transform for st in ev],
         [st.received_shares for st in ev], [st.escalated for st in ev],
         certify.VARIANT_TRANSFORMED)
     for n, (k, st) in enumerate(zip(evaluating, ev)):
-        st.row = (rows, n)
+        st.report = rows.report(n)
+        st.gains = control.GainSet(local=st.gains.local, global_=rows.global_gains(n))
         st.needs_evaluation = False
-        met = rows.met[n]
-        outs[k] = [Message(CONDITION_STATUS, st.id, OPERATOR, rnd, {"met": met})]
-        if met:
+        outs[k] = [Message(CONDITION_STATUS, st.id, OPERATOR, rnd, {"met": rows.met[n]})]
+        if rows.met[n]:
             continue
         if st.retry_count < config.max_retries:
             st.retry_count += 1

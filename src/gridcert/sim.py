@@ -54,16 +54,22 @@ class SimConfig:
                 f"not a whole number: use t_end={_whole_horizon(whole, self.dt)!r} or "
                 f"{_whole_horizon(whole + 1, self.dt)!r}")
 
+    def samples(self, dt=None):
+        """The number of sample times ``t_end / dt + 1`` at ``dt``, this
+        config's step by default; inf when ``t_end / dt`` overflows."""
+        steps = self.t_end / (self.dt if dt is None else dt)
+        return round(steps) + 1 if steps < math.inf else math.inf
+
     def time_grid(self):
         """The sample times ``0, dt, ..., t_end``; InvalidInput if they cannot be allocated."""
         try:
-            return np.arange(int(round(self.t_end / self.dt)) + 1) * self.dt
+            return np.arange(self.samples()) * self.dt
         except (OverflowError, ValueError, MemoryError):   # inf steps; past the largest array
             raise InvalidInput(self._too_long()) from None
 
     def _too_long(self):
         return (f"t_end={self.t_end:g} s at dt={self.dt:g} s needs "
-                f"{self.t_end / self.dt + 1:.4g} samples, more than can be allocated")
+                f"{self.samples():.4g} samples, more than can be allocated")
 
 
 def _whole_steps(t_end, dt):
@@ -635,11 +641,11 @@ def simulate(A_full, F_full, config, bus_ids, gains, eigenvalues):
         rho = rk4_radius(lam, config.dt)
         if rho > 1.0:
             dt = _stable_dt(lam, config.t_end)
-            try:   # the passing step's time grid, allocated but never written
-                np.empty(int(round(config.t_end / dt)) + 1)
-                passes = f"dt={dt!r} s passes"
-            except (OverflowError, ValueError, MemoryError):
-                passes = "no step that passes gives a time grid that can be allocated"
+            count = config.samples(dt)
+            # a state history past the largest array numpy addresses fails on any machine
+            passes = f"dt={dt!r} s passes" + (
+                f" but needs {count:.4g} samples, more than can be allocated"
+                if count * n * 8 > np.iinfo(np.intp).max else "")
             raise InvalidInput(
                 f"dt={config.dt:g} s is outside the RK4 stability region of this "
                 f"system: the one-step propagator has spectral radius {rho:.4g} > 1; {passes}")

@@ -746,18 +746,22 @@ class TestStepSizeCheck:
         lam = np.linalg.eigvals(res.A_full)
         assert sim.rk4_radius(lam, 1e306) == math.inf
         assert sim.rk4_radius(lam.real, 1e306) == math.inf
-        want = (r"^dt=1e\+306 s is outside the RK4 .* radius inf > 1; "
-                r"no step that passes gives a time grid that can be allocated$")
+        want = (r"^dt=1e\+306 s is outside the RK4 .* radius inf > 1; dt=0\.0556\d+ s "
+                r"passes but needs 1\.798e\+308 samples, more than can be allocated$")
         with pytest.raises(InvalidInput, match=want):
             run_three_bus(three_bus, certified, t_end=1e307, dt=1e306)
 
-    def test_no_step_named_when_its_grid_cannot_be_allocated(self, three_bus, certified):
-        # the radius at dt = 1e13 s is finite; the step that passes, 1e-3 s,
-        # needs 1e17 samples over 1e14 s, a grid no machine allocates
-        want = (r"^dt=1e\+13 s is outside the RK4 .* > 1; "
-                r"no step that passes gives a time grid that can be allocated$")
-        with pytest.raises(InvalidInput, match=want):
-            run_three_bus(three_bus, certified, t_end=1e14, dt=1e13)
+    @pytest.mark.parametrize("t_end, tail", [
+        (1e14, "; dt=0.001 s passes"),   # 1e17 samples of 9 states: 7.2e18 bytes fit an array
+        (1e15, "; dt=0.001 s passes but needs 1e+18 samples, more than can be allocated"),
+    ])
+    def test_passing_step_names_samples_past_the_largest_array(self, three_bus, certified,
+                                                               t_end, tail):
+        # the radius at dt = t_end / 100 is finite; the verdict on the passing
+        # step's state history reads numpy's array size limit, not free memory
+        with pytest.raises(InvalidInput) as exc:
+            run_three_bus(three_bus, certified, t_end=t_end, dt=t_end / 100)
+        assert str(exc.value).endswith(tail)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
