@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +40,6 @@ from .linalg import (
     ModalTransform,
     _as_matrix,
     _lyapunov,
-    _lyapunov_rhs,
     _norms,
     is_hurwitz,
     modal_decompose,
@@ -113,11 +113,8 @@ def certify_decoupled(A, Q):
             f"subsystem matrix has eigenvalue {w:.6g} with nonnegative real part",
             offending_eigenvalue=complex(w),
         )
-    Q, lam_Q = _lyapunov_rhs(Q, A)
-    P, lam_P = _lyapunov(A, Q, lam)
-    lambda_min_Q = float(lam_Q.min())
-    return [LyapunovCertificate(P=p, Q=Q, lambda_min_Q=lambda_min_Q,
-                                lambda_max_P=float(lmax))
+    Q, lam_Q, P, lam_P = _lyapunov(A, Q, lam)
+    return [LyapunovCertificate(p, Q, float(lam_Q.min()), float(lmax))
             for p, lmax in zip(P, lam_P.max(axis=-1))]
 
 
@@ -133,25 +130,19 @@ def share(T):
 @dataclass
 class Rows:
     """The rows of a stack of agents as one array record.  Agent k is bus
-    ``bus[k]``, with diagonal entry ``diagonal[k]``, own factor ``own[k]``,
-    escalation coefficient ``s[k]`` (0 unless ``escalate[k]``), ``margin[k]``
-    (the diagonal less its off-diagonal entries, summed in coupling order)
-    and ``met[k]``.  Agent k's line ends are ``start[k]:start[k + 1]``, in
-    coupling order: end e, the line to bus ``j[e]``, carries the
-    off-diagonal magnitude ``offdiag[e]`` and the global gain
-    ``K_ij = c_ij s_i e1``, row ``K[e]``."""
+    ``bus[k]``, with diagonal entry ``diagonal[k]``; its line ends are
+    ``start[k]:start[k + 1]``, in coupling order: end e, the line to bus
+    ``j[e]``, carries the off-diagonal magnitude ``offdiag[e]`` and the
+    global gain ``K_ij = c_ij s_i e1``, row ``K[e]`` (zero unless
+    ``escalate[k]``).  Agent k's :meth:`report` holds its row test."""
 
     variant: str
     bus: list[int]
     diagonal: list[float]
-    own: np.ndarray
-    s: np.ndarray
     escalate: list[bool]
     j: list[int]
     start: list[int]
     offdiag: list[float]
-    margin: list[float]
-    met: list[bool]
     K: np.ndarray
 
     def _ends(self, k, values):
@@ -205,18 +196,15 @@ def _rows_stack(subs, Ks, mts, shares, escalate, variant):
         # the certificates of the closed loops the design decomposed, on their spectra
         A_cl = (np.array([sub.A_hat for sub in subs])
                 - B[:, :, None] * np.asarray(Ks, dtype=float)[:, None, :])
-        Q, lam_Q = _lyapunov_rhs(np.eye(A_cl.shape[-1]), A_cl)
-        _, lam_P = _lyapunov(A_cl, Q, np.array([mt.eigenvalues for mt in mts]))
+        _, lam_Q, _, lam_P = _lyapunov(A_cl, np.eye(A_cl.shape[-1]),
+                                       np.array([mt.eigenvalues for mt in mts]))
         own = 2.0 * lam_P.max(axis=-1) * _norms(e2 - s[:, None] * B)[:, 0]
         diagonal = [float(lam_Q.min())] * len(subs)
         offdiag = own[i] * np.abs(c)    # no share: a neighbor factor of 1
     K = np.zeros((len(c), 3))
     K[:, 0] = c * s[i]
-    off = offdiag.tolist()
-    # Python's sum in coupling order, as ConditionReport.margin takes it
-    margin = [d - sum(off[a:b]) for d, a, b in zip(diagonal, start, start[1:])]
-    return Rows(variant, [sub.bus for sub in subs], diagonal, own, s, list(escalate),
-                j, start, off, margin, [m > 0.0 for m in margin], K)
+    return Rows(variant, [sub.bus for sub in subs], diagonal, list(escalate), j, start,
+                offdiag.tolist(), K)
 
 
 def agent_rows(subs, Ks, mts, shares, escalate, variant):
@@ -290,7 +278,7 @@ class AssessmentResult:
 
 def resolve_pole_specs(grid, scale=1.0):
     """Desired poles per bus: the grid 'control' entries times ``scale``."""
-    if not (math.isfinite(scale) and scale > 0.0):
+    if not (isinstance(scale, numbers.Real) and math.isfinite(scale) and scale > 0.0):
         raise InvalidInput(f"poles_scale must be finite and > 0, got {scale}")
     specs = {}
     for bus in grid.bus_ids:
@@ -433,8 +421,9 @@ class GridDesign:
         gains = {sub.bus: control.GainSet(K, rows.global_gains(k))
                  for k, (sub, K) in enumerate(zip(subs, self.Ks))}
         transforms = {sub.bus: mt for sub, mt in zip(subs, self.mts)}
-        return AssessmentResult(variant, [rows.report(k) for k in range(n)],
-                                compositional_verdict(rows.met), gains, transforms, subs)
+        reports = [rows.report(k) for k in range(n)]
+        return AssessmentResult(variant, reports, compositional_verdict(r.met for r in reports),
+                                gains, transforms, subs)
 
 
 def design_grid(grid, poles_scale=1.0):

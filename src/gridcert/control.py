@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Degenerate, InvalidInput, Uncontrollable
-from .linalg import _as_matrix
+from .linalg import _as_matrix, _numeric
 
 
 @dataclass
@@ -31,8 +31,9 @@ class GainSet:
 
 def _as_column(v, n, name, N):
     """The (N, n) input columns of a stack of N members."""
-    if np.shape(v) != (N, n):
-        raise InvalidInput(f"{name} must have shape ({N}, {n}), got shape {np.shape(v)}")
+    v = _numeric(v, name)
+    if v.shape != (N, n):
+        raise InvalidInput(f"{name} must have shape ({N}, {n}), got shape {v.shape}")
     return _as_matrix(v, name, square=False)
 
 
@@ -41,10 +42,10 @@ def _pole_sets(pole_sets, n):
     for poles in pole_sets:
         if len(poles) != n:
             raise InvalidInput(f"expected {n} poles, got {len(poles)}")
-    try:
-        P = np.array(pole_sets, dtype=complex).reshape(len(pole_sets), n)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"desired poles must be numeric: {exc}") from exc
+    P = _numeric(pole_sets, "desired poles", complex)
+    if P.size != len(pole_sets) * n:    # each pole a sequence, such as a (re, im) pair
+        raise InvalidInput(f"desired poles must be numeric, got pole sets of shape {P.shape}")
+    P = P.reshape(len(pole_sets), n)
     if (P.real >= 0).any():
         raise InvalidInput("desired poles must have negative real parts")
     return P

@@ -305,7 +305,10 @@ def build_subsystems(grid):
 
 
 def _gain_vector(v, what):
-    v = np.asarray(v)
+    try:
+        v = np.asarray(v)
+    except ValueError:                  # ragged: kept as objects for the message
+        v = np.array(v, dtype=object)
     if v.dtype.kind not in "biuf" or not np.isfinite(v).all():
         raise InvalidInput(f"{what} must be finite real numbers, got {v.tolist()!r}")
     if v.shape != (SUBSYSTEM_ORDER,):

@@ -1,8 +1,8 @@
 """Small dense linear-algebra kernels.
 
 Everything here is deterministic and operates on plain ``numpy`` arrays:
-the stacked Lyapunov solve, the real block-diagonal modal decomposition
-and Hurwitz checks.
+the one conversion of caller arrays, the one (stacked) Lyapunov solve, the
+real block-diagonal modal decomposition and Hurwitz checks.
 Matrices are small (subsystems are order 3, assembled systems order 3N), so
 simplicity wins over asymptotic speed throughout.
 """
@@ -26,15 +26,20 @@ from .errors import (
 COND_LIMIT = 1e12
 
 
-def _as_matrix(A, name="matrix", square=True, stack=False):
-    """``A`` as a float matrix, or with ``stack`` as a stack of them."""
-    A = np.asarray(A)
-    if np.iscomplexobj(A):
-        raise InvalidInput(f"{name} must be real-valued")
+def _numeric(a, name, dtype=float):
+    """``a`` as a ``dtype`` array; InvalidInput naming it if not numeric, or complex for float."""
     try:
-        A = A.astype(float, copy=False)
+        a = np.asarray(a)
+        if dtype is float and np.iscomplexobj(a):
+            raise InvalidInput(f"{name} must be real-valued")
+        return a.astype(dtype, copy=False)
     except (TypeError, ValueError) as exc:
         raise InvalidInput(f"{name} must be numeric: {exc}") from exc
+
+
+def _as_matrix(A, name="matrix", square=True, stack=False):
+    """``A`` as a float matrix, or with ``stack`` as a stack of them."""
+    A = _numeric(A, name)
     if A.ndim != (3 if stack else 2):
         want = f"a stack (N, n, {'n' if square else 'm'})" if stack else "2-D"
         raise InvalidInput(f"{name} must be {want}, got shape {A.shape}")
@@ -47,29 +52,22 @@ def _as_matrix(A, name="matrix", square=True, stack=False):
     return A
 
 
-def _lyapunov_rhs(Q, A):
-    """``Q`` checked as the symmetric positive definite right-hand side for
-    the stack ``A``, and the eigenvalues of its symmetric part."""
+def _lyapunov(A, Q, lam):
+    """``(Q, lambda(Q), P, lambda(P))``: ``Q`` checked symmetric positive definite,
+    and ``P`` with ``A^T P + P A = -Q`` for each member of the checked stack ``A``
+    (N, n, n) with spectrum ``lam``, in one stacked n^2-dimensional solve, each ``P``
+    symmetrized.  Raises :class:`NoUniqueSolution` when an eigenvalue pair sums to zero
+    and :class:`CertificateInvalid` when some ``P`` is not positive definite (``A`` is
+    not Hurwitz), for the first member that fails."""
     Q = _as_matrix(Q, "Q")
-    if Q.shape[0] != A.shape[-1]:
+    n = A.shape[-1]
+    if Q.shape[0] != n:
         raise InvalidInput(f"Q must match A, got {Q.shape} vs {A.shape}")
     if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-12 * max(1.0, abs(Q).max())):
         raise InvalidInput("Q must be symmetric")
     lam_Q = np.linalg.eigvalsh(0.5 * (Q + Q.T))
     if lam_Q.min() <= 0.0:
         raise InvalidInput("Q must be positive definite")
-    return Q, lam_Q
-
-
-def _lyapunov(A, Q, lam):
-    """``P`` with ``A^T P + P A = -Q`` and its eigenvalues, for each member
-    of the checked stack ``A`` (N, n, n) with spectrum ``lam`` and the
-    checked ``Q`` in one pass: the stacked n^2-dimensional linear system,
-    each ``P`` symmetrized.  Raises :class:`NoUniqueSolution` when an
-    eigenvalue pair sums to zero and :class:`CertificateInvalid` when some
-    ``P`` is not positive definite (``A`` is not Hurwitz), for the first
-    member that fails."""
-    n = A.shape[-1]
     scale = np.maximum(1.0, np.abs(lam).max(axis=-1))
     pair_sums = np.abs(lam[:, :, None] + lam[:, None, :])
     if (pair_sums.min(axis=(-2, -1)) <= 1e-12 * scale).any():
@@ -95,7 +93,7 @@ def _lyapunov(A, Q, lam):
             "Lyapunov solution is not positive definite: A is not Hurwitz",
             offending_eigenvalue=complex(b[np.argmax(b.real)]),
         )
-    return P, lam_P
+    return Q, lam_Q, P, lam_P
 
 
 @dataclass

@@ -106,8 +106,8 @@ class ProtocolConfig:
     allow_global: bool = True
 
     def __post_init__(self):
-        if self.max_retries < 0:
-            raise InvalidInput(f"max_retries must be >= 0, got {self.max_retries}")
+        if type(self.max_retries) is not int or self.max_retries < 0:   # a bool too
+            raise InvalidInput(f"max_retries must be >= 0, got {self.max_retries!r}")
 
 
 @dataclass
@@ -205,8 +205,9 @@ def _step_stack(states, inboxes, config, rnd):
         st.report = rows.report(n)
         st.gains = control.GainSet(local=st.gains.local, global_=rows.global_gains(n))
         st.needs_evaluation = False
-        outs[k] = [Message(CONDITION_STATUS, st.id, OPERATOR, rnd, {"met": rows.met[n]})]
-        if rows.met[n]:
+        met = st.report.met
+        outs[k] = [Message(CONDITION_STATUS, st.id, OPERATOR, rnd, {"met": met})]
+        if met:
             continue
         if st.retry_count < config.max_retries:
             st.retry_count += 1

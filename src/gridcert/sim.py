@@ -19,6 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DivergedSimulation, InvalidInput
+from .linalg import _numeric
 
 DEFAULT_DT = 1e-3     # s; fastest grid mode here is ~ -43 1/s, so dt*|lam| < 0.05
 DEFAULT_T_END = 10.0  # s
@@ -440,16 +441,6 @@ def _stable_dt(eigenvalues, t_end):
     while rk4_radius(eigenvalues, dt) > 1.0:
         dt /= 2
     return dt
-
-
-def _numeric(a, name, dtype=float):
-    """``a`` as a ``dtype`` array; InvalidInput naming it if not numeric, or complex for float."""
-    try:
-        if dtype is float and np.iscomplexobj(a):
-            raise InvalidInput(f"{name} must be real-valued")
-        return np.asarray(a, dtype=dtype)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"{name} must be numeric: {exc}") from exc
 
 
 def integrate(A, F, d, t, x0=None):

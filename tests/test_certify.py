@@ -426,6 +426,13 @@ class TestAssessGrid:
         with pytest.raises(InvalidInput, match="poles_scale must be finite and > 0"):
             certify.assess_grid(three_bus, poles_scale=scale)
 
+    @pytest.mark.parametrize("scale", ["2", None])
+    def test_poles_scale_not_a_number_rejected(self, three_bus, scale):
+        # refused before math.isfinite, which would raise TypeError
+        want = f"^poles_scale must be finite and > 0, got {scale}$"
+        with pytest.raises(InvalidInput, match=want):
+            certify.assess_grid(three_bus, poles_scale=scale)
+
     def test_gain_representations_consistent(self, three_bus):
         # the stored original-coordinate gains, taken to modal coordinates
         # (Kt_ij = T_j^T K_ij), are the projection gains of the modal blocks
@@ -553,10 +560,10 @@ class TestStackedRows:
         for k, sub in enumerate(subs):
             one = certify.agent_rows([sub], Ks[k:k + 1], mts[k:k + 1], shares[k:k + 1],
                                      escalate[k:k + 1], variant)
-            report, global_ = one.report(0), one.global_gains(0)
-            assert rows.report(k) == report and isinstance(rows.report(k).diagonal, float)
-            assert all(type(v) is float for v in rows.report(k).offdiag.values())
-            assert (rows.margin[k], rows.met[k]) == (one.margin[0], one.met[0])
+            got, report, global_ = rows.report(k), one.report(0), one.global_gains(0)
+            assert got == report and isinstance(got.diagonal, float)
+            assert all(type(v) is float for v in got.offdiag.values())
+            assert (got.margin, got.met) == (report.margin, report.met)
             assert rows.global_gains(k).keys() == global_.keys()
             for j, g in global_.items():
                 assert np.array_equal(rows.global_gains(k)[j], g)
@@ -606,11 +613,26 @@ def bits(values):
     return [float(v).hex() for v in values]
 
 
+def own_factor(sub, K, mt, escalate, variant):
+    """Agent ``sub``'s own factor and escalation coefficient ``s``, from
+    that agent alone: ``u`` and ``Bt`` solved on its ``T``, ``s`` its
+    :func:`control.optimal_global_gain`, and for the original variant
+    ``lambda_max(P)`` of :func:`certify.certify_decoupled` on its closed loop."""
+    e2 = np.array([0.0, 1.0, 0.0])
+    u, Bt = np.linalg.solve(mt.T, np.column_stack([e2, sub.B])).T
+    s = control.optimal_global_gain(Bt[None], u[None, :, None])[0, 0] if escalate else 0.0
+    if variant == certify.VARIANT_TRANSFORMED:
+        return float(np.linalg.norm(u - s * Bt)), float(s)
+    cert, = certify.certify_decoupled([sub.A_hat - np.outer(sub.B, K)], np.eye(3))
+    return 2.0 * cert.lambda_max_P * float(np.linalg.norm(e2 - s * sub.B)), float(s)
+
+
 class TestRowRecord:
-    """The record's line-end products and per-agent sums equal, bit for
-    bit, the per-agent formulas: ``o * abs(c) * nbr`` at each line end,
-    Python's ``sum`` in coupling order for the margin, ``c * s`` for the
-    global gain; the objects built on read carry the same bits."""
+    """The record's line-end products equal, bit for bit, the per-agent
+    formulas: ``o * abs(c) * nbr`` at each line end, with the own factor
+    ``o`` and the coefficient ``s`` of each agent evaluated alone, and
+    ``c * s`` for the global gain; each report's margin is Python's ``sum``
+    in coupling order, and the objects built on read carry the same bits."""
 
     @pytest.mark.parametrize("variant", certify.VARIANTS)
     def test_bit_equal_to_per_agent_formulas(self, rng, variant):
@@ -626,19 +648,17 @@ class TestRowRecord:
                 assert rows.j == [j for sub in subs for j in sub.couplings]
                 offdiag, K = [], []
                 for k, sub in enumerate(subs):
-                    o, s = float(rows.own[k]), float(rows.s[k])
-                    assert escalate[k] or s == 0.0
+                    o, s = own_factor(sub, Ks[k], mts[k], escalate[k], variant)
                     nbr = (shares[k] if variant == certify.VARIANT_TRANSFORMED
                            else dict.fromkeys(sub.couplings, 1.0))
                     off = {j: o * abs(c) * nbr[j] for j, c in sub.couplings.items()}
                     margin = rows.diagonal[k] - sum(off.values())
-                    assert bits([rows.margin[k]]) == bits([margin])
-                    assert rows.met[k] is (margin > 0.0)
                     report = rows.report(k)
                     assert report == certify.ConditionReport(sub.bus, rows.diagonal[k], off,
                                                              variant)
                     assert bits(report.offdiag.values()) == bits(off.values())
                     assert bits([report.margin]) == bits([margin])
+                    assert report.met is (margin > 0.0)
                     gains = rows.global_gains(k)
                     assert list(gains) == (list(sub.couplings) if escalate[k] else [])
                     for j, g in gains.items():
@@ -647,6 +667,19 @@ class TestRowRecord:
                     K += ([c * s, 0.0, 0.0] for c in sub.couplings.values())
                 assert bits(rows.offdiag) == bits(offdiag)
                 assert bits(rows.K.ravel()) == bits(np.ravel(K))
+
+    def test_original_rows_are_each_closed_loops_certificate(self, rng, three_bus):
+        # the diagonal lambda_min(Q) and the own factor 2 lambda_max(P) ||e2||
+        # (||e2|| = 1) of each agent's decoupled certificate, bit for bit
+        grids = [three_bus, *(make_grid(*random_grid_tuples(rng)) for _ in range(4))]
+        for grid in grids:
+            res = certify.assess_grid(grid, variant=certify.VARIANT_ORIGINAL)
+            for sub, report in zip(res.subsystems, res.reports):
+                A_cl = sub.A_hat - np.outer(sub.B, res.gains[sub.bus].local)
+                cert, = certify.certify_decoupled([A_cl], np.eye(3))
+                assert bits([report.diagonal]) == bits([cert.lambda_min_Q])
+                assert bits(report.offdiag.values()) == bits(
+                    2.0 * cert.lambda_max_P * abs(c) for c in sub.couplings.values())
 
 
 def pole_specs(grid):

@@ -3,7 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from gridcert import certify, control, linalg
+from gridcert import certify, control, gridmodel, linalg, sim
+from gridcert.data import three_bus_path
 from gridcert.errors import (
     CertificateInvalid,
     IllConditionedTransform,
@@ -34,6 +35,52 @@ def test_unstacked_input_refused(kernel, shape):
     call, message = STACK_KERNELS[kernel]
     with pytest.raises(InvalidInput, match=re.escape(f"{message}, got shape {shape}")):
         call(-np.eye(3).reshape(shape))
+
+
+RAGGED = [[-1.0, 0.0], [0.0]]
+T5 = np.arange(5) * 0.1
+
+
+def three_bus_subsystems():
+    return gridmodel.build_subsystems(gridmodel.load_grid(three_bus_path()))
+
+
+# each public entry point, called with RAGGED as one array argument, and the
+# start of the message that names that argument
+RAGGED_ENTRIES = {
+    "is_hurwitz-A": (linalg.is_hurwitz, "A must be numeric"),
+    "modal_decompose-A": (linalg.modal_decompose, "A must be numeric"),
+    "certify_decoupled-A": (lambda v: certify.certify_decoupled(v, np.eye(2)),
+                            "A must be numeric"),
+    "certify_decoupled-Q": (lambda v: certify.certify_decoupled([-np.eye(2)], v),
+                            "Q must be numeric"),
+    "share-T": (certify.share, "T must be numeric"),
+    "pole_place-A_hat": (lambda v: control.pole_place(v, [[0.0, 1.0]], [[-1.0, -2.0]]),
+                         "A_hat must be numeric"),
+    "pole_place-B": (lambda v: control.pole_place([[[0.0, 1.0], [0.0, 0.0]]], v,
+                                                  [[-1.0, -2.0]]),
+                     "B must be numeric"),
+    "optimal_global_gain-At_ij": (lambda v: control.optimal_global_gain([[0.0, 1.0]], v),
+                                  "At_ij must be numeric"),
+    "optimal_global_gain-Bt": (lambda v: control.optimal_global_gain(v, np.ones((2, 2, 1))),
+                               "Bt must be numeric"),
+    "assemble_full-local": (
+        lambda v: gridmodel.assemble_full(three_bus_subsystems(), {1: control.GainSet(v)}),
+        "local gain for bus 1 must be finite real numbers"),
+    "integrate-A": (lambda v: sim.integrate(v, [[1.0]], np.zeros((T5.size, 1)), T5),
+                    "A must be numeric"),
+    "simulate-A_full": (lambda v: sim.simulate(v, np.zeros((3, 1)), sim.SimConfig(), [1], {},
+                                               eigenvalues=[-1.0, -2.0, -3.0]),
+                        "A_full must be numeric"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(RAGGED_ENTRIES))
+def test_ragged_array_named(entry):
+    # a ragged list is not an array: InvalidInput naming the argument, not numpy's ValueError
+    call, message = RAGGED_ENTRIES[entry]
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}"):
+        call(RAGGED)
 
 
 class TestEigenvalues:

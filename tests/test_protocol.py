@@ -9,7 +9,7 @@ import pytest
 
 from conftest import make_grid
 from gridcert import certify, gridmodel, linalg, protocol
-from gridcert.errors import ProtocolViolation
+from gridcert.errors import InvalidInput, ProtocolViolation
 from sampling import random_grid_tuples, ring_grid_tuples
 
 ALLOWED_PAYLOAD_KEYS = {
@@ -400,6 +400,12 @@ class TestScenarios:
         verdicts = [m for m in res.trace if m.kind == protocol.OPERATOR_VERDICT]
         assert len(verdicts) == 1
         assert verdicts[0].payload == {"stable": False}
+
+    @pytest.mark.parametrize("retries", [1.5, "1", None, True])
+    def test_max_retries_not_an_int_rejected(self, three_bus, retries):
+        # range() or the >= 0 comparison would raise TypeError, and True would retry once
+        with pytest.raises(InvalidInput, match=f"^max_retries must be >= 0, got {retries!r}$"):
+            protocol.run_dsa(three_bus, max_retries=retries)
 
     def test_retries_rescale_and_reshare(self, three_bus):
         res = protocol.run_dsa(three_bus, max_retries=2, allow_global=True)
