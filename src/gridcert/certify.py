@@ -13,9 +13,9 @@ relaxed transformed variant in modal coordinates (diagonal ``sigma_M_i``,
 off-diagonal ``-||At_ij||``).  :func:`agent_rows` evaluates the rows of
 many agents of a designed grid in one stacked pass, where every line
 coupling is rank one, each row from the line strengths, the agent's own
-factor and its neighbors' :func:`share`, into one array record,
-:class:`Rows`, that builds each agent's :class:`ConditionReport`; the
-centralized :func:`assess_grid` and the protocol rounds both go through it.
+factor and its neighbors' :func:`share`, into each agent's
+:class:`ConditionReport` and global gains; the centralized
+:func:`assess_grid` and the protocol rounds both go through it.
 """
 
 from __future__ import annotations
@@ -127,40 +127,9 @@ def share(T):
     return _norms(T[:, 0])[:, 0]
 
 
-@dataclass
-class Rows:
-    """The rows of a stack of agents as one array record.  Agent k is bus
-    ``bus[k]``, with diagonal entry ``diagonal[k]``; its line ends are
-    ``start[k]:start[k + 1]``, in coupling order: end e, the line to bus
-    ``j[e]``, carries the off-diagonal magnitude ``offdiag[e]`` and the
-    global gain ``K_ij = c_ij s_i e1``, row ``K[e]`` (zero unless
-    ``escalate[k]``).  Agent k's :meth:`report` holds its row test."""
-
-    variant: str
-    bus: list[int]
-    diagonal: list[float]
-    escalate: list[bool]
-    j: list[int]
-    start: list[int]
-    offdiag: list[float]
-    K: np.ndarray
-
-    def _ends(self, k, values):
-        a, b = self.start[k], self.start[k + 1]
-        return zip(self.j[a:b], values[a:b])
-
-    def report(self, k):
-        return ConditionReport(self.bus[k], self.diagonal[k], dict(self._ends(k, self.offdiag)),
-                               self.variant)
-
-    def global_gains(self, k):
-        """Agent k's ``{j: K_ij}``, empty unless escalated."""
-        return dict(self._ends(k, self.K)) if self.escalate[k] else {}
-
-
 def _rows_stack(subs, Ks, mts, shares, escalate, variant):
-    """The :class:`Rows` of a stack of agents.  An error says that some
-    agent fails, not which: :func:`agent_rows` finds it."""
+    """The reports and global gains of a stack of agents.  An error says
+    that some agent fails, not which: :func:`agent_rows` finds it."""
     for mt in mts:
         if mt.sigma_M <= 0:
             raise CertificateInvalid("modal form is not Hurwitz",
@@ -168,7 +137,6 @@ def _rows_stack(subs, Ks, mts, shares, escalate, variant):
     deg = [len(sub.couplings) for sub in subs]
     start = [0, *itertools.accumulate(deg)]
     i = np.arange(len(subs)).repeat(deg)    # the agent of each line end
-    j = [nb for sub in subs for nb in sub.couplings]
     c = np.array([cj for sub in subs for cj in sub.couplings.values()], dtype=float)
     transformed = variant == VARIANT_TRANSFORMED
     B = np.array([sub.B for sub in subs])
@@ -185,7 +153,7 @@ def _rows_stack(subs, Ks, mts, shares, escalate, variant):
             s[esc] = control.optimal_global_gain(Bt[esc], u[esc][..., None])[:, 0]
     if transformed:
         try:
-            nbr = [shares[k][nb] for k, nb in zip(i.tolist(), j)]
+            nbr = [sh[nb] for sub, sh in zip(subs, shares) for nb in sub.couplings]
         except KeyError as exc:
             raise InvalidInput(f"missing share from neighbor {exc.args[0]}") from None
         own = _norms(u - s[:, None] * Bt)[:, 0]
@@ -203,8 +171,12 @@ def _rows_stack(subs, Ks, mts, shares, escalate, variant):
         offdiag = own[i] * np.abs(c)    # no share: a neighbor factor of 1
     K = np.zeros((len(c), 3))
     K[:, 0] = c * s[i]
-    return Rows(variant, [sub.bus for sub in subs], diagonal, list(escalate), j, start,
-                offdiag.tolist(), K)
+    ends = offdiag.tolist()
+    reports, globals_ = [], []
+    for sub, d, escalated, a, b in zip(subs, diagonal, escalate, start, start[1:]):
+        reports.append(ConditionReport(sub.bus, d, dict(zip(sub.couplings, ends[a:b])), variant))
+        globals_.append(dict(zip(sub.couplings, K[a:b])) if escalated else {})
+    return reports, globals_
 
 
 def agent_rows(subs, Ks, mts, shares, escalate, variant):
@@ -232,7 +204,8 @@ def agent_rows(subs, Ks, mts, shares, escalate, variant):
     the spectra ``mts`` carry; row k reads only agent k's inputs and equals
     that of agent k evaluated alone.
 
-    Returns the :class:`Rows` record, or None for no agents.
+    Returns ``(reports, globals_)``: agent k's :class:`ConditionReport` and
+    its global gains ``{j: K_ij}``, empty unless ``escalate[k]``.
     ``assess_grid`` evaluates rows of either variant here, the protocol
     rounds transformed rows.  An error keeps its type and names the
     lowest-numbered failing agent, whichever stage it fails at: when the
@@ -242,7 +215,7 @@ def agent_rows(subs, Ks, mts, shares, escalate, variant):
     if variant not in VARIANTS:
         raise InvalidInput(f"unknown variant {variant!r}")
     if not subs:
-        return None
+        return [], []
     return _first_failure(functools.partial(_rows_stack, variant=variant),
                           [sub.bus for sub in subs], subs, Ks, mts, shares, escalate)
 
@@ -278,7 +251,8 @@ class AssessmentResult:
 
 def resolve_pole_specs(grid, scale=1.0):
     """Desired poles per bus: the grid 'control' entries times ``scale``."""
-    if not (isinstance(scale, numbers.Real) and math.isfinite(scale) and scale > 0.0):
+    if (isinstance(scale, bool) or not isinstance(scale, numbers.Real)
+            or not (math.isfinite(scale) and scale > 0.0)):
         raise InvalidInput(f"poles_scale must be finite and > 0, got {scale}")
     specs = {}
     for bus in grid.bus_ids:
@@ -415,13 +389,13 @@ class GridDesign:
         """The row half: every agent's row in one :func:`agent_rows` pass
         with every neighbor's share at hand, escalated to
         coupling-minimizing global gains when ``use_global``, and the verdict."""
+        if not isinstance(use_global, bool):
+            raise InvalidInput(f"use_global must be a bool, got {use_global!r}")
         subs, n = self.subsystems, len(self.subsystems)
-        rows = agent_rows(subs, self.Ks, self.mts, [self.shares] * n, [use_global] * n,
-                          variant)
-        gains = {sub.bus: control.GainSet(K, rows.global_gains(k))
-                 for k, (sub, K) in enumerate(zip(subs, self.Ks))}
+        reports, globals_ = agent_rows(subs, self.Ks, self.mts, [self.shares] * n,
+                                       [use_global] * n, variant)
+        gains = {sub.bus: control.GainSet(K, g) for sub, K, g in zip(subs, self.Ks, globals_)}
         transforms = {sub.bus: mt for sub, mt in zip(subs, self.mts)}
-        reports = [rows.report(k) for k in range(n)]
         return AssessmentResult(variant, reports, compositional_verdict(r.met for r in reports),
                                 gains, transforms, subs)
 

@@ -40,8 +40,11 @@ def _as_column(v, n, name, N):
 def _pole_sets(pole_sets, n):
     """The (N, n) complex array of N desired pole sets of length n, all stable."""
     for poles in pole_sets:
-        if len(poles) != n:
-            raise InvalidInput(f"expected {n} poles, got {len(poles)}")
+        try:
+            if len(poles) != n:
+                raise InvalidInput(f"expected {n} poles, got {len(poles)}")
+        except TypeError:
+            raise InvalidInput(f"pole set {poles!r} is not a sequence of {n} poles") from None
     P = _numeric(pole_sets, "desired poles", complex)
     if P.size != len(pole_sets) * n:    # each pole a sequence, such as a (re, im) pair
         raise InvalidInput(f"desired poles must be numeric, got pole sets of shape {P.shape}")

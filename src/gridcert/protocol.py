@@ -108,6 +108,8 @@ class ProtocolConfig:
     def __post_init__(self):
         if type(self.max_retries) is not int or self.max_retries < 0:   # a bool too
             raise InvalidInput(f"max_retries must be >= 0, got {self.max_retries!r}")
+        if not isinstance(self.allow_global, bool):
+            raise InvalidInput(f"allow_global must be a bool, got {self.allow_global!r}")
 
 
 @dataclass
@@ -197,13 +199,13 @@ def _step_stack(states, inboxes, config, rnd):
         st.needs_evaluation = True
 
     ev = [sts[k] for k in evaluating]
-    rows = certify.agent_rows(
+    reports, globals_ = certify.agent_rows(
         [st.model for st in ev], [st.gains.local for st in ev], [st.transform for st in ev],
         [st.received_shares for st in ev], [st.escalated for st in ev],
         certify.VARIANT_TRANSFORMED)
-    for n, (k, st) in enumerate(zip(evaluating, ev)):
-        st.report = rows.report(n)
-        st.gains = control.GainSet(local=st.gains.local, global_=rows.global_gains(n))
+    for k, st, report, global_ in zip(evaluating, ev, reports, globals_):
+        st.report = report
+        st.gains = control.GainSet(local=st.gains.local, global_=global_)
         st.needs_evaluation = False
         met = st.report.met
         outs[k] = [Message(CONDITION_STATUS, st.id, OPERATOR, rnd, {"met": met})]

@@ -426,12 +426,23 @@ class TestAssessGrid:
         with pytest.raises(InvalidInput, match="poles_scale must be finite and > 0"):
             certify.assess_grid(three_bus, poles_scale=scale)
 
-    @pytest.mark.parametrize("scale", ["2", None])
+    @pytest.mark.parametrize("scale", ["2", None, True])
     def test_poles_scale_not_a_number_rejected(self, three_bus, scale):
-        # refused before math.isfinite, which would raise TypeError
+        # refused before math.isfinite, which would raise TypeError; a bool
+        # is a numbers.Real, and True would read as 1.0
         want = f"^poles_scale must be finite and > 0, got {scale}$"
         with pytest.raises(InvalidInput, match=want):
             certify.assess_grid(three_bus, poles_scale=scale)
+
+    @pytest.mark.parametrize("flag", ["no", [0], 1, None])
+    def test_use_global_not_a_bool_rejected(self, three_bus, flag):
+        # read by truthiness, "no" would design global gains; a list would be
+        # taken as the agents' flags and fail as IndexError
+        with pytest.raises(InvalidInput) as info:
+            certify.design_grid(three_bus).assess(use_global=flag)
+        assert str(info.value) == f"use_global must be a bool, got {flag!r}"
+        with pytest.raises(InvalidInput):
+            certify.assess_grid(three_bus, use_global=flag)
 
     def test_gain_representations_consistent(self, three_bus):
         # the stored original-coordinate gains, taken to modal coordinates
@@ -495,8 +506,8 @@ class TestRankOneKernel:
             for sub, ref in zip(subs, want):
                 K, mt = designs[sub.bus]
                 shares = {j: certify.share([designs[j][1].T]).item() for j in sub.neighbors}
-                rows = certify.agent_rows([sub], [K], [mt], [shares], [escalate], variant)
-                got, gains = rows.report(0), rows.global_gains(0)
+                (got,), (gains,) = certify.agent_rows([sub], [K], [mt], [shares], [escalate],
+                                                      variant)
                 # the reference takes its gain back through inv(T_j^T), which
                 # loses up to cond(T_j) eps; the kernel never inverts T_j
                 tol = {j: max(1e-12, EPS * np.linalg.cond(designs[j][1].T))
@@ -527,7 +538,7 @@ class TestRankOneKernel:
         # reads each neighbor's share and refuses to run without it
         sub = gridmodel.build_subsystems(three_bus)[0]
         K, mt = certify.design_agents([sub], [three_bus.generator(1).poles])
-        got = certify.agent_rows([sub], K, mt, [{}], [True], certify.VARIANT_ORIGINAL).report(0)
+        (got,), _ = certify.agent_rows([sub], K, mt, [{}], [True], certify.VARIANT_ORIGINAL)
         res = certify.assess_grid(three_bus, use_global=True,
                                   variant=certify.VARIANT_ORIGINAL)
         assert got == res.reports[0]
@@ -555,18 +566,18 @@ class TestStackedRows:
     agent evaluated as a stack of one must agree bit for bit."""
 
     def assert_stack_equals_agents(self, subs, Ks, mts, shares, escalate, variant):
-        rows = certify.agent_rows(subs, Ks, mts, shares, escalate, variant)
-        assert rows.bus == [sub.bus for sub in subs]
-        for k, sub in enumerate(subs):
-            one = certify.agent_rows([sub], Ks[k:k + 1], mts[k:k + 1], shares[k:k + 1],
-                                     escalate[k:k + 1], variant)
-            got, report, global_ = rows.report(k), one.report(0), one.global_gains(0)
+        reports, globals_ = certify.agent_rows(subs, Ks, mts, shares, escalate, variant)
+        assert [r.agent for r in reports] == [sub.bus for sub in subs]
+        assert len(globals_) == len(subs)
+        for k, (sub, got, got_global) in enumerate(zip(subs, reports, globals_)):
+            (report,), (global_,) = certify.agent_rows(
+                [sub], Ks[k:k + 1], mts[k:k + 1], shares[k:k + 1], escalate[k:k + 1], variant)
             assert got == report and isinstance(got.diagonal, float)
             assert all(type(v) is float for v in got.offdiag.values())
             assert (got.margin, got.met) == (report.margin, report.met)
-            assert rows.global_gains(k).keys() == global_.keys()
+            assert got_global.keys() == global_.keys()
             for j, g in global_.items():
-                assert np.array_equal(rows.global_gains(k)[j], g)
+                assert np.array_equal(got_global[j], g)
 
     def check_grid(self, grid, escalations, variant):
         subs = gridmodel.build_subsystems(grid)
@@ -590,6 +601,10 @@ class TestStackedRows:
             n = len(grid.bus_ids)
             self.check_grid(grid, [[False] * n, [True] * n, list(rng.random(n) < 0.5)],
                             variant)
+
+    @pytest.mark.parametrize("variant", certify.VARIANTS)
+    def test_no_agents(self, variant):
+        assert certify.agent_rows([], [], [], [], [], variant) == ([], [])
 
     def test_error_is_lowest_numbered_failing_agent(self, three_bus):
         # agent 3 fails the Hurwitz check, which the stack runs first; agent 2,
@@ -628,11 +643,11 @@ def own_factor(sub, K, mt, escalate, variant):
 
 
 class TestRowRecord:
-    """The record's line-end products equal, bit for bit, the per-agent
-    formulas: ``o * abs(c) * nbr`` at each line end, with the own factor
-    ``o`` and the coefficient ``s`` of each agent evaluated alone, and
-    ``c * s`` for the global gain; each report's margin is Python's ``sum``
-    in coupling order, and the objects built on read carry the same bits."""
+    """The stacked pass's reports and gains equal, bit for bit, the
+    per-agent formulas: ``o * abs(c) * nbr`` at each line end, in coupling
+    order, with the own factor ``o`` and the coefficient ``s`` of each agent
+    evaluated alone, and ``c * s`` for the global gain; each report's margin
+    is Python's ``sum`` in coupling order."""
 
     @pytest.mark.parametrize("variant", certify.VARIANTS)
     def test_bit_equal_to_per_agent_formulas(self, rng, variant):
@@ -644,29 +659,23 @@ class TestRowRecord:
             shares = member_shares(subs, mts)
             n = len(subs)
             for escalate in ([False] * n, [True] * n, list(rng.random(n) < 0.5)):
-                rows = certify.agent_rows(subs, Ks, mts, shares, escalate, variant)
-                assert rows.j == [j for sub in subs for j in sub.couplings]
-                offdiag, K = [], []
-                for k, sub in enumerate(subs):
+                reports, globals_ = certify.agent_rows(subs, Ks, mts, shares, escalate, variant)
+                assert len(reports) == len(globals_) == n
+                for k, (sub, report, gains) in enumerate(zip(subs, reports, globals_)):
                     o, s = own_factor(sub, Ks[k], mts[k], escalate[k], variant)
                     nbr = (shares[k] if variant == certify.VARIANT_TRANSFORMED
                            else dict.fromkeys(sub.couplings, 1.0))
                     off = {j: o * abs(c) * nbr[j] for j, c in sub.couplings.items()}
-                    margin = rows.diagonal[k] - sum(off.values())
-                    report = rows.report(k)
-                    assert report == certify.ConditionReport(sub.bus, rows.diagonal[k], off,
+                    margin = report.diagonal - sum(off.values())
+                    assert report == certify.ConditionReport(sub.bus, report.diagonal, off,
                                                              variant)
+                    assert list(report.offdiag) == list(sub.couplings)
                     assert bits(report.offdiag.values()) == bits(off.values())
                     assert bits([report.margin]) == bits([margin])
                     assert report.met is (margin > 0.0)
-                    gains = rows.global_gains(k)
                     assert list(gains) == (list(sub.couplings) if escalate[k] else [])
                     for j, g in gains.items():
                         assert bits(g) == bits([sub.couplings[j] * s, 0.0, 0.0])
-                    offdiag += off.values()
-                    K += ([c * s, 0.0, 0.0] for c in sub.couplings.values())
-                assert bits(rows.offdiag) == bits(offdiag)
-                assert bits(rows.K.ravel()) == bits(np.ravel(K))
 
     def test_original_rows_are_each_closed_loops_certificate(self, rng, three_bus):
         # the diagonal lambda_min(Q) and the own factor 2 lambda_max(P) ||e2||

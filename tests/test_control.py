@@ -121,6 +121,11 @@ class TestPolePlace:
             control.pole_place(A, B, [[complex(-1, 2), -1.0]])
         with pytest.raises(InvalidInput, match="expected 2 poles"):
             control.pole_place(A, B, [[-1.0]])
+        # a bare pole, which len() would fail on with TypeError
+        with pytest.raises(InvalidInput, match=r"^pole set -1\.0 is not a sequence of 2 poles$"):
+            control.pole_place(A, B, [-1.0])
+        with pytest.raises(InvalidInput, match="is not a sequence of 2 poles$"):
+            control.pole_place(A, B, [np.array(-1.0)])
 
     def test_random_placement_property(self, rng):
         done = 0
@@ -169,9 +174,9 @@ def row(sub, mt, T_nbrs, escalate=False, K=None):
     transform's first row."""
     K = np.zeros(3) if K is None else K
     shares = {j: float(np.linalg.norm(T[0])) for j, T in T_nbrs.items()}
-    rows = certify.agent_rows([sub], [K], [mt], [shares], [escalate],
-                              certify.VARIANT_TRANSFORMED)
-    return rows.report(0), rows.global_gains(0)
+    (report,), (gains,) = certify.agent_rows([sub], [K], [mt], [shares], [escalate],
+                                             certify.VARIANT_TRANSFORMED)
+    return report, gains
 
 
 class TestTransform:

@@ -57,12 +57,10 @@ def assert_rows_replay(got, want, escalate, variant):
             [st.model for st in sts], [st.gains.local for st in sts],
             [st.transform for st in sts], [st.received_shares for st in sts], esc, variant)
 
-    stack = rows(got, escalate)
-    assert len(stack.bus) == len(got) == len(want)
-    for k, (st, w, esc) in enumerate(zip(got, want, escalate)):
-        report, global_ = stack.report(k), stack.global_gains(k)
-        alone = rows([w], [esc])
-        w_report, w_global = alone.report(0), alone.global_gains(0)
+    reports, globals_ = rows(got, escalate)
+    assert len(reports) == len(globals_) == len(got) == len(want)
+    for st, w, esc, report, global_ in zip(got, want, escalate, reports, globals_):
+        (w_report,), (w_global,) = rows([w], [esc])
         assert report == w_report
         assert (report.agent, report.variant) == (st.id, variant)
         assert global_.keys() == w_global.keys() == st.gains.global_.keys()
@@ -400,6 +398,13 @@ class TestScenarios:
         verdicts = [m for m in res.trace if m.kind == protocol.OPERATOR_VERDICT]
         assert len(verdicts) == 1
         assert verdicts[0].payload == {"stable": False}
+
+    @pytest.mark.parametrize("flag", ["no", 1, None])
+    def test_allow_global_not_a_bool_rejected(self, three_bus, flag):
+        # read by truthiness, "no" would escalate
+        with pytest.raises(InvalidInput) as info:
+            protocol.run_dsa(three_bus, allow_global=flag)
+        assert str(info.value) == f"allow_global must be a bool, got {flag!r}"
 
     @pytest.mark.parametrize("retries", [1.5, "1", None, True])
     def test_max_retries_not_an_int_rejected(self, three_bus, retries):
